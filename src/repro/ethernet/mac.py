@@ -15,6 +15,8 @@ from repro.exceptions import FrameError
 
 MAC_LENGTH = 6
 
+_BROADCAST_OCTETS = b"\xff" * MAC_LENGTH
+
 
 @total_ordering
 class MacAddress:
@@ -82,7 +84,7 @@ class MacAddress:
     @property
     def is_broadcast(self) -> bool:
         """True for ff:ff:ff:ff:ff:ff."""
-        return self._octets == b"\xff" * MAC_LENGTH
+        return self._octets == _BROADCAST_OCTETS
 
     @property
     def is_multicast(self) -> bool:
@@ -127,7 +129,7 @@ class MacAddress:
 
 
 #: The Ethernet broadcast address.
-BROADCAST = MacAddress(b"\xff" * MAC_LENGTH)
+BROADCAST = MacAddress(_BROADCAST_OCTETS)
 
 #: IEEE 802.1D "All Bridges" / STP multicast address.  The spanning-tree
 #: switchlet registers with the node's demultiplexer for this address.

@@ -159,8 +159,16 @@ class NetworkInterface:
             segment._refresh_express()
 
     def set_promiscuous(self, enabled: bool) -> None:
-        """Enable or disable promiscuous mode."""
+        """Enable or disable promiscuous mode.
+
+        Refreshes the segment's fan-out plans: a promiscuous NIC must see
+        every frame, so it joins every plan (see
+        :meth:`Segment._deliver <repro.lan.segment.Segment._deliver>`).
+        """
         self.promiscuous = enabled
+        segment = self.segment
+        if segment is not None:
+            segment._refresh_pipeline()
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the interface.
@@ -208,18 +216,16 @@ class NetworkInterface:
         """Called by the segment when a frame arrives at this station.
 
         Applies the hardware address filter (unless promiscuous) and then
-        hands the frame to the owner's handler.
+        hands the frame to the owner's handler.  A segment may skip the call
+        for frames the filter would drop, since such a call has no effect.
         """
         if not self.up:
             self.frames_dropped += 1
             return
         # Inlined hardware filter (see accepts(), kept as the public form).
+        # Broadcast has the group bit set, so is_multicast covers it.
         if not self.promiscuous:
-            if (
-                frame.destination != self.mac
-                and not frame.is_broadcast
-                and not frame.is_multicast
-            ):
+            if frame.destination != self.mac and not frame.is_multicast:
                 return
         self.frames_received += 1
         self.bytes_received += frame.frame_length
@@ -241,9 +247,7 @@ class NetworkInterface:
             return True
         if frame.destination == self.mac:
             return True
-        if frame.is_broadcast or frame.is_multicast:
-            return True
-        return False
+        return frame.is_multicast
 
     # ------------------------------------------------------------------
     # Introspection

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
 from repro.ethernet.frame import EthernetFrame
 from repro.exceptions import TopologyError
@@ -91,6 +91,16 @@ EXPRESS_INLINE = 1
 EXPRESS_DEFERRED = 2
 
 _EXPRESS_MODE_NAMES = ("off", "inline", "deferred")
+
+#: Fan-out plan-table key of the one plan shared by every unicast
+#: destination no filtering receiver owns (never a 6-octet MAC).
+_FOREIGN = b""
+
+#: Fewest filtering receivers (up, not promiscuous) for which a segment
+#: plans its fan-outs.  With two, unicast between them — the traffic such
+#: segments carry (host pairs, ring LANs) — leaves nothing to skip, so the
+#: plain scan is kept and no frame pays a plan lookup.
+_PLAN_MIN_FILTERING = 3
 
 
 class Segment:
@@ -191,6 +201,9 @@ class Segment:
         # per-frame loop pays zero topology/fault conditionals on plain
         # segments.
         self._serve_frame = self._serve_frame_plain
+        # Per-destination fan-out plans (see _deliver): an empty table is
+        # filled by the next whole-segment fan-out; None means the plain scan.
+        self._plans: Optional[dict] = {}
 
     # ------------------------------------------------------------------
     # Attachment
@@ -327,13 +340,24 @@ class Segment:
         common no-runs/no-model segment serves frames with zero per-frame
         conditionals.  Invalidated by exactly the hooks that refresh express
         eligibility (attach/detach, port up/down, handler changes, every
-        fault mutation) plus :meth:`set_degrade`.  The arithmetic in every
+        fault mutation) plus :meth:`set_degrade` and
+        :meth:`NetworkInterface.set_promiscuous`.  The arithmetic in every
         variant is kept textually identical to preserve bit-identical floats
         across engine modes.
+
+        Each refresh also drops the fan-out plans (see :meth:`_deliver`) by
+        replacing the table.  Cut segments get none: their delivery runs
+        can execute on several shard threads at once, where a lazy build
+        would race.  A shard-local segment gets an empty table, which its
+        next fan-out fills or, for a shape with too few filtering receivers,
+        turns into the plain scan.
         """
         if self._delivery_runs is not None:
             self._serve_frame = self._serve_frame_cut
-        elif self._fault_model is not None:
+            self._plans = None
+            return
+        self._plans = {}
+        if self._fault_model is not None:
             self._serve_frame = self._serve_frame_model
         else:
             self._serve_frame = self._serve_frame_plain
@@ -754,7 +778,7 @@ class Segment:
                     )
                     for engine, run in runs:
                         deliver_run = partial(
-                            self._deliver_run, sender, frame, run, False
+                            self._deliver, sender, frame, run, False
                         )
                         if engine is sim:
                             home_push(deliver_ns, deliver_run)
@@ -767,14 +791,14 @@ class Segment:
                     for engine, run in runs:
                         engine._relaxed_push_fire(
                             deliver_ns,
-                            partial(self._deliver_run, sender, frame, run, False),
+                            partial(self._deliver, sender, frame, run, False),
                         )
             else:
                 first = True
                 for engine, run in runs:
                     engine.schedule_fire(
                         deliver_at,
-                        partial(self._deliver_run, sender, frame, run, first),
+                        partial(self._deliver, sender, frame, run, first),
                         label=self._deliver_label,
                     )
                     first = False
@@ -823,12 +847,9 @@ class Segment:
         self._emit_deliver(sender, frame)
         for engine, run in runs:
             if engine is shard:
-                for interface in run:
-                    if interface is sender or interface.segment is not self:
-                        continue
-                    interface.deliver(frame)
+                self._deliver(sender, frame, run, False)
             else:
-                deliver_run = partial(self._deliver_run, sender, frame, run, False)
+                deliver_run = partial(self._deliver, sender, frame, run, False)
                 if caller is not None:
                     caller.outbox.append(("push", when_ns, engine, deliver_run))
                 else:
@@ -1044,7 +1065,7 @@ class Segment:
         """
         if run is not None:
             if entry[4]:
-                self._deliver_run(entry[2], entry[3], run, False)
+                self._deliver(entry[2], entry[3], run, False)
             return
         if entry[4]:
             self._emit_deliver(entry[2], entry[3])
@@ -1127,9 +1148,8 @@ class Segment:
                     shard.cursor_ns = deliver_ns
                 before = len(pending)
                 if runs is None:
-                    # Inlined _deliver with the batch-hoisted gate: the
-                    # record and receiver walk are identical, minus one
-                    # wants() and one call frame per frame.
+                    # _deliver with the batch-hoisted gate: the record and
+                    # fan-out are identical, minus one wants() per frame.
                     if deliver_wanted:
                         trace.emit(
                             name,
@@ -1139,10 +1159,7 @@ class Segment:
                                 "frame": f.describe(),
                             },
                         )
-                    for interface in self._receivers:
-                        if interface is sender:
-                            continue
-                        interface.deliver(frame)
+                    deliver(sender, frame, None, False)
                 else:
                     self._deliver_cut(sender, frame)
                 for _ in range(len(pending) - before):
@@ -1152,36 +1169,38 @@ class Segment:
         clock._now_ns = entry_ns
         clock._now_s = entry_s
 
-    def _deliver(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
-        trace = self._trace
-        if trace.wants("segment.deliver"):
-            trace.emit(
-                self.name,
-                "segment.deliver",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
-            )
-        # The receiver tuple is a stable snapshot: attach/detach during the
-        # loop rebuild it without disturbing this delivery.
-        for interface in self._receivers:
-            if interface is sender:
-                continue
-            interface.deliver(frame)
-
-    def _deliver_run(
+    def _deliver(
         self,
         sender: "NetworkInterface",
         frame: EthernetFrame,
-        run: List["NetworkInterface"],
-        first: bool,
+        run: Optional[Sequence["NetworkInterface"]] = None,
+        record: bool = True,
     ) -> None:
-        """Deliver ``frame`` to one same-shard run of receivers.
+        """Deliver ``frame`` to every receiver but its sender: the one receiver loop.
 
-        Runs are snapshotted when the frame is scheduled (an interface that
-        detaches mid-flight is skipped below; one that attaches mid-flight
-        joins from the next frame on — the classic path snapshots at delivery
-        instead, a difference only visible to mid-flight retopology).
+        Without ``run`` the frame goes to the whole segment, in the attach
+        order of the receiver snapshot taken now (attach/detach during the
+        fan-out rebuild the snapshot without disturbing this delivery).
+        With ``run`` it goes to that same-shard delivery run only,
+        snapshotted when the frame was scheduled: an interface that detaches
+        mid-flight is skipped, one that attaches mid-flight joins from the
+        next frame on.  ``record`` says whether this call emits the frame's
+        ``segment.deliver`` record; a cut segment emits it once per frame,
+        not once per run.
+
+        A whole-segment delivery on a segment with a plan table sends a
+        unicast frame to its destination's plan only: the receivers whose
+        :meth:`NetworkInterface.deliver` can have an effect (see
+        :meth:`_build_plans`).  The NICs it skips are the ones whose hardware
+        filter would drop the frame without counting it.  Multicast and
+        broadcast frames reach everyone, so they take the plain scan.  Every
+        hook that can change a plan replaces the table.  A handler that does
+        so mid-fan-out, for example by downing a later NIC or making it
+        promiscuous, is caught when its call returns, and the rest of the
+        fan-out falls back to the plain scan from the next receiver.  Every
+        effective ``deliver()`` therefore runs in the plain scan's order.
         """
-        if first:
+        if record:
             trace = self._trace
             if trace.wants("segment.deliver"):
                 trace.emit(
@@ -1189,10 +1208,64 @@ class Segment:
                     "segment.deliver",
                     lambda: {"sender": sender.name, "frame": frame.describe()},
                 )
-        for interface in run:
-            if interface is sender or interface.segment is not self:
+        if run is not None:
+            for interface in run:
+                if interface is not sender and interface.segment is self:
+                    interface.deliver(frame)
+            return
+        receivers = self._receivers
+        plans = self._plans
+        if plans is not None and not plans:
+            plans = self._build_plans(plans)
+        if plans is not None:
+            octets = frame.destination._octets
+            plan = plans.get(octets)
+            if plan is None and not octets[0] & 1:
+                plan = plans[_FOREIGN]
+            if plan is not None:
+                for interface in plan:
+                    if interface is not sender:
+                        interface.deliver(frame)
+                        if self._plans is not plans:
+                            receivers = receivers[receivers.index(interface) + 1:]
+                            break
+                else:
+                    return
+        for interface in receivers:
+            if interface is not sender:
+                interface.deliver(frame)
+
+    def _build_plans(self, plans: dict) -> Optional[dict]:
+        """Fill an empty plan table from the receivers, or turn planning off.
+
+        A plan keeps attach order and holds every receiver whose
+        ``deliver()`` can act on a frame to its destination: down NICs (they
+        count a drop), promiscuous NICs and the up NICs owning that address.
+        Only the unicast addresses of filtering receivers get an entry;
+        every other unicast destination shares the plan under
+        :data:`_FOREIGN`, so the table never outgrows the NIC count.  With
+        fewer than :data:`_PLAN_MIN_FILTERING` filtering receivers the
+        segment keeps the plain scan until the next refresh.
+
+        Runs on the segment's own engine only: cut segments never plan.
+        """
+        receivers = self._receivers
+        shared: List[int] = []
+        owners: dict = {}
+        for index, interface in enumerate(receivers):
+            if not interface.up or interface.promiscuous:
+                shared.append(index)
                 continue
-            interface.deliver(frame)
+            octets = interface.mac._octets
+            if not octets[0] & 1:
+                owners.setdefault(octets, []).append(index)
+        if len(receivers) - len(shared) < _PLAN_MIN_FILTERING:
+            self._plans = None
+            return None
+        for octets, indices in owners.items():
+            plans[octets] = tuple(receivers[i] for i in sorted(shared + indices))
+        plans[_FOREIGN] = tuple(receivers[i] for i in shared)
+        return plans
 
     # ------------------------------------------------------------------
     # Introspection

@@ -200,9 +200,11 @@ class Simulator:
     def run_until(self, until_seconds: float, max_events: Optional[int] = None) -> int:
         """Run events with firing times ``<= until_seconds``.
 
-        The clock is advanced to ``until_seconds`` at the end even if the
-        queue drained earlier, so that back-to-back ``run_until`` calls see a
-        monotonically advancing clock.
+        Once no event at or before ``until_seconds`` is pending, the clock is
+        advanced to ``until_seconds`` even if the queue drained earlier, so
+        that back-to-back ``run_until`` calls see a monotonically advancing
+        clock.  When ``max_events`` stops the run first, the clock stays at
+        the last dispatched event and the rest fire at their own times.
 
         Returns:
             The number of events dispatched by this call.
@@ -221,15 +223,15 @@ class Simulator:
         dispatched = 0
         try:
             while True:
-                if max_events is not None and dispatched >= max_events:
-                    break
                 next_time = self._queue.peek_time_ns()
                 if next_time is None or next_time > until_ns:
+                    if self.clock.now_ns < until_ns:
+                        self.clock.advance_to_ns(until_ns)
+                    break
+                if max_events is not None and dispatched >= max_events:
                     break
                 self.step()
                 dispatched += 1
-            if self.clock.now_ns < until_ns:
-                self.clock.advance_to_ns(until_ns)
         finally:
             self._running = False
         return dispatched
@@ -258,18 +260,18 @@ class Simulator:
         high_water = len(queue)
         try:
             while True:
-                if max_events is not None and dispatched >= max_events:
-                    break
                 next_time = queue.peek_time_ns()
                 if next_time is None or (until_ns is not None and next_time > until_ns):
+                    if until_ns is not None and self.clock.now_ns < until_ns:
+                        self.clock.advance_to_ns(until_ns)
+                    break
+                if max_events is not None and dispatched >= max_events:
                     break
                 self.step()
                 dispatched += 1
                 pending = len(queue)
                 if pending > high_water:
                     high_water = pending
-            if until_ns is not None and self.clock.now_ns < until_ns:
-                self.clock.advance_to_ns(until_ns)
         finally:
             self._running = False
             elapsed = spans.perf_counter() - start

@@ -828,7 +828,8 @@ class ShardedSimulator:
         """Run events with firing times ``<= until_seconds``.
 
         As with the single engine, the clock is advanced to ``until_seconds``
-        at the end even if the rings drained earlier.
+        at the end even if the rings drained earlier, unless ``max_events``
+        stopped the run with events at or before ``until_seconds`` pending.
         """
         if self._running:
             raise SimulationError("Simulator.run_until() called re-entrantly")
@@ -841,7 +842,10 @@ class ShardedSimulator:
         self._running = True
         try:
             dispatched = self._dispatch(until_ns, max_events)
-            if self.clock.now_ns < until_ns:
+            # Only a budget can stop a dispatch short of the horizon.
+            if self.clock.now_ns < until_ns and (
+                max_events is None or not self._pending_by(until_ns)
+            ):
                 self.clock.advance_to_ns(until_ns)
         finally:
             self._running = False
@@ -850,6 +854,14 @@ class ShardedSimulator:
     def run_for(self, duration_seconds: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration_seconds`` of simulated time starting from now."""
         return self.run_until(self.now + duration_seconds, max_events=max_events)
+
+    def _pending_by(self, until_ns: int) -> bool:
+        """Whether any ring holds a live event at or before ``until_ns``."""
+        for queue in (*(shard._queue for shard in self._shards), self._control):
+            time_ns = queue.peek_time_ns()
+            if time_ns is not None and time_ns <= until_ns:
+                return True
+        return False
 
     def reset(self) -> None:
         """Discard all pending events, traces and rewind the clock to zero.

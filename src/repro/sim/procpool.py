@@ -98,7 +98,7 @@ def worker_index() -> Optional[int]:
 #
 # Outbox entries have exactly three shapes (see RelaxedExecutor._flush_mail);
 # every "push" callback the segment layer produces is a
-# functools.partial(Segment._deliver_run, sender, frame, run, False), which
+# functools.partial(Segment._deliver, sender, frame, run, False), which
 # serializes symbolically: the segment by registered name, NICs by their
 # index in the segment's interface list (robust against delivery-run list
 # refreshes between capture and application), the frame as an envelope.
@@ -127,13 +127,17 @@ def _encode_outbox(shard) -> list:
             _, when_ns, target, callback = entry
             func = getattr(callback, "func", None)
             segment = getattr(func, "__self__", None)
-            if getattr(func, "__name__", "") != "_deliver_run" or segment is None:
+            if (
+                getattr(func, "__name__", "") != "_deliver"
+                or segment is None
+                or len(callback.args) != 4
+            ):
                 raise FabricBackendError(
                     f"process backend cannot serialize outbox push {callback!r} "
-                    "(expected a Segment._deliver_run partial)",
+                    "(expected a Segment._deliver run partial)",
                     shard_index=shard.index,
                 )
-            sender, frame, run, _first = callback.args
+            sender, frame, run, _record = callback.args
             interfaces = segment._interfaces
             encoded.append(
                 (
@@ -181,7 +185,7 @@ def _apply_mail(fabric, blob) -> None:
             frame, _meta = envelope_bytes_to_frame(envelope)
             run = [interfaces[i] for i in run_indices]
             callback = partial(
-                segment._deliver_run, interfaces[sender_index], frame, run, False
+                segment._deliver, interfaces[sender_index], frame, run, False
             )
             target = fabric if target_index < 0 else shards[target_index]
             target._relaxed_push_fire(when_ns, callback)

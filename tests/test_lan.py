@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.costs.model import CostModel
 from repro.ethernet.ethertype import EtherType
@@ -15,6 +17,7 @@ from repro.lan.segment import Segment
 from repro.lan.topology import NetworkBuilder
 from repro.netstack.ip import IPv4Address
 from repro.sim.engine import Simulator
+from repro.sim.fabric import ShardedSimulator
 
 
 def _frame(src="02:00:00:00:00:01", dst="02:00:00:00:00:02", payload=b"x" * 64):
@@ -382,3 +385,194 @@ class TestNetworkBuilder:
             network.segment("nope")
         with pytest.raises(TopologyError):
             network.host("nope")
+
+
+
+# ---------------------------------------------------------------------------
+# Fan-out plans
+# ---------------------------------------------------------------------------
+
+
+def _full_scan(segment):
+    """Delivery without plans: every NIC but the sender sees every frame."""
+
+    def deliver(sender, frame):
+        trace = segment._trace
+        if trace.wants("segment.deliver"):
+            trace.emit(
+                segment.name,
+                "segment.deliver",
+                lambda: {"sender": sender.name, "frame": frame.describe()},
+            )
+        for interface in segment._receivers:
+            if interface is sender:
+                continue
+            interface.deliver(frame)
+
+    return deliver
+
+
+#: Five MACs for at most nine NICs, so stations share addresses.
+_MACS = [MacAddress.locally_administered(1 + index) for index in range(5)]
+
+_nic_spec = st.tuples(
+    st.integers(min_value=0, max_value=len(_MACS) - 1),  # MAC index
+    st.booleans(),  # up
+    st.booleans(),  # promiscuous
+)
+# Three up, filtering NICs added to the extras make the segment plan its
+# fan-outs; the permutation mixes them into the attach order.
+_FILTERING = [(0, True, False), (1, True, False), (2, True, False)]
+_nic_specs = st.lists(_nic_spec, max_size=6).flatmap(
+    lambda extra: st.permutations(_FILTERING + extra)
+)
+_frame_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=15),  # sender
+        st.sampled_from(["attached", "foreign", "multicast", "broadcast"]),
+        st.integers(min_value=0, max_value=15),  # destination pick
+        st.integers(min_value=0, max_value=200),  # payload filler
+    ),
+    min_size=1,
+    max_size=24,
+)
+# (acting NIC, on its n-th accepted frame, target NIC, what it does)
+_action_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=15),
+        st.sampled_from(["down", "promiscuous", "up", "filtering", "send"]),
+    ),
+    max_size=8,
+)
+
+
+def _destination(kind, pick):
+    if kind == "attached":
+        return _MACS[pick % len(_MACS)]
+    if kind == "foreign":
+        return MacAddress.locally_administered(0x100 + pick)
+    if kind == "multicast":
+        return MacAddress.from_string("01:80:c2:00:00:00")
+    return BROADCAST
+
+
+def _run_fan_out_case(nic_specs, frames, actions, oracle):
+    """Run one generated segment and return everything a fan-out can change."""
+    sim = Simulator(seed=3)
+    segment = Segment(sim, "lan")
+    if oracle:
+        segment._deliver = _full_scan(segment)
+    nics = []
+    for position, (mac_index, up, promiscuous) in enumerate(nic_specs):
+        nic = NetworkInterface(sim, f"n{position}", _MACS[mac_index])
+        nic.attach(segment)
+        nic.set_promiscuous(promiscuous)
+        nic.set_up(up)
+        nics.append(nic)
+    calls = []
+    accepted = {}
+
+    def handler(nic, frame):
+        calls.append((nic.name, frame.payload[:4]))
+        count = accepted[nic.name] = accepted.get(nic.name, 0) + 1
+        for who, nth, target, op in actions:
+            if nics[who % len(nics)] is not nic or nth != count:
+                continue
+            victim = nics[target % len(nics)]
+            if op == "down":
+                victim.set_up(False)
+            elif op == "up":
+                victim.set_up(True)
+            elif op == "promiscuous":
+                victim.set_promiscuous(True)
+            elif op == "filtering":
+                victim.set_promiscuous(False)
+            else:
+                echo = EthernetFrame(
+                    frame.source, victim.mac, int(EtherType.MEASUREMENT), b"echo"
+                )
+                victim.send(echo)
+
+    for nic in nics:
+        nic.set_handler(handler)
+    for index, (sender, kind, pick, filler) in enumerate(frames):
+        source = nics[sender % len(nics)]
+        frame = EthernetFrame(
+            _destination(kind, pick),
+            source.mac,
+            int(EtherType.MEASUREMENT),
+            b"f%03d" % index + b"x" * filler,
+        )
+        sim.schedule_at(
+            index * 1e-3, lambda source=source, frame=frame: source.send(frame)
+        )
+    sim.run()
+    counters = [
+        (nic.name, nic.frames_received, nic.frames_dropped, nic.bytes_received)
+        for nic in nics
+    ]
+    records = [(r.time, r.source, r.category, r.detail) for r in sim.trace]
+    return counters, calls, records, sim.events_dispatched
+
+
+class TestFanOutPlans:
+    @given(_nic_specs, _frame_specs, _action_specs)
+    @settings(max_examples=200, deadline=None)
+    # n0 sends to n1, whose handler downs n3 and makes n2 promiscuous
+    # before the fan-out reaches them.
+    @example(
+        [(0, True, False), (1, True, False), (2, True, False), (3, True, False)],
+        [(0, "attached", 1, 0)],
+        [(1, 1, 3, "down"), (1, 1, 2, "promiscuous")],
+    )
+    def test_planned_fan_out_equals_full_scan(self, nic_specs, frames, actions):
+        planned = _run_fan_out_case(nic_specs, frames, actions, oracle=False)
+        assert planned == _run_fan_out_case(nic_specs, frames, actions, oracle=True)
+
+    def _segment(self, sim, count, promiscuous=()):
+        segment = Segment(sim, "lan")
+        nics = []
+        for index in range(count):
+            nic = _nic(sim, f"n{index}", index + 1)
+            nic.attach(segment)
+            nic.set_promiscuous(index in promiscuous)
+            nics.append(nic)
+        return segment, nics
+
+    def test_plans_skip_filtered_nics(self, sim):
+        segment, nics = self._segment(sim, 5, promiscuous={4})
+        nics[0].send(_frame(src=str(nics[0].mac), dst=str(nics[2].mac)))
+        sim.run()
+        plans = segment._plans
+        assert plans[nics[2].mac.octets] == (nics[2], nics[4])
+        assert [nic.frames_received for nic in nics] == [0, 0, 1, 0, 1]
+
+    def test_small_segments_keep_the_plain_scan(self, sim):
+        segment, nics = self._segment(sim, 4, promiscuous={2, 3})
+        nics[0].send(_frame(src=str(nics[0].mac), dst=str(nics[1].mac)))
+        sim.run()
+        assert segment._plans is None
+        nics[2].set_promiscuous(False)
+        assert segment._plans == {}
+
+    def test_cut_segments_never_plan(self):
+        fabric = ShardedSimulator(seed=1, shards=2)
+        segment = Segment(fabric.shards[0], "lan")
+        for index in range(4):
+            _nic(fabric.shards[index % 2], f"n{index}", index + 1).attach(segment)
+        assert segment._plans is None
+
+    def test_plan_table_is_bounded_by_attached_macs(self, sim):
+        segment, nics = self._segment(sim, 6, promiscuous={5})
+        sender = nics[0]
+        for index in range(10_000):
+            destination = MacAddress.locally_administered(0x10000 + index)
+            segment._deliver(sender, _frame(src=str(sender.mac), dst=str(destination)))
+        for group in range(100):
+            destination = MacAddress.from_int(0x0100_5E00_0000 + group)
+            segment._deliver(sender, _frame(src=str(sender.mac), dst=str(destination)))
+        assert len(segment._plans) <= len({nic.mac for nic in nics}) + 1
+        assert nics[5].frames_received == 10_100
+        assert [nic.frames_received for nic in nics[1:5]] == [100] * 4

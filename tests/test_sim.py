@@ -10,6 +10,7 @@ from repro.exceptions import SchedulingError, SimulationError
 from repro.sim.clock import Clock, ns_to_seconds, seconds_to_ns
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue, describe_event
+from repro.sim.fabric import ShardedSimulator
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
 from repro.sim.timers import PeriodicTimer, Timer
@@ -181,6 +182,33 @@ class TestSimulator:
         dispatched = sim.run(max_events=4)
         assert dispatched == 4
         assert sim.pending_events == 6
+
+    @pytest.mark.parametrize(
+        "engine", ["single", "single-telemetry", "strict", "relaxed"]
+    )
+    def test_budgeted_run_until_does_not_jump_past_pending_events(self, engine):
+        if engine == "strict":
+            simulator = ShardedSimulator(seed=1, shards=2)
+        elif engine == "relaxed":
+            simulator = ShardedSimulator(seed=1, shards=2, sync="relaxed", workers=0)
+        else:
+            simulator = Simulator(seed=1)
+            if engine == "single-telemetry":
+                simulator.enable_telemetry()
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            simulator.schedule_at(
+                when, lambda when=when: fired.append((when, simulator.now))
+            )
+        assert simulator.run_until(10.0, max_events=1) == 1
+        assert simulator.now == 1.0
+        simulator.run()
+        assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+        # A budget that runs out with nothing left before the horizon still
+        # lets the clock reach it.
+        simulator.schedule_at(4.0, lambda: None)
+        assert simulator.run_until(10.0, max_events=1) == 1
+        assert simulator.now == 10.0
 
     def test_reset(self, sim):
         sim.schedule(1.0, lambda: None)
