@@ -31,6 +31,11 @@ from repro.sim.engine import Simulator
 _AUTO_MAC_BASE = 0xC0_0000
 
 
+def _forward_detail(interface: str) -> dict:
+    """Lazy detail of a ``repeater.forward`` record."""
+    return {"interface": interface}
+
+
 class BufferedRepeater:
     """A user-space buffered repeater with no bridge intelligence.
 
@@ -83,9 +88,7 @@ class BufferedRepeater:
                     continue
                 self.frames_repeated += 1
                 if forward_wanted:
-                    trace.emit(
-                        self.name, "repeater.forward", lambda name=name: {"interface": name}
-                    )
+                    trace.emit(self.name, "repeater.forward", _forward_detail, name)
                 nic.send(frame)
 
         self.cpu.submit(cost, repeat)

@@ -44,6 +44,11 @@ from repro.sim.timers import PeriodicTimer
 _AUTO_MAC_BASE = 0xB0_0000
 
 
+def _forward_detail(interface: str, frame_length: int) -> dict:
+    """Lazy detail of a ``node.forward`` record."""
+    return {"interface": interface, "bytes": frame_length}
+
+
 class ActiveNode:
     """A programmable network element.
 
@@ -175,7 +180,9 @@ class ActiveNode:
                 trace.emit(
                     self.name,
                     "node.forward",
-                    lambda: {"interface": interface, "bytes": frame.frame_length},
+                    _forward_detail,
+                    interface,
+                    frame.frame_length,
                 )
             nic.send(frame)
 

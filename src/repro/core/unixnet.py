@@ -43,6 +43,11 @@ from repro.core.safeunix import SockAddr
 _VLAN_TPID = int(EtherType.VLAN_8021Q)
 
 
+def _unclaimed_detail(interface: str, destination: MacAddress) -> dict:
+    """Lazy detail of a ``unixnet.unclaimed`` record."""
+    return {"interface": interface, "destination": str(destination)}
+
+
 def frame_to_packet_bytes(frame: EthernetFrame) -> bytes:
     """Flatten an Ethernet frame into the ``pkt`` byte string switchlets see.
 
@@ -346,7 +351,9 @@ class Unixnet:
             trace.emit(
                 self._node_name,
                 "unixnet.unclaimed",
-                lambda: {"interface": interface, "destination": str(frame.destination)},
+                _unclaimed_detail,
+                interface,
+                frame.destination,
             )
         return None
 

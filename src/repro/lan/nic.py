@@ -31,6 +31,11 @@ from repro.sim.engine import Simulator
 FrameHandler = Callable[["NetworkInterface", EthernetFrame], None]
 
 
+def _frame_detail(frame: EthernetFrame) -> dict:
+    """Lazy detail of a ``nic.tx``/``nic.rx`` record."""
+    return {"frame": frame.describe()}
+
+
 class NetworkInterface:
     """A simulated Ethernet NIC.
 
@@ -209,7 +214,7 @@ class NetworkInterface:
         self.bytes_sent += frame.frame_length
         trace = self._trace
         if trace.wants("nic.tx"):
-            trace.emit(self.name, "nic.tx", lambda: {"frame": frame.describe()})
+            trace.emit(self.name, "nic.tx", _frame_detail, frame)
         self.segment.transmit(self, frame)
 
     def deliver(self, frame: EthernetFrame) -> None:
@@ -231,7 +236,7 @@ class NetworkInterface:
         self.bytes_received += frame.frame_length
         trace = self._trace
         if trace.wants("nic.rx"):
-            trace.emit(self.name, "nic.rx", lambda: {"frame": frame.describe()})
+            trace.emit(self.name, "nic.rx", _frame_detail, frame)
         if self._handler is not None:
             self._handler(self, frame)
 

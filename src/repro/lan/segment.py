@@ -103,6 +103,16 @@ _FOREIGN = b""
 _PLAN_MIN_FILTERING = 3
 
 
+def _frame_detail(sender: "NetworkInterface", frame: EthernetFrame) -> dict:
+    """Lazy detail of a ``segment.enqueue``/``segment.deliver`` record."""
+    return {"sender": sender.name, "frame": frame.describe()}
+
+
+def _drop_detail(sender: "NetworkInterface", reason: str, frame: EthernetFrame) -> dict:
+    """Lazy detail of a ``segment.drop`` record."""
+    return {"sender": sender.name, "reason": reason, "frame": frame.describe()}
+
+
 class Segment:
     """A shared, half-duplex broadcast Ethernet segment.
 
@@ -477,15 +487,7 @@ class Segment:
                    frame: EthernetFrame, reason: str) -> None:
         """Emit one ``segment.drop`` record onto ``trace`` (no counting)."""
         if trace.wants("segment.drop"):
-            trace.emit(
-                self.name,
-                "segment.drop",
-                lambda: {
-                    "sender": sender.name,
-                    "reason": reason,
-                    "frame": frame.describe(),
-                },
-            )
+            trace.emit(self.name, "segment.drop", _drop_detail, sender, reason, frame)
 
     def _count_drop(self, sender: "NetworkInterface", frame: EthernetFrame,
                     reason: str) -> None:
@@ -560,12 +562,7 @@ class Segment:
                     trace = caller.trace
                     if trace.wants("segment.enqueue"):
                         trace.emit(
-                            self.name,
-                            "segment.enqueue",
-                            lambda: {
-                                "sender": sender.name,
-                                "frame": frame.describe(),
-                            },
+                            self.name, "segment.enqueue", _frame_detail, sender, frame
                         )
                     caller.outbox.append(
                         ("tx", caller.clock._now_ns, self, sender, frame)
@@ -577,11 +574,7 @@ class Segment:
                     trace = active.trace
         self._pending.append((sender, frame))
         if trace.wants("segment.enqueue"):
-            trace.emit(
-                self.name,
-                "segment.enqueue",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
-            )
+            trace.emit(self.name, "segment.enqueue", _frame_detail, sender, frame)
         if not self._in_service:
             self._service_next()
 
@@ -861,11 +854,7 @@ class Segment:
         """Emit the segment.deliver record (relaxed cut-segment delivery)."""
         trace = self._trace
         if trace.wants("segment.deliver"):
-            trace.emit(
-                self.name,
-                "segment.deliver",
-                lambda: {"sender": sender.name, "frame": frame.describe()},
-            )
+            trace.emit(self.name, "segment.deliver", _frame_detail, sender, frame)
 
     def _express_drain(self) -> None:
         """Batch-service the transmit backlog (relaxed deferred express lane).
@@ -1152,12 +1141,7 @@ class Segment:
                     # fan-out are identical, minus one wants() per frame.
                     if deliver_wanted:
                         trace.emit(
-                            name,
-                            "segment.deliver",
-                            lambda s=sender, f=frame: {
-                                "sender": s.name,
-                                "frame": f.describe(),
-                            },
+                            name, "segment.deliver", _frame_detail, sender, frame
                         )
                     deliver(sender, frame, None, False)
                 else:
@@ -1203,11 +1187,7 @@ class Segment:
         if record:
             trace = self._trace
             if trace.wants("segment.deliver"):
-                trace.emit(
-                    self.name,
-                    "segment.deliver",
-                    lambda: {"sender": sender.name, "frame": frame.describe()},
-                )
+                trace.emit(self.name, "segment.deliver", _frame_detail, sender, frame)
         if run is not None:
             for interface in run:
                 if interface is not sender and interface.segment is self:

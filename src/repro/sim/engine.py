@@ -245,15 +245,16 @@ class Simulator:
 
         A deliberate duplicate of the dispatch loops: the default-off path
         keeps its original shape with zero extra work per event, and this
-        loop adds queue high-water tracking, dispatch counting and one wall
-        span per call.  The wall clock is read through
-        :mod:`repro.telemetry.spans` so the overhead test can prove the
-        off path never reaches it.
+        loop adds queue high-water tracking, dispatch counting, one wall
+        span per call and a garbage-collection watch over that span.  The
+        wall clock is read through :mod:`repro.telemetry.spans` so the
+        overhead test can prove the off path never reaches it.
         """
         from repro.telemetry import spans
 
         telemetry = self._telemetry
         start = spans.perf_counter()
+        gc_watch = spans.GcWatch(telemetry.profiler)
         self._running = True
         dispatched = 0
         queue = self._queue
@@ -274,6 +275,7 @@ class Simulator:
                     high_water = pending
         finally:
             self._running = False
+            gc_watch.close()
             elapsed = spans.perf_counter() - start
             registry = telemetry.registry
             registry.counter("engine_events_dispatched").inc(dispatched)

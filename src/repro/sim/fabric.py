@@ -160,9 +160,9 @@ class FabricTrace:
     # Recording and listeners
     # ------------------------------------------------------------------
 
-    def emit(self, source, category, detail=None) -> Optional[TraceRecord]:
+    def emit(self, source, category, detail=None, *args) -> Optional[TraceRecord]:
         """Emit a record into the fabric (routed via shard 0's recorder)."""
-        return self._recorders[0].emit(source, category, detail)
+        return self._recorders[0].emit(source, category, detail, *args)
 
     def record(self, source, category, **detail) -> Optional[TraceRecord]:
         """Back-compat eager form of :meth:`emit`."""
@@ -757,57 +757,61 @@ class ShardedSimulator:
             from repro.telemetry import spans
 
             strict_start = spans.perf_counter()
+            gc_watch = spans.GcWatch(telemetry.profiler)
             high_water = self.pending_events
-        while True:
-            # One pass finds both the globally minimal shard and the batch
-            # limit (the smallest key any *other* shard holds).
-            best = None
-            best_key = None
-            limit = None
-            for index, key in enumerate(tops):
-                if key is None:
-                    continue
-                if best_key is None or key < best_key:
-                    limit = best_key
-                    best_key = key
-                    best = shards[index]
-                elif limit is None or key < limit:
-                    limit = key
-            if best is None or best_key[0] > until_ns:
-                break
-            best_index = best.index
-            self._batch_limit = limit
-            self._active = best
-            budget = None if max_events is None else max_events - dispatched
-            if budget is not None and budget <= 0:
+        try:
+            while True:
+                # One pass finds both the globally minimal shard and the batch
+                # limit (the smallest key any *other* shard holds).
+                best = None
+                best_key = None
+                limit = None
+                for index, key in enumerate(tops):
+                    if key is None:
+                        continue
+                    if best_key is None or key < best_key:
+                        limit = best_key
+                        best_key = key
+                        best = shards[index]
+                    elif limit is None or key < limit:
+                        limit = key
+                if best is None or best_key[0] > until_ns:
+                    break
+                best_index = best.index
+                self._batch_limit = limit
+                self._active = best
+                budget = None if max_events is None else max_events - dispatched
+                if budget is not None and budget <= 0:
+                    self._active = None
+                    break
+                ran = best._run_batch(until_ns, budget)
                 self._active = None
-                break
-            ran = best._run_batch(until_ns, budget)
-            self._active = None
-            dispatched += ran
-            fresh = best._queue.top_key()
-            if ran == 0 and fresh == best_key:
-                # The batch was eligible to run its top event but did not —
-                # the caches can only be stale *smaller*, so this means no
-                # further progress is possible.  Guard against a silent spin.
-                raise SimulationError(
-                    "sharded dispatch made no progress; shard "
-                    f"{best_index} top={fresh!r} limit={limit!r}"
-                )
-            tops[best_index] = fresh
+                dispatched += ran
+                fresh = best._queue.top_key()
+                if ran == 0 and fresh == best_key:
+                    # The batch was eligible to run its top event but did not —
+                    # the caches can only be stale *smaller*, so this means no
+                    # further progress is possible.  Guard against a silent spin.
+                    raise SimulationError(
+                        "sharded dispatch made no progress; shard "
+                        f"{best_index} top={fresh!r} limit={limit!r}"
+                    )
+                tops[best_index] = fresh
+                if telemetry is not None:
+                    pending = self.pending_events
+                    if pending > high_water:
+                        high_water = pending
+                if max_events is not None and dispatched >= max_events:
+                    break
+        finally:
             if telemetry is not None:
-                pending = self.pending_events
-                if pending > high_water:
-                    high_water = pending
-            if max_events is not None and dispatched >= max_events:
-                break
-        if telemetry is not None:
-            elapsed = spans.perf_counter() - strict_start
-            registry = telemetry.registry
-            registry.counter("engine_events_dispatched").inc(dispatched)
-            registry.gauge("engine_queue_high_water").set_max(high_water)
-            telemetry.profiler.add("compute", elapsed)
-            telemetry.profiler.add_total(elapsed)
+                gc_watch.close()
+                elapsed = spans.perf_counter() - strict_start
+                registry = telemetry.registry
+                registry.counter("engine_events_dispatched").inc(dispatched)
+                registry.gauge("engine_queue_high_water").set_max(high_water)
+                telemetry.profiler.add("compute", elapsed)
+                telemetry.profiler.add_total(elapsed)
         return dispatched
 
     def step(self) -> bool:

@@ -299,10 +299,13 @@ def _worker_main(fabric, index, pairs) -> None:
             elif kind == "fin":
                 fast = recorder._fast if recorder._fast is not None else []
                 suffix = []
-                for time_s, source, category, detail, seq in fast[base:]:
+                # Lazy details render here, before pickling: the shipped
+                # tuples hold plain dicts, never the frames a renderer's
+                # arguments reference.
+                for time_s, source, category, detail, seq, args in fast[base:]:
                     if callable(detail):
-                        detail = detail()
-                    suffix.append((time_s, source, category, detail, seq))
+                        detail = dict(detail(*args))
+                    suffix.append((time_s, source, category, detail, seq, ()))
                 blob = None
                 if telemetry is not None:
                     from repro.telemetry.report import snapshot_segment
@@ -501,11 +504,13 @@ class ProcessExecutor:
         # the round cannot return before its slowest window finishes.
         telemetry = fabric._telemetry
         timer = None
+        gc_watch = None
         if telemetry is not None:
-            from repro.telemetry.spans import PhaseTimer
+            from repro.telemetry.spans import GcWatch, PhaseTimer
 
             registry = telemetry.registry
             timer = PhaseTimer()
+            gc_watch = GcWatch(telemetry.profiler)
             planner_counter = registry.counter("proc_planner_rounds_total")
         try:
             while True:
@@ -654,6 +659,9 @@ class ProcessExecutor:
         except BaseException:
             self._teardown(mark_stale=True)
             raise
+        finally:
+            if gc_watch is not None:
+                gc_watch.close()
         # Eager end-of-dispatch sync: cursors, dispatch counts and queue
         # stats are cheap and must be right the moment run() returns.
         top_ns = shared_clock._now_ns

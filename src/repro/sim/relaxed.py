@@ -161,10 +161,11 @@ class RelaxedExecutor:
         telemetry = fabric._telemetry
         timer = None
         if telemetry is not None:
-            from repro.telemetry.spans import PhaseTimer
+            from repro.telemetry.spans import GcWatch, PhaseTimer
 
             registry = telemetry.registry
             timer = PhaseTimer()
+            gc_watch = GcWatch(telemetry.profiler)
             win_hist = registry.histogram("window_events")
             sole_counter = registry.counter("fabric_sole_leader_extensions_total")
             barrier_counter = registry.counter("fabric_control_barriers_total")
@@ -417,6 +418,7 @@ class RelaxedExecutor:
                 shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
             if timer is not None:
                 self._tele = None
+                gc_watch.close()
                 timer.finish(telemetry.profiler)
                 telemetry.profiler.windows += self.windows
                 registry.counter("fabric_windows_total").inc(self.windows)

@@ -270,7 +270,7 @@ class ShardTraceRecorder(TraceRecorder):
     # ------------------------------------------------------------------
 
     def emit(
-        self, source: str, category: str, detail: DetailSource = None
+        self, source: str, category: str, detail: DetailSource = None, *args
     ) -> Optional[TraceRecord]:
         if not self._enabled or category in self._disabled_categories:
             return None
@@ -278,9 +278,11 @@ class ShardTraceRecorder(TraceRecorder):
         if append is not None:
             # One append; the (category, source) counters catch up lazily on
             # the next counter read (reads happen between trials, not per
-            # record), so live counter queries still see exact totals.
+            # record), so live counter queries still see exact totals.  The
+            # tuple layout is TraceRecord's argument order:
+            # (time, source, category, detail, seq, args).
             append(
-                (self._clock._now_s, source, category, detail, self._emit_next())
+                (self._clock._now_s, source, category, detail, self._emit_next(), args)
             )
             if self._listeners or self._sinks:
                 entry = self._record_at(len(self._fast) - 1)
@@ -294,7 +296,7 @@ class ShardTraceRecorder(TraceRecorder):
         by_pair = self._shared_counters.by_category_source
         by_pair[pair] = by_pair.get(pair, 0) + 1
         entry = TraceRecord(
-            self._clock._now_s, source, category, detail, self._emit_next()
+            self._clock._now_s, source, category, detail, self._emit_next(), args
         )
         for sink in self._sinks:
             sink.accept(entry)
@@ -344,8 +346,7 @@ class ShardTraceRecorder(TraceRecorder):
         fast = self._fast
         materialized = self._materialized
         for i in range(len(materialized), count):
-            time, source, category, detail, seq = fast[i]
-            materialized.append(TraceRecord(time, source, category, detail, seq))
+            materialized.append(TraceRecord(*fast[i]))
 
     def records_list(self) -> List[TraceRecord]:
         """This shard's retained records, in emission order (seq ascending)."""

@@ -22,10 +22,13 @@ applies global and per-category gating, and dispatches to composable sinks:
 * :class:`NullSink` — discards everything (benchmarking floor).
 
 Record *details* are rendered lazily: producers on the frame hot path pass a
-zero-argument callable instead of an eager dict, and the expensive rendering
-(``frame.describe()`` strings and the like) only happens if some consumer
-actually reads :attr:`TraceRecord.detail`.  Producers guard even the callable
-allocation with :meth:`TraceRecorder.wants`.
+shared module-level renderer plus its arguments instead of an eager dict, and
+the expensive rendering (``frame.describe()`` strings and the like) only
+happens if some consumer actually reads :attr:`TraceRecord.detail`.  A
+retained record therefore holds two objects the cyclic garbage collector
+tracks — itself and its argument tuple — where a per-record closure would
+add a function, its closure tuple and a cell per captured variable.
+Producers guard even the argument packing with :meth:`TraceRecorder.wants`.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.sim.clock import Clock
 
 #: What producers may pass as a record's detail: nothing, an eager mapping,
-#: or a zero-argument callable returning one (rendered on first access).
-DetailSource = Union[None, Dict[str, Any], Callable[[], Dict[str, Any]]]
+#: or a callable returning one, called with the record's trailing emit
+#: arguments on first access.
+DetailSource = Union[None, Dict[str, Any], Callable[..., Dict[str, Any]]]
 
 
 class TraceRecord:
@@ -50,9 +54,9 @@ class TraceRecord:
         category: machine-readable record category
             (e.g. ``"frame.rx"``, ``"stp.state"``, ``"transition"``).
         detail: free-form key/value payload.  May be produced lazily: when
-            the producer supplied a callable it runs on first access and the
-            result is cached, so untouched hot-path records never pay for
-            rendering.
+            the producer supplied a callable it runs on first access, as
+            ``detail(*args)``, and the result is cached and the arguments
+            released, so untouched hot-path records never pay for rendering.
         seq: global emission sequence number, stamped by the sharded fabric's
             per-shard recorders so per-shard streams merge back into the
             exact single-engine emission order; ``None`` on records emitted
@@ -61,7 +65,7 @@ class TraceRecord:
             even though only one of them carries merge keys.
     """
 
-    __slots__ = ("time", "source", "category", "_detail", "seq")
+    __slots__ = ("time", "source", "category", "_detail", "seq", "_args")
 
     def __init__(
         self,
@@ -70,12 +74,14 @@ class TraceRecord:
         category: str,
         detail: DetailSource = None,
         seq: Optional[int] = None,
+        args: tuple = (),
     ) -> None:
         self.time = time
         self.source = source
         self.category = category
         self._detail = detail
         self.seq = seq
+        self._args = args
 
     @property
     def detail(self) -> Dict[str, Any]:
@@ -85,8 +91,9 @@ class TraceRecord:
             payload = {}
             self._detail = payload
         elif callable(payload):
-            payload = dict(payload())
+            payload = dict(payload(*self._args))
             self._detail = payload
+            self._args = ()
         return payload
 
     @property
@@ -548,8 +555,8 @@ class TraceRecorder:
     def wants(self, category: str) -> bool:
         """Whether a record in ``category`` would currently be captured.
 
-        Hot-path producers call this before allocating even the lazy detail
-        closure, so a gated category costs one set lookup per record.
+        Hot-path producers call this before packing even the lazy detail
+        arguments, so a gated category costs one set lookup per record.
         """
         return self._enabled and category not in self._disabled_categories
 
@@ -567,16 +574,18 @@ class TraceRecorder:
             self._listeners.remove(listener)
 
     def emit(
-        self, source: str, category: str, detail: DetailSource = None
+        self, source: str, category: str, detail: DetailSource = None, *args: Any
     ) -> Optional[TraceRecord]:
         """Dispatch a record stamped with the current simulated time.
 
-        ``detail`` may be an eager dict or a zero-argument callable rendered
-        only when some consumer reads :attr:`TraceRecord.detail`.
+        ``detail`` may be an eager dict or a callable rendered as
+        ``detail(*args)`` only when some consumer reads
+        :attr:`TraceRecord.detail`.  Frame-path producers pass a shared
+        module-level renderer and its arguments, never a per-record closure.
         """
         if not self._enabled or category in self._disabled_categories:
             return None
-        entry = TraceRecord(self._clock.now, source, category, detail)
+        entry = TraceRecord(self._clock.now, source, category, detail, None, args)
         # Inline the internal counter update: this runs for every record and
         # a method call per record is measurable on the frame hot path.
         pair = (category, source)

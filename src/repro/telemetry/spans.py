@@ -11,12 +11,19 @@ Phases are attributed *contiguously*: :class:`PhaseTimer` laps from one
 transition to the next with no unattributed gaps, which is what lets the
 wall-report assert that per-phase seconds sum to the total dispatch wall
 time within 5%.
+
+Garbage collection is measured beside the phases, not as one of them: a
+:class:`GcWatch` hook counts the cyclic collector's runs per generation and
+their wall seconds while a dispatch is in flight.  A collection fires inside
+whatever phase happened to be allocating, so its seconds are already part of
+that phase and of the total.
 """
 
 from __future__ import annotations
 
+import gc
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 #: The phase names the executors attribute dispatch wall time to.
 #: ``compute`` — shard window drains (worker-side for the process backend);
@@ -39,6 +46,10 @@ class SpanProfiler:
         self.phase_seconds: Dict[str, float] = {}
         self.total_seconds = 0.0
         self.windows = 0
+        #: Wall seconds spent in cyclic garbage collections during dispatch.
+        self.gc_seconds = 0.0
+        #: Collections during dispatch, indexed by generation (0, 1, 2).
+        self.gc_collections: List[int] = [0, 0, 0]
 
     def add(self, phase: str, seconds: float) -> None:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
@@ -47,13 +58,50 @@ class SpanProfiler:
         self.total_seconds += seconds
 
     def breakdown(self) -> dict:
-        """Plain-data phase breakdown for reports and the wall sweep."""
+        """Plain-data phase breakdown for reports and the wall sweep.
+
+        ``gc_s`` and ``gc_collections`` sit beside the phases: collector
+        time is already inside whichever phase it interrupted, so it is
+        not part of ``attributed_s``.
+        """
         out = {f"{phase}_s": self.phase_seconds.get(phase, 0.0) for phase in PHASES}
         out["total_s"] = self.total_seconds
         out["windows"] = self.windows
         attributed = sum(self.phase_seconds.get(phase, 0.0) for phase in PHASES)
         out["attributed_s"] = attributed
+        out["gc_s"] = self.gc_seconds
+        out["gc_collections"] = list(self.gc_collections)
         return out
+
+
+class GcWatch:
+    """A ``gc.callbacks`` hook that charges collections to a profiler.
+
+    Executors install one where a telemetry-on dispatch's wall span starts
+    and :meth:`close` it in the same ``finally``, so the hook never outlives
+    the dispatch and the telemetry-off path installs none.  It sees only the
+    collector of the process it runs in: process-backend workers collect
+    unobserved.
+    """
+
+    __slots__ = ("_profiler", "_started")
+
+    def __init__(self, profiler: SpanProfiler) -> None:
+        self._profiler = profiler
+        self._started = 0.0
+        gc.callbacks.append(self)
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter()
+            return
+        profiler = self._profiler
+        profiler.gc_seconds += perf_counter() - self._started
+        profiler.gc_collections[info["generation"]] += 1
+
+    def close(self) -> None:
+        """Uninstall the hook."""
+        gc.callbacks.remove(self)
 
 
 class PhaseTimer:

@@ -15,6 +15,7 @@ shipped back are the backend's observables (see ``sim/procpool.py``).
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 
 import pytest
@@ -125,6 +126,29 @@ def test_process_repeated_runs_are_deterministic():
     first = _drive("ring", 4, sync="relaxed", backend="process")
     second = _drive("ring", 4, sync="relaxed", backend="process")
     _assert_identical(first, second)
+
+
+def test_shipped_trace_suffixes_hold_plain_dicts(monkeypatch):
+    """Workers render lazy details before pickling: no frame crosses the pipe."""
+    shipped = []
+    recv = procpool.ProcessExecutor._recv
+
+    def spy(self, index):
+        reply = recv(self, index)
+        if reply[0] == "fin":
+            shipped.append(reply[1])
+        return reply
+
+    monkeypatch.setattr(procpool.ProcessExecutor, "_recv", spy)
+    run = _drive("chain", 4, sync="relaxed", backend="process")
+    assert run.sim._proc_pending is not None  # one measured process dispatch
+    run.sim.trace.canonical_records()  # the first query fetches the suffixes
+    entries = [entry for suffix in shipped for entry in suffix]
+    assert any(entry[2] == "nic.tx" for entry in entries)
+    for _time, _source, _category, detail, _seq, args in entries:
+        assert detail is None or type(detail) is dict
+        assert args == ()
+    assert b"EthernetFrame" not in pickle.dumps(shipped)
 
 
 def test_process_shard_stats_match_threaded():

@@ -23,6 +23,7 @@ its renderers.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -160,7 +161,9 @@ def test_metrics_off_path_never_reads_the_wall_clock(mode, monkeypatch):
     a full warm-up + ping drive in each mode proves the off path carries
     zero added instrumentation.  (The process backend's always-on flight
     recorder deliberately binds ``time.perf_counter`` directly — it is a
-    crash post-mortem aid, not part of the default-off contract.)
+    crash post-mortem aid, not part of the default-off contract.)  Nor may
+    it install a garbage-collection hook: ``gc.callbacks`` is swapped for a
+    list that refuses additions.
     """
     if mode == "process" and not hasattr(os, "fork"):
         pytest.skip("process backend requires fork()")
@@ -168,10 +171,31 @@ def test_metrics_off_path_never_reads_the_wall_clock(mode, monkeypatch):
     def tripwire():
         raise AssertionError("telemetry-off path called spans.perf_counter")
 
+    class NoHooks(list):
+        def append(self, hook):
+            raise AssertionError("telemetry-off path installed a gc hook")
+
     monkeypatch.setattr(spans, "perf_counter", tripwire)
+    monkeypatch.setattr(gc, "callbacks", NoHooks(gc.callbacks))
     run = _drive("ring", **MODES[mode])
     assert run.sim._telemetry is None
     assert run.sim.events_dispatched > 0
+
+
+@pytest.mark.parametrize("mode", ["single", "strict", "relaxed"])
+def test_dispatch_counts_collections_and_removes_its_hook(mode):
+    """A telemetry-on dispatch charges a collection to ``gc_s``, then unhooks."""
+    hooks_before = list(gc.callbacks)
+    run = run_scenario(
+        "ring", params={"n_bridges": 2}, telemetry=True, **MODES[mode]
+    )
+    run.sim.schedule(0.001, gc.collect)
+    run.sim.run_until(0.01)
+    breakdown = run.sim._telemetry.profiler.breakdown()
+    assert breakdown["gc_collections"][2] >= 1
+    assert breakdown["gc_s"] > 0.0
+    assert breakdown["gc_s"] <= breakdown["total_s"]
+    assert gc.callbacks == hooks_before
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +306,21 @@ class TestPhaseTimer:
         breakdown = profiler.breakdown()
         assert breakdown["attributed_s"] == 1.0
         assert breakdown["total_s"] == 1.0
+
+    def test_gc_figures_sit_beside_the_phase_sum(self):
+        profiler = SpanProfiler()
+        profiler.add("compute", 1.0)
+        profiler.add_total(1.0)
+        watch = spans.GcWatch(profiler)
+        try:
+            gc.collect()
+        finally:
+            watch.close()
+        breakdown = profiler.breakdown()
+        assert breakdown["gc_collections"][2] == 1
+        assert breakdown["gc_s"] > 0.0
+        assert breakdown["attributed_s"] == 1.0
+        assert watch not in gc.callbacks
 
 
 def test_live_relaxed_breakdown_sums_to_dispatch_total():
@@ -482,6 +521,7 @@ class TestRunReport:
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert "wall breakdown" in table
+        assert "gc collections  gen0 " in table
         assert "segments" in table
         assert "latency (rtt)" in table
         prom = subprocess.run(

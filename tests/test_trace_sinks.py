@@ -1,16 +1,22 @@
 """Tests for the pluggable trace-sink architecture and the O(1) event queue.
 
 Covers the refactored instrumentation hot path: per-category gating, lazy
-detail rendering, the sink implementations (list / ring buffer / counting /
-null), live-counter windows, the event queue's live counter and lazy
-compaction, and the determinism guarantee (same seed, same trace) with sinks
-swapped.
+detail rendering (a shared renderer plus arguments, with a garbage-collector
+budget per retained record), the sink implementations (list / ring buffer /
+counting / null), live-counter windows, the event queue's live counter and
+lazy compaction, and the determinism guarantee (same seed, same trace) with
+sinks swapped.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.baselines.c_repeater import BufferedRepeater
+from repro.core.node import ActiveNode
 from repro.ethernet.ethertype import EtherType
 from repro.ethernet.frame import EthernetFrame
 from repro.ethernet.mac import MacAddress
@@ -20,6 +26,8 @@ from repro.measurement.ping import PingRunner
 from repro.measurement.setups import build_bridged_pair
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
+from repro.sim.fabric import ShardedSimulator
+from repro.switchlets import dumb_bridge_package
 from repro.sim.trace import (
     CounterWindow,
     CountingSink,
@@ -121,8 +129,10 @@ class TestLazyDetail:
 
     def test_none_and_dict_details(self, sim):
         empty = sim.trace.emit("a", "bare")
+        assert empty.detail_is_rendered
         assert empty.detail == {}
         eager = sim.trace.emit("a", "eager", {"k": 1})
+        assert eager.detail_is_rendered
         assert eager.detail == {"k": 1}
 
     def test_hot_path_frames_are_not_rendered(self, sim):
@@ -140,6 +150,201 @@ class TestLazyDetail:
         assert not tx.detail_is_rendered
         assert "->" in tx.detail["frame"]  # renders on demand
         assert tx.detail_is_rendered
+
+
+def _trace_of(kind):
+    """A trace hub of one emit implementation, by name."""
+    if kind == "plain":
+        return Simulator().trace
+    if kind == "shard-fast":
+        # No caller sinks: shard recorders keep flat tuples, records
+        # materialize on the first query.
+        return ShardedSimulator(shards=2).trace
+    return ShardedSimulator(shards=2, trace_sinks=[ListSink()]).trace
+
+
+EMITTERS = ("plain", "shard-fast", "shard-sinks")
+
+
+class _Payload:
+    """An emit argument the tests can watch being released."""
+
+
+class TestRendererWithArguments:
+    """``emit(source, category, renderer, *args)``: one lazy path for all hubs."""
+
+    @pytest.mark.parametrize("kind", EMITTERS)
+    def test_not_rendered_until_detail_is_read(self, kind):
+        trace = _trace_of(kind)
+        calls = []
+
+        def render(left, right):
+            calls.append((left, right))
+            return {"sum": left + right}
+
+        trace.emit("a", "lazy", render, 3, 4)
+        record = trace.last(category="lazy")
+        assert calls == []
+        assert not record.detail_is_rendered
+        assert record.detail == {"sum": 7}
+        assert record.detail_is_rendered
+        assert calls == [(3, 4)]
+
+    @pytest.mark.parametrize("kind", EMITTERS)
+    def test_rendered_once_and_arguments_released(self, kind):
+        trace = _trace_of(kind)
+        calls = []
+
+        def render(payload):
+            calls.append(1)
+            return {"kind": type(payload).__name__}
+
+        payload = _Payload()
+        alive = weakref.ref(payload)
+        trace.emit("a", "lazy", render, payload)
+        record = trace.last(category="lazy")
+        del payload
+        assert alive() is not None  # the unrendered record holds its argument
+        assert record.detail == {"kind": "_Payload"}
+        assert record.detail == {"kind": "_Payload"}
+        assert calls == [1]
+        if kind != "shard-fast":
+            # (A fast-path shard also keeps the emitted tuple, which holds
+            # the arguments for as long as the stream is retained.)
+            assert alive() is None
+
+    @pytest.mark.parametrize("kind", EMITTERS)
+    def test_zero_argument_callable_is_the_no_args_case(self, kind):
+        trace = _trace_of(kind)
+        trace.emit("a", "lazy", lambda: {"value": 7})
+        record = trace.last(category="lazy")
+        assert not record.detail_is_rendered
+        assert record.detail == {"value": 7}
+        assert record.detail_is_rendered
+
+
+def _frame(destination, source):
+    return EthernetFrame(
+        destination=destination,
+        source=source,
+        ethertype=int(EtherType.IPV4),
+        payload=b"pin",
+    )
+
+
+def _first_detail(sim, category):
+    record = sim.trace.filter(category=category)[0]
+    return record.source, record.detail
+
+
+class TestPinnedFramePathDetails:
+    """One pinned detail per frame-path category, as closures rendered them."""
+
+    FRAME_AB = "02:00:00:00:00:01 -> 02:00:00:00:00:02 type=IPV4 len=3"
+
+    def test_nic_segment_and_node_forward_details(self):
+        sim = Simulator()
+        lan0, lan1 = Segment(sim, "lan0"), Segment(sim, "lan1")
+        a = NetworkInterface(sim, "a", MacAddress.locally_administered(1))
+        b = NetworkInterface(sim, "b", MacAddress.locally_administered(2))
+        a.attach(lan0)
+        b.attach(lan1)
+        bridge = ActiveNode(sim, "bridge")
+        bridge.add_interface("eth0", lan0)
+        bridge.add_interface("eth1", lan1)
+        bridge.load_switchlet(dumb_bridge_package(), charge_cost=False)
+        a.send(_frame(b.mac, a.mac))
+        sim.run()
+        assert _first_detail(sim, "nic.tx") == ("a", {"frame": self.FRAME_AB})
+        assert _first_detail(sim, "segment.enqueue") == (
+            "lan0", {"sender": "a", "frame": self.FRAME_AB},
+        )
+        assert _first_detail(sim, "segment.deliver") == (
+            "lan0", {"sender": "a", "frame": self.FRAME_AB},
+        )
+        assert _first_detail(sim, "nic.rx") == (
+            "bridge.eth0", {"frame": self.FRAME_AB},
+        )
+        assert _first_detail(sim, "node.forward") == (
+            "bridge", {"interface": "eth1", "bytes": 64},
+        )
+
+    def test_repeater_unclaimed_and_drop_details(self):
+        sim = Simulator()
+        lan0, lan1 = Segment(sim, "lan0"), Segment(sim, "lan1")
+        a = NetworkInterface(sim, "a", MacAddress.locally_administered(1))
+        a.attach(lan0)
+        repeater = BufferedRepeater(sim, "rep")
+        repeater.add_interface("eth0", lan0)
+        repeater.add_interface("eth1", lan1)
+        bare = ActiveNode(sim, "bare")  # no switchlet: nothing claims a frame
+        port = bare.add_interface("eth0", lan1)
+        a.send(_frame(port.mac, a.mac))
+        sim.run()
+        assert _first_detail(sim, "repeater.forward") == ("rep", {"interface": "eth1"})
+        assert _first_detail(sim, "unixnet.unclaimed") == (
+            "bare", {"interface": "eth0", "destination": "02:00:00:b0:00:00"},
+        )
+        lan0.set_link(False)
+        a.send(_frame(MacAddress.locally_administered(9), a.mac))
+        assert _first_detail(sim, "segment.drop") == (
+            "lan0",
+            {
+                "sender": "a",
+                "reason": "link-down",
+                "frame": "02:00:00:00:00:01 -> 02:00:00:00:00:09 type=IPV4 len=3",
+            },
+        )
+
+
+class TestRetainedRecordGcBudget:
+    """A retained frame-path record costs the cyclic collector two objects.
+
+    The record and its argument tuple; a per-record closure added a
+    function, a closure tuple and one cell per captured variable.  Every
+    object a retained record holds is rescanned at each full collection,
+    and their growth is what triggers full collections in the first place.
+    """
+
+    FRAMES = 400
+
+    @pytest.mark.parametrize(
+        "make_sink", [ListSink, lambda: RingBufferSink(capacity=1 << 20)],
+        ids=["ListSink", "RingBufferSink"],
+    )
+    def test_each_retained_record_adds_at_most_two_tracked_objects(self, make_sink):
+        sink = make_sink()
+        sim = Simulator(trace_sinks=[sink])
+        segment = Segment(sim, "lan")
+        a = NetworkInterface(sim, "a", MacAddress.locally_administered(1))
+        b = NetworkInterface(sim, "b", MacAddress.locally_administered(2))
+        a.attach(segment)
+        b.attach(segment)
+        frames = [
+            EthernetFrame(
+                destination=b.mac,
+                source=a.mac,
+                ethertype=int(EtherType.IPV4),
+                payload=bytes(1 + index % 64),
+            )
+            for index in range(self.FRAMES + 10)
+        ]
+        # Warm the path up first so free lists and caches are already full.
+        for frame in frames[:10]:
+            a.send(frame)
+        sim.run()
+        gc.collect()
+        before_objects = len(gc.get_objects())
+        before_records = len(sink)
+        for frame in frames[10:]:
+            a.send(frame)
+        sim.run()
+        gc.collect()
+        records = len(sink) - before_records
+        # nic.tx, segment.enqueue, segment.deliver and nic.rx per frame.
+        assert records == 4 * self.FRAMES
+        per_record = (len(gc.get_objects()) - before_objects) / records
+        assert per_record <= 2.0
 
 
 # ---------------------------------------------------------------------------

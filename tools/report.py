@@ -10,8 +10,9 @@ Two input paths:
 Two output modes:
 
 * the default console table — engine configuration, event counters, the
-  wall-clock phase breakdown, per-segment statistics, express hit rates
-  and the latency percentile summary;
+  wall-clock phase breakdown with the garbage collector's seconds and
+  per-generation collections beside it, per-segment statistics, express
+  hit rates and the latency percentile summary;
 * ``--prometheus`` — the metrics section in Prometheus text exposition
   format (``# HELP``/``# TYPE`` headers from
   :data:`repro.telemetry.METRIC_FAMILIES`), suitable for a textfile
@@ -117,6 +118,12 @@ def render_console(report: RunReport) -> str:
         rows.append(("total", _fmt_seconds(wall.get("total_s", 0.0))))
         rows.append(("attributed", _fmt_seconds(wall.get("attributed_s", 0.0))))
         rows.append(("windows", wall.get("windows", 0)))
+        # Collector time sits inside the phases above, so it is shown
+        # beside them rather than summed with them.
+        rows.append(("gc", _fmt_seconds(wall.get("gc_s", 0.0))))
+        collections = wall.get("gc_collections") or [0, 0, 0]
+        per_gen = " / ".join(f"gen{g} {n}" for g, n in enumerate(collections))
+        rows.append(("gc collections", per_gen))
         parts.append(_rows("wall breakdown", rows))
 
     if report.segments:
