@@ -32,7 +32,6 @@ class CpuQueue:
     __slots__ = (
         "sim",
         "name",
-        "_service_label",
         "_pending",
         "_busy",
         "_stall_until",
@@ -46,7 +45,6 @@ class CpuQueue:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._service_label = f"{name}:service"
         self._pending: Deque[Tuple[float, Callable[[], None]]] = deque()
         self._busy = False
         self._stall_until = 0.0
@@ -128,7 +126,8 @@ class CpuQueue:
         stall = self._stall_until
         total = cost if stall <= 0.0 else cost + max(0.0, stall - self.sim.now)
         self._in_service_callbacks = callbacks
-        self.sim.schedule(total, self._finish, label=self._service_label)
+        # Completions are never cancelled: no event handle is needed.
+        self.sim.schedule_fire_after(total, self._finish)
 
     def _finish(self) -> None:
         callbacks = self._in_service_callbacks

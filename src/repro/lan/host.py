@@ -55,7 +55,10 @@ class Host:
         # segment_local: the stack path defers every reaction through the
         # CPU queue (see _nic_receive); raw listeners are observation taps.
         self.nic.set_handler(self._nic_receive, segment_local=True)
-        self._raw_listeners: list[Callable[[EthernetFrame], None]] = []
+        # A snapshot rebuilt on registration: receive iterates it without a
+        # per-frame copy, and a listener added during dispatch only sees the
+        # next frame.
+        self._raw_listeners: Tuple[Callable[[EthernetFrame], None], ...] = ()
 
     # ------------------------------------------------------------------
     # Identity
@@ -103,14 +106,14 @@ class Host:
 
     def _nic_receive(self, _nic: NetworkInterface, frame: EthernetFrame) -> None:
         """NIC accepted a frame: charge receive cost, then run the stack."""
-        for listener in list(self._raw_listeners):
+        for listener in self._raw_listeners:
             listener(frame)
         cost = self.costs.host_frame_cost_total(frame.frame_length)
         self.cpu.submit(cost, lambda: self.stack.handle_frame(frame))
 
     def add_raw_listener(self, listener: Callable[[EthernetFrame], None]) -> None:
         """Register a callback that sees every frame the NIC accepts (pre-stack)."""
-        self._raw_listeners.append(listener)
+        self._raw_listeners = self._raw_listeners + (listener,)
 
     # ------------------------------------------------------------------
     # Convenience wrappers over the stack

@@ -4,7 +4,10 @@
 :class:`~repro.sim.events.EventQueue` together and provides the scheduling
 API that the rest of the library uses:
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — one-shot events,
+* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — one-shot,
+  cancellable events,
+* :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_fire_after` —
+  the handle-free lane for work that is never cancelled,
 * :meth:`Simulator.run` / :meth:`Simulator.run_until` / :meth:`Simulator.step`
   — drive the simulation,
 * :attr:`Simulator.trace` — a :class:`~repro.sim.trace.TraceRecorder` every
@@ -22,11 +25,13 @@ bit-identical to this single engine (see :mod:`repro.sim.fabric`).
 
 from __future__ import annotations
 
+import sys
+from heapq import heappop
 from typing import Callable, Iterable, Optional
 
 from repro.exceptions import SimulationError
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.trace import TraceRecorder, TraceSink
 
@@ -149,6 +154,33 @@ class Simulator:
         """Schedule ``callback`` at the current simulated time (after pending work)."""
         return self._queue.push(self.clock.now_ns, callback, label)
 
+    def schedule_fire(self, when_seconds: float, callback: Callable[[], None]) -> None:
+        """Schedule a fire-and-forget callback at ``when_seconds``.
+
+        Identical ordering to :meth:`schedule_at`, but no cancellation handle
+        is allocated.  Segment wire service and delivery, which are never
+        cancelled, run through here.
+        """
+        when_ns = round(when_seconds * NANOSECONDS_PER_SECOND)
+        now_ns = self.clock._now_ns
+        if when_ns < now_ns:
+            validate_schedule_time(now_ns, when_ns)
+        self._queue.push_fire(when_ns, callback)
+
+    def schedule_fire_after(
+        self, delay_seconds: float, callback: Callable[[], None]
+    ) -> None:
+        """Schedule a fire-and-forget callback ``delay_seconds`` from now.
+
+        The handle-free form of :meth:`schedule`, with the same arithmetic;
+        CPU-queue service completions run through here.
+        """
+        now_ns = self.clock._now_ns
+        when_ns = now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
+        if when_ns < now_ns:
+            validate_schedule_time(now_ns, when_ns)
+        self._queue.push_fire(when_ns, callback)
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -160,18 +192,18 @@ class Simulator:
             ``True`` if an event was dispatched, ``False`` if the queue was
             empty.
         """
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue.pop_entry()
+        if entry is None:
             return False
         # Inlined clock advance: schedule-time validation guarantees event
         # times are never behind the clock, and the heap pops in time order.
         clock = self.clock
-        time_ns = event.time_ns
+        time_ns = entry[0]
         if time_ns > clock._now_ns:
             clock._now_ns = time_ns
             clock._now_s = time_ns / NANOSECONDS_PER_SECOND
         self._dispatched += 1
-        event.callback()
+        entry[2]()
         return True
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -184,15 +216,32 @@ class Simulator:
             raise SimulationError("Simulator.run() called re-entrantly")
         if self._telemetry is not None:
             return self._run_instrumented(None, max_events)
-        self._running = True
+        # The dispatch loop pops heap entries inline (see :meth:`step` for
+        # the one-event form): this is every single-engine run's hottest code.
+        queue = self._queue
+        # Compaction and clear() rebuild the heap list in place, so this
+        # alias stays valid while callbacks run.
+        heap = queue._heap
+        clock = self.clock
+        budget = sys.maxsize if max_events is None else max_events
         dispatched = 0
+        self._running = True
         try:
-            while self._queue:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                if not self.step():
-                    break
+            while queue._live and dispatched < budget:
+                time_ns, _sequence, callback, event = heappop(heap)
+                if event is not None:
+                    if event.cancelled:
+                        queue.cancelled_discarded += 1
+                        queue._dead_in_heap -= 1
+                        continue
+                    event._queue = None
+                queue._live -= 1
+                if time_ns > clock._now_ns:
+                    clock._now_ns = time_ns
+                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
+                self._dispatched += 1
                 dispatched += 1
+                callback()
         finally:
             self._running = False
         return dispatched
@@ -219,19 +268,40 @@ class Simulator:
             )
         if self._telemetry is not None:
             return self._run_instrumented(until_ns, max_events)
-        self._running = True
+        queue = self._queue
+        # Compaction and clear() rebuild the heap list in place, so this
+        # alias stays valid while callbacks run.
+        heap = queue._heap
+        clock = self.clock
+        budget = sys.maxsize if max_events is None else max_events
         dispatched = 0
+        self._running = True
         try:
-            while True:
-                next_time = self._queue.peek_time_ns()
-                if next_time is None or next_time > until_ns:
-                    if self.clock.now_ns < until_ns:
-                        self.clock.advance_to_ns(until_ns)
+            while heap:
+                time_ns, _sequence, callback, event = heap[0]
+                if event is not None and event.cancelled:
+                    heappop(heap)
+                    queue.cancelled_discarded += 1
+                    queue._dead_in_heap -= 1
+                    continue
+                if time_ns > until_ns:
                     break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                self.step()
+                if dispatched >= budget:
+                    # An event is due before the horizon: the clock stays at
+                    # the last dispatched event.
+                    return dispatched
+                heappop(heap)
+                queue._live -= 1
+                if event is not None:
+                    event._queue = None
+                if time_ns > clock._now_ns:
+                    clock._now_ns = time_ns
+                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
+                self._dispatched += 1
                 dispatched += 1
+                callback()
+            if clock._now_ns < until_ns:
+                clock.advance_to_ns(until_ns)
         finally:
             self._running = False
         return dispatched
@@ -244,9 +314,11 @@ class Simulator:
         """The telemetry-on twin of :meth:`run`/:meth:`run_until`.
 
         A deliberate duplicate of the dispatch loops: the default-off path
-        keeps its original shape with zero extra work per event, and this
+        keeps its inline drain with zero extra work per event, and this
         loop adds queue high-water tracking, dispatch counting, one wall
-        span per call and a garbage-collection watch over that span.  The
+        span per call and a garbage-collection watch over that span.  It
+        dispatches through :meth:`step`, which takes both heap entry kinds
+        (with and without an :class:`Event` handle).  The
         wall clock is read through :mod:`repro.telemetry.spans` so the
         overhead test can prove the off path never reaches it.
         """

@@ -6,18 +6,23 @@ two events scheduled for the same instant fire in the order they were
 scheduled — this makes the whole simulation deterministic, which the paper's
 reproducible measurements depend on.
 
-Two hot-path properties the simulator run loop relies on:
+Three hot-path properties the simulator run loop relies on:
 
-* the heap stores ``(time_ns, sequence, event)`` tuples, so heap sifting
-  compares machine integers instead of calling Python comparison methods;
+* the heap stores ``(time_ns, sequence, callback, event)`` tuples, so heap
+  sifting compares machine integers instead of calling Python comparison
+  methods, and the run loop calls the callback straight from the entry;
+* ``event`` is ``None`` unless the caller asked for a cancellable handle:
+  :meth:`EventQueue.push` builds an :class:`Event`, while
+  :meth:`EventQueue.push_fire` (work that is never cancelled — wire service,
+  CPU-queue completions) allocates nothing beyond the heap tuple;
 * a live-event counter makes :meth:`EventQueue.__len__` and
-  :meth:`EventQueue.__bool__` O(1) — the run loop consults them once per
-  dispatched event, so they must not scan the heap.
+  :meth:`EventQueue.__bool__` O(1), so they never scan the heap.
 
 Cancelled events stay in the heap (keeping :meth:`Event.cancel` O(1)) and
 are discarded either at the top by :meth:`EventQueue._compact_top` or, when
 they come to dominate the heap, by a lazy full compaction; both are counted
-in :attr:`EventQueue.cancelled_discarded`.
+in :attr:`EventQueue.cancelled_discarded`.  Compaction rebuilds the heap list
+in place, because the simulator's run loop holds a reference to it.
 """
 
 from __future__ import annotations
@@ -96,7 +101,12 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects keyed by time.
+    """A priority queue of callbacks keyed by ``(time, sequence)``.
+
+    Entries scheduled through :meth:`push` carry a cancellable
+    :class:`Event` handle; entries scheduled through :meth:`push_fire` carry
+    none.  Both kinds share one sequence counter, so they interleave in
+    exact scheduling order.
 
     Cancelled events are not removed eagerly — :meth:`Event.cancel` stays
     O(1), which matters because the 802.1D switchlet cancels and re-arms many
@@ -109,11 +119,12 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        # Entries are (time_ns, sequence, event): heap sifting compares the
-        # two integers at C speed and never reaches the event object, since
-        # sequence numbers are unique.  (The sharded fabric's per-shard
-        # queues — :class:`repro.sim.shard.ShardQueue` — share one counter
-        # across shards instead, keeping (time, sequence) a global order.)
+        # Entries are (time_ns, sequence, callback, event_or_None): heap
+        # sifting compares the two integers at C speed and never reaches the
+        # callback, since sequence numbers are unique.  (The sharded fabric's
+        # per-shard queues — :class:`repro.sim.shard.ShardQueue` — share one
+        # counter across shards instead, keeping (time, sequence) a global
+        # order.)
         self._heap: list = []
         self._counter = itertools.count()
         self._live = 0
@@ -130,9 +141,16 @@ class EventQueue:
         """Schedule ``callback`` at absolute time ``time_ns`` and return the event."""
         sequence = next(self._counter)
         event = Event(time_ns, sequence, callback, label, False, self)
-        heapq.heappush(self._heap, (time_ns, sequence, event))
+        heapq.heappush(self._heap, (time_ns, sequence, callback, event))
         self._live += 1
         return event
+
+    def push_fire(self, time_ns: int, callback: Callable[[], None]) -> int:
+        """Schedule ``callback`` with no cancellation handle; returns its sequence."""
+        sequence = next(self._counter)
+        heapq.heappush(self._heap, (time_ns, sequence, callback, None))
+        self._live += 1
+        return sequence
 
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` while the event is still in the heap."""
@@ -145,41 +163,60 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap from live events only (deterministic: entries are
-        totally ordered by (time, sequence), so heapify reproduces the same
-        pop sequence)."""
-        survivors = [entry for entry in self._heap if not entry[2].cancelled]
-        self.cancelled_discarded += len(self._heap) - len(survivors)
-        heapq.heapify(survivors)
-        self._heap = survivors
+        """Rebuild the heap from live entries only, in place (deterministic:
+        entries are totally ordered by (time, sequence), so heapify
+        reproduces the same pop sequence)."""
+        heap = self._heap
+        survivors = [
+            entry for entry in heap if entry[3] is None or not entry[3].cancelled
+        ]
+        self.cancelled_discarded += len(heap) - len(survivors)
+        heap[:] = survivors
+        heapq.heapify(heap)
         self._dead_in_heap = 0
 
     def _compact_top(self) -> None:
         """Discard cancelled events sitting at the top of the heap."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap:
+            event = heap[0][3]
+            if event is None or not event.cancelled:
+                return
             heapq.heappop(heap)
             self.cancelled_discarded += 1
             self._dead_in_heap -= 1
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or ``None`` if the queue is empty."""
+    def pop_entry(self) -> Optional[tuple]:
+        """Pop the earliest live ``(time_ns, sequence, callback, event_or_None)``
+        entry, or ``None`` if the queue is empty."""
         heap = self._heap
-        if heap and heap[0][2].cancelled:
-            self._compact_top()
+        self._compact_top()
         if not heap:
             return None
-        event = heapq.heappop(heap)[2]
+        entry = heapq.heappop(heap)
         self._live -= 1
-        # A later cancel() on an already-fired event must not touch the queue.
-        event._queue = None
+        if entry[3] is not None:
+            # A later cancel() on an already-fired event must not touch the queue.
+            entry[3]._queue = None
+        return entry
+
+    def pop(self) -> Optional[Event]:
+        """Pop the earliest non-cancelled event, or ``None`` if the queue is empty.
+
+        A handle-free entry comes back as a fresh, detached :class:`Event`.
+        """
+        entry = self.pop_entry()
+        if entry is None:
+            return None
+        event = entry[3]
+        if event is None:
+            event = Event(entry[0], entry[1], entry[2])
         return event
 
     def peek_time_ns(self) -> Optional[int]:
         """Return the firing time of the earliest pending event, if any."""
         heap = self._heap
-        if heap and heap[0][2].cancelled:
-            self._compact_top()
+        self._compact_top()
         if not heap:
             return None
         return heap[0][0]
@@ -187,7 +224,8 @@ class EventQueue:
     def clear(self) -> None:
         """Drop every pending event."""
         for entry in self._heap:
-            entry[2]._queue = None
+            if entry[3] is not None:
+                entry[3]._queue = None
         self._heap.clear()
         self._live = 0
         self._dead_in_heap = 0

@@ -680,7 +680,7 @@ class ShardedSimulator:
             return self._control.push(self.clock.now_ns, callback, label)
         return self._shards[0].call_soon(callback, label)
 
-    def schedule_fire(self, when_seconds, callback, label: str = "") -> None:
+    def schedule_fire(self, when_seconds, callback) -> None:
         """Fire-and-forget scheduling at an absolute time (facade).
 
         Components constructed directly against the facade (e.g. a monitoring
@@ -689,7 +689,16 @@ class ShardedSimulator:
         if self._sync == "relaxed":
             self._control.push_fire(seconds_to_ns(when_seconds), callback)
             return
-        self._shards[0].schedule_fire(when_seconds, callback, label)
+        self._shards[0].schedule_fire(when_seconds, callback)
+
+    def schedule_fire_after(self, delay_seconds, callback) -> None:
+        """Fire-and-forget scheduling ``delay_seconds`` from now (facade)."""
+        if self._sync == "relaxed":
+            self._control.push_fire(
+                self.clock.now_ns + seconds_to_ns(delay_seconds), callback
+            )
+            return
+        self._shards[0].schedule_fire_after(delay_seconds, callback)
 
     def _relaxed_push_fire(self, when_ns: int, callback) -> None:
         """Barrier-context push targeting the facade: the control ring.

@@ -5,9 +5,10 @@
 (:class:`ShardQueue`), its own progress cursor and its own trace stream
 (:class:`ShardTraceRecorder`), and it duck-types the
 :class:`~repro.sim.engine.Simulator` scheduling API (``now``, ``schedule``,
-``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``trace``, ``random``,
-``clock``) so every existing component — segments, NICs, hosts, active nodes,
-CPU queues, timers — runs on a shard unchanged.
+``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``schedule_fire``,
+``schedule_fire_after``, ``trace``, ``random``, ``clock``) so every existing
+component — segments, NICs, hosts, active nodes, CPU queues, timers — runs
+on a shard unchanged.
 
 Three shared pieces of state make the fabric *bit-deterministic* relative to
 the single engine when it runs in strict mode:
@@ -263,7 +264,7 @@ class ShardTraceRecorder(TraceRecorder):
         self._sync_all: Optional[Callable[[], None]] = None
         self._sinks: List[TraceSink] = list(sinks) if sinks is not None else []
         self._primary: Optional[TraceSink] = None
-        self._refresh_primary()
+        self._refresh_dispatch()
 
     # ------------------------------------------------------------------
     # Recording (hot path)
@@ -536,16 +537,14 @@ class EngineShard:
             fabric._note_cross_push(self, when_ns, event.sequence)
         return event
 
-    def schedule_fire(
-        self, when_seconds: float, callback: Callable[[], None], label: str = ""
-    ) -> None:
+    def schedule_fire(self, when_seconds: float, callback: Callable[[], None]) -> None:
         """Schedule a fire-and-forget callback at ``when_seconds``.
 
         Identical ordering semantics to :meth:`schedule_at`, but no
-        cancellation handle is allocated (``label`` is accepted for API
-        symmetry and dropped).  The frame hot path — segment delivery and
-        service-completion events, which are never cancelled — runs through
-        here, so the fabric skips one object allocation per event.
+        cancellation handle is allocated.  The frame hot path — segment
+        delivery and service-completion events, which are never cancelled —
+        runs through here, so the fabric skips one object allocation per
+        event.
         """
         when_ns = round(when_seconds * NANOSECONDS_PER_SECOND)
         clock_now = self.clock._now_ns
@@ -563,6 +562,24 @@ class EngineShard:
         else:
             bucket.append((sequence, callback, None))
         queue._live += 1
+        fabric = self.fabric
+        if fabric._active is not None and fabric._active is not self:
+            fabric._note_cross_push(self, when_ns, sequence)
+
+    def schedule_fire_after(
+        self, delay_seconds: float, callback: Callable[[], None]
+    ) -> None:
+        """Schedule a fire-and-forget callback ``delay_seconds`` from now.
+
+        The handle-free form of :meth:`schedule` (same arithmetic), with
+        :meth:`schedule_fire`'s past-time check and cross-push bookkeeping;
+        CPU-queue service completions run through here.
+        """
+        clock_now = self.clock._now_ns
+        when_ns = clock_now + round(delay_seconds * NANOSECONDS_PER_SECOND)
+        if when_ns < clock_now:
+            validate_schedule_time(clock_now, when_ns)
+        sequence = self._queue.push_fire(when_ns, callback)
         fabric = self.fabric
         if fabric._active is not None and fabric._active is not self:
             fabric._note_cross_push(self, when_ns, sequence)

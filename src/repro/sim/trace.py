@@ -14,7 +14,10 @@ applies global and per-category gating, and dispatches to composable sinks:
   indexes so :meth:`TraceRecorder.filter` / :meth:`TraceRecorder.last` cost
   O(matches) instead of O(all records).  One is installed by default.
 * :class:`RingBufferSink` — keeps only the newest ``capacity`` records, for
-  long (million-frame) runs that must not grow without bound.
+  long (million-frame) runs that must not grow without bound.  It stores
+  record fields in parallel columns and builds :class:`TraceRecord` views on
+  query; as a hub's only sink it takes each record's fields straight from
+  :meth:`TraceRecorder.emit`, so no record object is ever built.
 * :class:`CountingSink` — O(1)-memory per-category / per-source counters.
   The hub always maintains one internally (:attr:`TraceRecorder.counters`),
   which is what makes :meth:`TraceRecorder.count` O(1) and lets measurement
@@ -33,7 +36,7 @@ Producers guard even the argument packing with :meth:`TraceRecorder.wants`.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.clock import Clock
@@ -389,7 +392,20 @@ class ListSink(TraceSink):
 class RingBufferSink(TraceSink):
     """Keeps only the newest ``capacity`` records (bounded memory).
 
-    Queries scan the retained window, which is bounded by ``capacity``;
+    Records are kept as parallel columns, not as :class:`TraceRecord`
+    objects: time, source, category, detail, seq, the first two emit
+    arguments (flattened) and the argument count.  A longer argument tuple
+    is stored whole in the first argument column.  The columns grow to
+    ``capacity`` and are then overwritten in place, oldest slot first; every
+    write replaces both argument cells, so an evicted record keeps nothing
+    alive.  A retained record is thus floats, strings, small integers and a
+    shared renderer: it adds no object the cyclic garbage collector tracks,
+    beyond the objects its arguments name (frames, interfaces).
+
+    Iteration, :attr:`records`, :meth:`filter` and :meth:`last` build
+    :class:`TraceRecord` views, oldest first.  A view renders a lazy detail
+    on its first read and caches it; the ring keeps the renderer and its
+    arguments, so a view built by a later query renders afresh.
     :attr:`evicted` counts records that have fallen off the old end.
     """
 
@@ -397,24 +413,135 @@ class RingBufferSink(TraceSink):
         if capacity <= 0:
             raise ValueError("ring buffer capacity must be positive")
         self.capacity = int(capacity)
-        self._records: deque = deque(maxlen=self.capacity)
+        self._times: List[float] = []
+        self._sources: List[str] = []
+        self._categories: List[str] = []
+        self._details: List[DetailSource] = []
+        self._seqs: List[Optional[int]] = []
+        self._first_args: list = []
+        self._second_args: list = []
+        self._arg_counts: List[int] = []
+        # The oldest record's slot once the columns are full (and so the
+        # next one to overwrite); 0 while they are still growing.
+        self._oldest = 0
         self.evicted = 0
 
+    def store(
+        self,
+        time: float,
+        source: str,
+        category: str,
+        detail: DetailSource,
+        seq: Optional[int],
+        args: tuple,
+    ) -> None:
+        """Retain one record given as fields (the hub's emit store path)."""
+        count = len(args)
+        if count == 1:
+            first = args[0]
+            second = None
+        elif count == 2:
+            first, second = args
+        elif count == 0:
+            first = second = None
+        else:
+            first = args
+            second = None
+        times = self._times
+        if len(times) < self.capacity:
+            times.append(time)
+            self._sources.append(source)
+            self._categories.append(category)
+            self._details.append(detail)
+            self._seqs.append(seq)
+            self._first_args.append(first)
+            self._second_args.append(second)
+            self._arg_counts.append(count)
+            return
+        slot = self._oldest
+        times[slot] = time
+        self._sources[slot] = source
+        self._categories[slot] = category
+        self._details[slot] = detail
+        self._seqs[slot] = seq
+        self._first_args[slot] = first
+        self._second_args[slot] = second
+        self._arg_counts[slot] = count
+        slot += 1
+        self._oldest = 0 if slot == self.capacity else slot
+        self.evicted += 1
+
     def accept(self, record: TraceRecord) -> None:
-        if len(self._records) == self.capacity:
-            self.evicted += 1
-        self._records.append(record)
+        self.store(
+            record.time,
+            record.source,
+            record.category,
+            record._detail,
+            record.seq,
+            record._args,
+        )
+
+    def _view(self, slot: int) -> TraceRecord:
+        """A :class:`TraceRecord` for the record in ``slot``."""
+        count = self._arg_counts[slot]
+        if count == 0:
+            args: tuple = ()
+        elif count == 1:
+            args = (self._first_args[slot],)
+        elif count == 2:
+            args = (self._first_args[slot], self._second_args[slot])
+        else:
+            args = self._first_args[slot]
+        return TraceRecord(
+            self._times[slot],
+            self._sources[slot],
+            self._categories[slot],
+            self._details[slot],
+            self._seqs[slot],
+            args,
+        )
+
+    def _slots(self, newest_first: bool = False) -> Iterable[int]:
+        """Slot indices in emission order (or reversed)."""
+        oldest = self._oldest
+        size = len(self._times)
+        if newest_first:
+            return chain(range(oldest - 1, -1, -1), range(size - 1, oldest - 1, -1))
+        return chain(range(oldest, size), range(oldest))
+
+    def _matches(
+        self,
+        category: Optional[str],
+        source: Optional[str],
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+        newest_first: bool = False,
+    ) -> Iterator[int]:
+        """Slots of the retained records matching every provided criterion."""
+        times = self._times
+        sources = self._sources
+        categories = self._categories
+        for slot in self._slots(newest_first):
+            if category is not None and categories[slot] != category:
+                continue
+            if source is not None and sources[slot] != source:
+                continue
+            if since is not None and times[slot] < since:
+                continue
+            if until is not None and times[slot] > until:
+                continue
+            yield slot
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self.records)
 
     @property
     def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first (a copy)."""
-        return list(self._records)
+        """Views of the retained records, oldest first (a new list)."""
+        return [self._view(slot) for slot in self._slots()]
 
     def filter(
         self,
@@ -424,39 +551,37 @@ class RingBufferSink(TraceSink):
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
         """Records in the retained window matching every provided criterion."""
-        selected = []
-        for entry in self._records:
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            if since is not None and entry.time < since:
-                continue
-            if until is not None and entry.time > until:
-                continue
-            selected.append(entry)
-        return selected
+        return [
+            self._view(slot) for slot in self._matches(category, source, since, until)
+        ]
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
         """Number of retained records matching the criteria."""
         if category is None and source is None:
-            return len(self._records)
-        return len(self.filter(category=category, source=source))
+            return len(self._times)
+        return sum(1 for _slot in self._matches(category, source))
 
     def last(
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        for entry in reversed(self._records):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            return entry
+        for slot in self._matches(category, source, newest_first=True):
+            return self._view(slot)
         return None
 
     def clear(self) -> None:
-        self._records.clear()
+        for column in (
+            self._times,
+            self._sources,
+            self._categories,
+            self._details,
+            self._seqs,
+            self._first_args,
+            self._second_args,
+            self._arg_counts,
+        ):
+            column.clear()
+        self._oldest = 0
         self.evicted = 0
 
 
@@ -479,6 +604,11 @@ class TraceRecorder:
     :meth:`count` and :meth:`__len__` are served by the always-on internal
     :class:`CountingSink` (:attr:`counters`) and are therefore O(1) and
     independent of which sinks are installed.
+
+    When a :class:`RingBufferSink` is the only sink and no listener is
+    registered, :meth:`emit` hands the record's fields straight to the ring
+    (:meth:`RingBufferSink.store`), builds no :class:`TraceRecord` and
+    returns ``None``.
     """
 
     def __init__(self, clock: Clock, sinks: Optional[Iterable[TraceSink]] = None) -> None:
@@ -489,16 +619,22 @@ class TraceRecorder:
         self.counters = CountingSink()
         self._sinks: List[TraceSink] = list(sinks) if sinks is not None else [ListSink()]
         self._primary: Optional[TraceSink] = None
-        self._refresh_primary()
+        self._store: Optional[Callable[..., None]] = None
+        self._refresh_dispatch()
 
     # ------------------------------------------------------------------
     # Sink management
     # ------------------------------------------------------------------
 
-    def _refresh_primary(self) -> None:
-        self._primary = next(
-            (sink for sink in self._sinks if hasattr(sink, "filter")), None
-        )
+    def _refresh_dispatch(self) -> None:
+        """Re-derive the query sink and the emit store path."""
+        sinks = self._sinks
+        self._primary = next((sink for sink in sinks if hasattr(sink, "filter")), None)
+        sole = sinks[0] if len(sinks) == 1 else None
+        if type(sole) is RingBufferSink and not self._listeners:
+            self._store = sole.store
+        else:
+            self._store = None
 
     @property
     def sinks(self) -> Tuple[TraceSink, ...]:
@@ -508,19 +644,19 @@ class TraceRecorder:
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Install an additional sink and return it."""
         self._sinks.append(sink)
-        self._refresh_primary()
+        self._refresh_dispatch()
         return sink
 
     def remove_sink(self, sink: TraceSink) -> None:
         """Uninstall a sink (no-op if it is not installed)."""
         if sink in self._sinks:
             self._sinks.remove(sink)
-            self._refresh_primary()
+            self._refresh_dispatch()
 
     def set_sinks(self, sinks: Iterable[TraceSink]) -> None:
         """Replace the installed sinks wholesale."""
         self._sinks = list(sinks)
-        self._refresh_primary()
+        self._refresh_dispatch()
 
     # ------------------------------------------------------------------
     # Gating
@@ -567,11 +703,13 @@ class TraceRecorder:
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a callback invoked synchronously for every new record."""
         self._listeners.append(listener)
+        self._refresh_dispatch()
 
     def remove_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Unregister a listener (no-op if absent)."""
         if listener in self._listeners:
             self._listeners.remove(listener)
+            self._refresh_dispatch()
 
     def emit(
         self, source: str, category: str, detail: DetailSource = None, *args: Any
@@ -582,15 +720,21 @@ class TraceRecorder:
         ``detail(*args)`` only when some consumer reads
         :attr:`TraceRecord.detail`.  Frame-path producers pass a shared
         module-level renderer and its arguments, never a per-record closure.
+        Returns the record, or ``None`` when it was gated off or went down
+        the ring store path (see the class docstring).
         """
         if not self._enabled or category in self._disabled_categories:
             return None
-        entry = TraceRecord(self._clock.now, source, category, detail, None, args)
         # Inline the internal counter update: this runs for every record and
         # a method call per record is measurable on the frame hot path.
         pair = (category, source)
         by_pair = self.counters.by_category_source
         by_pair[pair] = by_pair.get(pair, 0) + 1
+        store = self._store
+        if store is not None:
+            store(self._clock._now_s, source, category, detail, None, args)
+            return None
+        entry = TraceRecord(self._clock._now_s, source, category, detail, None, args)
         for sink in self._sinks:
             sink.accept(entry)
         for listener in self._listeners:

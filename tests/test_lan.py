@@ -307,6 +307,28 @@ class TestHost:
         sim.run()
         assert int(EtherType.IPV4) in seen
 
+    def test_listener_added_during_dispatch_misses_the_frame_in_flight(self, sim):
+        host_a, host_b = self._pair(sim)
+        seen = []
+
+        def late(frame):
+            seen.append(("late", frame.payload))
+
+        def first(frame):
+            seen.append(("first", frame.payload))
+            if len(seen) == 1:
+                host_b.add_raw_listener(late)
+
+        host_b.add_raw_listener(first)
+        for payload in (b"one", b"two"):
+            host_a.send_raw_frame(
+                EthernetFrame(host_b.mac, host_a.mac, 0x88B5, payload),
+                charge_cost=False,
+            )
+            sim.run()
+        payloads = [(who, payload[:3]) for who, payload in seen]
+        assert payloads == [("first", b"one"), ("first", b"two"), ("late", b"two")]
+
     def test_statistics_keys(self, sim):
         host_a, _ = self._pair(sim)
         stats = host_a.statistics()

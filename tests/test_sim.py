@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import heapq
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.costs.cpu import CpuQueue
 from repro.exceptions import SchedulingError, SimulationError
+from repro.lan.segment import Segment
+from repro.measurement.ping import PingRunner
+from repro.scenario import run_scenario
 from repro.sim.clock import Clock, ns_to_seconds, seconds_to_ns
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue, describe_event
+from repro.sim.events import Event, EventQueue, describe_event
 from repro.sim.fabric import ShardedSimulator
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
@@ -187,28 +194,32 @@ class TestSimulator:
         "engine", ["single", "single-telemetry", "strict", "relaxed"]
     )
     def test_budgeted_run_until_does_not_jump_past_pending_events(self, engine):
-        if engine == "strict":
-            simulator = ShardedSimulator(seed=1, shards=2)
-        elif engine == "relaxed":
-            simulator = ShardedSimulator(seed=1, shards=2, sync="relaxed", workers=0)
-        else:
-            simulator = Simulator(seed=1)
-            if engine == "single-telemetry":
-                simulator.enable_telemetry()
-        fired = []
-        for when in (1.0, 2.0, 3.0):
-            simulator.schedule_at(
-                when, lambda when=when: fired.append((when, simulator.now))
-            )
-        assert simulator.run_until(10.0, max_events=1) == 1
-        assert simulator.now == 1.0
-        simulator.run()
-        assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-        # A budget that runs out with nothing left before the horizon still
-        # lets the clock reach it.
-        simulator.schedule_at(4.0, lambda: None)
-        assert simulator.run_until(10.0, max_events=1) == 1
-        assert simulator.now == 10.0
+        # Each entry point: cancellable, and both handle-free ones (all
+        # scheduled from t=0, so a delay equals an absolute time).
+        for entry in ("schedule_at", "schedule_fire", "schedule_fire_after"):
+            if engine == "strict":
+                simulator = ShardedSimulator(seed=1, shards=2)
+            elif engine == "relaxed":
+                simulator = ShardedSimulator(
+                    seed=1, shards=2, sync="relaxed", workers=0
+                )
+            else:
+                simulator = Simulator(seed=1)
+                if engine == "single-telemetry":
+                    simulator.enable_telemetry()
+            schedule = getattr(simulator, entry)
+            fired = []
+            for when in (1.0, 2.0, 3.0):
+                schedule(when, lambda when=when: fired.append((when, simulator.now)))
+            assert simulator.run_until(10.0, max_events=1) == 1
+            assert simulator.now == 1.0
+            simulator.run()
+            assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+            # A budget that runs out with nothing left before the horizon
+            # still lets the clock reach it.  (The clock is at 3.0 now.)
+            schedule(1.0 if entry == "schedule_fire_after" else 4.0, lambda: None)
+            assert simulator.run_until(10.0, max_events=1) == 1
+            assert simulator.now == 10.0
 
     def test_reset(self, sim):
         sim.schedule(1.0, lambda: None)
@@ -230,6 +241,222 @@ class TestSimulator:
             return values
 
         assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# Handle-free entries and the inline drain
+# ---------------------------------------------------------------------------
+
+#: The single engine's scheduling entry points: three return a cancellable
+#: handle, three (including a CPU-queue completion) do not.
+ENTRY_KINDS = ("schedule", "schedule_at", "call_soon", "fire", "fire_after", "cpu")
+
+
+def _schedule_via(sim, kind, delay_us, callback):
+    """Schedule ``callback`` ``delay_us`` from now through one entry point.
+
+    Returns the :class:`Event` handle for the cancellable kinds, else
+    ``None``.  ``call_soon`` ignores the delay.
+    """
+    delay = delay_us * 1e-6
+    if kind == "schedule":
+        return sim.schedule(delay, callback)
+    if kind == "schedule_at":
+        return sim.schedule_at(sim.now + delay, callback)
+    if kind == "call_soon":
+        return sim.call_soon(callback)
+    if kind == "fire":
+        sim.schedule_fire(sim.now + delay, callback)
+    elif kind == "fire_after":
+        sim.schedule_fire_after(delay, callback)
+    else:
+        CpuQueue(sim, f"cpu{id(callback)}").submit(delay, callback)
+    return None
+
+
+def _drain(sim, how):
+    """Run ``sim`` to exhaustion through one of its dispatch loops."""
+    if how == "run":
+        sim.run()
+    elif how == "run_until":
+        sim.run_until(1.0)
+    elif how == "budgeted":
+        while sim.run_until(1.0, max_events=3) == 3:
+            pass
+    else:
+        while sim.step():
+            pass
+
+
+#: One drawn scheduling call: (entry point, delay in microseconds, cancel it
+#: before the run, its callback schedules a follow-up the same way).
+_ENTRY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(ENTRY_KINDS),
+        st.sampled_from([0, 0, 1, 2, 5]),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestHandleFreeEntries:
+    """Handle and handle-free entries share one ``(time_ns, sequence)`` order."""
+
+    @given(
+        ops=_ENTRY_OPS,
+        how=st.sampled_from(["run", "run_until", "budgeted", "step"]),
+        telemetry=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dispatch_order_and_counters_match_a_reference(self, ops, how, telemetry):
+        sim = Simulator()
+        if telemetry:
+            sim.enable_telemetry()
+        fired = []
+        # The reference: every scheduling call takes the next sequence
+        # number, and entries fire in (time_ns, sequence) order.
+        reference = []
+        sequence = 0
+        cancelled = set()
+
+        def make(label, kind, delay_us, follow):
+            def callback():
+                fired.append(label)
+                if follow:
+                    add(label + "'", kind, delay_us, False, sim.now_ns)
+            return callback
+
+        def add(label, kind, delay_us, follow, now_ns):
+            nonlocal sequence
+            when_ns = now_ns + (0 if kind == "call_soon" else delay_us * 1000)
+            callback = make(label, kind, delay_us, follow)
+            handle = _schedule_via(sim, kind, delay_us, callback)
+            entry = (when_ns, sequence, label, kind, delay_us, follow)
+            heapq.heappush(reference, entry)
+            sequence += 1
+            return handle
+
+        handles = {}
+        for index, (kind, delay_us, cancel, follow) in enumerate(ops):
+            handle = add(str(index), kind, delay_us, follow, 0)
+            if cancel and handle is not None:
+                handles[str(index)] = handle
+        for label, handle in handles.items():
+            handle.cancel()
+            cancelled.add(label)
+        assert sim.pending_events == len(ops) - len(cancelled)
+
+        expected = []
+        keys = []
+        while reference:
+            when_ns, seq, label, kind, delay_us, follow = heapq.heappop(reference)
+            keys.append((when_ns, seq, label in cancelled))
+            if label in cancelled:
+                continue
+            expected.append(label)
+            if follow:
+                heapq.heappush(
+                    reference,
+                    (when_ns + (0 if kind == "call_soon" else delay_us * 1000),
+                     sequence, label + "'", kind, delay_us, False),
+                )
+                sequence += 1
+        _drain(sim, how)
+        assert fired == expected
+        assert sim.pending_events == 0
+        assert sim.events_dispatched == len(expected)
+        if how == "run" and not telemetry:
+            # The plain run() stops once nothing live is left: cancelled
+            # entries behind the last dispatched one stay in the heap,
+            # uncounted.  (The telemetry loop peeks past them, as before.)
+            live = [index for index, key in enumerate(keys) if not key[2]]
+            passed = keys[: live[-1]] if live else []
+            discarded = sum(1 for key in passed if key[2])
+        else:
+            discarded = len(cancelled)
+        assert sim.cancelled_events_discarded == discarded
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("when", ["before-run", "mid-run"])
+    def test_lazy_compaction_with_handle_free_entries_pending(self, when, telemetry):
+        sim = Simulator()
+        if telemetry:
+            sim.enable_telemetry()
+        fired = []
+        free_kinds = ("fire", "fire_after", "cpu")
+        # Handle-free entries at 10-69 us, tied with doomed handles there.
+        for index in range(60):
+            _schedule_via(
+                sim, free_kinds[index % 3], 10 + index,
+                lambda index=index: fired.append(index),
+            )
+        doomed = [
+            sim.schedule((10 + index) * 1e-6, lambda: fired.append("doomed"))
+            for index in range(100)
+        ]
+        top = sim.schedule(1e-6, lambda: fired.append("top"))
+        top.cancel()  # the earliest entry: discarded at the heap top
+        assert sim.pending_events == 160
+
+        def cancel_all():
+            fired.append("cancel")
+            for event in doomed:
+                event.cancel()
+
+        if when == "before-run":
+            cancel_all()
+            # The 80th cancellation left 81 dead entries against 80 live
+            # ones, and the heap was compacted; 20 more died after that.
+            assert sim.cancelled_events_discarded == 81
+            assert sim.pending_events == 60
+            assert len(sim._queue._heap) == 80
+        else:
+            sim.schedule_fire(5e-6, cancel_all)
+        sim.run_until(1.0)
+        assert fired == ["cancel"] + list(range(60))
+        assert sim.pending_events == 0
+        assert sim.cancelled_events_discarded == 101
+        assert sim.events_dispatched == 60 + (when == "mid-run")
+
+
+class TestHandleFreeFramePath:
+    def test_cpu_completions_and_wire_events_construct_no_event(self, monkeypatch):
+        run = run_scenario(
+            "pair/active-bridge", params={"include_spanning_tree": False}
+        )
+        run.warm_up()
+        sim = run.sim
+        handle_callbacks = []
+        construct = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            handle_callbacks.append(args[2])
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        before = sim.events_dispatched
+        result = PingRunner(
+            sim, run.hosts[0], run.hosts[1].ip, payload_size=64, count=4,
+            interval=0.05,
+        ).run(start_time=sim.now)
+        dispatched = sim.events_dispatched - before
+        assert result.received == 4
+
+        def owner(callback):
+            if isinstance(callback, partial):
+                callback = callback.func
+            return getattr(callback, "__self__", None)
+
+        frame_path = [
+            callback for callback in handle_callbacks
+            if isinstance(owner(callback), (CpuQueue, Segment))
+        ]
+        assert frame_path == []
+        # What is left is the ping schedule itself.
+        assert 0 < len(handle_callbacks) < dispatched // 4
 
 
 # ---------------------------------------------------------------------------

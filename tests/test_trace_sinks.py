@@ -2,8 +2,9 @@
 
 Covers the refactored instrumentation hot path: per-category gating, lazy
 detail rendering (a shared renderer plus arguments, with a garbage-collector
-budget per retained record), the sink implementations (list / ring buffer /
-counting / null), live-counter windows, the event queue's live counter and
+budget per retained record), the sink implementations (list, ring buffer,
+counting, null; the columnar ring is checked against a reference ring on
+every write path), live-counter windows, the event queue's live counter and
 lazy compaction, and the determinism guarantee (same seed, same trace) with
 sinks swapped.
 """
@@ -12,8 +13,11 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.c_repeater import BufferedRepeater
 from repro.core.node import ActiveNode
@@ -34,6 +38,7 @@ from repro.sim.trace import (
     ListSink,
     NullSink,
     RingBufferSink,
+    TraceRecord,
     TraceRecorder,
 )
 
@@ -298,21 +303,26 @@ class TestPinnedFramePathDetails:
 
 
 class TestRetainedRecordGcBudget:
-    """A retained frame-path record costs the cyclic collector two objects.
+    """What a retained frame-path record costs the cyclic collector.
 
-    The record and its argument tuple; a per-record closure added a
-    function, a closure tuple and one cell per captured variable.  Every
-    object a retained record holds is rescanned at each full collection,
-    and their growth is what triggers full collections in the first place.
+    In a :class:`ListSink`, two objects: the record and its argument tuple (a
+    per-record closure added a function, a closure tuple and one cell per
+    captured variable).  In a :class:`RingBufferSink`, none: the ring keeps
+    fields in columns and flattens up to two arguments.  Every object a
+    retained record holds is rescanned at each full collection, and their
+    growth is what triggers full collections in the first place.
     """
 
     FRAMES = 400
 
     @pytest.mark.parametrize(
-        "make_sink", [ListSink, lambda: RingBufferSink(capacity=1 << 20)],
+        "make_sink, budget",
+        [(ListSink, 2.0), (lambda: RingBufferSink(capacity=1 << 20), 0.05)],
         ids=["ListSink", "RingBufferSink"],
     )
-    def test_each_retained_record_adds_at_most_two_tracked_objects(self, make_sink):
+    def test_each_retained_record_adds_at_most_two_tracked_objects(
+        self, make_sink, budget
+    ):
         sink = make_sink()
         sim = Simulator(trace_sinks=[sink])
         segment = Segment(sim, "lan")
@@ -344,7 +354,7 @@ class TestRetainedRecordGcBudget:
         # nic.tx, segment.enqueue, segment.deliver and nic.rx per frame.
         assert records == 4 * self.FRAMES
         per_record = (len(gc.get_objects()) - before_objects) / records
-        assert per_record <= 2.0
+        assert per_record <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +414,155 @@ class TestRingBufferSink:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
+
+    def test_overwritten_slot_releases_every_argument(self):
+        sim = Simulator(trace_sinks=[RingBufferSink(capacity=1)])
+        render = lambda *args: {"n": len(args)}  # noqa: E731
+        payloads = [_Payload() for _ in range(4)]
+        alive = [weakref.ref(payload) for payload in payloads]
+        sim.trace.emit("a", "wide", render, *payloads)
+        sim.trace.emit("a", "pair", render, payloads[0], payloads[1])
+        del payloads
+        assert [ref() is None for ref in alive] == [False, False, True, True]
+        sim.trace.emit("a", "bare", render)
+        assert all(ref() is None for ref in alive)
+        assert sim.trace.last().detail == {"n": 0}
+
+
+class _ReferenceRing:
+    """The ring the columnar store replaced: a ``deque(maxlen)`` of records."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.records = deque(maxlen=capacity)
+        self.evicted = 0
+
+    def accept(self, record):
+        if len(self.records) == self.capacity:
+            self.evicted += 1
+        self.records.append(record)
+
+    def clear(self):
+        self.records.clear()
+        self.evicted = 0
+
+
+def _render_arguments(*args):
+    return {"args": list(args)}
+
+
+#: One drawn operation: ``None`` clears the trace; otherwise
+#: (clock step ns, source, category, detail kind, argument count).
+_RING_OPS = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from([0, 0, 1, 250]),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["x", "y", "z"]),
+            st.sampled_from(["eager", "lazy", "absent"]),
+            st.integers(min_value=0, max_value=4),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestRingMatchesReference:
+    """The columnar ring retains exactly what the deque of records did.
+
+    Every write path is driven: the hub's emit store path (the ring is the
+    only sink), ``accept()`` from a hub with several sinks, ``accept()`` of
+    a record built because a listener is registered, and ``accept()`` from
+    a sharded fabric's recorders (which stamp ``seq``).
+    """
+
+    @staticmethod
+    def _hub(path, ring):
+        if path == "shard":
+            fabric = ShardedSimulator(shards=2, trace_sinks=[ring])
+            return fabric.trace, fabric.clock
+        sim = Simulator(trace_sinks=[ring] if path != "sinks" else [ring, NullSink()])
+        if path == "listener":
+            sim.trace.add_listener(lambda record: None)
+        return sim.trace, sim.clock
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=8),
+        path=st.sampled_from(["store", "sinks", "listener", "shard"]),
+        ops=_RING_OPS,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_queries_match_a_deque_of_records(self, capacity, path, ops):
+        ring = RingBufferSink(capacity)
+        reference = _ReferenceRing(capacity)
+        trace, clock = self._hub(path, ring)
+        emitted = 0
+        for op in ops:
+            if op is None:
+                trace.clear()
+                reference.clear()
+                continue
+            step, source, category, kind, nargs = op
+            clock.advance_to_ns(clock.now_ns + step)
+            args = tuple(range(emitted, emitted + nargs))
+            detail = {
+                "eager": {"value": emitted}, "lazy": _render_arguments, "absent": None,
+            }[kind]
+            returned = trace.emit(source, category, detail, *args)
+            assert (returned is None) == (path == "store")
+            seq = emitted if path == "shard" else None
+            reference.accept(
+                TraceRecord(clock.now, source, category, detail, seq, args)
+            )
+            emitted += 1
+
+        def keyed(records):
+            return [
+                (r.time, r.source, r.category, r.seq, r.detail) for r in records
+            ]
+
+        expected = list(reference.records)
+        assert len(ring) == len(expected)
+        assert ring.evicted == reference.evicted
+        assert keyed(ring) == keyed(ring.records) == keyed(expected)
+        for category in (None, "x", "y"):
+            for source in (None, "a", "b"):
+                matches = [
+                    r for r in expected
+                    if category in (None, r.category) and source in (None, r.source)
+                ]
+                assert keyed(ring.filter(category=category, source=source)) == keyed(
+                    matches
+                )
+                assert ring.count(category=category, source=source) == len(matches)
+                last = ring.last(category=category, source=source)
+                assert keyed([last] if last else []) == keyed(matches[-1:])
+        if expected:
+            middle = expected[len(expected) // 2].time
+            assert keyed(ring.filter(since=middle)) == keyed(
+                [r for r in expected if r.time >= middle]
+            )
+            assert keyed(ring.filter(until=middle)) == keyed(
+                [r for r in expected if r.time <= middle]
+            )
+
+    def test_each_view_renders_once(self):
+        sim = Simulator(trace_sinks=[RingBufferSink(capacity=4)])
+        calls = []
+
+        def render(value):
+            calls.append(value)
+            return {"value": value}
+
+        sim.trace.emit("a", "lazy", render, 5)
+        view = sim.trace.last()
+        assert not view.detail_is_rendered
+        assert view.detail == view.detail == {"value": 5}
+        assert calls == [5]
+        # The ring keeps the renderer: a later query's view renders afresh.
+        assert sim.trace.last().detail == {"value": 5}
+        assert calls == [5, 5]
 
 
 class TestNullSink:
