@@ -18,14 +18,15 @@ There is no file, process, socket or environment access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class SockAddr:
+class SockAddr(NamedTuple):
     """The address record carried in :class:`repro.core.unixnet.Packet`.
+
+    An immutable record, built for every received packet.
 
     Attributes:
         interface: name of the interface the packet arrived on or is sent to

@@ -5,12 +5,25 @@ accessed by switchlets to exclude those functions that might allow security
 violations.  This leaves the switchlet with no way of naming the excluded
 function and thus, no way of accessing it."
 
-A :class:`ThinnedModule` is a facade over an implementation object that
-exposes *only* an explicit allow-list of names.  Attribute access outside the
-allow-list raises :class:`ThinningViolation` — the excluded members simply do
-not exist from the switchlet's point of view.  The thinner also refuses to
-expose dunder attributes, so a switchlet cannot crawl from a facade back to
-the implementation object through ``__dict__``-style reflection.
+A :class:`ThinnedModule` is a facade that exposes *only* an explicit
+allow-list of names.  Attribute access outside the allow-list raises
+:class:`ThinningViolation` — the excluded members simply do not exist from
+the switchlet's point of view.
+
+Each module interface (module name plus export names) gets one shared facade
+class whose ``__slots__`` are exactly the exports; a node's facade is an
+instance of that class holding the node's bound exports, so a permitted
+lookup is a plain slot read.  The instance has no ``__dict__`` and no export
+table: the only attributes it answers are the exports themselves plus the
+class-level ``__exports__`` and ``__module_name__``.  The facade refuses every
+attribute assignment and deletion.
+
+What thinning buys in Python is narrower than in Caml.  The paper gets
+isolation from the type system: an excluded function cannot be named, so it
+cannot be reached.  Here an exported bound method still carries its
+``__self__``, so a switchlet that wants to can reach the implementation
+object through an export it was given.  Thinning limits which *names* a
+switchlet can use; it does not isolate the implementation behind them.
 
 The companion :data:`SAFE_BUILTINS` dictionary plays the role the *language*
 plays in Caml: it is the restricted set of built-in operations a switchlet's
@@ -22,7 +35,7 @@ Python module space at all — only what the environment names.
 from __future__ import annotations
 
 import builtins
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.exceptions import ThinningViolation
 
@@ -30,51 +43,76 @@ from repro.exceptions import ThinningViolation
 class ThinnedModule:
     """A facade exposing only an allow-list of names from an implementation.
 
+    ``ThinnedModule(name, exports)`` returns an instance of the shared facade
+    class for that interface (see :func:`_facade_class`), filled with
+    ``exports``.
+
     Args:
         name: the module name a switchlet sees (e.g. ``"Safestd"``).
-        exports: mapping of exported name to value.  The values themselves
-            are typically bound methods of the implementation object, so the
-            switchlet can call them but cannot reach the object they close
-            over except through them.
+        exports: mapping of exported name to value — typically bound methods
+            of the implementation object.
     """
 
-    def __init__(self, name: str, exports: Mapping[str, object]) -> None:
-        object.__setattr__(self, "_name", str(name))
-        object.__setattr__(self, "_exports", dict(exports))
+    __slots__ = ()
 
-    @property
-    def __exports__(self) -> tuple:
-        """The exported interface (sorted names); used for signature digests."""
-        return tuple(sorted(object.__getattribute__(self, "_exports")))
-
-    @property
-    def __module_name__(self) -> str:
-        """The module name as seen by switchlets."""
-        return object.__getattribute__(self, "_name")
+    def __new__(cls, name: str, exports: Mapping[str, object]) -> "ThinnedModule":
+        exports = dict(exports)
+        facade = object.__new__(_facade_class(str(name), tuple(exports)))
+        for attr, value in exports.items():
+            object.__setattr__(facade, attr, value)
+        return facade
 
     def __getattr__(self, name: str):
-        exports = object.__getattribute__(self, "_exports")
-        if name in exports:
-            return exports[name]
-        module_name = object.__getattribute__(self, "_name")
+        # Reached only when normal lookup misses: exports are slots, so a
+        # name that gets here is not exported.
         raise ThinningViolation(
-            f"module {module_name!r} does not export {name!r} "
+            f"module {self.__module_name__!r} does not export {name!r} "
             "(excluded by module thinning)"
         )
 
     def __setattr__(self, name: str, value: object) -> None:
-        module_name = object.__getattribute__(self, "_name")
         raise ThinningViolation(
-            f"module {module_name!r} is immutable: cannot set {name!r}"
+            f"module {self.__module_name__!r} is immutable: cannot set {name!r}"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise ThinningViolation(
+            f"module {self.__module_name__!r} is immutable: cannot delete {name!r}"
         )
 
     def __dir__(self) -> list:
-        return list(object.__getattribute__(self, "_exports"))
+        return list(self.__exports__)
 
     def __repr__(self) -> str:
-        module_name = object.__getattribute__(self, "_name")
-        count = len(object.__getattribute__(self, "_exports"))
-        return f"<thinned module {module_name!r} ({count} exports)>"
+        return f"<thinned module {self.__module_name__!r} ({len(self.__exports__)} exports)>"
+
+
+#: Facade classes by (module name, export names); every node's facade for
+#: one module interface is an instance of the same class.
+_FACADE_CLASSES: Dict[Tuple[str, Tuple[str, ...]], type] = {}
+
+
+def _facade_class(name: str, export_names: Tuple[str, ...]) -> type:
+    """The shared facade class for one module interface.
+
+    Its ``__slots__`` are exactly the exports.  The module name
+    (``__module_name__``) and the sorted export list (``__exports__``, what
+    signature digests hash) are class attributes, not instance state.
+    """
+    key = (name, export_names)
+    facade_class = _FACADE_CLASSES.get(key)
+    if facade_class is None:
+        facade_class = type(
+            f"Thinned{name}",
+            (ThinnedModule,),
+            {
+                "__slots__": export_names,
+                "__module_name__": name,
+                "__exports__": tuple(sorted(export_names)),
+            },
+        )
+        _FACADE_CLASSES[key] = facade_class
+    return facade_class
 
 
 def thin(name: str, implementation: object, allowed: Iterable[str]) -> ThinnedModule:

@@ -29,8 +29,7 @@ rather than hidden:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ethernet.ethertype import EtherType
 from repro.ethernet.frame import EthernetFrame, VlanTag
@@ -171,7 +170,11 @@ def envelope_bytes_to_frame(data: bytes):
 
 
 def packet_bytes_to_frame(data: bytes) -> EthernetFrame:
-    """Rebuild an Ethernet frame from switchlet-produced ``pkt`` bytes."""
+    """Rebuild an Ethernet frame from switchlet-produced ``pkt`` bytes.
+
+    Addresses are interned (:meth:`MacAddress.interned`), so equal octets
+    give the same address object and its text is rendered once.
+    """
     if len(data) < 14:
         raise FrameError(f"packet bytes too short for an Ethernet header: {len(data)}")
     outer_type = int.from_bytes(bytes(data[12:14]), "big")
@@ -186,17 +189,18 @@ def packet_bytes_to_frame(data: bytes) -> EthernetFrame:
     else:
         ethertype = outer_type
     return EthernetFrame(
-        destination=MacAddress(bytes(data[0:6])),
-        source=MacAddress(bytes(data[6:12])),
+        destination=MacAddress.interned(bytes(data[0:6])),
+        source=MacAddress.interned(bytes(data[6:12])),
         ethertype=ethertype,
         payload=bytes(data[body_start:]),
         vlan=vlan,
     )
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """The packet record of Figure 4: ``{len; addr; pkt}`` plus the input port name.
+
+    An immutable record, built for every received frame.
 
     Attributes:
         len: length of ``pkt`` in bytes.
@@ -288,6 +292,12 @@ class Unixnet:
         self._in_bindings: Dict[str, _InputBinding] = {}
         self._out_bindings: Dict[str, OPort] = {}
         self._addr_bindings: Dict[str, _InputBinding] = {}
+        # Frame reuse on the output path (see send_pkt_out): the pkt bytes
+        # last delivered and the frame they came from, and per output port
+        # the pkt bytes last parsed and the frame parsed from them.
+        self._delivered_pkt: Optional[bytes] = None
+        self._delivered_frame: Optional[EthernetFrame] = None
+        self._parsed_out: Dict[str, Tuple[bytes, EthernetFrame]] = {}
         # Statistics (read by the node, not exported to switchlets)
         self.packets_delivered = 0
         self.packets_unclaimed = 0
@@ -329,12 +339,12 @@ class Unixnet:
         Returns the packet if some binding claimed it, else ``None``.
         """
         pkt = frame_to_packet_bytes(frame)
-        packet = Packet(
-            len=len(pkt),
-            addr=SockAddr(interface=interface, mac=str(frame.source)),
-            pkt=pkt,
-            iport=interface,
-        )
+        packet = Packet(len(pkt), SockAddr(interface, str(frame.source)), pkt, interface)
+        # An untagged frame of EtherType 0x8100 does not survive the trip
+        # through pkt bytes (it re-parses as tagged), so it is never reused.
+        if frame.vlan is not None or frame.ethertype != _VLAN_TPID:
+            self._delivered_pkt = pkt
+            self._delivered_frame = frame
         addr_binding = self._addr_bindings.get(str(frame.destination))
         if addr_binding is not None:
             self.packets_delivered += 1
@@ -478,14 +488,36 @@ class Unixnet:
         ``addr`` argument is accepted for interface fidelity with Figure 4
         but is informational only — the frame's own header determines where
         it goes.
+
+        Frames are immutable, so a whole-buffer send of the very bytes
+        object this module last delivered (a bridge forwarding
+        ``packet.pkt`` unchanged) transmits the received frame itself, and a
+        whole-buffer send of the very bytes object last parsed for this
+        port (an unchanged PDU) transmits that parsed frame again.  Any
+        other send parses ``data`` afresh.
         """
-        if self._out_bindings.get(oport.name) is not oport:
-            raise NoInterface(f"output port {oport.name!r} is not bound")
-        window = bytes(data[offset : offset + length])
-        frame = packet_bytes_to_frame(window)
+        name = oport.name
+        if self._out_bindings.get(name) is not oport:
+            raise NoInterface(f"output port {name!r} is not bound")
+        if offset == 0 and length >= len(data):
+            sent = len(data)
+            if data is self._delivered_pkt:
+                frame = self._delivered_frame
+            else:
+                parsed = self._parsed_out.get(name)
+                if parsed is not None and data is parsed[0]:
+                    frame = parsed[1]
+                else:
+                    frame = packet_bytes_to_frame(bytes(data))
+                    if type(data) is bytes:  # immutable, so identity pins content
+                        self._parsed_out[name] = (data, frame)
+        else:
+            window = bytes(data[offset : offset + length])
+            sent = len(window)
+            frame = packet_bytes_to_frame(window)
         self.packets_sent += 1
-        self._transmit(oport.name, frame)
-        return len(window)
+        self._transmit(name, frame)
+        return sent
 
     # ------------------------------------------------------------------
     # Generic and debugging functions (exported)

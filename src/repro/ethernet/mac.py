@@ -17,6 +17,12 @@ MAC_LENGTH = 6
 
 _BROADCAST_OCTETS = b"\xff" * MAC_LENGTH
 
+#: Shared address objects by octets (see :meth:`MacAddress.interned`).
+_INTERNED: dict = {}
+
+#: The intern table starts over once it holds this many addresses.
+_INTERN_LIMIT = 1 << 16
+
 
 @total_ordering
 class MacAddress:
@@ -50,6 +56,20 @@ class MacAddress:
         except ValueError as exc:
             raise FrameError(f"malformed MAC address string: {text!r}") from exc
         return cls(octets)
+
+    @classmethod
+    def interned(cls, octets: bytes) -> "MacAddress":
+        """The shared address object for ``octets``.
+
+        Frames parsed from switchlet output reuse one object per address,
+        so its text form (read on every packet record) is rendered once.
+        """
+        mac = _INTERNED.get(octets)
+        if mac is None:
+            if len(_INTERNED) >= _INTERN_LIMIT:
+                _INTERNED.clear()
+            mac = _INTERNED[octets] = cls(octets)
+        return mac
 
     @classmethod
     def from_int(cls, value: int) -> "MacAddress":

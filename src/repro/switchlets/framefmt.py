@@ -49,7 +49,7 @@ class FrameFmt:
     @staticmethod
     def mac_to_str(mac_bytes):
         """Render 6 raw bytes as the usual colon-separated string."""
-        return ":".join("%02x" % b for b in bytes(mac_bytes))
+        return bytes(mac_bytes).hex(":")
 
     @staticmethod
     def str_to_mac(text):

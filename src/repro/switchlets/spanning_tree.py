@@ -95,6 +95,8 @@ class SpanningTreeApp:
         self.root_mac = self.bridge_mac
         self.root_path_cost = 0
         self.root_port = None
+        self._port_order = ()
+        self._sent_pdus = {}
         self._addr_iport = None
         self._hello_handle = None
         self.bpdus_sent = 0
@@ -149,6 +151,8 @@ class SpanningTreeApp:
                 "transition": None,
             }
             next_port_id += 1
+        self._port_order = tuple(sorted(self.ports))
+        self._sent_pdus = {}
         self.running = True
         if listen:
             self.listen()
@@ -235,17 +239,27 @@ class SpanningTreeApp:
         """Handle one packet addressed to the protocol's multicast group."""
         if not self.running:
             return
-        if FrameFmt.ethertype(packet.pkt) != self.ETHERTYPE:
+        pkt = packet.pkt
+        if FrameFmt.ethertype(pkt) != self.ETHERTYPE:
             self.bpdus_ignored += 1
             return
+        port = self.ports.get(packet.iport)
+        if port is not None:
+            info = port["info"]
+            if info is not None and info["pkt"] == pkt:
+                # The very PDU the stored information came from: skip the
+                # decode and take the unchanged-vector path directly.
+                self.bpdus_received += 1
+                self._refresh_info(packet.iport, info, info["max_age"], pkt)
+                return
         try:
-            pdu = self._parse_pdu(FrameFmt.payload(packet.pkt))
+            pdu = self._parse_pdu(FrameFmt.payload(pkt))
         except ValueError:
             self.bpdus_ignored += 1
             return
-        self._handle_pdu(packet.iport, pdu)
+        self._handle_pdu(packet.iport, pdu, pkt)
 
-    def _handle_pdu(self, in_port, pdu):
+    def _handle_pdu(self, in_port, pdu, pkt):
         if in_port not in self.ports:
             self.bpdus_ignored += 1
             return
@@ -253,16 +267,13 @@ class SpanningTreeApp:
         port = self.ports[in_port]
         received_vector = (pdu.root_id(), pdu.root_path_cost, pdu.bridge_id(), pdu.port_id)
         stored = port["info"]
-        should_store = False
         if stored is None:
             should_store = self._vector_better(received_vector, self._designated_vector(in_port))
         else:
-            stored_vector = (
-                (stored["root_priority"], stored["root_mac"]),
-                stored["cost"],
-                (stored["bridge_priority"], stored["bridge_mac"]),
-                stored["port_id"],
-            )
+            stored_vector = self._stored_vector(stored)
+            if stored_vector == received_vector:
+                self._refresh_info(in_port, stored, pdu.max_age, pkt)
+                return
             same_designated = stored_vector[2] == received_vector[2]
             should_store = same_designated or self._vector_better(received_vector, stored_vector)
         if should_store:
@@ -275,6 +286,7 @@ class SpanningTreeApp:
                 "port_id": pdu.port_id,
                 "received_at": self.safeunix.gettimeofday(),
                 "max_age": pdu.max_age,
+                "pkt": pkt,
             }
             changed = self._recompute()
             if in_port == self.root_port or changed:
@@ -285,6 +297,19 @@ class SpanningTreeApp:
             if port["role"] == self.ROLE_DESIGNATED:
                 self._send_pdu(in_port)
 
+    def _refresh_info(self, in_port, info, max_age, pkt):
+        """Store a PDU that repeats the port's stored priority vector.
+
+        Only the message age restarts.  Roles are a function of the stored
+        vectors alone, so a recompute could change nothing and is skipped;
+        the root port still relays, as for any stored PDU.
+        """
+        info["received_at"] = self.safeunix.gettimeofday()
+        info["max_age"] = max_age
+        info["pkt"] = pkt
+        if in_port == self.root_port:
+            self._transmit_on_designated_ports()
+
     # ------------------------------------------------------------------
     # Priority vectors and recomputation
     # ------------------------------------------------------------------
@@ -294,25 +319,46 @@ class SpanningTreeApp:
         """Whether priority vector ``candidate`` is strictly better (lower)."""
         return candidate < reference
 
+    @staticmethod
+    def _stored_vector(info):
+        """The priority vector of a port's stored information."""
+        return (
+            (info["root_priority"], info["root_mac"]),
+            info["cost"],
+            (info["bridge_priority"], info["bridge_mac"]),
+            info["port_id"],
+        )
+
     def _designated_vector(self, port_name):
         """The vector this bridge would advertise on ``port_name``."""
         port = self.ports[port_name]
         return (self.root_id(), self.root_path_cost, self.bridge_id(), port["port_id"])
 
+    def _root_preferred(self, claimed, best):
+        """Root election order: whether root id ``claimed`` beats ``best``."""
+        return claimed < best
+
+    def _non_root_role(self, port_name, info):
+        """The role of a port that is not the root port and holds ``info``."""
+        if self._vector_better(self._designated_vector(port_name), self._stored_vector(info)):
+            return self.ROLE_DESIGNATED
+        return self.ROLE_BLOCKED
+
     def _recompute(self):
         """Re-derive root, root port, and port roles; returns whether anything changed."""
         self.recomputes += 1
-        previous = (self.root_id(), self.root_port,
-                    tuple(sorted((n, p["role"]) for n, p in self.ports.items())))
+        order = self._port_order
+        ports = self.ports
+        previous = (self.root_id(), self.root_port, tuple(ports[name]["role"] for name in order))
 
         # Elect the root: our own identifier versus every stored root claim.
         best_root = self.bridge_id()
-        for port in self.ports.values():
-            info = port["info"]
+        for name in order:
+            info = ports[name]["info"]
             if info is None:
                 continue
             claimed = (info["root_priority"], info["root_mac"])
-            if claimed < best_root:
+            if self._root_preferred(claimed, best_root):
                 best_root = claimed
         self.root_priority, self.root_mac = best_root
 
@@ -323,8 +369,8 @@ class SpanningTreeApp:
         else:
             best_port = None
             best_key = None
-            for name in sorted(self.ports):
-                info = self.ports[name]["info"]
+            for name in order:
+                info = ports[name]["info"]
                 if info is None:
                     continue
                 if (info["root_priority"], info["root_mac"]) != best_root:
@@ -333,7 +379,7 @@ class SpanningTreeApp:
                     info["cost"] + self.PATH_COST,
                     (info["bridge_priority"], info["bridge_mac"]),
                     info["port_id"],
-                    self.ports[name]["port_id"],
+                    ports[name]["port_id"],
                 )
                 if best_key is None or key < best_key:
                     best_key = key
@@ -342,32 +388,20 @@ class SpanningTreeApp:
             self.root_path_cost = best_key[0] if best_key is not None else 0
 
         # Assign roles.
-        for name in sorted(self.ports):
-            port = self.ports[name]
+        for name in order:
+            port = ports[name]
             if name == self.root_port:
                 port["role"] = self.ROLE_ROOT
-                continue
-            info = port["info"]
-            if info is None:
-                port["role"] = self.ROLE_DESIGNATED
-                continue
-            stored_vector = (
-                (info["root_priority"], info["root_mac"]),
-                info["cost"],
-                (info["bridge_priority"], info["bridge_mac"]),
-                info["port_id"],
-            )
-            if self._vector_better(self._designated_vector(name), stored_vector):
+            elif port["info"] is None:
                 port["role"] = self.ROLE_DESIGNATED
             else:
-                port["role"] = self.ROLE_BLOCKED
+                port["role"] = self._non_root_role(name, port["info"])
 
         # Drive port states toward their roles.
-        for name in sorted(self.ports):
+        for name in order:
             self._update_port_state(name)
 
-        current = (self.root_id(), self.root_port,
-                   tuple(sorted((n, p["role"]) for n, p in self.ports.items())))
+        current = (self.root_id(), self.root_port, tuple(ports[name]["role"] for name in order))
         return current != previous
 
     def _update_port_state(self, port_name):
@@ -413,24 +447,33 @@ class SpanningTreeApp:
     # ------------------------------------------------------------------
 
     def _send_pdu(self, port_name):
-        pdu = self._make_pdu(port_name)
-        source_mac = bytes(self.unixnet.interface_mac(port_name).octets)
-        pkt = FrameFmt.build(
-            FrameFmt.str_to_mac(self.MULTICAST_ADDR),
-            source_mac,
-            self.ETHERTYPE,
-            pdu.encode(),
-        )
+        # Every field the PDU advertises (message age follows from the root
+        # id and our own); an unchanged PDU is sent as the same bytes object.
+        key = (self.root_priority, self.root_mac, self.root_path_cost, self.priority,
+               self.bridge_mac, self.max_age, self.hello_time, self.forward_delay)
+        cached = self._sent_pdus.get(port_name)
+        if cached is not None and cached[0] == key:
+            pkt = cached[1]
+        else:
+            pdu = self._make_pdu(port_name)
+            source_mac = bytes(self.unixnet.interface_mac(port_name).octets)
+            pkt = FrameFmt.build(
+                FrameFmt.str_to_mac(self.MULTICAST_ADDR),
+                source_mac,
+                self.ETHERTYPE,
+                pdu.encode(),
+            )
+            self._sent_pdus[port_name] = (key, pkt)
         self.func.call(self.SEND_OUT_KEY, port_name, pkt)
         self.bpdus_sent += 1
 
     def _originate_hellos(self):
         if self.is_root():
-            for name in sorted(self.ports):
+            for name in self._port_order:
                 self._send_pdu(name)
 
     def _transmit_on_designated_ports(self):
-        for name in sorted(self.ports):
+        for name in self._port_order:
             if self.ports[name]["role"] == self.ROLE_DESIGNATED:
                 self._send_pdu(name)
 
@@ -501,7 +544,11 @@ class SpanningTreeApp:
         }
 
     def stats(self):
-        """Protocol counters."""
+        """Protocol counters.
+
+        ``recomputes`` counts the recomputations actually run: a PDU that
+        repeats a port's stored priority vector only refreshes its age.
+        """
         return {
             "bpdus_sent": self.bpdus_sent,
             "bpdus_received": self.bpdus_received,
@@ -515,61 +562,19 @@ class BuggySpanningTreeApp(SpanningTreeApp):
     """A deliberately faulty 802.1D implementation.
 
     It inverts the root election (it prefers the *highest* bridge identifier)
-    so the tree it computes disagrees with the one the old protocol computed.
+    and never blocks a port, so the tree it computes disagrees with the one
+    the old protocol computed.
     This is the "algorithmic failure in a loadable module" the paper's
     control switchlet detects and falls back from; the fallback benchmark
     loads this variant as the "new" protocol.
     """
 
-    def _recompute(self):
-        # Flip every stored root claim's priority ordering by electing the
-        # maximum instead of the minimum, then fall through to the normal
-        # role computation with that (wrong) root.
-        self.recomputes += 1
-        previous = (self.root_id(), self.root_port,
-                    tuple(sorted((n, p["role"]) for n, p in self.ports.items())))
-        best_root = self.bridge_id()
-        for port in self.ports.values():
-            info = port["info"]
-            if info is None:
-                continue
-            claimed = (info["root_priority"], info["root_mac"])
-            if claimed > best_root:  # BUG: should be '<'
-                best_root = claimed
-        self.root_priority, self.root_mac = best_root
-        if self.is_root():
-            self.root_port = None
-            self.root_path_cost = 0
-        else:
-            best_port = None
-            best_key = None
-            for name in sorted(self.ports):
-                info = self.ports[name]["info"]
-                if info is None:
-                    continue
-                if (info["root_priority"], info["root_mac"]) != best_root:
-                    continue
-                key = (info["cost"] + self.PATH_COST,
-                       (info["bridge_priority"], info["bridge_mac"]),
-                       info["port_id"],
-                       self.ports[name]["port_id"])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_port = name
-            self.root_port = best_port
-            self.root_path_cost = best_key[0] if best_key is not None else 0
-        for name in sorted(self.ports):
-            port = self.ports[name]
-            if name == self.root_port:
-                port["role"] = self.ROLE_ROOT
-            elif port["info"] is None:
-                port["role"] = self.ROLE_DESIGNATED
-            else:
-                port["role"] = self.ROLE_DESIGNATED
-            self._update_port_state(name)
-        current = (self.root_id(), self.root_port,
-                   tuple(sorted((n, p["role"]) for n, p in self.ports.items())))
-        return current != previous
+    def _root_preferred(self, claimed, best):
+        return claimed > best  # BUG: should be '<'
+
+    def _non_root_role(self, port_name, info):
+        # BUG: never blocks, so a looped topology keeps every port forwarding.
+        return self.ROLE_DESIGNATED
 
 
 #: Registration epilogue for a stand-alone, immediately started 802.1D switchlet.

@@ -291,3 +291,28 @@ class TestSecurityModel:
         result = node.func.lookup("mutation-result")
         assert "mutated" not in result
         assert result["error"] == "ThinningViolation"
+
+    def test_switchlet_cannot_read_a_facade_export_table(self, node):
+        # The facade has no __dict__ and no private fields: only its
+        # exports (and the class-level interface) are reachable by name.
+        source = (
+            "result = {}\n"
+            "for name in ('__dict__', '_exports', '_name'):\n"
+            "    try:\n"
+            "        result[name] = getattr(Unixnet, name)\n"
+            "    except Exception as exc:\n"
+            "        result[name] = type(exc).__name__\n"
+            "try:\n"
+            "    del Unixnet.send_pkt_out\n"
+            "except Exception as exc:\n"
+            "    result['del'] = type(exc).__name__\n"
+            "Func.register('facade-probe', result)\n"
+        )
+        self._load(node, "facade-probe", source)
+        assert node.func.lookup("facade-probe") == {
+            "__dict__": "ThinningViolation",
+            "_exports": "ThinningViolation",
+            "_name": "ThinningViolation",
+            "del": "ThinningViolation",
+        }
+        assert node.environment.modules["Unixnet"].send_pkt_out is not None

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.safeunix import SockAddr
 from repro.core.unixnet import (
     Packet,
     Unixnet,
@@ -14,6 +17,13 @@ from repro.ethernet.ethertype import EtherType
 from repro.ethernet.frame import EthernetFrame
 from repro.ethernet.mac import MacAddress
 from repro.exceptions import AlreadyBound, FrameError, NoInterface
+from repro.lan.nic import NetworkInterface
+from repro.switchlets.framefmt import FrameFmt
+from repro.switchlets.packaging import (
+    dumb_bridge_package,
+    learning_bridge_package,
+    spanning_tree_package,
+)
 
 MAC0 = MacAddress.locally_administered(100)
 MAC1 = MacAddress.locally_administered(101)
@@ -224,3 +234,112 @@ class TestOutputPorts:
         assert unixnet.interface_mac("eth0") == MAC0
         with pytest.raises(NoInterface):
             unixnet.interface_mac("eth7")
+
+
+# ---------------------------------------------------------------------------
+# Records, MAC interning and frame reuse on the output path
+# ---------------------------------------------------------------------------
+
+
+class TestRecords:
+    def test_packet_and_sockaddr_construction(self):
+        addr = SockAddr("eth0", "aa:bb:cc:dd:ee:ff")
+        assert addr == SockAddr(interface="eth0", mac="aa:bb:cc:dd:ee:ff")
+        positional = Packet(3, addr, b"abc", "eth0")
+        keyword = Packet(len=3, addr=addr, pkt=b"abc", iport="eth0")
+        assert positional == keyword
+        assert (keyword.len, keyword.addr.mac, keyword.pkt, keyword.iport) == (
+            3, "aa:bb:cc:dd:ee:ff", b"abc", "eth0"
+        )
+
+    def test_records_refuse_attribute_assignment(self):
+        addr = SockAddr("eth0", "aa:bb:cc:dd:ee:ff")
+        packet = Packet(3, addr, b"abc", "eth0")
+        for record, name in ((addr, "mac"), (addr, "other"), (packet, "pkt"), (packet, "other")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "changed")
+
+    def test_parsed_addresses_are_interned(self):
+        data = frame_to_packet_bytes(_frame(MAC0, payload=b"one"))
+        first = packet_bytes_to_frame(data)
+        second = packet_bytes_to_frame(bytes(bytearray(data)))
+        assert first is not second
+        assert first.destination is second.destination
+        assert first.source is second.source
+
+    @given(st.binary(min_size=6, max_size=6))
+    def test_framefmt_renders_macs_like_macaddress(self, octets):
+        assert FrameFmt.mac_to_str(octets) == str(MacAddress(octets))
+
+
+def _capture(segment, name, station_id):
+    """A NIC on ``segment`` recording every frame object it accepts."""
+    nic = NetworkInterface(segment.sim, name, MacAddress.locally_administered(station_id))
+    nic.attach(segment)
+    got = []
+    nic.set_handler(lambda _nic, frame: got.append(frame))
+    return nic, got
+
+
+class TestFrameReuse:
+    def test_learning_bridge_forwards_the_received_frame_object(self, programmed_bridge):
+        network = programmed_bridge["network"]
+        sender, _ = _capture(network.segment("lan1"), "sender", 900)
+        receiver, got = _capture(network.segment("lan2"), "receiver", 901)
+        frame = EthernetFrame(receiver.mac, sender.mac, int(EtherType.MEASUREMENT), b"x" * 64)
+        sender.send(frame)
+        programmed_bridge["sim"].run_until(1.0)
+        assert len(got) == 1
+        assert got[0] is frame
+
+    def test_untagged_8100_frame_is_reparsed_as_tagged(self, two_lan_bridge):
+        # pkt bytes cannot tell an untagged 0x8100 frame from a tagged one;
+        # the bridge forwards what the bytes say, so it is never reused.
+        bridge = two_lan_bridge["bridge"]
+        bridge.load_switchlet(dumb_bridge_package(bridge.environment.modules))
+        network = two_lan_bridge["network"]
+        sender, _ = _capture(network.segment("lan1"), "sender", 900)
+        receiver, got = _capture(network.segment("lan2"), "receiver", 901)
+        payload = b"\x00\x05\x08\x06" + b"y" * 60
+        sender.send(EthernetFrame(receiver.mac, sender.mac, 0x8100, payload))
+        two_lan_bridge["sim"].run_until(1.0)
+        assert len(got) == 1
+        assert got[0].vlan is not None and got[0].vlan.vid == 5
+        assert got[0].ethertype == 0x0806
+        assert got[0].payload == payload[4:]
+
+    def test_unchanged_pdus_on_a_port_are_one_frame_object(self, two_lan_bridge):
+        bridge = two_lan_bridge["bridge"]
+        environment = bridge.environment.modules
+        bridge.load_switchlet(dumb_bridge_package(environment))
+        bridge.load_switchlet(learning_bridge_package(environment))
+        bridge.load_switchlet(spanning_tree_package(environment, autostart=True))
+        _, got = _capture(two_lan_bridge["network"].segment("lan1"), "monitor", 900)
+        two_lan_bridge["sim"].run_until(7.0)
+        hellos = [frame for frame in got if frame.source == bridge.interface("eth0").mac]
+        assert len(hellos) >= 3
+        assert all(frame is hellos[0] for frame in hellos)
+
+    def test_delivered_bytes_reuse_the_frame_but_an_offset_send_parses(self):
+        unixnet, sent, _ = _make_unixnet()
+        iport = unixnet.bind_in("eth0")
+        oport = unixnet.iport_to_oport(iport)
+        frame = _frame(MAC1, payload=b"forward me")
+        unixnet.deliver_frame("eth0", frame)
+        pkt = unixnet.get_next_pkt_in(iport).pkt
+        unixnet.send_pkt_out(oport, pkt, 0, len(pkt), None)
+        assert unixnet.send_pkt_out(oport, b"xx" + pkt, 2, len(pkt), None) == len(pkt)
+        assert sent[0][1] is frame
+        assert sent[1][1] is not frame
+        assert sent[1][1] == frame
+
+    def test_resending_parsed_bytes_reuses_the_frame(self):
+        unixnet, sent, _ = _make_unixnet()
+        oport = unixnet.bind_out("eth1")
+        data = frame_to_packet_bytes(_frame(MAC0))
+        for _ in range(2):
+            unixnet.send_pkt_out(oport, data, 0, len(data), None)
+        unixnet.send_pkt_out(oport, bytes(bytearray(data)), 0, len(data), None)
+        assert sent[0][1] is sent[1][1]
+        assert sent[2][1] is not sent[0][1]
+        assert sent[2][1] == sent[0][1]
