@@ -131,7 +131,7 @@ class NetworkInterface:
         any frames it sends go back onto the same segment.  A segment whose
         up receivers are all inline-safe (or handler-less) runs its whole
         causal chain on the inline express lane
-        (:meth:`Segment._express_pump`) instead of the event ring.
+        (:meth:`Segment._pump`) instead of the event ring.
 
         ``segment_local=True`` declares the handler *deferred*: from delivery
         context it only updates its owner's local state and schedules
@@ -141,7 +141,7 @@ class NetworkInterface:
         :class:`~repro.costs.cpu.CpuQueue` (hosts, active nodes, the baseline
         bridges and repeaters — the catalog protocols declare it
         automatically), and it admits the segment to the *deferred* express
-        drain (:meth:`Segment._express_drain`): service bookkeeping runs
+        drain (:meth:`Segment._drain`): service bookkeeping runs
         batched at transmit time while deliveries stay on the event ring at
         their exact strict-engine timestamps.
 
@@ -173,7 +173,7 @@ class NetworkInterface:
         self.promiscuous = enabled
         segment = self.segment
         if segment is not None:
-            segment._refresh_pipeline()
+            segment._refresh_express()
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the interface.

@@ -7,71 +7,67 @@ Stations that want to transmit while the medium is busy are queued in FIFO
 order (an idealized, collision-free CSMA — adequate because the paper's
 experiments are not collision-bound, they are bridge-CPU-bound).
 
-**Inter-shard channel.**  Under the sharded fabric
-(:mod:`repro.sim.fabric`) a segment may have stations placed on other shard
-engines than its own; such a segment is a *cut segment* and cross-shard frame
-handoff is the fabric's only coupling point.  The segment detects this
-automatically from its interfaces' home engines (:meth:`attach` /
-:meth:`detach` refresh the plan) and routes delivery through per-shard
-delivery runs: one delivery event per contiguous run of same-shard receivers,
-scheduled on the receiving shard at the same ``deliver_at`` the single engine
-would use.  The handoff latency is bounded below by
-:attr:`propagation_delay` — the fabric's conservative-synchronization
-lookahead.  On a homogeneous segment (every station on the segment's own
-engine — in particular, any unsharded run) the classic single-event delivery
-path is taken unchanged.
+**Wire service in integer nanoseconds.**  One function, :meth:`Segment._serve`,
+puts a frame on the wire.  It starts at ``max(now_ns, busy_ns)``, holds the
+wire for ``wire_length * 8e9 / bandwidth_bps`` ns rounded to a whole ns, and
+is delivered ``propagation_delay`` later, all on the engine's integer-ns
+clock, so a simulated time never depends on which code path computed it.  On
+a degraded wire whose per-frame time is not a whole nanosecond, each frame is
+rounded on its own: a back-to-back busy period may differ from a chain kept
+in float seconds by under 0.5 ns per frame.
+
+**Three lanes over that core.**  A lane decides only *when* service runs and
+*where* each delivery goes:
+
+* **event** (every engine mode, :meth:`Segment._service_next`) — one service
+  event per frame; the delivery is a ring event, or on a *cut segment*
+  (stations on several shard engines) one event per contiguous same-shard
+  run of receivers, at the nanosecond the single engine uses;
+* **batched** (relaxed sync, :meth:`Segment._drain`) — the whole transmit
+  queue is served at once: at transmit time on a shard-local segment whose
+  handlers are ``segment_local`` (the *deferred* express lane), and at the
+  mail barrier on a cut segment.  Deliveries stay ring events at their exact
+  times, held in the in-flight queue;
+* **inline** (relaxed sync, :meth:`Segment._pump`) — every up receiver is
+  inert or ``inline_safe``: the service → delivery → reply chain runs in one
+  loop at exact timestamps, started by a same-instant ring event and bounded
+  by the run horizon and the earliest delivery still in flight.
+
+**The in-flight queue** holds every frame that was served ahead of its
+classic service event or parked past the pump's bound, as
+``[pop_ns, deliver_ns, sender, frame, state]``.  ``pop_ns`` is when the
+event lane would have taken the frame off the transmit queue.  A fault at
+or before that instant (faults precede same-instant traffic in every mode)
+finds the frame still queued: :meth:`set_link` drops it, and
+:meth:`set_degrade` and :meth:`set_fault_model` put it back in the transmit
+queue, so it is served again under the new wire or loss model.
 
 **Relaxed mode.**  Under the fabric's relaxed sync (:mod:`repro.sim.relaxed`)
-a cut segment becomes a *mailbox channel*: transmits are deferred to the
-window barrier and replayed in canonical ``(time, shard, position)`` order
-(:meth:`Segment._apply_relaxed_transmit`), and delivery runs are staged in
-the sending shard's outbox instead of being pushed into other shards' rings
-mid-window — that is what makes cross-shard handoff thread-safe without a
-single lock on the frame path.  Shard-local segments additionally get an
-*express lane* with two strengths (see :meth:`Segment._refresh_express` for
-the eligibility rules):
-
-* **inline** (:meth:`Segment._express_pump`) — every up receiver is inert or
-  declared ``inline_safe``: the whole service → delivery → reply chain runs
-  inline at exact strict-engine timestamps, skipping the event ring
-  entirely;
-* **deferred** (:meth:`Segment._express_drain`) — every up receiver is inert
-  or declared ``segment_local`` (its reactions ride a CPU queue or timer,
-  never the wire synchronously): wire *service* is batched at transmit time
-  — one clock fetch and one arithmetic chain per backlog instead of one
-  service event per frame — while deliveries stay on the event ring at their
-  exact strict-engine timestamps, so handlers still execute in global shard
-  time order.
+a cut segment is a *mailbox channel*: transmits are deferred to the window
+barrier and replayed in canonical ``(time, shard, position)`` order
+(:meth:`Segment._apply_relaxed_transmit`), and in-window delivery runs for
+other shards are staged in the sending shard's outbox.
 
 **Fault hooks.**  The fault subsystem (:mod:`repro.faults`) drives three
-dynamic knobs, all mutated only from driver/control context — the single
-engine's queue, strict shard 0, or relaxed control barriers — so mid-window
-shard threads only ever *read* them:
-
-* :meth:`set_link` — whole-segment failure (cable cut): a downed segment
-  drops at the sender (no carrier), drains its transmit queue, and vetoes
-  the express lane; frames whose delivery event was already on the wire at
-  the instant of failure still arrive (the failure happens "behind" them).
-* :meth:`set_fault_model` — a seeded loss/corruption model consulted once
-  per serviced frame; judged frames occupy the wire exactly as delivered
-  ones (``_busy_until`` chains are unchanged) but are counted in
-  :attr:`frames_lost` / :attr:`frames_corrupted` instead of delivered.
-  An active model vetoes the express lane — eligibility is re-evaluated on
-  every model change, exactly as on every port up/down.
-* :meth:`set_degrade` — scales bandwidth down and/or adds propagation delay
-  (never below the compiled values, so the fabric's cut-segment lookahead
-  stays conservative).
+knobs, all mutated only from driver/control context — the single engine's
+queue, strict shard 0, or relaxed control barriers — so mid-window shard
+threads only ever *read* them: :meth:`set_link` (cable cut: later transmits
+drop at the sender), :meth:`set_fault_model` (a seeded loss/corruption model
+judging every frame the event lane serves; an active model vetoes the
+express lanes) and :meth:`set_degrade` (less bandwidth, more delay, never
+beyond the compiled values, so the fabric's lookahead stays conservative).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from itertools import groupby
 from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
 from repro.ethernet.frame import EthernetFrame
 from repro.exceptions import TopologyError
-from repro.sim.clock import NANOSECONDS_PER_SECOND
+from repro.sim.clock import NANOSECONDS_PER_SECOND, seconds_to_ns
 from repro.sim.engine import Simulator
 from repro.sim.relaxed import active_shard
 
@@ -91,6 +87,11 @@ EXPRESS_INLINE = 1
 EXPRESS_DEFERRED = 2
 
 _EXPRESS_MODE_NAMES = ("off", "inline", "deferred")
+
+#: In-flight entry states (the last field): taken back by a fault, still in
+#: flight, or delivered by its home leg (a cut segment's run legs still read
+#: it as truthy).
+_TAKEN, _FLYING, _LANDED = 0, 1, 2
 
 #: Fan-out plan-table key of the one plan shared by every unicast
 #: destination no filtering receiver owns (never a 6-octet MAC).
@@ -138,6 +139,7 @@ class Segment:
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay = float(propagation_delay)
+        self._prop_ns = seconds_to_ns(self.propagation_delay)
         # Register with the owning fabric (when sharded) so the process
         # backend can rebind serialized cross-shard mail by segment name.
         registry = getattr(sim, "_segments", None)
@@ -149,45 +151,33 @@ class Segment:
         self._trace = sim.trace
         # Delivery/service events are never cancelled: every engine offers a
         # fire-and-forget scheduler that skips the cancellation handle.
-        self._schedule = sim.schedule_fire
+        self._schedule = sim.schedule_fire_ns
         self._interfaces: list["NetworkInterface"] = []
         # Attach-order snapshot iterated on delivery; rebuilding it on
         # attach/detach (rare) keeps the per-frame path copy-free.
         self._receivers: Tuple["NetworkInterface", ...] = ()
-        self._busy_until = 0.0
+        # The wire: the end of its busy chain, the transmit queue, whether a
+        # service continuation (event, armed start or running pump) is
+        # pending, and the frames served but not yet delivered.
+        self._busy_ns = 0
         self._pending: Deque[Tuple["NetworkInterface", EthernetFrame]] = deque()
         self._in_service = False
+        self._inflight: Deque[list] = deque()
         # Inter-shard delivery plan: None while every attached station lives
         # on this segment's own engine (the common, unsharded case); else a
         # list of (engine, [interfaces]) runs in attach order.
         self._delivery_runs: Optional[List[tuple]] = None
-        # Express-lane eligibility (relaxed mode only): EXPRESS_INLINE runs
-        # the whole causal service -> delivery -> reply chain inline when the
-        # segment is shard-local and every up receiver is inert or declared
-        # inline-safe; EXPRESS_DEFERRED batches wire service at transmit time
-        # (deliveries stay on the ring) when every up receiver is inert or
-        # declared segment-local.  Refreshed on attach/detach/set_up/
-        # set_handler and every fault hook; see _express_pump and
-        # _express_drain for the contracts.
+        # Express-lane eligibility, see _refresh_express.
         self._express = EXPRESS_OFF
-        # Deferred-express bookkeeping: frames whose service was batched but
-        # whose delivery has not fired yet.  Entries are
-        # [pop_ns, prior_busy, sender, frame, live] lists shared with the
-        # scheduled delivery callback; set_link(False) kills the not-yet-
-        # on-the-wire suffix and rolls the busy chain back (classic drop
-        # semantics without per-frame service events).
-        self._express_inflight: Deque[list] = deque()
-        # Multi-source drain coalescing (population-scale hot path): the
-        # first transmit of an instant drains directly (zero overhead for
-        # the single-source workloads), and any further same-instant
-        # transmits arm ONE batched drain event that collects the whole
-        # backlog after every same-instant sender has enqueued.
+        # Multi-source drain coalescing on the deferred lane: the first
+        # transmit of an instant drains directly, and any further
+        # same-instant transmits arm ONE batched drain event that collects
+        # the whole backlog after every same-instant sender has enqueued.
         self._last_drain_ns = -1
         self._drain_armed = False
         # Fault state (repro.faults): link status, the loss/corruption model
         # consulted per serviced frame, and the nominal wire characteristics
-        # set_degrade() scales from.  Only mutated from driver/control
-        # context; see the module docstring's fault-hooks contract.
+        # set_degrade() scales from.
         self._link_up = True
         self._fault_model = None
         self._nominal_bandwidth_bps = self.bandwidth_bps
@@ -200,11 +190,6 @@ class Segment:
         self.frames_corrupted = 0
         #: Frames serviced through a coalesced multi-source batch drain.
         self.frames_coalesced = 0
-        # Precompiled per-frame service pipeline (see _refresh_pipeline):
-        # _service_next dispatches through this cached bound method so the
-        # per-frame loop pays zero topology/fault conditionals on plain
-        # segments.
-        self._serve_frame = self._serve_frame_plain
         # Per-destination fan-out plans (see _deliver): an empty table is
         # filled by the next whole-segment fan-out; None means the plain scan.
         self._plans: Optional[dict] = {}
@@ -249,122 +234,63 @@ class Segment:
         home = self.sim
         if all(interface.home_sim is home for interface in self._interfaces):
             self._delivery_runs = None
-            self._refresh_express()
-            return
-        runs: List[tuple] = []
-        current_sim = None
-        current_run: Optional[list] = None
-        for interface in self._interfaces:
-            engine = interface.home_sim
-            if engine is not current_sim:
-                current_run = []
-                runs.append((engine, current_run))
-                current_sim = engine
-            current_run.append(interface)
-        self._delivery_runs = runs
+        else:
+            self._delivery_runs = [
+                (engine, list(run))
+                for engine, run in groupby(self._interfaces, lambda nic: nic.home_sim)
+            ]
         self._refresh_express()
 
     def _refresh_express(self) -> None:
-        """Recompute express-lane eligibility (the relaxed-mode fast path).
+        """Recompute express-lane eligibility and drop the fan-out plans.
 
-        Two lane strengths, decided per refresh (strongest first):
+        The one refresh hook: attach/detach, every NIC ``set_up``,
+        ``set_handler`` and ``set_promiscuous``, and every fault hook call
+        it.  Down interfaces never run handlers or send, so they never veto;
+        an up interface homed on another shard vetoes both lanes.
 
-        * **inline** (:data:`EXPRESS_INLINE`): the whole causal chain is
-          provably home-driven — every administratively-up interface either
-          has no handler (a pure counter/trace endpoint) or carries one its
-          owner declared ``inline_safe`` via
-          :meth:`NetworkInterface.set_handler`, and every interface homed on
-          another shard is down.  Down interfaces never run handlers or
-          send, so they do not veto — a downed remote bridge port cannot
-          inject cross-shard traffic, and its drop counting is routed
-          through the outbox (thread-safely, on its own shard).  This is
-          exactly what lets the wire-speed sweeps express-run every segment
-          of the ring once the bridge ports are down, cut segments included.
+        * **inline** (:data:`EXPRESS_INLINE`): every up interface has no
+          handler (a pure counter/trace endpoint) or one its owner declared
+          ``inline_safe`` via :meth:`NetworkInterface.set_handler` — which
+          lets the wire-speed sweeps express-run every segment of the ring
+          once the bridge ports are down, cut segments included.
+        * **deferred** (:data:`EXPRESS_DEFERRED`): the segment is shard-local
+          and every up handler is ``inline_safe`` or ``segment_local`` — it
+          never transmits onto *other* segments synchronously from delivery
+          context; reactions ride CPU queues or timers.
 
-        * **deferred** (:data:`EXPRESS_DEFERRED`): the segment is strictly
-          shard-local (no delivery runs at all) and every up interface is
-          inert, ``inline_safe`` or ``segment_local`` — its handlers never
-          transmit onto *other* segments synchronously from delivery
-          context; reactions ride CPU queues or timers.  The drain never
-          executes handlers inline (deliveries stay on the ring at exact
-          strict timestamps), so this covers every catalog protocol whose
-          forwarding path rides a :class:`~repro.costs.cpu.CpuQueue`:
-          learning/static/VLAN bridges, repeaters, hosts and their ping
-          responders — the control-heavy topologies (``ring/failover``) the
-          inline rule used to veto.
-
-        Fault state vetoes both lanes: a downed link never delivers and an
-        active loss model draws from a stochastic stream at service order
-        and service *time*, which the batched drain would stamp differently.
-        Every fault mutation (:meth:`set_link`, :meth:`set_fault_model`) and
-        every port up/down re-runs this refresh — and re-selects the
-        precompiled service pipeline — which is what makes mid-run fall-back
-        and re-expression deterministic.
+        A downed link or an active loss model vetoes both lanes.  Each
+        refresh also replaces the fan-out plan table (see :meth:`_deliver`).
+        Cut segments get none: their delivery runs can execute on several
+        shard threads at once, where a lazy build would race.
         """
-        self._refresh_pipeline()
+        self._plans = None if self._delivery_runs is not None else {}
         model = self._fault_model
         if not self._link_up or (model is not None and model.active):
             self._express = EXPRESS_OFF
             return
         home = self.sim
-        inline_ok = True
-        defer_ok = self._delivery_runs is None
+        lane = EXPRESS_INLINE
         for interface in self._interfaces:
-            up = interface.up
+            if not interface.up:
+                continue
             if interface.home_sim is not home:
-                if up:
-                    inline_ok = False
-                    defer_ok = False
-                    break
+                lane = EXPRESS_OFF
+                break
+            if interface._handler is None or interface._inline_safe:
                 continue
-            if not up or interface._handler is None:
-                continue
-            if not interface._inline_safe:
-                inline_ok = False
-                if not interface._segment_local:
-                    defer_ok = False
-                    break
-        if inline_ok:
-            self._express = EXPRESS_INLINE
-        elif defer_ok:
-            self._express = EXPRESS_DEFERRED
-        else:
-            self._express = EXPRESS_OFF
+            if not interface._segment_local:
+                lane = EXPRESS_OFF
+                break
+            lane = EXPRESS_DEFERRED
+        if lane == EXPRESS_DEFERRED and self._delivery_runs is not None:
+            lane = EXPRESS_OFF
+        self._express = lane
 
     @property
     def express_mode(self) -> str:
         """Current express-lane eligibility: ``off``, ``inline`` or ``deferred``."""
         return _EXPRESS_MODE_NAMES[self._express]
-
-    def _refresh_pipeline(self) -> None:
-        """Re-select the precompiled per-frame service pipeline.
-
-        ``_service_next`` dispatches each frame through one cached bound
-        method, chosen here from the segment's topology/fault shape, so the
-        common no-runs/no-model segment serves frames with zero per-frame
-        conditionals.  Invalidated by exactly the hooks that refresh express
-        eligibility (attach/detach, port up/down, handler changes, every
-        fault mutation) plus :meth:`set_degrade` and
-        :meth:`NetworkInterface.set_promiscuous`.  The arithmetic in every
-        variant is kept textually identical to preserve bit-identical floats
-        across engine modes.
-
-        Each refresh also drops the fan-out plans (see :meth:`_deliver`) by
-        replacing the table.  Cut segments get none: their delivery runs
-        can execute on several shard threads at once, where a lazy build
-        would race.  A shard-local segment gets an empty table, which its
-        next fan-out fills or, for a shape with too few filtering receivers,
-        turns into the plain scan.
-        """
-        if self._delivery_runs is not None:
-            self._serve_frame = self._serve_frame_cut
-            self._plans = None
-            return
-        self._plans = {}
-        if self._fault_model is not None:
-            self._serve_frame = self._serve_frame_model
-        else:
-            self._serve_frame = self._serve_frame_plain
 
     # ------------------------------------------------------------------
     # Fault hooks (repro.faults) — driver/control context only
@@ -379,11 +305,11 @@ class Segment:
         """Fail or restore the whole segment (cable cut / splice).
 
         Failing the link drops everything still queued for the medium at the
-        instant of failure (counted in :attr:`frames_lost`, one
-        ``segment.drop`` record each) and makes every later transmit drop at
-        the sender until the link is restored.  Frames whose delivery event
-        already left the wire keep arriving — the in-flight window is
-        sub-propagation-delay and the cut happens behind them.
+        instant of failure — including in-flight frames whose classic pop is
+        still ahead (counted in :attr:`frames_lost`, one ``segment.drop``
+        record each, in FIFO order) — and makes every later transmit drop at
+        the sender until the link is restored.  Frames already on the wire
+        keep arriving: the cut happens behind them.
 
         Must run in driver/control context (fault timelines schedule through
         the simulator facade, which guarantees it); mid-window shard code
@@ -397,35 +323,8 @@ class Segment:
         if trace.wants("segment.link"):
             trace.emit(self.name, "segment.link", {"up": up})
         if not up:
-            pending = self._pending
-            while pending:
-                sender, frame = pending.popleft()
-                self._count_drop(sender, frame, "link-down")
-            inflight = self._express_inflight
-            if inflight:
-                # Deferred-express frames were serviced (batched) ahead of
-                # time; the ones whose classic service *pop* would not have
-                # happened yet (pop_ns >= now: faults precede same-instant
-                # traffic in every mode) are exactly the frames the classic
-                # path would still hold queued — kill their parked
-                # deliveries, roll the busy chain back to the first killed
-                # frame and count the drops in FIFO order.
-                now_ns = self.sim.clock._now_ns
-                killed: List[list] = []
-                while inflight and inflight[-1][0] >= now_ns:
-                    killed.append(inflight.pop())
-                if killed:
-                    killed.reverse()
-                    self._busy_until = killed[0][1]
-                    for entry in killed:
-                        entry[4] = 0
-                        self.frames_carried -= 1
-                        self.bytes_carried -= entry[3].wire_length
-                        if len(entry) == 6:
-                            # Cut-drain entry: its serve also counted a
-                            # cross-shard frame that now never crosses.
-                            self.cross_shard_frames -= 1
-                        self._count_drop(entry[2], entry[3], "link-down")
+            self._take_back()
+            self._drop_queued()
         self._refresh_express()
 
     def set_fault_model(self, model) -> None:
@@ -435,8 +334,10 @@ class Segment:
         ``None``/``"loss"``/``"corrupt"`` — and is consulted exactly once per
         serviced frame, in segment service order (see
         :class:`repro.faults.models.FrameLossModel` for the determinism
-        argument).  Attaching an active model revokes the express lane;
-        detaching re-evaluates eligibility.
+        argument).  In-flight frames whose classic pop is still ahead go back
+        to the transmit queue and are judged when served again.  Attaching
+        an active model revokes the express lane; detaching re-evaluates
+        eligibility.
         """
         self._fault_model = model
         trace = self._trace
@@ -447,6 +348,7 @@ class Segment:
                 {"model": repr(model) if model is not None else "none"},
             )
         self._refresh_express()
+        self._requeue()
 
     def set_degrade(
         self, bandwidth_scale: float = 1.0, extra_delay: float = 0.0
@@ -458,7 +360,9 @@ class Segment:
         neutral arguments restore the segment exactly.  Bandwidth can only
         shrink and delay only grow: the partitioner derived the fabric's
         conservative lookahead from the nominal propagation delays, and a
-        shorter delay on a cut segment would break that bound.
+        shorter delay on a cut segment would break that bound.  In-flight
+        frames whose classic pop is still ahead go back to the transmit
+        queue and are served again on the degraded wire.
         """
         if not 0.0 < bandwidth_scale <= 1.0:
             raise TopologyError(
@@ -468,7 +372,7 @@ class Segment:
             raise TopologyError(f"degrade extra_delay {extra_delay} is negative")
         self.bandwidth_bps = self._nominal_bandwidth_bps * bandwidth_scale
         self.propagation_delay = self._nominal_propagation_delay + extra_delay
-        self._refresh_pipeline()
+        self._prop_ns = seconds_to_ns(self.propagation_delay)
         trace = self._trace
         if trace.wants("segment.degrade"):
             trace.emit(
@@ -476,6 +380,49 @@ class Segment:
                 "segment.degrade",
                 {"bandwidth_scale": bandwidth_scale, "extra_delay": extra_delay},
             )
+        self._requeue()
+
+    def _take_back(self) -> bool:
+        """Un-serve the in-flight frames the event lane would still hold queued.
+
+        Those are the suffix whose ``pop_ns`` is at or after now.  Their
+        legs become no-ops, the busy chain rolls back to the first one's
+        pop, the carried counters are refunded and the frames go back to the
+        front of the transmit queue in FIFO order.  Returns whether any
+        frame was taken back.
+        """
+        inflight = self._inflight
+        now_ns = self.sim.clock._now_ns
+        taken = False
+        while inflight and inflight[-1][0] >= now_ns:
+            entry = inflight.pop()
+            entry[4] = _TAKEN
+            pop_ns, _, sender, frame, _ = entry
+            self._busy_ns = pop_ns
+            self.frames_carried -= 1
+            self.bytes_carried -= frame.wire_length
+            if self._delivery_runs is not None:
+                self.cross_shard_frames -= 1
+            self._pending.appendleft((sender, frame))
+            taken = True
+        return taken
+
+    def _requeue(self) -> None:
+        """Take back not-yet-popped frames and schedule their service again.
+
+        The service event goes where the event lane would have it, at the
+        rolled-back end of the busy chain.
+        """
+        if self._take_back() and not self._in_service:
+            self._in_service = True
+            self._schedule_service(self._busy_ns)
+
+    def _drop_queued(self) -> None:
+        """Count every frame left in the transmit queue as lost to link-down."""
+        pending = self._pending
+        while pending:
+            sender, frame = pending.popleft()
+            self._count_drop(sender, frame, "link-down")
 
     def _emit_drop(self, trace, sender: "NetworkInterface",
                    frame: EthernetFrame, reason: str) -> None:
@@ -590,130 +537,88 @@ class Segment:
         if not self._in_service:
             self._service_next()
 
+    # ------------------------------------------------------------------
+    # Wire service: one core, three lanes
+    # ------------------------------------------------------------------
+
+    def _serve(self, now_ns: int, frame: EthernetFrame) -> tuple:
+        """Put ``frame`` on the wire at ``now_ns``: the one wire-service function.
+
+        The frame starts when the wire frees, ``max(now_ns, busy)``, and the
+        busy chain moves to its finish.  Returns ``(pop_ns, finish_ns,
+        deliver_ns)``.  ``pop_ns`` is when the event lane takes the frame off
+        the transmit queue: the end of the busy chain it waited for, else
+        ``now_ns - 1``, because a fault at ``now_ns`` ran before this
+        transmit (faults precede same-instant traffic).
+        """
+        busy = self._busy_ns
+        if now_ns >= busy:
+            start = now_ns
+            pop_ns = now_ns - 1
+        else:
+            start = pop_ns = busy
+        finish_ns = start + round(frame.wire_length * 8e9 / self.bandwidth_bps)
+        self._busy_ns = finish_ns
+        self.frames_carried += 1
+        self.bytes_carried += frame.wire_length
+        return pop_ns, finish_ns, finish_ns + self._prop_ns
+
     def _service_next(self) -> None:
-        if not self._pending:
+        """The service event: serve the transmit queue by the segment's lane.
+
+        Also runs directly when a frame is queued on an idle wire.  Under
+        relaxed sync a shard window picks an express lane by eligibility:
+        the inline pump (first armed as a same-instant ring event, so every
+        frame a handler sends at this instant is queued before the chain
+        runs), or the batched drain (directly for the first transmit of an
+        instant, through one armed coalesced drain for the rest).  A barrier
+        serves a cut segment batched unless a loss model is active.
+
+        Everything else takes the event lane, here: one frame now, with its
+        delivery and the next service as events.  An active loss model
+        judges the frame first: a lost or corrupted frame occupies the wire
+        exactly as a delivered one but reaches no receiver.
+        """
+        pending = self._pending
+        if not pending:
             self._in_service = False
             return
         if not self._link_up:
-            # The medium died while frames were queued: everything still
-            # waiting is lost.  (set_link drains the queue at the instant of
-            # failure; this path catches frames replayed into a dead segment
-            # by a pre-failure service event.)
-            pending = self._pending
-            while pending:
-                sender, frame = pending.popleft()
-                self._count_drop(sender, frame, "link-down")
+            # Frames replayed into a dead segment: all of them are lost.
+            self._drop_queued()
             self._in_service = False
             return
         sim = self.sim
-        express = self._express
-        if express and sim.relaxed and active_shard() is not None:
-            if express == EXPRESS_INLINE:
-                # Relaxed inline express lane: run the segment's whole causal
-                # chain inline instead of round-tripping every step through
-                # the ring.
-                self._express_pump(sim.clock._now_ns)
-            else:
-                # Deferred express lane: batch the wire service now, leave
-                # deliveries on the ring at their exact strict timestamps.
-                # The first transmit of an instant drains directly; further
-                # same-instant transmits (multi-source backlogs: request
-                # fan-in, burst collisions at population scale) arm one
-                # batched drain that runs after every same-instant sender
-                # has enqueued, so N sources cost one drain pass, not N.
+        if sim.relaxed:
+            lane = self._express
+            if active_shard() is None:
+                model = self._fault_model
+                if self._delivery_runs is not None and (
+                    model is None or not model.active
+                ):
+                    self._in_service = False
+                    self._drain()
+                    return
+            elif lane == EXPRESS_INLINE:
+                if self._in_service:
+                    self._pump()
+                else:
+                    self._in_service = True
+                    sim._queue.push_fire(sim.clock._now_ns, self._service_next)
+                return
+            elif lane:
+                self._in_service = False
                 now_ns = sim.clock._now_ns
                 if now_ns != self._last_drain_ns:
                     self._last_drain_ns = now_ns
-                    self._express_drain()
+                    self._drain()
                 elif not self._drain_armed:
                     self._drain_armed = True
                     sim._queue.push_fire(now_ns, self._drain_coalesced)
-            return
+                return
         self._in_service = True
-        self._serve_frame()
-
-    def _serve_frame_plain(self) -> None:
-        """Serve one frame on a shard-local, fault-free segment.
-
-        The precompiled common case: no delivery runs, no fault model — all
-        per-frame conditionals were hoisted into :meth:`_refresh_pipeline`.
-        Arithmetic and scheduling order are textually identical to the other
-        variants (bit-identical floats, identical event sequence numbers).
-        """
-        sender, frame = self._pending.popleft()
-        now = self.sim.clock._now_s
-        busy = self._busy_until
-        start = now if now >= busy else busy
-        finish = start + frame.wire_length * 8.0 / self.bandwidth_bps
-        self._busy_until = finish
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_length
-        self._schedule(
-            finish + self.propagation_delay,
-            partial(self._deliver, sender, frame),
-        )
-        self._schedule(finish, self._service_next)
-
-    def _serve_frame_model(self) -> None:
-        """Serve one frame on a shard-local segment with a fault model attached.
-
-        Shares the plain variant's tail (one deliver + one next-service
-        schedule) instead of duplicating the scheduling calls per branch, so
-        the judged path allocates nothing beyond the verdict's drop record.
-        """
-        sender, frame = self._pending.popleft()
-        now = self.sim.clock._now_s
-        busy = self._busy_until
-        start = now if now >= busy else busy
-        finish = start + frame.wire_length * 8.0 / self.bandwidth_bps
-        self._busy_until = finish
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_length
-        model = self._fault_model
-        if model is not None and model.active:
-            verdict = model.judge(frame)
-            if verdict is not None:
-                # The frame occupies the wire exactly as a delivered one
-                # (the _busy_until chain above already advanced) but never
-                # reaches a receiver: lost outright, or corrupted and
-                # discarded by every NIC's FCS check.
-                if verdict == "corrupt":
-                    self.frames_corrupted += 1
-                    self._emit_drop(self._trace, sender, frame, "corrupt")
-                else:
-                    self._count_drop(sender, frame, "loss")
-                self._schedule(finish, self._service_next)
-                return
-        self._schedule(
-            finish + self.propagation_delay,
-            partial(self._deliver, sender, frame),
-        )
-        self._schedule(finish, self._service_next)
-
-    def _serve_frame_cut(self) -> None:
-        """Serve one frame on a cut segment (inter-shard delivery runs)."""
-        sim = self.sim
-        if sim.relaxed and self._delivery_runs is not None:
-            model = self._fault_model
-            if (model is None or not model.active) and active_shard() is None:
-                # Barrier context (mailed transmit replay) on a fault-free
-                # cut segment: batch the wire service right now, exactly as
-                # the deferred express lane does, instead of round-tripping
-                # a service event per frame through the home ring.
-                self._drain_cut()
-                return
-        sender, frame = self._pending.popleft()
-        now = sim.clock._now_s
-        busy = self._busy_until
-        start = now if now >= busy else busy
-        finish = start + frame.wire_length * 8.0 / self.bandwidth_bps
-        self._busy_until = finish
-        deliver_at = finish + self.propagation_delay
-        self.frames_carried += 1
-        # Wire occupancy, consistent with serialization_delay(): the frame
-        # plus preamble/SFD/inter-frame gap, not just header+payload+FCS.
-        self.bytes_carried += frame.wire_length
-
+        sender, frame = pending.popleft()
+        pop_ns, finish_ns, deliver_ns = self._serve(sim.clock._now_ns, frame)
         model = self._fault_model
         if model is not None and model.active:
             verdict = model.judge(frame)
@@ -723,111 +628,238 @@ class Segment:
                     self._emit_drop(self._trace, sender, frame, "corrupt")
                 else:
                     self._count_drop(sender, frame, "loss")
-                self._schedule_cut_completion(sim, finish)
+                self._schedule_service(finish_ns)
                 return
-
-        runs = self._delivery_runs
-        if runs is None:
-            # Retopologized to all-home since the pipeline was selected
-            # (refresh happens before the in-flight service event fires).
-            self._schedule(
-                deliver_at,
-                partial(self._deliver, sender, frame),
-            )
-        else:
-            # Cut segment: one delivery event per contiguous same-shard run of
-            # receivers, scheduled consecutively (so their shared-counter
-            # sequence numbers preserve attach order) on each receiving shard.
-            self.cross_shard_frames += 1
-            if sim.relaxed:
-                # Relaxed: the segment.deliver record must be stamped by this
-                # segment's *home* clock at the delivery time, so it becomes
-                # its own home-shard event instead of piggybacking on the
-                # first run (whose shard sits at a different private time).
-                # Inside a window everything is staged in the caller's
-                # outbox; at a barrier (transmit replay) the rings are safe
-                # to push directly.
-                deliver_ns = round(deliver_at * NANOSECONDS_PER_SECOND)
-                caller = active_shard()
-                if caller is not None:
-                    # A cut segment's service always runs on its home shard,
-                    # so home-bound work (the deliver record and home runs)
-                    # can push straight onto the caller's own ring — keeping
-                    # its bucket position identical to the strict engine's —
-                    # while runs for other shards stage in the outbox.
-                    home_push = sim._queue.push_fire
-                    outbox = caller.outbox
-                    home_push(
-                        deliver_ns, partial(self._emit_deliver, sender, frame)
-                    )
-                    for engine, run in runs:
-                        deliver_run = partial(
-                            self._deliver, sender, frame, run, False
-                        )
-                        if engine is sim:
-                            home_push(deliver_ns, deliver_run)
-                        else:
-                            outbox.append(("push", deliver_ns, engine, deliver_run))
-                else:
-                    sim._relaxed_push_fire(
-                        deliver_ns, partial(self._emit_deliver, sender, frame)
-                    )
-                    for engine, run in runs:
-                        engine._relaxed_push_fire(
-                            deliver_ns,
-                            partial(self._deliver, sender, frame, run, False),
-                        )
-            else:
-                first = True
-                for engine, run in runs:
-                    engine.schedule_fire(
-                        deliver_at,
-                        partial(self._deliver, sender, frame, run, first),
-                    )
-                    first = False
-        self._schedule_cut_completion(sim, finish)
-
-    def _schedule_cut_completion(self, sim, finish: float) -> None:
-        """Schedule the service-completion event for a cut-segment serve.
-
-        An in-window serve keeps the completion on the home ring, exactly as
-        before.  A barrier-context serve under relaxed sync — a mailed
-        transmit replay, or a prior barrier completion firing — must put it
-        on the *control ring* instead: barrier work is replicated in every
-        engine replica (the process backend runs one per worker plus the
-        parent), so cut-segment service state only stays in lockstep if the
-        continuation also fires at a replicated barrier.  A home-ring
-        completion fires in the owner's window alone; every other replica
-        then keeps ``_in_service`` latched and its fault-model RNG cursor
-        stale, and the next mailed frame it replays is misserved — appended
-        instead of served, or judged with the wrong draw — which corrupts
-        the delivery-run events it pushes onto its own live rings.
-        """
-        if sim.relaxed and active_shard() is None:
-            sim.fabric._control.push_fire(
-                round(finish * NANOSECONDS_PER_SECOND), self._service_next
-            )
+        if self._delivery_runs is None:
+            self._schedule(deliver_ns, partial(self._deliver, sender, frame))
+            self._schedule(finish_ns, self._service_next)
             return
-        self._schedule(finish, self._service_next)
+        self._schedule_runs(sender, frame, pop_ns, deliver_ns)
+        self._schedule_service(finish_ns)
 
-    def _deliver_cut(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
-        """Deliver on an express-eligible cut segment at the current time.
+    def _schedule_service(self, when_ns: int) -> None:
+        """Schedule the next service event at ``when_ns``.
 
-        Every remote interface is down (the express precondition), so home
-        receivers are delivered inline while the remote runs — pure drop
-        counting — execute on their own shards: staged via the outbox inside
-        a window, or scheduled directly from barrier/strict contexts (a
-        parked delivery can fire after a mode switch).
+        A cut segment served at a relaxed barrier puts it on the *control
+        ring*: barrier work is replicated in every engine replica (the
+        process backend runs one per worker plus the parent), so cut-segment
+        service state only stays in lockstep if its continuation also fires
+        at a replicated barrier.
+        """
+        sim = self.sim
+        if self._delivery_runs is not None and sim.relaxed and active_shard() is None:
+            sim.fabric._control.push_fire(when_ns, self._service_next)
+        else:
+            self._schedule(when_ns, self._service_next)
+
+    def _schedule_runs(self, sender: "NetworkInterface", frame: EthernetFrame,
+                       pop_ns: int, deliver_ns: int) -> None:
+        """Schedule an event-lane frame's delivery on a cut segment, per run.
+
+        Strict mode schedules each run through its owning engine, the first
+        run emitting the record.  At a relaxed barrier the legs are parked
+        in flight.  Inside a relaxed window the record and the home runs go
+        straight onto the home ring (the same bucket position as strict) and
+        runs for other shards are staged in the outbox.
+        """
+        self.cross_shard_frames += 1
+        sim = self.sim
+        runs = self._delivery_runs
+        if not sim.relaxed:
+            for index, (engine, run) in enumerate(runs):
+                deliver_run = partial(self._deliver, sender, frame, run, not index)
+                engine.schedule_fire_ns(deliver_ns, deliver_run)
+            return
+        caller = active_shard()
+        if caller is None:
+            self._park(sender, frame, pop_ns, deliver_ns, True)
+            return
+        home_push = sim._queue.push_fire
+        home_push(deliver_ns, partial(self._deliver, sender, frame, (), True))
+        for engine, run in runs:
+            deliver_run = partial(self._deliver, sender, frame, run, False)
+            if engine is sim:
+                home_push(deliver_ns, deliver_run)
+            else:
+                caller.outbox.append(("push", deliver_ns, engine, deliver_run))
+
+    def _drain(self) -> None:
+        """The batched lane: serve the whole transmit queue now.
+
+        Wire service is pure arithmetic, so nothing forces it to wait for
+        its own service event.  Every queued frame is served in one pass
+        and parked in flight with its delivery at the exact nanosecond the
+        event lane would use, so handlers still run in shard time order.  On
+        a shard-local segment (the deferred express lane, in a window) one
+        home event delivers each frame; on a cut segment (at the mail
+        barrier, where every cut transmit arrives) each frame gets a home
+        record leg plus one leg per receiver run.
+        """
+        now_ns = self.sim.clock._now_ns
+        pending = self._pending
+        legs = self._delivery_runs is not None
+        serve = self._serve
+        park = self._park
+        while pending:
+            sender, frame = pending.popleft()
+            pop_ns, _, deliver_ns = serve(now_ns, frame)
+            park(sender, frame, pop_ns, deliver_ns, legs)
+            if legs:
+                self.cross_shard_frames += 1
+
+    def _drain_coalesced(self) -> None:
+        """Run the armed multi-source batch drain (same-instant ring event).
+
+        Fires on the home ring at the arming instant, *after* every
+        same-instant transmit already in the bucket has enqueued its frame —
+        ShardQueue buckets are FIFO in push order — so the whole backlog is
+        served in one :meth:`_drain`.  If the segment left the deferred lane
+        in between (a fault or port flip), :meth:`_service_next` picks again.
+        """
+        self._drain_armed = False
+        if not self._pending or self._in_service:
+            return
+        if self._express == EXPRESS_DEFERRED and active_shard() is not None:
+            self.frames_coalesced += len(self._pending)
+            self._drain()
+        else:
+            self._service_next()
+
+    def _park(self, sender: "NetworkInterface", frame: EthernetFrame,
+              pop_ns: int, deliver_ns: int, legs: bool) -> None:
+        """Hold a served frame in the in-flight queue until its delivery.
+
+        Without ``legs`` one home ring event delivers it.  With ``legs`` — a
+        cut segment at a relaxed barrier, where every ring may be pushed
+        directly — a home leg emits the record and one leg per receiver run
+        delivers on its own shard.
+        """
+        entry = [pop_ns, deliver_ns, sender, frame, _FLYING]
+        self._inflight.append(entry)
+        sim = self.sim
+        if not legs:
+            sim._queue.push_fire(deliver_ns, partial(self._land, entry))
+            return
+        sim._relaxed_push_fire(deliver_ns, partial(self._land, entry, ()))
+        for engine, run in self._delivery_runs:
+            engine._relaxed_push_fire(deliver_ns, partial(self._land, entry, run))
+
+    def _land(self, entry: list, run: Optional[Sequence] = None) -> None:
+        """Fire one delivery of a parked frame at its exact ring time.
+
+        ``run is None`` delivers the whole frame from the home shard.  A
+        cut segment's frame has legs instead: the home leg (an empty
+        ``run``) emits the record, and each receiver run's leg delivers on
+        its own shard.  A home delivery retires the entry; run legs only
+        read its state, which becomes "taken" only at barriers, so threaded
+        windows never race on it.
+        """
+        sender, frame = entry[2], entry[3]
+        if run:
+            if entry[4]:
+                self._deliver(sender, frame, run, False)
+        elif entry[4] == _FLYING:
+            entry[4] = _LANDED
+            self._prune()
+            if run is None:
+                self._deliver_home(sender, frame)
+            else:
+                self._deliver(sender, frame, run, True)
+
+    def _prune(self) -> None:
+        """Drop delivered entries from the head of the in-flight queue."""
+        inflight = self._inflight
+        while inflight and inflight[0][4] != _FLYING:
+            inflight.popleft()
+
+    def _pump(self) -> None:
+        """The inline lane: run this segment's causal chain in one loop.
+
+        Fuses every service -> delivery -> (inline-safe handler reply) step
+        into one loop, advancing the shard's private clock to each step's
+        exact strict-engine timestamp instead of paying a queue round-trip
+        per event.  This is only sound under the relaxed canonical-merge
+        contract: the emitted records interleave with other segments'
+        streams out of execution order, and the canonical merge re-sorts
+        them.
+
+        Frames queued at entry were sent at or before now; frames a
+        delivery queues arrive at that delivery's instant and are not
+        served earlier.  The loop stays below the run horizon and below the
+        earliest delivery still in flight, whose ring event must run first:
+        its replies queue ahead of any later delivery's.  A delivery past
+        that bound is parked in flight, and a service event is left where
+        the strict engine would have one.
+        """
+        shard = self.sim
+        clock = shard.clock
+        entry_ns = clock._now_ns
+        entry_s = clock._now_s
+        limit = shard._until_ns
+        for held in self._inflight:
+            if held[4] == _FLYING and held[1] <= limit:
+                limit = held[1] - 1
+        pending = self._pending
+        runs = self._delivery_runs
+        serve = self._serve
+        deliver = self._deliver
+        # Batch-hoisted trace gate: one wants() check per pump run instead of
+        # one per frame (the gate is run configuration, immutable mid-run).
+        record = self._trace.wants("segment.deliver")
+        s_ns = entry_ns
+        backlog = len(pending)
+        arrivals: Deque[int] = deque()
+        while pending and s_ns <= limit:
+            if backlog:
+                backlog -= 1
+            else:
+                arrival_ns = arrivals.popleft()
+                if arrival_ns > s_ns:
+                    s_ns = arrival_ns
+            sender, frame = pending.popleft()
+            pop_ns, finish_ns, deliver_ns = serve(s_ns, frame)
+            if runs is not None:
+                self.cross_shard_frames += 1
+            if deliver_ns > limit:
+                self._park(sender, frame, pop_ns, deliver_ns, False)
+            else:
+                clock._now_ns = deliver_ns
+                clock._now_s = deliver_ns / NANOSECONDS_PER_SECOND
+                if deliver_ns > shard.cursor_ns:
+                    shard.cursor_ns = deliver_ns
+                before = len(pending)
+                if runs is None:
+                    deliver(sender, frame, None, record)
+                else:
+                    self._deliver_home(sender, frame)
+                for _ in range(len(pending) - before):
+                    arrivals.append(deliver_ns)
+            s_ns = finish_ns
+        if pending:
+            shard._queue.push_fire(s_ns, self._service_next)
+        else:
+            self._in_service = False
+        clock._now_ns = entry_ns
+        clock._now_s = entry_s
+
+    def _deliver_home(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
+        """Deliver a frame now, from the segment's home shard.
+
+        On a cut segment (the inline lane admits one only when every remote
+        interface is down) the home runs are delivered inline and the
+        remote runs — pure drop counting — execute on their own shards:
+        staged via the outbox inside a window, or scheduled directly from
+        barrier/strict contexts (a parked delivery can fire after a mode
+        switch).
         """
         runs = self._delivery_runs
         if runs is None:
-            # Retopologized since the frame was scheduled: all-home now.
             self._deliver(sender, frame)
             return
         shard = self.sim
         caller = active_shard() if shard.relaxed else None
         when_ns = shard.clock._now_ns
-        self._emit_deliver(sender, frame)
+        self._deliver(sender, frame, (), True)
         for engine, run in runs:
             if engine is shard:
                 self._deliver(sender, frame, run, False)
@@ -836,310 +868,7 @@ class Segment:
                 if caller is not None:
                     caller.outbox.append(("push", when_ns, engine, deliver_run))
                 else:
-                    engine.schedule_fire(shard.clock._now_s, deliver_run)
-
-    def _emit_deliver(self, sender: "NetworkInterface", frame: EthernetFrame) -> None:
-        """Emit the segment.deliver record (relaxed cut-segment delivery)."""
-        trace = self._trace
-        if trace.wants("segment.deliver"):
-            trace.emit(self.name, "segment.deliver", _frame_detail, sender, frame)
-
-    def _express_drain(self) -> None:
-        """Batch-service the transmit backlog (relaxed deferred express lane).
-
-        The insight behind the deferred lane: wire *service* is pure
-        arithmetic — pop, advance the ``_busy_until`` chain, schedule the
-        delivery — so nothing forces it to wait for its own service event.
-        This drain services every queued frame at transmit time in one run
-        (one clock fetch, one busy-chain walk per batch) and schedules each
-        delivery as a fire-and-forget ring event at the exact nanosecond the
-        classic path would, eliding the per-frame service event entirely.
-        Handlers therefore still run in shard time order with every other
-        event (CPU completions, timers) — unlike the inline pump, no handler
-        ever executes early — which is why the eligibility bar is only
-        "reactions never escape the segment synchronously".
-
-        Service-start times replicate the classic chain bit-for-bit: a frame
-        that would have waited for a service event at ``round(busy * ns)``
-        gets exactly that quantized start (see the ``pop_ns`` branch), so
-        ``_busy_until`` chains, delivery timestamps and every record match
-        the strict engine.
-
-        Each batched frame leaves an in-flight entry
-        ``[pop_threshold_ns, prior_busy, sender, frame, live]`` shared with
-        its delivery callback: :meth:`set_link` uses the threshold to kill
-        exactly the frames the classic path would still hold queued at the
-        instant of failure (their service pop would fire at or after the
-        fault, which precedes same-instant traffic), rolling the busy chain
-        and the carried counters back.  A frame popped directly at transmit
-        time stores ``now - 1`` so a same-instant failure — which by the
-        fault-precedence contract ran *before* the transmit — never kills
-        it.  Batch boundaries fall on every fault/port/model transition
-        because each of those re-runs :meth:`_refresh_express` and drops the
-        segment off the lane before the next transmit.
-        """
-        self._in_service = False
-        sim = self.sim
-        clock = sim.clock
-        push = sim._queue.push_fire
-        pending = self._pending
-        inflight = self._express_inflight
-        bandwidth = self.bandwidth_bps
-        prop = self.propagation_delay
-        busy = self._busy_until
-        now = clock._now_s
-        now_ns = clock._now_ns
-        carried = 0
-        carried_bytes = 0
-        while pending:
-            sender, frame = pending.popleft()
-            if now >= busy:
-                start = now
-                pop_ns = now_ns - 1
-            else:
-                pop_ns = round(busy * NANOSECONDS_PER_SECOND)
-                quantized = pop_ns / NANOSECONDS_PER_SECOND
-                start = quantized if quantized >= busy else busy
-            finish = start + frame.wire_length * 8.0 / bandwidth
-            entry = [pop_ns, busy, sender, frame, 1]
-            busy = finish
-            carried += 1
-            carried_bytes += frame.wire_length
-            inflight.append(entry)
-            push(
-                round((finish + prop) * NANOSECONDS_PER_SECOND),
-                partial(self._deliver_express, entry),
-            )
-        self._busy_until = busy
-        self.frames_carried += carried
-        self.bytes_carried += carried_bytes
-
-    def _drain_coalesced(self) -> None:
-        """Run the armed multi-source batch drain (same-instant ring event).
-
-        Fires on the home ring at the arming instant, *after* every
-        same-instant transmit already in the bucket has enqueued its frame
-        — ShardQueue buckets are FIFO in push order — so the whole
-        multi-source backlog is serviced in one :meth:`_express_drain`
-        pass.  Conditions are re-checked from scratch: if the segment fell
-        off the express lane (fault hook, port flip) or the link died
-        between arming and firing, the backlog is routed back through the
-        classic :meth:`_service_next` arm, which handles every fallback.
-        """
-        self._drain_armed = False
-        if not self._pending or self._in_service:
-            return
-        sim = self.sim
-        if (
-            self._express == EXPRESS_DEFERRED
-            and self._link_up
-            and sim.relaxed
-            and active_shard() is not None
-        ):
-            self.frames_coalesced += len(self._pending)
-            self._express_drain()
-        else:
-            self._service_next()
-
-    def _deliver_express(self, entry: list) -> None:
-        """Deliver one deferred-express frame (ring event at its exact time)."""
-        if not entry[4]:
-            return
-        entry[4] = 0
-        self._prune_inflight()
-        self._deliver(entry[2], entry[3])
-
-    def _prune_inflight(self) -> None:
-        """Drop retired head entries from the in-flight window.
-
-        An express entry retires when its single delivery consumes it
-        (``live`` cleared); a cut-drain entry retires when its home leg runs
-        (``consumed`` set) because the remote run legs only ever read the
-        ``live`` flag.  Killed entries never reach here — :meth:`set_link`
-        pops them directly.  Always called on the home shard's event loop
-        (express deliveries and cut home legs both ride the home ring), so
-        there is no race with threaded remote windows.
-        """
-        inflight = self._express_inflight
-        while inflight:
-            head = inflight[0]
-            if head[4] and (len(head) == 5 or not head[5]):
-                break
-            inflight.popleft()
-
-    def _drain_cut(self) -> None:
-        """Batch-service mailed transmits on a cut segment (barrier context).
-
-        The deferred express-lane insight (see :meth:`_express_drain`)
-        applies to cut segments too, with one extra ace: in relaxed mode a
-        cut segment's transmits arrive *only* through the mail barrier
-        (windows are pumped strictly below the next control time), so every
-        serve already happens in barrier context and the per-frame
-        ``_service_next`` completion event buys nothing but ring traffic.
-        This drain replicates :meth:`_serve_frame_cut`'s barrier arm —
-        quantized service starts, one home ``segment.deliver`` record plus
-        one parked delivery per receiver run, all at the exact strict-engine
-        nanosecond — without scheduling a single service event.
-
-        Eligibility is checked by the caller per serve (relaxed, runs
-        attached, no active fault model, no active shard), so fault-model
-        transitions fall back to the classic arm and keep the per-frame
-        ``judge()`` draw order identical to strict.  In-flight entries are
-        ``[pop_threshold_ns, prior_busy, sender, frame, live, consumed]`` —
-        the express entry plus a consumed flag, because a cut frame has
-        several parked callbacks and only the home leg may retire it.
-        :meth:`set_link` kills and refunds them exactly like express
-        entries (plus the cross-shard counter).
-        """
-        self._in_service = False
-        sim = self.sim
-        clock = sim.clock
-        push = sim._relaxed_push_fire
-        pending = self._pending
-        inflight = self._express_inflight
-        runs = self._delivery_runs
-        bandwidth = self.bandwidth_bps
-        prop = self.propagation_delay
-        busy = self._busy_until
-        now = clock._now_s
-        now_ns = clock._now_ns
-        carried = 0
-        carried_bytes = 0
-        while pending:
-            sender, frame = pending.popleft()
-            if now >= busy:
-                start = now
-                pop_ns = now_ns - 1
-            else:
-                pop_ns = round(busy * NANOSECONDS_PER_SECOND)
-                quantized = pop_ns / NANOSECONDS_PER_SECOND
-                start = quantized if quantized >= busy else busy
-            finish = start + frame.wire_length * 8.0 / bandwidth
-            entry = [pop_ns, busy, sender, frame, 1, 0]
-            busy = finish
-            carried += 1
-            carried_bytes += frame.wire_length
-            inflight.append(entry)
-            deliver_ns = round((finish + prop) * NANOSECONDS_PER_SECOND)
-            push(deliver_ns, partial(self._deliver_cut_parked, entry, None))
-            for engine, run in runs:
-                engine._relaxed_push_fire(
-                    deliver_ns, partial(self._deliver_cut_parked, entry, run)
-                )
-        self._busy_until = busy
-        self.frames_carried += carried
-        self.bytes_carried += carried_bytes
-        self.cross_shard_frames += carried
-
-    def _deliver_cut_parked(self, entry: list, run) -> None:
-        """Fire one parked cut-drain delivery leg at its exact ring time.
-
-        ``run is None`` is the home leg: it emits the ``segment.deliver``
-        record, retires the entry and prunes the in-flight window (home
-        ring, so serialized against :meth:`set_link` barriers).  Run legs
-        execute on their receiving shards and only read the ``live`` flag,
-        which is written exclusively at barriers — no cross-thread race.
-        """
-        if run is not None:
-            if entry[4]:
-                self._deliver(entry[2], entry[3], run, False)
-            return
-        if entry[4]:
-            self._emit_deliver(entry[2], entry[3])
-        entry[5] = 1
-        self._prune_inflight()
-
-    def _express_pump(self, s_ns: int) -> None:
-        """Drain this segment's service loop inline (relaxed express lane).
-
-        Fuses every service -> delivery -> (inline-safe handler reply) step
-        of the causal chain into one loop, advancing the shard's private
-        clock to each step's exact strict-engine timestamp instead of paying
-        a queue round-trip per event.  This is only sound under the relaxed
-        canonical-merge contract: the emitted records interleave with other
-        segments' streams out of execution order, and the canonical
-        ``(time, shard, shard_seq)`` merge re-sorts them.
-
-        Arithmetic mirrors :meth:`_service_next` bit-for-bit: service times
-        are the quantized event times the strict engine would fire at, so
-        ``_busy_until`` chains, delivery timestamps and every record are
-        identical.  On leaving (queue drained or run horizon crossed) a real
-        service event is left behind at the next service time — exactly the
-        event the strict engine would have pending — so mid-run cutoffs,
-        later transmits and mode switches resume seamlessly.
-        """
-        self._in_service = True
-        shard = self.sim
-        clock = shard.clock
-        entry_ns = clock._now_ns
-        entry_s = clock._now_s
-        until_ns = shard._until_ns
-        queue = shard._queue
-        pending = self._pending
-        bandwidth = self.bandwidth_bps
-        prop = self.propagation_delay
-        runs = self._delivery_runs
-        deliver = self._deliver
-        # Batch-hoisted trace gate: one wants() check per pump run instead of
-        # one per frame (the gate is run configuration, immutable mid-run).
-        trace = self._trace
-        deliver_wanted = trace.wants("segment.deliver")
-        name = self.name
-        # Frames already queued at pump entry were transmitted at or before
-        # s_ns; frames appended by the inline deliveries below arrive at
-        # their delivery instant, and — exactly as under the strict engine,
-        # where an idle medium starts serving at the transmit call — must
-        # not be served before they exist.
-        backlog = len(pending)
-        arrivals: Deque[int] = deque()
-        while pending and s_ns <= until_ns:
-            if backlog:
-                backlog -= 1
-            else:
-                arrival_ns = arrivals.popleft()
-                if arrival_ns > s_ns:
-                    s_ns = arrival_ns
-            sender, frame = pending.popleft()
-            now = s_ns / NANOSECONDS_PER_SECOND
-            busy = self._busy_until
-            start = now if now >= busy else busy
-            finish = start + frame.wire_length * 8.0 / bandwidth
-            self._busy_until = finish
-            deliver_at = finish + prop
-            self.frames_carried += 1
-            self.bytes_carried += frame.wire_length
-            if runs is not None:
-                self.cross_shard_frames += 1
-            deliver_ns = round(deliver_at * NANOSECONDS_PER_SECOND)
-            if deliver_ns > until_ns:
-                # Past the run horizon: park the delivery as a real event,
-                # as the strict engine would.  A cut segment's parked
-                # delivery keeps the per-shard run split (the plain path
-                # would touch remote NICs from this shard).
-                parked = deliver if runs is None else self._deliver_cut
-                queue.push_fire(deliver_ns, partial(parked, sender, frame))
-            else:
-                clock._now_ns = deliver_ns
-                clock._now_s = deliver_ns / NANOSECONDS_PER_SECOND
-                if deliver_ns > shard.cursor_ns:
-                    shard.cursor_ns = deliver_ns
-                before = len(pending)
-                if runs is None:
-                    # _deliver with the batch-hoisted gate: the record and
-                    # fan-out are identical, minus one wants() per frame.
-                    if deliver_wanted:
-                        trace.emit(
-                            name, "segment.deliver", _frame_detail, sender, frame
-                        )
-                    deliver(sender, frame, None, False)
-                else:
-                    self._deliver_cut(sender, frame)
-                for _ in range(len(pending) - before):
-                    arrivals.append(deliver_ns)
-            s_ns = round(finish * NANOSECONDS_PER_SECOND)
-        queue.push_fire(s_ns, self._service_next)
-        clock._now_ns = entry_ns
-        clock._now_s = entry_s
+                    engine.schedule_fire_ns(when_ns, deliver_run)
 
     def _deliver(
         self,
@@ -1158,7 +887,7 @@ class Segment:
         mid-flight is skipped, one that attaches mid-flight joins from the
         next frame on.  ``record`` says whether this call emits the frame's
         ``segment.deliver`` record; a cut segment emits it once per frame,
-        not once per run.
+        not once per run, through an empty ``run``.
 
         A whole-segment delivery on a segment with a plan table sends a
         unicast frame to its destination's plan only: the receivers whose
@@ -1235,9 +964,15 @@ class Segment:
         plans[_FOREIGN] = tuple(receivers[i] for i in shared)
         return plans
 
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def busy_until(self) -> float:
+        """End of the wire's busy chain, in seconds (the last frame's finish)."""
+        return self._busy_ns / NANOSECONDS_PER_SECOND
 
     def utilization(self, elapsed_seconds: Optional[float] = None) -> float:
         """Fraction of wire capacity used since time zero (or over ``elapsed_seconds``)."""

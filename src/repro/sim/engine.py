@@ -6,7 +6,7 @@ API that the rest of the library uses:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — one-shot,
   cancellable events,
-* :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_fire_after` —
+* :meth:`Simulator.schedule_fire_ns` / :meth:`Simulator.schedule_fire_after` —
   the handle-free lane for work that is never cancelled,
 * :meth:`Simulator.run` / :meth:`Simulator.run_until` / :meth:`Simulator.step`
   — drive the simulation,
@@ -154,14 +154,13 @@ class Simulator:
         """Schedule ``callback`` at the current simulated time (after pending work)."""
         return self._queue.push(self.clock.now_ns, callback, label)
 
-    def schedule_fire(self, when_seconds: float, callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget callback at ``when_seconds``.
+    def schedule_fire_ns(self, when_ns: int, callback: Callable[[], None]) -> None:
+        """Schedule a fire-and-forget callback at ``when_ns`` (nanoseconds).
 
-        Identical ordering to :meth:`schedule_at`, but no cancellation handle
-        is allocated.  Segment wire service and delivery, which are never
-        cancelled, run through here.
+        Identical ordering to :meth:`schedule_at_ns`, but no cancellation
+        handle is allocated.  Segment wire service and delivery, which are
+        never cancelled, run through here.
         """
-        when_ns = round(when_seconds * NANOSECONDS_PER_SECOND)
         now_ns = self.clock._now_ns
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)

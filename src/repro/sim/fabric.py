@@ -680,16 +680,16 @@ class ShardedSimulator:
             return self._control.push(self.clock.now_ns, callback, label)
         return self._shards[0].call_soon(callback, label)
 
-    def schedule_fire(self, when_seconds, callback) -> None:
-        """Fire-and-forget scheduling at an absolute time (facade).
+    def schedule_fire_ns(self, when_ns, callback) -> None:
+        """Fire-and-forget scheduling at an absolute time in ns (facade).
 
         Components constructed directly against the facade (e.g. a monitoring
         NIC built with ``run.sim``) resolve here.
         """
         if self._sync == "relaxed":
-            self._control.push_fire(seconds_to_ns(when_seconds), callback)
+            self._control.push_fire(when_ns, callback)
             return
-        self._shards[0].schedule_fire(when_seconds, callback)
+        self._shards[0].schedule_fire_ns(when_ns, callback)
 
     def schedule_fire_after(self, delay_seconds, callback) -> None:
         """Fire-and-forget scheduling ``delay_seconds`` from now (facade)."""

@@ -56,7 +56,7 @@ persistent thread pool.  On a free-threaded CPython build this parallelizes
 the windows across cores; on a GIL build threads only add synchronization
 overhead, so the benchmarked pick (see ``bench_sharded_fabric.py``) is the
 sequential executor, whose win comes from the lean per-shard window loop and
-the segment express lanes (:meth:`~repro.lan.segment.Segment._express_pump`).
+the segment express lanes (:meth:`~repro.lan.segment.Segment._pump`).
 Either way the mailbox discipline keeps results identical.
 """
 

@@ -5,7 +5,7 @@
 (:class:`ShardQueue`), its own progress cursor and its own trace stream
 (:class:`ShardTraceRecorder`), and it duck-types the
 :class:`~repro.sim.engine.Simulator` scheduling API (``now``, ``schedule``,
-``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``schedule_fire``,
+``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``schedule_fire_ns``,
 ``schedule_fire_after``, ``trace``, ``random``, ``clock``) so every existing
 component — segments, NICs, hosts, active nodes, CPU queues, timers — runs
 on a shard unchanged.
@@ -80,7 +80,7 @@ class ShardQueue:
 
     Bucket entries are ``(sequence, callback, event_or_None)`` triples: the
     cancellable scheduling APIs attach an :class:`Event` handle, while the
-    fire-and-forget path (``schedule_fire``, used by the frame hot path for
+    fire-and-forget path (``schedule_fire_ns``, used by the frame hot path for
     deliveries that are never cancelled) skips the handle allocation
     entirely.
 
@@ -537,16 +537,15 @@ class EngineShard:
             fabric._note_cross_push(self, when_ns, event.sequence)
         return event
 
-    def schedule_fire(self, when_seconds: float, callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget callback at ``when_seconds``.
+    def schedule_fire_ns(self, when_ns: int, callback: Callable[[], None]) -> None:
+        """Schedule a fire-and-forget callback at ``when_ns`` (nanoseconds).
 
-        Identical ordering semantics to :meth:`schedule_at`, but no
+        Identical ordering semantics to :meth:`schedule_at_ns`, but no
         cancellation handle is allocated.  The frame hot path — segment
         delivery and service-completion events, which are never cancelled —
         runs through here, so the fabric skips one object allocation per
         event.
         """
-        when_ns = round(when_seconds * NANOSECONDS_PER_SECOND)
         clock_now = self.clock._now_ns
         if when_ns < clock_now:
             validate_schedule_time(clock_now, when_ns)
@@ -572,7 +571,7 @@ class EngineShard:
         """Schedule a fire-and-forget callback ``delay_seconds`` from now.
 
         The handle-free form of :meth:`schedule` (same arithmetic), with
-        :meth:`schedule_fire`'s past-time check and cross-push bookkeeping;
+        :meth:`schedule_fire_ns`'s past-time check and cross-push bookkeeping;
         CPU-queue service completions run through here.
         """
         clock_now = self.clock._now_ns

@@ -34,7 +34,7 @@ SEGMENT_STAT_FIELDS = (
 def snapshot_segment(segment) -> dict:
     """A plain-data statistics snapshot of a live :class:`Segment`."""
     stats = {name: getattr(segment, name) for name in SEGMENT_STAT_FIELDS}
-    stats["busy_seconds"] = segment._busy_until
+    stats["busy_seconds"] = segment.busy_until
     stats["utilization"] = segment.utilization()
     stats["express_mode"] = segment.express_mode
     return stats

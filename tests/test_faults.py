@@ -385,7 +385,7 @@ class TestCutDrainLinkDown:
     """Batched cut-segment service straddling a mid-window link failure.
 
     In relaxed mode a cut segment's mailed transmits are serviced in one
-    batch at the barrier (``Segment._drain_cut``), so at the instant a
+    batch at the barrier (``Segment._drain``), so at the instant a
     scripted ``link-down`` fires the busy chain may extend *past* the fault:
     exactly the frames the classic path would still hold queued must be
     killed (parked deliveries cancelled, busy chain and counters rolled
@@ -452,7 +452,7 @@ class TestCutDrainLinkDown:
         stats = {"drains": 0, "kills": 0}
         if sync == "relaxed":
             assert self.TARGET in run.partition.cut_segments
-            original_drain = segment._drain_cut
+            original_drain = segment._drain
             original_set_link = segment.set_link
 
             def spying_drain():
@@ -460,12 +460,12 @@ class TestCutDrainLinkDown:
                 original_drain()
 
             def spying_set_link(up):
-                before = len(segment._express_inflight)
+                before = len(segment._inflight)
                 original_set_link(up)
                 if not up:
-                    stats["kills"] += before - len(segment._express_inflight)
+                    stats["kills"] += before - len(segment._inflight)
 
-            segment._drain_cut = spying_drain
+            segment._drain = spying_drain
             segment.set_link = spying_set_link
         run.sim.run_until(self.WARM + 0.012)
         return run, states, stats, segment

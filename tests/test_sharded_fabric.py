@@ -275,7 +275,7 @@ class TestShardedSimulatorFacade:
         shard = fabric.shards[0]
         fired = []
         shard.schedule_at(1e-6, lambda: fired.append("event"))
-        shard.schedule_fire(1e-6, lambda: fired.append("fire"))
+        shard.schedule_fire_ns(1_000, lambda: fired.append("fire"))
         fabric.run()
         assert fired == ["event", "fire"]
 

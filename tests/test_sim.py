@@ -196,7 +196,7 @@ class TestSimulator:
     def test_budgeted_run_until_does_not_jump_past_pending_events(self, engine):
         # Each entry point: cancellable, and both handle-free ones (all
         # scheduled from t=0, so a delay equals an absolute time).
-        for entry in ("schedule_at", "schedule_fire", "schedule_fire_after"):
+        for entry in ("schedule_at", "schedule_fire_ns", "schedule_fire_after"):
             if engine == "strict":
                 simulator = ShardedSimulator(seed=1, shards=2)
             elif engine == "relaxed":
@@ -208,6 +208,9 @@ class TestSimulator:
                 if engine == "single-telemetry":
                     simulator.enable_telemetry()
             schedule = getattr(simulator, entry)
+            if entry == "schedule_fire_ns":
+                fire_ns = schedule
+                schedule = lambda when, cb: fire_ns(seconds_to_ns(when), cb)  # noqa: E731
             fired = []
             for when in (1.0, 2.0, 3.0):
                 schedule(when, lambda when=when: fired.append((when, simulator.now)))
@@ -266,7 +269,7 @@ def _schedule_via(sim, kind, delay_us, callback):
     if kind == "call_soon":
         return sim.call_soon(callback)
     if kind == "fire":
-        sim.schedule_fire(sim.now + delay, callback)
+        sim.schedule_fire_ns(sim.now_ns + round(delay * 1e9), callback)
     elif kind == "fire_after":
         sim.schedule_fire_after(delay, callback)
     else:
@@ -414,7 +417,7 @@ class TestHandleFreeEntries:
             assert sim.pending_events == 60
             assert len(sim._queue._heap) == 80
         else:
-            sim.schedule_fire(5e-6, cancel_all)
+            sim.schedule_fire_ns(5_000, cancel_all)
         sim.run_until(1.0)
         assert fired == ["cancel"] + list(range(60))
         assert sim.pending_events == 0
