@@ -82,7 +82,8 @@ def frame_to_envelope_bytes(
 
     The wire format of :func:`frame_to_packet_bytes` is what switchlets see
     and is deliberately ambiguous for one corner: an untagged frame whose
-    EtherType happens to be 0x8100 re-parses as a tagged frame.  The
+    EtherType happens to be 0x8100 re-parses as a tagged frame, unless its
+    payload starts with a tag word of VLAN id 0 or 4095.  The
     envelope is the fabric's own transport encoding (cross-process shard
     mailboxes), so it must round-trip *every* field exactly; it therefore
     carries an explicit VLAN-presence flag instead of the in-line TPID
@@ -173,21 +174,24 @@ def packet_bytes_to_frame(data: bytes) -> EthernetFrame:
     """Rebuild an Ethernet frame from switchlet-produced ``pkt`` bytes.
 
     Addresses are interned (:meth:`MacAddress.interned`), so equal octets
-    give the same address object and its text is rendered once.
+    give the same address object and its text is rendered once.  A tag
+    word whose VLAN id names no VLAN (0 or 4095) stays payload, as in
+    :meth:`EthernetFrame.decode`.
     """
     if len(data) < 14:
         raise FrameError(f"packet bytes too short for an Ethernet header: {len(data)}")
     outer_type = int.from_bytes(bytes(data[12:14]), "big")
     vlan = None
     body_start = 14
+    ethertype = outer_type
     if outer_type == _VLAN_TPID:
         if len(data) < 18:
             raise FrameError(f"packet bytes too short for an 802.1Q header: {len(data)}")
-        vlan = VlanTag.from_tci(int.from_bytes(bytes(data[14:16]), "big"))
-        ethertype = int.from_bytes(bytes(data[16:18]), "big")
-        body_start = 18
-    else:
-        ethertype = outer_type
+        tci = int.from_bytes(bytes(data[14:16]), "big")
+        if 0 < (tci & 0x0FFF) < 0x0FFF:
+            vlan = VlanTag.from_tci(tci)
+            ethertype = int.from_bytes(bytes(data[16:18]), "big")
+            body_start = 18
     return EthernetFrame(
         destination=MacAddress.interned(bytes(data[0:6])),
         source=MacAddress.interned(bytes(data[6:12])),
@@ -340,8 +344,8 @@ class Unixnet:
         """
         pkt = frame_to_packet_bytes(frame)
         packet = Packet(len(pkt), SockAddr(interface, str(frame.source)), pkt, interface)
-        # An untagged frame of EtherType 0x8100 does not survive the trip
-        # through pkt bytes (it re-parses as tagged), so it is never reused.
+        # An untagged frame of EtherType 0x8100 may not survive the trip
+        # through pkt bytes (it can re-parse as tagged), so it is never reused.
         if frame.vlan is not None or frame.ethertype != _VLAN_TPID:
             self._delivered_pkt = pkt
             self._delivered_frame = frame

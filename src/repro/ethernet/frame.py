@@ -170,7 +170,10 @@ class EthernetFrame:
 
         An outer type field of 0x8100 is recognized as an 802.1Q tag: the
         following TCI word becomes :attr:`vlan` and the real EtherType is
-        read after it.
+        read after it.  A TCI word whose VLAN id names no VLAN (0, an 802.1p
+        priority-only tag, which the simulator does not model, or the
+        reserved 4095) reads as what its sender built: an untagged frame of
+        EtherType 0x8100 whose payload starts with that word.
 
         Args:
             data: encoded frame bytes.
@@ -190,13 +193,13 @@ class EthernetFrame:
         (outer_type,) = struct.unpack("!H", data[12:14])
         vlan = None
         body_start = HEADER_LENGTH
+        ethertype = outer_type
         if outer_type == int(EtherType.VLAN_8021Q):
             (tci,) = struct.unpack("!H", data[14:16])
-            vlan = VlanTag.from_tci(tci)
-            (ethertype,) = struct.unpack("!H", data[16:18])
-            body_start = HEADER_LENGTH + VLAN_TAG_LENGTH
-        else:
-            ethertype = outer_type
+            if 0 < (tci & 0x0FFF) < 0x0FFF:
+                vlan = VlanTag.from_tci(tci)
+                (ethertype,) = struct.unpack("!H", data[16:18])
+                body_start = HEADER_LENGTH + VLAN_TAG_LENGTH
         payload = data[body_start:-FCS_LENGTH]
         (fcs,) = struct.unpack("!I", data[-FCS_LENGTH:])
         if verify_fcs and crc32_ethernet(data[:-FCS_LENGTH]) != fcs:

@@ -5,6 +5,10 @@ NIC, a small protocol stack (:class:`~repro.netstack.stack.HostStack`) and a
 CPU on which protocol processing costs are charged.  The measurement tools
 (ping, ttcp) run "on" hosts by calling their stack API and reading the
 simulator trace.
+
+Like a real driver, a host programs its NIC's multicast group filter from
+what its software listens for, so the NIC drops the bridges' spanning-tree
+multicast before it costs the host any CPU.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class Host:
         # per-frame copy, and a listener added during dispatch only sees the
         # next frame.
         self._raw_listeners: Tuple[Callable[[EthernetFrame], None], ...] = ()
+        self.stack.demux.program_group_filter(self.nic)
 
     # ------------------------------------------------------------------
     # Identity
@@ -112,8 +117,14 @@ class Host:
         self.cpu.submit(cost, lambda: self.stack.handle_frame(frame))
 
     def add_raw_listener(self, listener: Callable[[EthernetFrame], None]) -> None:
-        """Register a callback that sees every frame the NIC accepts (pre-stack)."""
+        """Register a callback that sees every frame the NIC accepts (pre-stack).
+
+        From then on the NIC passes every multicast group up, whatever the
+        demux registers.
+        """
         self._raw_listeners = self._raw_listeners + (listener,)
+        self.stack.demux.program_group_filter(None)
+        self.nic.set_group_filter(None)
 
     # ------------------------------------------------------------------
     # Convenience wrappers over the stack

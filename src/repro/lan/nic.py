@@ -7,6 +7,12 @@ behaviour the paper depends on:
 * **promiscuous mode** — "whenever an input port is bound, it is put into
   promiscuous mode", because a transparent bridge must see every frame on the
   segment, not just frames addressed to it;
+* the **hardware address filter** of a NIC out of promiscuous mode: it
+  passes up the NIC's own unicast address, broadcast and the multicast groups
+  in its group filter.  A new NIC passes every group; a host programs its
+  NIC with the groups its software listens for
+  (:meth:`NetworkInterface.set_group_filter`), so a host that joined no
+  group never pays for the bridges' spanning-tree multicast;
 * per-interface transmit/receive counters used by the measurement tools;
 * an owner-supplied receive handler, which for an active node is the node's
   demultiplexer and for a host is the host protocol stack.
@@ -20,15 +26,21 @@ channel (see :meth:`repro.lan.segment.Segment._refresh_delivery_runs`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.ethernet.frame import EthernetFrame
-from repro.ethernet.mac import MacAddress
+from repro.ethernet.mac import BROADCAST, MacAddress
 from repro.exceptions import InterfaceError
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
 
 FrameHandler = Callable[["NetworkInterface", EthernetFrame], None]
+
+#: The group filter of every NIC that joined no group: one shared empty set,
+#: so a fleet of such hosts holds no per-NIC set.
+_NO_GROUPS: frozenset = frozenset()
+
+_BROADCAST_OCTETS = BROADCAST.octets
 
 
 def _frame_detail(frame: EthernetFrame) -> dict:
@@ -54,6 +66,7 @@ class NetworkInterface:
         "_trace",
         "segment",
         "promiscuous",
+        "_groups",
         "up",
         "_handler",
         "_inline_safe",
@@ -75,6 +88,9 @@ class NetworkInterface:
         self._trace = sim.trace
         self.segment: Optional[Segment] = None
         self.promiscuous = False
+        # The group filter: None passes every multicast group, else the
+        # octets of the joined groups (see set_group_filter).
+        self._groups: Optional[frozenset] = None
         self.up = True
         self._handler: Optional[FrameHandler] = None
         self._inline_safe = False
@@ -175,6 +191,22 @@ class NetworkInterface:
         if segment is not None:
             segment._refresh_express()
 
+    def set_group_filter(self, groups: Optional[Collection[MacAddress]]) -> None:
+        """Program the multicast group filter.
+
+        ``None`` passes every group, as a new NIC does; otherwise only the
+        given groups pass (broadcast always does).  The filter acts on
+        multicast frames only, and the segment's fan-out plans are unicast
+        only, so changing it needs no segment refresh: each
+        :meth:`deliver` applies the filter in force when it runs.
+        """
+        if groups is None:
+            self._groups = None
+        elif not groups:
+            self._groups = _NO_GROUPS
+        else:
+            self._groups = frozenset(group.octets for group in groups)
+
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the interface.
 
@@ -220,18 +252,30 @@ class NetworkInterface:
     def deliver(self, frame: EthernetFrame) -> None:
         """Called by the segment when a frame arrives at this station.
 
-        Applies the hardware address filter (unless promiscuous) and then
-        hands the frame to the owner's handler.  A segment may skip the call
-        for frames the filter would drop, since such a call has no effect.
+        A down NIC counts the frame in ``frames_dropped``.  An up NIC applies
+        the hardware address filter (see :meth:`accepts`) and hands what
+        passes to the owner's handler.  A frame the filter stops is a silent
+        drop: no counter and no record.  A segment may skip the call for
+        unicast frames the filter would stop, since such a call has no
+        effect.
         """
         if not self.up:
             self.frames_dropped += 1
             return
         # Inlined hardware filter (see accepts(), kept as the public form).
-        # Broadcast has the group bit set, so is_multicast covers it.
         if not self.promiscuous:
-            if frame.destination != self.mac and not frame.is_multicast:
-                return
+            destination = frame.destination
+            if destination != self.mac:
+                octets = destination._octets
+                if not octets[0] & 1:
+                    return
+                groups = self._groups
+                if (
+                    groups is not None
+                    and octets not in groups
+                    and octets != _BROADCAST_OCTETS
+                ):
+                    return
         self.frames_received += 1
         self.bytes_received += frame.frame_length
         trace = self._trace
@@ -245,14 +289,18 @@ class NetworkInterface:
 
         In promiscuous mode everything is accepted; otherwise only frames
         addressed to this NIC, to the broadcast address, or to a multicast
-        group (hosts filter multicast in software, which is all our thin host
-        stack needs).
+        group in the group filter (every group unless the owner programmed
+        one with :meth:`set_group_filter`).
         """
         if self.promiscuous:
             return True
-        if frame.destination == self.mac:
+        destination = frame.destination
+        if destination == self.mac:
             return True
-        return frame.is_multicast
+        if not destination.is_multicast:
+            return False
+        groups = self._groups
+        return groups is None or destination.is_broadcast or destination.octets in groups
 
     # ------------------------------------------------------------------
     # Introspection

@@ -40,7 +40,9 @@ event lane would have taken the frame off the transmit queue.  A fault at
 or before that instant (faults precede same-instant traffic in every mode)
 finds the frame still queued: :meth:`set_link` drops it, and
 :meth:`set_degrade` and :meth:`set_fault_model` put it back in the transmit
-queue, so it is served again under the new wire or loss model.
+queue, so it is served again under the new wire or loss model.  A frame the
+event lane receives while batched frames still hold the wire stays queued
+behind them until the end of their busy chain (:meth:`Segment._arm`).
 
 **Relaxed mode.**  Under the fabric's relaxed sync (:mod:`repro.sim.relaxed`)
 a cut segment is a *mailbox channel*: transmits are deferred to the window
@@ -163,6 +165,9 @@ class Segment:
         self._pending: Deque[Tuple["NetworkInterface", EthernetFrame]] = deque()
         self._in_service = False
         self._inflight: Deque[list] = deque()
+        # The token of the one service event that can move (see _arm), or
+        # None while no such event is pending.
+        self._armed: Optional[object] = None
         # Inter-shard delivery plan: None while every attached station lives
         # on this segment's own engine (the common, unsharded case); else a
         # list of (engine, [interfaces]) runs in attach order.
@@ -323,7 +328,7 @@ class Segment:
         if trace.wants("segment.link"):
             trace.emit(self.name, "segment.link", {"up": up})
         if not up:
-            self._take_back()
+            self._requeue()
             self._drop_queued()
         self._refresh_express()
 
@@ -382,14 +387,16 @@ class Segment:
             )
         self._requeue()
 
-    def _take_back(self) -> bool:
+    def _requeue(self) -> None:
         """Un-serve the in-flight frames the event lane would still hold queued.
 
         Those are the suffix whose ``pop_ns`` is at or after now.  Their
         legs become no-ops, the busy chain rolls back to the first one's
         pop, the carried counters are refunded and the frames go back to the
-        front of the transmit queue in FIFO order.  Returns whether any
-        frame was taken back.
+        front of the transmit queue in FIFO order.  Their service event goes
+        where the event lane would have it, at the rolled-back end of the
+        busy chain; an event armed at the old chain end (see :meth:`_arm`)
+        moves there with it.
         """
         inflight = self._inflight
         now_ns = self.sim.clock._now_ns
@@ -405,17 +412,25 @@ class Segment:
                 self.cross_shard_frames -= 1
             self._pending.appendleft((sender, frame))
             taken = True
-        return taken
+        if taken and (self._armed is not None or not self._in_service):
+            self._arm()
 
-    def _requeue(self) -> None:
-        """Take back not-yet-popped frames and schedule their service again.
+    def _arm(self) -> None:
+        """Schedule the event lane's next service at the end of the busy chain.
 
-        The service event goes where the event lane would have it, at the
-        rolled-back end of the busy chain.
+        This service event can move: arming again, as :meth:`_requeue` does
+        when a fault rolls the chain back, turns the event it replaces into
+        a no-op.
         """
-        if self._take_back() and not self._in_service:
-            self._in_service = True
-            self._schedule_service(self._busy_ns)
+        self._in_service = True
+        token = self._armed = object()
+        self._schedule_service(self._busy_ns, partial(self._fire_armed, token))
+
+    def _fire_armed(self, token: object) -> None:
+        """Run the armed service event unless it was moved."""
+        if token is self._armed:
+            self._armed = None
+            self._service_next()
 
     def _drop_queued(self) -> None:
         """Count every frame left in the transmit queue as lost to link-down."""
@@ -575,9 +590,13 @@ class Segment:
         serves a cut segment batched unless a loss model is active.
 
         Everything else takes the event lane, here: one frame now, with its
-        delivery and the next service as events.  An active loss model
-        judges the frame first: a lost or corrupted frame occupies the wire
-        exactly as a delivered one but reaches no receiver.
+        delivery and the next service as events.  While the wire is busy
+        past now, which only a batched lane leaves behind with no service
+        event pending, the frame stays queued: the event lane arms its
+        service at the end of the busy chain, so a fault before then still
+        takes it back.  An active loss model judges the frame first: a lost
+        or corrupted frame occupies the wire exactly as a delivered one but
+        reaches no receiver.
         """
         pending = self._pending
         if not pending:
@@ -616,9 +635,13 @@ class Segment:
                     self._drain_armed = True
                     sim._queue.push_fire(now_ns, self._drain_coalesced)
                 return
+        now_ns = sim.clock._now_ns
+        if self._busy_ns > now_ns:
+            self._arm()
+            return
         self._in_service = True
         sender, frame = pending.popleft()
-        pop_ns, finish_ns, deliver_ns = self._serve(sim.clock._now_ns, frame)
+        pop_ns, finish_ns, deliver_ns = self._serve(now_ns, frame)
         model = self._fault_model
         if model is not None and model.active:
             verdict = model.judge(frame)
@@ -637,20 +660,22 @@ class Segment:
         self._schedule_runs(sender, frame, pop_ns, deliver_ns)
         self._schedule_service(finish_ns)
 
-    def _schedule_service(self, when_ns: int) -> None:
+    def _schedule_service(self, when_ns: int, service=None) -> None:
         """Schedule the next service event at ``when_ns``.
 
-        A cut segment served at a relaxed barrier puts it on the *control
-        ring*: barrier work is replicated in every engine replica (the
-        process backend runs one per worker plus the parent), so cut-segment
-        service state only stays in lockstep if its continuation also fires
-        at a replicated barrier.
+        ``service`` is the event's callback, :meth:`_service_next` unless
+        given.  A cut segment served at a relaxed barrier puts it on the
+        *control ring*: barrier work is replicated in every engine replica
+        (the process backend runs one per worker plus the parent), so
+        cut-segment service state only stays in lockstep if its continuation
+        also fires at a replicated barrier.
         """
         sim = self.sim
+        service = service or self._service_next
         if self._delivery_runs is not None and sim.relaxed and active_shard() is None:
-            sim.fabric._control.push_fire(when_ns, self._service_next)
+            sim.fabric._control.push_fire(when_ns, service)
         else:
-            self._schedule(when_ns, self._service_next)
+            self._schedule(when_ns, service)
 
     def _schedule_runs(self, sender: "NetworkInterface", frame: EthernetFrame,
                        pop_ns: int, deliver_ns: int) -> None:
@@ -894,7 +919,8 @@ class Segment:
         :meth:`NetworkInterface.deliver` can have an effect (see
         :meth:`_build_plans`).  The NICs it skips are the ones whose hardware
         filter would drop the frame without counting it.  Multicast and
-        broadcast frames reach everyone, so they take the plain scan.  Every
+        broadcast frames take the plain scan, and each NIC's ``deliver()``
+        applies its own group filter.  Every
         hook that can change a plan replaces the table.  A handler that does
         so mid-fan-out, for example by downing a later NIC or making it
         promiscuous, is caught when its call returns, and the rest of the

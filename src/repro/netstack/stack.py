@@ -58,6 +58,31 @@ class EthernetDemux:
         self._by_ethertype: Dict[int, List[FrameCallback]] = defaultdict(list)
         self._by_destination: Dict[MacAddress, List[FrameCallback]] = defaultdict(list)
         self._default: List[FrameCallback] = []
+        # The NIC whose group filter follows the handlers (see
+        # program_group_filter), or None.
+        self._nic = None
+
+    def program_group_filter(self, nic) -> None:
+        """Keep ``nic``'s multicast group filter on what this demux handles.
+
+        The NIC joins exactly the multicast destinations that have a
+        handler, or passes every group while a default handler is
+        registered, since that handler sees every frame no other
+        registration matches.  The filter is reprogrammed now and on every
+        destination or default handler change, never per frame; ``None``
+        stops programming.
+        """
+        self._nic = nic
+        if nic is None:
+            return
+        if self._default:
+            nic.set_group_filter(None)
+        else:
+            nic.set_group_filter([
+                destination
+                for destination, handlers in self._by_destination.items()
+                if handlers and destination.is_multicast
+            ])
 
     def register_ethertype(self, ethertype: int, handler: FrameCallback) -> None:
         """Deliver frames with this EtherType to ``handler``."""
@@ -72,21 +97,25 @@ class EthernetDemux:
     def register_destination(self, destination: MacAddress, handler: FrameCallback) -> None:
         """Deliver frames addressed to ``destination`` to ``handler``."""
         self._by_destination[destination].append(handler)
+        self.program_group_filter(self._nic)
 
     def unregister_destination(self, destination: MacAddress, handler: FrameCallback) -> None:
         """Remove a previously registered destination handler."""
         handlers = self._by_destination.get(destination, [])
         if handler in handlers:
             handlers.remove(handler)
+            self.program_group_filter(self._nic)
 
     def register_default(self, handler: FrameCallback) -> None:
         """Deliver frames matched by no other registration to ``handler``."""
         self._default.append(handler)
+        self.program_group_filter(self._nic)
 
     def unregister_default(self, handler: FrameCallback) -> None:
         """Remove a default handler."""
         if handler in self._default:
             self._default.remove(handler)
+            self.program_group_filter(self._nic)
 
     def dispatch(self, frame: EthernetFrame) -> int:
         """Dispatch ``frame``; returns the number of handlers that saw it."""

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from repro.costs.model import CostModel
 from repro.ethernet.ethertype import EtherType
 from repro.ethernet.frame import EthernetFrame
-from repro.ethernet.mac import BROADCAST, MacAddress
+from repro.ethernet.mac import (
+    ALL_BRIDGES_MULTICAST,
+    BROADCAST,
+    DEC_MANAGEMENT_MULTICAST,
+    MacAddress,
+)
 from repro.exceptions import InterfaceError, TopologyError
 from repro.lan.host import Host
 from repro.lan.nic import NetworkInterface
@@ -166,6 +171,34 @@ class TestNic:
         sender.send(_frame(dst="02:00:00:00:00:77"))
         sim.run()
         assert got == [True]
+
+    def test_group_filter_passes_joined_groups_only(self, sim):
+        segment = Segment(sim, "lan")
+        sender = _nic(sim, "a", 1)
+        receiver = _nic(sim, "b", 2)
+        sender.attach(segment)
+        receiver.attach(segment)
+        got = []
+        receiver.set_handler(lambda n, f: got.append(f.destination))
+        receiver.set_group_filter([ALL_BRIDGES_MULTICAST])
+        destinations = [
+            ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST, BROADCAST, receiver.mac
+        ]
+        frames = [_frame(dst=str(destination)) for destination in destinations]
+        assert [receiver.accepts(frame) for frame in frames] == [True, False, True, True]
+        for frame in frames:
+            sender.send(frame)
+        sim.run()
+        # The unjoined group is a silent drop: no counter, no record.
+        assert got == [ALL_BRIDGES_MULTICAST, BROADCAST, receiver.mac]
+        assert (receiver.frames_received, receiver.frames_dropped) == (3, 0)
+        assert len(sim.trace.filter(category="nic.rx", source="b")) == 3
+        receiver.set_group_filter(None)
+        assert receiver.accepts(frames[1])
+        receiver.set_group_filter([])
+        assert not receiver.accepts(frames[0])
+        receiver.set_promiscuous(True)
+        assert receiver.accepts(frames[0])
 
     def test_down_interface_drops(self, sim):
         segment = Segment(sim, "lan")
@@ -336,6 +369,86 @@ class TestHost:
             assert key in stats
 
 
+class TestHostGroupFilter:
+    """A host's NIC passes up only the multicast groups its software joined."""
+
+    def _lan(self, sim, hosts=2):
+        segment = Segment(sim, "lan")
+        bridge_port = _nic(sim, "bridge.eth0", 100)
+        bridge_port.attach(segment)
+        members = []
+        for index in range(hosts):
+            host = Host(
+                sim, f"h{index}", MacAddress.locally_administered(1 + index),
+                IPv4Address.from_string(f"10.0.0.{1 + index}"),
+            )
+            host.attach(segment)
+            members.append(host)
+        return bridge_port, members
+
+    def _send_groups(self, sim, port, groups):
+        # BPDU-shaped: an 802.3 length field and the spanning-tree LLC header.
+        for group in groups:
+            port.send(EthernetFrame(group, port.mac, 38, b"\x42\x42\x03" + bytes(43)))
+        sim.run()
+
+    def _received(self, sim, host):
+        return [
+            record.detail["frame"].split(" -> ")[1].split(" ")[0]
+            for record in sim.trace.filter(category="nic.rx", source=host.nic.name)
+        ]
+
+    def test_a_bpdu_costs_a_host_nothing(self, sim):
+        port, (host, _) = self._lan(sim)
+        self._send_groups(sim, port, [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST])
+        assert host.cpu.items_processed == 0
+        assert self._received(sim, host) == []
+        assert host.nic.statistics()["frames_received"] == 0
+        assert host.nic.frames_dropped == 0
+
+    def test_a_raw_listener_sees_every_bpdu(self, sim):
+        port, (host, _) = self._lan(sim)
+        seen = []
+        host.add_raw_listener(lambda frame: seen.append(frame.destination))
+        self._send_groups(sim, port, [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST])
+        assert seen == [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST]
+        assert host.cpu.items_processed == 2
+
+    def test_a_destination_handler_joins_its_group_only(self, sim):
+        port, (host, other) = self._lan(sim)
+        claimed = []
+
+        def handler(frame):
+            claimed.append(frame.destination)
+
+        host.stack.demux.register_destination(ALL_BRIDGES_MULTICAST, handler)
+        self._send_groups(sim, port, [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST])
+        assert claimed == [ALL_BRIDGES_MULTICAST]
+        assert self._received(sim, host) == [str(ALL_BRIDGES_MULTICAST)]
+        assert self._received(sim, other) == []
+        host.stack.demux.unregister_destination(ALL_BRIDGES_MULTICAST, handler)
+        self._send_groups(sim, port, [ALL_BRIDGES_MULTICAST])
+        assert claimed == [ALL_BRIDGES_MULTICAST]
+        assert host.nic.frames_received == 1
+
+    def test_a_default_handler_keeps_every_group(self, sim):
+        port, (host, _) = self._lan(sim)
+        seen = []
+        host.stack.demux.register_default(lambda frame: seen.append(frame.destination))
+        self._send_groups(sim, port, [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST])
+        assert seen == [ALL_BRIDGES_MULTICAST, DEC_MANAGEMENT_MULTICAST]
+
+    def test_broadcast_arp_reaches_every_host(self, sim):
+        _, hosts = self._lan(sim, hosts=4)
+        got = []
+        hosts[3].bind_udp(7, lambda payload, remote: got.append(payload))
+        hosts[0].send_udp(hosts[3].ip, 7, 1, b"after arp")
+        sim.run()
+        assert got == [b"after arp"]
+        for host in hosts[1:]:
+            assert str(BROADCAST) in self._received(sim, host)
+
+
 # ---------------------------------------------------------------------------
 # NetworkBuilder
 # ---------------------------------------------------------------------------
@@ -437,14 +550,22 @@ def _full_scan(segment):
 #: Five MACs for at most nine NICs, so stations share addresses.
 _MACS = [MacAddress.locally_administered(1 + index) for index in range(5)]
 
+#: The multicast groups frames go to and group filters draw from.
+_GROUPS = [
+    MacAddress.from_string(text)
+    for text in ("01:80:c2:00:00:00", "09:00:2b:01:00:00", "01:00:5e:00:00:01")
+]
+
 _nic_spec = st.tuples(
     st.integers(min_value=0, max_value=len(_MACS) - 1),  # MAC index
     st.booleans(),  # up
     st.booleans(),  # promiscuous
+    # group filter: None passes every group, else the joined group indices
+    st.none() | st.frozensets(st.integers(min_value=0, max_value=len(_GROUPS) - 1)),
 )
 # Three up, filtering NICs added to the extras make the segment plan its
 # fan-outs; the permutation mixes them into the attach order.
-_FILTERING = [(0, True, False), (1, True, False), (2, True, False)]
+_FILTERING = [(0, True, False, None), (1, True, False, None), (2, True, False, None)]
 _nic_specs = st.lists(_nic_spec, max_size=6).flatmap(
     lambda extra: st.permutations(_FILTERING + extra)
 )
@@ -464,7 +585,10 @@ _action_specs = st.lists(
         st.integers(min_value=0, max_value=15),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=0, max_value=15),
-        st.sampled_from(["down", "promiscuous", "up", "filtering", "send"]),
+        st.sampled_from(
+            ["down", "promiscuous", "up", "filtering", "send", "join", "leave",
+             "all-groups"]
+        ),
     ),
     max_size=8,
 )
@@ -476,7 +600,7 @@ def _destination(kind, pick):
     if kind == "foreign":
         return MacAddress.locally_administered(0x100 + pick)
     if kind == "multicast":
-        return MacAddress.from_string("01:80:c2:00:00:00")
+        return _GROUPS[pick % len(_GROUPS)]
     return BROADCAST
 
 
@@ -487,11 +611,16 @@ def _run_fan_out_case(nic_specs, frames, actions, oracle):
     if oracle:
         segment._deliver = _full_scan(segment)
     nics = []
-    for position, (mac_index, up, promiscuous) in enumerate(nic_specs):
+    # Each NIC's group filter, restricted to _GROUPS: None is every group.
+    filters = {}
+    for position, (mac_index, up, promiscuous, groups) in enumerate(nic_specs):
         nic = NetworkInterface(sim, f"n{position}", _MACS[mac_index])
         nic.attach(segment)
         nic.set_promiscuous(promiscuous)
         nic.set_up(up)
+        if groups is not None:
+            filters[nic] = {_GROUPS[index] for index in groups}
+            nic.set_group_filter(filters[nic])
         nics.append(nic)
     calls = []
     accepted = {}
@@ -511,6 +640,18 @@ def _run_fan_out_case(nic_specs, frames, actions, oracle):
                 victim.set_promiscuous(True)
             elif op == "filtering":
                 victim.set_promiscuous(False)
+            elif op in ("join", "leave"):
+                # The frame's group (the first one for unicast and broadcast).
+                group = frame.destination if frame.destination in _GROUPS else _GROUPS[0]
+                joined = filters.get(victim)
+                if op == "join" and joined is not None:
+                    filters[victim] = joined | {group}
+                elif op == "leave":
+                    filters[victim] = (set(_GROUPS) if joined is None else joined) - {group}
+                victim.set_group_filter(filters.get(victim))
+            elif op == "all-groups":
+                filters.pop(victim, None)
+                victim.set_group_filter(None)
             else:
                 echo = EthernetFrame(
                     frame.source, victim.mac, int(EtherType.MEASUREMENT), b"echo"
@@ -545,9 +686,18 @@ class TestFanOutPlans:
     # n0 sends to n1, whose handler downs n3 and makes n2 promiscuous
     # before the fan-out reaches them.
     @example(
-        [(0, True, False), (1, True, False), (2, True, False), (3, True, False)],
+        [(0, True, False, None), (1, True, False, None), (2, True, False, None),
+         (3, True, False, None)],
         [(0, "attached", 1, 0)],
         [(1, 1, 3, "down"), (1, 1, 2, "promiscuous")],
+    )
+    # n0 sends to the first group; n1's handler makes n3, a member, leave
+    # it before the scan reaches n3, and n2 join it.
+    @example(
+        [(0, True, False, None), (1, True, False, frozenset({0})),
+         (2, True, False, frozenset()), (3, True, False, frozenset({0, 1}))],
+        [(0, "multicast", 0, 0)],
+        [(1, 1, 3, "leave"), (1, 1, 2, "join")],
     )
     def test_planned_fan_out_equals_full_scan(self, nic_specs, frames, actions):
         planned = _run_fan_out_case(nic_specs, frames, actions, oracle=False)

@@ -14,6 +14,8 @@ Three layers are covered:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.unixnet import frame_to_packet_bytes, packet_bytes_to_frame
 from repro.ethernet.ethertype import EtherType
@@ -118,6 +120,55 @@ class TestTaggedFrame:
     def test_truncated_tagged_packet_bytes_rejected(self):
         with pytest.raises(FrameError):
             packet_bytes_to_frame(SRC.octets + DST.octets + b"\x81\x00\x00")
+
+
+class TestPriorityTaggedFrame:
+    """A tag word whose VLAN id names no VLAN is not a tag: VLAN id 0 is an
+    802.1p priority-only tag, which is not modelled, and 4095 is reserved.
+    Both parsers read the frame as its sender built it, untagged, of
+    EtherType 0x8100, with the tag word as the start of its payload."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vid=st.sampled_from([0, 0xFFF]),
+        priority=st.integers(min_value=0, max_value=7),
+        dei=st.integers(min_value=0, max_value=1),
+        # At least an inner EtherType after the tag word: shorter pkt bytes
+        # fail the 802.1Q truncation check, which runs first.
+        rest=st.binary(min_size=2, max_size=200),
+    )
+    def test_round_trips_through_both_parsers(self, vid, priority, dei, rest):
+        tci = (priority << 13) | (dei << 12) | vid
+        frame = EthernetFrame(
+            DST, SRC, int(EtherType.VLAN_8021Q), tci.to_bytes(2, "big") + rest
+        )
+        decoded = EthernetFrame.decode(frame.encode())
+        rebuilt = packet_bytes_to_frame(frame_to_packet_bytes(frame))
+        assert rebuilt == frame
+        assert rebuilt.frame_length == frame.frame_length
+        assert frame_to_packet_bytes(rebuilt) == frame_to_packet_bytes(frame)
+        # decode() cannot tell padding from payload, so it keeps the padded
+        # payload; everything else, and the bytes, survive.
+        assert decoded == frame.with_payload(frame.padded_payload)
+        assert decoded.vlan is None
+        assert decoded.encode() == frame.encode()
+        assert decoded.frame_length == frame.frame_length
+
+    @pytest.mark.parametrize("tag_word", ["a000", "0fff"], ids=["vid-0", "vid-4095"])
+    def test_crosses_an_active_bridge_unchanged(self, tag_word):
+        """Forwarding such a frame used to raise out of run_until."""
+        run = run_scenario("pair/active-bridge")
+        run.warm_up()
+        host1, host2 = run.hosts
+        frame = EthernetFrame(
+            host2.mac, host1.mac, int(EtherType.VLAN_8021Q),
+            bytes.fromhex(tag_word + "0800") + bytes(60),
+        )
+        received = []
+        host2.add_raw_listener(received.append)
+        host1.send_raw_frame(frame)
+        run.sim.run_until(run.sim.now + 0.1)
+        assert received == [frame]
 
 
 class TestFrameFmtVlanHelpers:

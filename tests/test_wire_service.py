@@ -168,7 +168,8 @@ def test_isolated_frames_on_a_fractional_wire_match(prop_ns, start_ns, payloads)
 DELIVERIES = 60
 
 
-def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False):
+def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False,
+              fault_at=120e-6, rehandle_at=None):
     """The lane harness: echo stations on every LAN of a 3-bridge ring.
 
     Every bridge port is down, so each LAN is shard-local or a cut segment
@@ -177,8 +178,10 @@ def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False):
     until its LAN has seen :data:`DELIVERIES` deliveries.  One kick-off
     frame per LAN goes out at the ready time.  ``fault`` is a
     ``FaultTimeline`` method name and its keyword arguments, applied to
-    ``target`` at ready + 120 us.  Returns every NIC's receive instants
-    (ns).
+    ``target`` at ready + ``fault_at``.  With ``rehandle_at``, a facade
+    event at that offset re-installs ``seg0h1``'s handler with no
+    declaration, which takes ``seg0`` off the batched lane.  Returns every
+    NIC's receive instants (ns).
     """
     run = run_scenario(
         "ring", params={"n_bridges": 3, "hosts_per_segment": 2},
@@ -187,7 +190,7 @@ def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False):
     if fault is not None:
         kind, arguments = fault
         timeline = FaultTimeline()
-        getattr(timeline, kind)(run.ready_time + 120e-6, target, **arguments)
+        getattr(timeline, kind)(run.ready_time + fault_at, target, **arguments)
         timeline.install(run.network)
     run.warm_up()
     for device in run.devices:
@@ -217,6 +220,11 @@ def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False):
                         nic.send(frame)
 
             nic.set_handler(handler, **{declaration: True})
+            if rehandle_at is not None and nic.name == "seg0h1.eth0":
+                run.sim.schedule_at(
+                    run.ready_time + rehandle_at,
+                    lambda nic=nic, handler=handler: nic.set_handler(handler),
+                )
         left.send(
             EthernetFrame(
                 destination=right.mac, source=left.mac, ethertype=0x88B5,
@@ -267,6 +275,47 @@ def test_faults_reach_frames_the_batched_lane_served_ahead(fault, target):
     for shards in (2, 4):
         relaxed = _lane_run(shards, "relaxed", "segment_local", FAULTS[fault], target)
         assert relaxed == single, shards
+
+
+@pytest.mark.parametrize(
+    "rehandle_at, fault_at, fault",
+    [
+        (80e-6, 81e-6, ("link_down", {})),
+        (137e-6, 147e-6, ("degrade", {"bandwidth_scale": 0.5})),
+    ],
+    ids=["link-down", "degrade"],
+)
+def test_event_lane_queues_behind_batched_frames(rehandle_at, fault_at, fault):
+    """A frame sent behind batched frames stays queued on the event lane.
+
+    When ``seg0`` leaves the batched lane, frames it served ahead still
+    hold the wire.  The next frame must wait in the transmit queue for the
+    end of that busy chain, as on the single engine, so that a fault before
+    then takes it back with them: a link-down drops it, a degrade serves it
+    again on the slower wire.
+    """
+    single = _lane_run(1, "strict", "segment_local", fault, "seg0",
+                       fault_at=fault_at, rehandle_at=rehandle_at)
+    assert _lane_run(2, "strict", "segment_local", fault, "seg0",
+                     fault_at=fault_at, rehandle_at=rehandle_at) == single
+    for shards in (2, 4):
+        relaxed = _lane_run(shards, "relaxed", "segment_local", fault, "seg0",
+                            fault_at=fault_at, rehandle_at=rehandle_at)
+        assert relaxed == single, shards
+
+
+def test_a_moved_service_event_fires_once():
+    """Arming again moves the armed service event; the one it replaces is a no-op."""
+    sim = Simulator(seed=1)
+    segment = Segment(sim, "lan")
+    served = []
+    segment._service_next = lambda: served.append(sim.now_ns)
+    segment._busy_ns = 2_000
+    segment._arm()
+    segment._busy_ns = 1_000
+    segment._arm()
+    sim.run()
+    assert served == [1_000]
 
 
 # ---------------------------------------------------------------------------
