@@ -325,8 +325,8 @@ def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool
     cells never move — so completion is checked through the shipped record
     stream instead (``check_states=False``); cross-configuration counter
     identity and the strict-replay identity check carry the real proof.
-    Trace materialization is excluded from the timed window for every
-    backend so the comparison stays like-for-like.
+    Trace shipping and the counters' fold stay outside the timed window for
+    every backend so the comparison stays like-for-like.
     """
     sim = run.sim
     pairs, states = _arm_blast(run, frames_per_pair, inline_safe)

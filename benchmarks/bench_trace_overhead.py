@@ -5,7 +5,8 @@ trace is a dispatch hub with pluggable sinks and lazy detail rendering:
 
 * **emit micro-benchmark** — records/second through the hub with each sink
   configuration (list, ring buffer, counting-only, null, and a gated-off
-  category, which is the true floor);
+  category, which is the true floor), plus a sharded fabric's trace
+  (``shard``), whose recorders stamp the merge keys into their own stores;
 * **frame blast** — an end-to-end simulated frame storm (NIC -> segment ->
   NIC, every hop tracing) per sink configuration, reporting frames/second
   and, for the bounded-memory configuration, that a million-frame run
@@ -31,6 +32,7 @@ from repro.ethernet.mac import MacAddress
 from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
+from repro.sim.fabric import ShardedSimulator
 from repro.sim.trace import CountingSink, ListSink, NullSink, RingBufferSink
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,18 +60,25 @@ def _sink_configurations():
     }
 
 
+def _emit_rate(trace) -> int:
+    """Records/second of ``EMIT_COUNT`` lazy-detail emits into ``trace``."""
+    detail = lambda: {"frame": "00:00:00:00:00:01 -> 00:00:00:00:00:02"}  # noqa: E731
+    start = time.perf_counter()
+    for _ in range(EMIT_COUNT):
+        trace.emit("bench", "bench.tick", detail)
+    elapsed = time.perf_counter() - start
+    return round(EMIT_COUNT / elapsed)
+
+
 def bench_emit() -> dict:
     """Records/second through the hub, per sink configuration."""
-    results = {}
-    for label, make_sinks in _sink_configurations().items():
-        sim = Simulator(trace_sinks=make_sinks())
-        trace = sim.trace
-        detail = lambda: {"frame": "00:00:00:00:00:01 -> 00:00:00:00:00:02"}  # noqa: E731
-        start = time.perf_counter()
-        for _ in range(EMIT_COUNT):
-            trace.emit("bench", "bench.tick", detail)
-        elapsed = time.perf_counter() - start
-        results[label] = round(EMIT_COUNT / elapsed)
+    results = {
+        label: _emit_rate(Simulator(trace_sinks=make_sinks()).trace)
+        for label, make_sinks in _sink_configurations().items()
+    }
+    # The fabric's trace: emits route to shard 0's recorder, which stamps
+    # the shared seq and its shard index into that shard's own store.
+    results["shard"] = _emit_rate(ShardedSimulator(shards=2).trace)
     # The gated floor: producers skip even the closure via wants().
     sim = Simulator(trace_sinks=[ListSink()])
     trace = sim.trace

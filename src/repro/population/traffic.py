@@ -414,14 +414,10 @@ class PopulationTraffic:
         """
         trace = self.run.sim.trace
         if hasattr(trace, "canonical_records"):
-            records = trace.canonical_records()
+            records = trace.canonical_records(category="svc.rtt")
         else:
-            records = list(trace)
-        return [
-            record.detail["rtt_ns"]
-            for record in records
-            if record.category == "svc.rtt"
-        ]
+            records = trace.filter(category="svc.rtt")
+        return [record.detail["rtt_ns"] for record in records]
 
 
 def merged_params(spec_params, overrides: Optional[Dict[str, object]] = None):

@@ -14,7 +14,7 @@ from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 from repro.sim.engine import Simulator
 from repro.sim.fabric import FabricTrace, ShardedSimulator
-from repro.sim.shard import EngineShard, ShardQueue, ShardTraceRecorder
+from repro.sim.shard import EngineShard, ShardQueue
 from repro.sim.timers import Timer, PeriodicTimer
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
@@ -35,7 +35,6 @@ __all__ = [
     "EventQueue",
     "FabricTrace",
     "ShardQueue",
-    "ShardTraceRecorder",
     "ShardedSimulator",
     "Simulator",
     "Timer",

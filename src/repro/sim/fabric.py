@@ -50,14 +50,8 @@ from repro.sim.clock import Clock, seconds_to_ns
 from repro.sim.events import Event, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.relaxed import BACKENDS, RelaxedExecutor, SYNC_MODES, active_shard
-from repro.sim.shard import EngineShard, ShardQueue, ShardTraceRecorder
-from repro.sim.trace import (
-    CountingSink,
-    TraceRecord,
-    TraceSink,
-    last_match,
-    match_records,
-)
+from repro.sim.shard import EngineShard, ShardQueue
+from repro.sim.trace import CountingSink, ListSink, TraceRecord, TraceRecorder, TraceSink
 
 #: "No bound" sentinel for drain-style dispatch (far beyond any event time).
 _NO_BOUND_NS = 2 ** 63
@@ -71,11 +65,17 @@ class FabricTrace:
     analysis code iterates / filters the merged stream, and gating calls
     (``disable_category`` et al.) fan out to every shard recorder so hot-path
     producers keep their one-set-lookup ``wants()`` check.
+
+    Each shard recorder writes into its own store, or every recorder into
+    one shared store (the fabric's ``trace_sinks``); either way a row
+    carries its emitting shard and its emission ``seq``.  Queries select
+    rows in each store, sort the selection's merge keys and build views
+    only for the rows they return.
     """
 
     def __init__(
         self,
-        recorders: List[ShardTraceRecorder],
+        recorders: List[TraceRecorder],
         counters: CountingSink,
         shared_sinks: List[TraceSink],
     ) -> None:
@@ -93,26 +93,38 @@ class FabricTrace:
         self._pending_fetch: Optional[Callable[[], None]] = None
         self._pending_discard: Optional[Callable[[], None]] = None
         for recorder in recorders:
-            recorder._sync_all = self.sync_counters
+            recorder._fold_all = self.fold
+
+    def _stores(self) -> List[ListSink]:
+        """The distinct stores the shard recorders write, in shard order."""
+        return list(
+            dict.fromkeys(r.store for r in self._recorders if r.store is not None)
+        )
 
     @property
     def counters(self) -> CountingSink:
-        """The live fabric-wide counters, synced with every shard stream.
+        """The live fabric-wide counters, folded up to date.
 
-        Shard recorders defer per-record counter bookkeeping off the emit hot
-        path; any read through this property (or through a recorder's
-        ``counters``) folds the outstanding records in first, so consumers
-        such as ``CounterWindow`` always see exact totals.
+        Shard recorders count nothing per record; any read through this
+        property (or through a recorder's ``counters``) folds every store's
+        outstanding rows in first, so consumers such as ``CounterWindow``
+        always see exact totals.
         """
-        self.sync_counters()
+        self.fold()
         return self._counters_sink
 
-    def sync_counters(self) -> None:
-        """Fold every shard's unsynced records into the shared pair table."""
+    def fold(self) -> None:
+        """Fold every shard store's uncounted rows into the shared table."""
         if self._pending_fetch is not None:
             self._pending_fetch()
-        for recorder in self._recorders:
-            recorder._sync_own_counters()
+        for store in self._stores():
+            store.fold()
+
+    def recount(self) -> None:
+        """Rebuild the shared counters from every retained row on next read."""
+        self._counters_sink.clear()
+        for store in self._stores():
+            store.recount()
 
     # ------------------------------------------------------------------
     # Gating (fans out so producers on any shard see the same state)
@@ -182,32 +194,45 @@ class FabricTrace:
     # Queries
     # ------------------------------------------------------------------
 
+    def _keys(self, canonical: bool, category=None, source=None, since=None, until=None):
+        """Sorted merge keys of the matching rows: shard second, row last.
+
+        Strict keys are ``(seq, shard, row)``.  Canonical keys are ``(time,
+        shard, source, row)``: within one shard a row number orders rows
+        exactly as their position in that shard's stream does, whether the
+        shard has a store of its own or shares one.
+        """
+        if self._pending_fetch is not None:
+            self._pending_fetch()
+        keys: list = []
+        for store in self._stores():
+            rows = store.select(category, source, since, until)
+            shards = store.column("shard", rows)
+            if canonical:
+                keys.extend(
+                    zip(store.column("time", rows), shards, store.column("source", rows), rows)
+                )
+            else:
+                keys.extend(zip(store.column("seq", rows), shards, rows))
+        keys.sort()
+        return keys
+
+    def _views(self, keys) -> List[TraceRecord]:
+        stores = [recorder.store for recorder in self._recorders]
+        return [stores[key[1]].view(key[-1]) for key in keys]
+
     def merged_records(self) -> List[TraceRecord]:
         """Every retained record, in the fabric's defined merge order.
 
-        Under strict sync the merge key is the shared emission ``seq``:
-        per-shard streams are already seq-ascending, so this is a k-way merge
-        and the result is bit-identical to the single engine's record list.
-        When shared sinks are installed (e.g. one bounded ring buffer for all
-        shards) the first queryable sink already holds the merged stream.
+        Under strict sync the merge key is the shared emission ``seq``, so
+        the result is bit-identical to the single engine's record list.
         Under relaxed sync the defined order is the canonical merge
         (:meth:`canonical_records`).
         """
-        if self._canonical:
-            return self.canonical_records()
-        if self._pending_fetch is not None:
-            self._pending_fetch()
-        for sink in self._shared_sinks:
-            if hasattr(sink, "filter"):
-                return list(sink)  # type: ignore[arg-type]
-        streams = [recorder.records_list() for recorder in self._recorders]
-        live = [s for s in streams if s]
-        if len(live) == 1:
-            return list(live[0])
-        return list(heapq.merge(*live, key=lambda record: record.seq))
+        return self._views(self._keys(self._canonical))
 
-    def canonical_records(self) -> List[TraceRecord]:
-        """Every retained record, merged into the canonical order.
+    def canonical_records(self, category=None, source=None) -> List[TraceRecord]:
+        """The retained records matching the criteria, in the canonical order.
 
         The canonical merge key is ``(time, shard_id, source, shard_seq)``,
         where ``shard_seq`` is the record's position in its shard's stream —
@@ -220,21 +245,12 @@ class FabricTrace:
         back to the source name rather than to an execution accident.
 
         This order is the relaxed mode's correctness contract: it is
-        computable from any fabric run (strict or relaxed), and a relaxed
-        run's canonical records are identical to the strict engine's —
-        proven catalog-wide by the test suite.
+        computable from any fabric run (strict or relaxed, per-shard or
+        shared stores), and a relaxed run's canonical records are identical
+        to the strict engine's — proven catalog-wide by the test suite.
+        Rows are selected on ``category`` and ``source`` before the merge.
         """
-        if self._pending_fetch is not None:
-            self._pending_fetch()
-        decorated = []
-        for recorder in self._recorders:
-            index = recorder.shard_index
-            decorated.extend(
-                (record.time, index, record.source, position, record)
-                for position, record in enumerate(recorder.records_list())
-            )
-        decorated.sort(key=lambda item: item[:4])
-        return [item[4] for item in decorated]
+        return self._views(self._keys(True, category, source))
 
     def __len__(self) -> int:
         """Total records captured (live, O(pairs))."""
@@ -244,29 +260,24 @@ class FabricTrace:
         return iter(self.merged_records())
 
     def filter(self, category=None, source=None, since=None, until=None):
-        """Records matching every provided criterion, in emission order."""
-        return match_records(
-            self.merged_records(), category=category, source=source,
-            since=since, until=until,
-        )
+        """Records matching every provided criterion, in merge order."""
+        return self._views(self._keys(self._canonical, category, source, since, until))
 
     def count(self, category=None, source=None) -> int:
-        """Number of records captured matching the criteria (O(1), live)."""
+        """Number of records captured matching the criteria (live)."""
         return self.counters.count(category=category, source=source)
 
     def last(self, category=None, source=None) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        return last_match(self.merged_records(), category=category, source=source)
+        keys = self._keys(self._canonical, category, source)
+        return self._views(keys[-1:])[0] if keys else None
 
     def clear(self) -> None:
         """Drop all captured records and reset the live counters."""
         if self._pending_discard is not None:
             self._pending_discard()
-        self._counters_sink.clear()
         for recorder in self._recorders:
             recorder.clear()
-        for sink in self._shared_sinks:
-            sink.clear()
 
 
 class ShardedSimulator:
@@ -281,8 +292,8 @@ class ShardedSimulator:
         seed: seed for the fabric-wide :class:`RandomSource`.
         shards: number of shard engines.
         trace_sinks: optional sinks shared by every shard (e.g. one bounded
-            :class:`~repro.sim.trace.RingBufferSink`); ``None`` keeps the
-            default per-shard record buffers merged on query.
+            :class:`~repro.sim.trace.RingBufferSink`); ``None`` gives each
+            shard its own :class:`~repro.sim.trace.ListSink`, merged on query.
         placement: component name -> shard index used by :meth:`sim_for`
             (the scenario compiler passes the partitioner's assignment).
             Unknown names fall back to shard 0.
@@ -333,8 +344,12 @@ class ShardedSimulator:
         counters_sink = CountingSink()
         shared_sinks = list(trace_sinks) if trace_sinks is not None else None
         recorders = [
-            ShardTraceRecorder(
-                self.clock, index, counters_sink, self._emit_counter, shared_sinks
+            TraceRecorder(
+                self.clock,
+                shared_sinks,
+                seq=self._emit_counter,
+                counters=counters_sink,
+                shard=index,
             )
             for index in range(shards)
         ]
@@ -420,7 +435,7 @@ class ShardedSimulator:
 
         Modes may be switched freely while the fabric is idle — a common
         pattern is a strict warm-up followed by a relaxed measurement phase.
-        Relaxed mode requires the default per-shard record buffers (caller
+        Relaxed mode requires the default per-shard stores (caller
         sinks observe records in execution order, which relaxed mode does not
         define), so it refuses fabrics built with ``trace_sinks``.
 
@@ -442,7 +457,7 @@ class ShardedSimulator:
             raise SimulationError("cannot switch sync modes during a run")
         if sync == "relaxed" and self.trace._shared_sinks:
             raise SimulationError(
-                "relaxed sync requires the default per-shard trace buffers; "
+                "relaxed sync requires the default per-shard trace stores; "
                 "this fabric was built with shared trace_sinks"
             )
         if sync == "strict" and self._sync == "relaxed" and self._control:
@@ -579,7 +594,7 @@ class ShardedSimulator:
                 "cross_pushes": shard.cross_pushes,
                 "cancelled_discarded": shard._queue.cancelled_discarded,
                 "records": (
-                    len(shard.trace._fast) if shard.trace._fast is not None else None
+                    None if self.trace._shared_sinks else len(shard.trace.store)
                 ),
             }
             for shard in self._shards

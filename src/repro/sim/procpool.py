@@ -48,10 +48,10 @@ costs an empty window, never correctness).
 stream: window emissions happen only there, and replicated barrier work
 emits shard-``k``-homed records in every replica but only worker ``k``'s
 copy ships.  Shipping is deferred: ``run()`` returns after a lightweight
-cursor/stats sync, and the per-shard record suffixes (flat tuples, lazy
-details rendered) transfer on the first trace query — mirroring the
-recorders' own lazy counter folding, and keeping serialization out of the
-measured window exactly as materialization is for the in-process backends.
+cursor/stats sync, and the per-shard store rows past the dispatch's base
+(lazy details rendered) transfer on the first trace query — mirroring the
+counters' fold on read, and keeping serialization out of the measured
+window as the in-process backends keep record views out of it.
 
 **Single measured dispatch.**  After a process dispatch the parent's
 component state and rings are stale by construction (the workers' in-window
@@ -207,8 +207,8 @@ def _worker_main(fabric, index, pairs) -> None:
     conn = pairs[index][1]
     shards = fabric._shards
     shard = shards[index]
-    recorder = shard.trace
-    base = len(recorder._fast) if recorder._fast is not None else 0
+    store = shard.trace.store
+    base = len(store)
     control = fabric._control
     executor = fabric._relaxed
     # Telemetry rides the fork: the worker sees the parent's enabled state
@@ -297,15 +297,10 @@ def _worker_main(fabric, index, pairs) -> None:
                     )
                 )
             elif kind == "fin":
-                fast = recorder._fast if recorder._fast is not None else []
-                suffix = []
                 # Lazy details render here, before pickling: the shipped
-                # tuples hold plain dicts, never the frames a renderer's
+                # rows hold plain dicts, never the frames a renderer's
                 # arguments reference.
-                for time_s, source, category, detail, seq, args in fast[base:]:
-                    if callable(detail):
-                        detail = dict(detail(*args))
-                    suffix.append((time_s, source, category, detail, seq, ()))
+                suffix = store.rows_from(base)
                 blob = None
                 if telemetry is not None:
                     from repro.telemetry.report import snapshot_segment
@@ -465,10 +460,7 @@ class ProcessExecutor:
         shared_clock = fabric.clock
         n_shards = len(shards)
         shard_range = range(n_shards)
-        self._bases = [
-            len(shard.trace._fast) if shard.trace._fast is not None else 0
-            for shard in shards
-        ]
+        self._bases = [len(shard.trace.store) for shard in shards]
         self._last_window = [(0, 0)] * n_shards
         # Enter relaxed before forking so every worker inherits the private
         # per-shard clocks already swapped in.
@@ -756,15 +748,9 @@ class ProcessExecutor:
             if telemetry is not None:
                 telemetry.absorb_worker(index, reply[2])
         for shard, base, suffix in zip(fabric._shards, self._bases, suffixes):
-            recorder = shard.trace
-            fast = recorder._fast
-            if fast is None:
-                continue
-            if len(fast) > base:
-                del fast[base:]
-            if len(recorder._materialized) > base:
-                del recorder._materialized[base:]
-            fast.extend(suffix)
+            store = shard.trace.store
+            store.truncate(base)
+            store.extend(suffix, shard.index)
         self._teardown(mark_stale=False, truncate=False)
 
     def discard(self) -> None:
@@ -792,17 +778,9 @@ class ProcessExecutor:
         for shard, base in zip(fabric._shards, self._bases):
             if shard.relaxed:
                 shard._exit_relaxed(shared_clock)
-            if not truncate:
-                continue
-            recorder = shard.trace
-            fast = recorder._fast
-            if fast is not None and len(fast) > base:
-                del fast[base:]
-            if len(recorder._materialized) > base:
-                del recorder._materialized[base:]
-        fabric.trace._counters_sink.clear()
-        for shard in fabric._shards:
-            shard.trace._pairs_synced = 0
+            if truncate:
+                shard.trace.store.truncate(base)
+        fabric.trace.recount()
         if mark_stale:
             fabric._proc_stale = True
         if fabric._proc_pending is self:

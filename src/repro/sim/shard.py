@@ -2,13 +2,13 @@
 
 :class:`EngineShard` is one shard of a
 :class:`~repro.sim.fabric.ShardedSimulator`: it owns its own event ring
-(:class:`ShardQueue`), its own progress cursor and its own trace stream
-(:class:`ShardTraceRecorder`), and it duck-types the
-:class:`~repro.sim.engine.Simulator` scheduling API (``now``, ``schedule``,
-``schedule_at``, ``schedule_at_ns``, ``call_soon``, ``schedule_fire_ns``,
-``schedule_fire_after``, ``trace``, ``random``, ``clock``) so every existing
-component — segments, NICs, hosts, active nodes, CPU queues, timers — runs
-on a shard unchanged.
+(:class:`ShardQueue`), its own progress cursor and its own trace recorder
+(a :class:`~repro.sim.trace.TraceRecorder` that stamps the fabric's merge
+keys), and it duck-types the :class:`~repro.sim.engine.Simulator`
+scheduling API (``now``, ``schedule``, ``schedule_at``, ``schedule_at_ns``,
+``call_soon``, ``schedule_fire_ns``, ``schedule_fire_after``, ``trace``,
+``random``, ``clock``) so every existing component — segments, NICs, hosts,
+active nodes, CPU queues, timers — runs on a shard unchanged.
 
 Three shared pieces of state make the fabric *bit-deterministic* relative to
 the single engine when it runs in strict mode:
@@ -47,21 +47,13 @@ traffic on the fabric's hot path.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Optional
 
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
 from repro.sim.events import Event, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.relaxed import _ACTIVE
-from repro.sim.trace import (
-    CountingSink,
-    DetailSource,
-    TraceRecord,
-    TraceRecorder,
-    TraceSink,
-    last_match,
-    match_records,
-)
+from repro.sim.trace import TraceRecorder
 
 
 #: Upper bound on recycled bucket lists kept per :class:`ShardQueue` — a
@@ -219,166 +211,6 @@ class ShardQueue:
         self._dead = 0
 
 
-class ShardTraceRecorder(TraceRecorder):
-    """One shard's trace stream, stamped with the fabric's global merge keys.
-
-    Differences from the plain :class:`TraceRecorder`:
-
-    * the per-``(category, source)`` counters are the **fabric-shared**
-      :class:`CountingSink`, so live counter reads (``CounterWindow``,
-      :meth:`count`) see the whole fabric, identically to the single engine;
-    * every record is stamped with the shared emission sequence
-      (:attr:`TraceRecord.seq`) — the deterministic merge key;
-    * with no caller-supplied sinks the shard keeps its stream as a flat list
-      of tuples and materializes :class:`TraceRecord` objects lazily on first
-      query, keeping the emit hot path to one append;
-    * caller-supplied sinks are *shared across shards* (the fabric passes the
-      same instances to every shard), so a bounded
-      :class:`~repro.sim.trace.RingBufferSink` sees the globally merged
-      stream in emission order, exactly like under the single engine.
-    """
-
-    def __init__(
-        self,
-        clock: Clock,
-        shard_index: int,
-        shared_counters: CountingSink,
-        emit_counter,
-        sinks: Optional[List[TraceSink]] = None,
-    ) -> None:
-        self._clock = clock
-        self._enabled = True
-        self._listeners: list = []
-        self._disabled_categories: set = set()
-        self._shared_counters = shared_counters
-        self.shard_index = shard_index
-        self._emit_counter = emit_counter
-        # Fast path: tuple buffer, materialized lazily.  Slow path: shared sinks.
-        self._fast: Optional[list] = [] if sinks is None else None
-        self._fast_append = self._fast.append if self._fast is not None else None
-        self._emit_next = emit_counter.__next__
-        self._materialized: list = []
-        self._pairs_synced = 0
-        # The fabric installs a fabric-wide counter sync here; a standalone
-        # recorder falls back to syncing just its own stream.
-        self._sync_all: Optional[Callable[[], None]] = None
-        self._sinks: List[TraceSink] = list(sinks) if sinks is not None else []
-        self._primary: Optional[TraceSink] = None
-        self._refresh_dispatch()
-
-    # ------------------------------------------------------------------
-    # Recording (hot path)
-    # ------------------------------------------------------------------
-
-    def emit(
-        self, source: str, category: str, detail: DetailSource = None, *args
-    ) -> Optional[TraceRecord]:
-        if not self._enabled or category in self._disabled_categories:
-            return None
-        append = self._fast_append
-        if append is not None:
-            # One append; the (category, source) counters catch up lazily on
-            # the next counter read (reads happen between trials, not per
-            # record), so live counter queries still see exact totals.  The
-            # tuple layout is TraceRecord's argument order:
-            # (time, source, category, detail, seq, args).
-            append(
-                (self._clock._now_s, source, category, detail, self._emit_next(), args)
-            )
-            if self._listeners or self._sinks:
-                entry = self._record_at(len(self._fast) - 1)
-                for sink in self._sinks:
-                    sink.accept(entry)
-                for listener in self._listeners:
-                    listener(entry)
-                return entry
-            return None
-        pair = (category, source)
-        by_pair = self._shared_counters.by_category_source
-        by_pair[pair] = by_pair.get(pair, 0) + 1
-        entry = TraceRecord(
-            self._clock._now_s, source, category, detail, self._emit_next(), args
-        )
-        for sink in self._sinks:
-            sink.accept(entry)
-        for listener in self._listeners:
-            listener(entry)
-        return entry
-
-    # ------------------------------------------------------------------
-    # Deferred counter aggregation
-    # ------------------------------------------------------------------
-
-    @property
-    def counters(self) -> CountingSink:
-        """The fabric-shared live counters (synced with this stream on read)."""
-        sync_all = self._sync_all
-        if sync_all is not None:
-            sync_all()
-        else:
-            self._sync_own_counters()
-        return self._shared_counters
-
-    def _sync_own_counters(self) -> None:
-        """Fold this stream's unsynced records into the shared pair table."""
-        fast = self._fast
-        if fast is None:
-            return
-        synced = self._pairs_synced
-        total = len(fast)
-        if synced == total:
-            return
-        by_pair = self._shared_counters.by_category_source
-        for index in range(synced, total):
-            entry = fast[index]
-            pair = (entry[2], entry[1])
-            by_pair[pair] = by_pair.get(pair, 0) + 1
-        self._pairs_synced = total
-
-    # ------------------------------------------------------------------
-    # Materialization and queries (off the hot path)
-    # ------------------------------------------------------------------
-
-    def _record_at(self, index: int) -> TraceRecord:
-        self._materialize_upto(index + 1)
-        return self._materialized[index]
-
-    def _materialize_upto(self, count: int) -> None:
-        fast = self._fast
-        materialized = self._materialized
-        for i in range(len(materialized), count):
-            materialized.append(TraceRecord(*fast[i]))
-
-    def records_list(self) -> List[TraceRecord]:
-        """This shard's retained records, in emission order (seq ascending)."""
-        if self._fast is not None:
-            self._materialize_upto(len(self._fast))
-            return self._materialized
-        if self._primary is None:
-            return []
-        return list(self._primary)  # type: ignore[arg-type]
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records_list())
-
-    def filter(self, category=None, source=None, since=None, until=None):
-        return match_records(
-            self.records_list(), category=category, source=source,
-            since=since, until=until,
-        )
-
-    def last(self, category=None, source=None):
-        return last_match(self.records_list(), category=category, source=source)
-
-    def clear(self) -> None:
-        """Drop this shard's retained records (shared counters are cleared by
-        the fabric, which owns them)."""
-        if self._fast is not None:
-            self._fast.clear()
-        self._materialized.clear()
-        self._pairs_synced = 0
-
-
 class EngineShard:
     """One shard of the fabric: a Simulator-compatible scheduling core.
 
@@ -404,7 +236,7 @@ class EngineShard:
         clock: Clock,
         random: RandomSource,
         counter,
-        trace: ShardTraceRecorder,
+        trace: TraceRecorder,
     ) -> None:
         self.fabric = fabric
         self.index = index

@@ -1,4 +1,4 @@
-"""Event tracing: a dispatch hub with pluggable sinks.
+"""Event tracing: a dispatch hub over one column store.
 
 Every component in the reproduction can emit structured records into the
 simulator's :class:`TraceRecorder`.  The measurement tools (ping, ttcp, the
@@ -10,33 +10,40 @@ instrumenting its bridge externally with ``ping``/``ttcp``.
 The recorder itself is only a *hub*: it stamps records with simulated time,
 applies global and per-category gating, and dispatches to composable sinks:
 
-* :class:`ListSink` — keeps every record, with per-category and per-source
-  indexes so :meth:`TraceRecorder.filter` / :meth:`TraceRecorder.last` cost
-  O(matches) instead of O(all records).  One is installed by default.
-* :class:`RingBufferSink` — keeps only the newest ``capacity`` records, for
-  long (million-frame) runs that must not grow without bound.  It stores
-  record fields in parallel columns and builds :class:`TraceRecord` views on
-  query; as a hub's only sink it takes each record's fields straight from
-  :meth:`TraceRecorder.emit`, so no record object is ever built.
+* :class:`ListSink` — the trace store, and the only place a retained record
+  lives on any engine.  A record is one row of a flat list of cells; queries
+  select rows on those cells and build :class:`TraceRecord` views only for
+  the rows they return.  One is installed by default (one per shard on the
+  sharded fabric).
+* :class:`RingBufferSink` — the same store with a capacity: it keeps only
+  the newest ``capacity`` records, for long (million-frame) runs that must
+  not grow without bound.
 * :class:`CountingSink` — O(1)-memory per-category / per-source counters.
-  The hub always maintains one internally (:attr:`TraceRecorder.counters`),
-  which is what makes :meth:`TraceRecorder.count` O(1) and lets measurement
-  tools subscribe to live counters instead of re-scanning the trace.
-* :class:`NullSink` — discards everything (benchmarking floor).
+  The hub always maintains one (:attr:`TraceRecorder.counters`), which is
+  what lets measurement tools subscribe to live counters instead of
+  re-scanning the trace.
+* :class:`NullSink` — discards everything (a record is still built for it).
+
+When a store is the hub's only sink and nothing listens, :meth:`emit` writes
+one row straight into it and counts nothing: the counters fold the stored
+rows in when someone reads them.
 
 Record *details* are rendered lazily: producers on the frame hot path pass a
 shared module-level renderer plus its arguments instead of an eager dict, and
 the expensive rendering (``frame.describe()`` strings and the like) only
 happens if some consumer actually reads :attr:`TraceRecord.detail`.  A
-retained record therefore holds two objects the cyclic garbage collector
-tracks — itself and its argument tuple — where a per-record closure would
-add a function, its closure tuple and a cell per captured variable.
-Producers guard even the argument packing with :meth:`TraceRecorder.wants`.
+store row holds floats, strings, small integers, the shared renderer and up
+to two flattened arguments, so it adds no object the cyclic garbage
+collector tracks.  Producers guard even the argument packing with
+:meth:`TraceRecorder.wants`.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import sys
+from bisect import bisect_left
+from collections import Counter
+from itertools import count as count_from
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.clock import Clock
@@ -58,17 +65,22 @@ class TraceRecord:
             (e.g. ``"frame.rx"``, ``"stp.state"``, ``"transition"``).
         detail: free-form key/value payload.  May be produced lazily: when
             the producer supplied a callable it runs on first access, as
-            ``detail(*args)``, and the result is cached and the arguments
-            released, so untouched hot-path records never pay for rendering.
+            ``detail(*args)``, and the result is cached on the record and
+            the record's own reference to the arguments released, so
+            untouched hot-path records never pay for rendering.
         seq: global emission sequence number, stamped by the sharded fabric's
             per-shard recorders so per-shard streams merge back into the
             exact single-engine emission order; ``None`` on records emitted
-            by a plain (unsharded) recorder.  Deliberately ignored by
-            equality: a sharded and an unsharded run compare record-for-record
-            even though only one of them carries merge keys.
+            by a plain (unsharded) recorder.
+        shard: index of the fabric shard that emitted the record; ``None``
+            on a plain recorder.
+
+    ``seq`` and ``shard`` are deliberately ignored by equality: a sharded
+    and an unsharded run compare record-for-record even though only one of
+    them carries merge keys.
     """
 
-    __slots__ = ("time", "source", "category", "_detail", "seq", "_args")
+    __slots__ = ("time", "source", "category", "_detail", "seq", "_args", "shard")
 
     def __init__(
         self,
@@ -78,6 +90,7 @@ class TraceRecord:
         detail: DetailSource = None,
         seq: Optional[int] = None,
         args: tuple = (),
+        shard: Optional[int] = None,
     ) -> None:
         self.time = time
         self.source = source
@@ -85,6 +98,7 @@ class TraceRecord:
         self._detail = detail
         self.seq = seq
         self._args = args
+        self.shard = shard
 
     @property
     def detail(self) -> Dict[str, Any]:
@@ -121,47 +135,6 @@ class TraceRecord:
         )
 
 
-def match_records(
-    records: Iterable[TraceRecord],
-    category: Optional[str] = None,
-    source: Optional[str] = None,
-    since: Optional[float] = None,
-    until: Optional[float] = None,
-) -> List[TraceRecord]:
-    """Records matching every provided criterion, preserving input order.
-
-    The shared predicate behind :meth:`TraceRecorder.filter` and the sharded
-    fabric's stream queries.
-    """
-    selected = []
-    for entry in records:
-        if category is not None and entry.category != category:
-            continue
-        if source is not None and entry.source != source:
-            continue
-        if since is not None and entry.time < since:
-            continue
-        if until is not None and entry.time > until:
-            continue
-        selected.append(entry)
-    return selected
-
-
-def last_match(
-    records: "List[TraceRecord]",
-    category: Optional[str] = None,
-    source: Optional[str] = None,
-) -> Optional[TraceRecord]:
-    """The most recent record matching the criteria, if any."""
-    for entry in reversed(records):
-        if category is not None and entry.category != category:
-            continue
-        if source is not None and entry.source != source:
-            continue
-        return entry
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Sinks
 # ---------------------------------------------------------------------------
@@ -179,7 +152,7 @@ class TraceSink:
 
 
 class NullSink(TraceSink):
-    """Discards every record; the floor for trace-overhead benchmarks."""
+    """Discards every record; the hub still builds one per emit for it."""
 
     def accept(self, record: TraceRecord) -> None:
         pass
@@ -204,10 +177,10 @@ class CountingSink(TraceSink):
     """Live counters in O(distinct (category, source) pairs) memory.
 
     The accept path maintains a single pair table (one dict update per
-    record); the aggregate views (:attr:`total`, :attr:`by_category`,
-    :attr:`by_source`) are derived on read, which costs O(pairs) — pairs
-    number in the dozens, so queries are effectively O(1) while the hot path
-    pays the bare minimum.
+    record), in first-seen order; the aggregate views (:attr:`total`,
+    :attr:`by_category`, :attr:`by_source`) are derived on read, which costs
+    O(pairs) — pairs number in the dozens, so queries are effectively O(1)
+    while the hot path pays the bare minimum.
     """
 
     def __init__(self) -> None:
@@ -255,9 +228,9 @@ class CounterWindow:
     """Deltas of a hub's live counters over a measurement window.
 
     Measurement tools open a window when a trial starts and read counter
-    deltas when it ends — O(1) per query, no re-scan of the record list, and
-    it works even when only a :class:`NullSink` or :class:`RingBufferSink` is
-    installed (the hub's internal :class:`CountingSink` is always live).
+    deltas when it ends — no re-scan of the record list, and it works even
+    when only a :class:`NullSink` or :class:`RingBufferSink` is installed
+    (the hub's counters are always live).
     """
 
     def __init__(self, recorder: "TraceRecorder") -> None:
@@ -272,276 +245,282 @@ class CounterWindow:
         return now - _count_pairs(self._start_pairs, category, source)
 
 
-class ListSink(TraceSink):
-    """Keeps every record, indexed by category and by source.
+#: The cells of one store row, in order.  A record's emit arguments are
+#: flattened: the first two sit in ``first`` and ``second`` and ``count``
+#: says how many there were; a longer argument tuple is kept whole in
+#: ``first``.
+FIELDS = ("time", "source", "category", "detail", "seq", "shard", "first", "second", "count")
+_TIME, _SOURCE, _CATEGORY, _DETAIL, _SEQ, _SHARD, _FIRST, _SECOND, _COUNT = range(len(FIELDS))
+_WIDTH = len(FIELDS)
 
-    The indexes make :meth:`filter`, :meth:`count` and :meth:`last` cost
-    O(matching records) rather than O(all records): single-criterion queries
-    walk only the matching index list, and two-criterion queries walk the
-    shorter of the two.
+
+def _row(time, source, category, detail, seq, shard, args: tuple) -> tuple:
+    """One store row from a record's fields (see :data:`FIELDS`)."""
+    count = len(args)
+    if count == 1:
+        return (time, source, category, detail, seq, shard, args[0], None, 1)
+    if count == 2:
+        return (time, source, category, detail, seq, shard, args[0], args[1], 2)
+    if count == 0:
+        return (time, source, category, detail, seq, shard, None, None, 0)
+    return (time, source, category, detail, seq, shard, args, None, count)
+
+
+class ListSink(TraceSink):
+    """The trace store: every retained record is one row of a flat list.
+
+    A row is :data:`FIELDS`, ``len(FIELDS)`` consecutive cells: floats,
+    strings, small integers, the detail (usually a shared renderer) and up to
+    two flattened emit arguments.  It adds no object the cyclic garbage
+    collector tracks beyond the objects its arguments name (frames,
+    interfaces), and a write is one ``list.extend``.
+
+    Rows are numbered in emission order from 0 (since the last
+    :meth:`clear`).  Queries select row numbers on the cells — by category
+    or source through a lazily built index of row numbers, so such a query
+    costs O(matches) — and build :class:`TraceRecord` views only for the
+    rows they return.  A view renders a lazy detail on its first read and
+    caches it on itself; the store keeps the renderer and its arguments
+    until the row is evicted or cleared, so a view built by a later query
+    renders afresh.
+
+    **Counters fold on read.**  The hub that installs a store binds it to
+    its ``(category, source)`` pair table and counts nothing per record;
+    :meth:`fold` adds the rows written since the last fold, at C speed, when
+    someone reads the counters.  A store folds into the table of the hub (or
+    fabric) it was last installed in.
     """
+
+    #: Rows kept before the oldest is overwritten; ``None`` keeps every row.
+    capacity: Optional[int] = None
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
-        self._by_category: Dict[str, List[TraceRecord]] = {}
-        self._by_source: Dict[str, List[TraceRecord]] = {}
-        self._indexed_upto = 0
-
-    def accept(self, record: TraceRecord) -> None:
-        # One list append on the hot path; the indexes catch up lazily on
-        # the next query (queries happen between runs, not per frame).
-        self._records.append(record)
-
-    def _refresh_index(self) -> None:
-        records = self._records
-        upto = self._indexed_upto
-        total = len(records)
-        if upto == total:
-            return
-        by_category = self._by_category
-        by_source = self._by_source
-        for index in range(upto, total):
-            record = records[index]
-            bucket = by_category.get(record.category)
-            if bucket is None:
-                bucket = by_category[record.category] = []
-            bucket.append(record)
-            bucket = by_source.get(record.source)
-            if bucket is None:
-                bucket = by_source[record.source] = []
-            bucket.append(record)
-        self._indexed_upto = total
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first (a copy)."""
-        return list(self._records)
-
-    def _candidates(
-        self, category: Optional[str], source: Optional[str]
-    ) -> List[TraceRecord]:
-        """The smallest index list guaranteed to contain every match."""
-        self._refresh_index()
-        if category is not None and source is not None:
-            by_category = self._by_category.get(category, [])
-            by_source = self._by_source.get(source, [])
-            return by_category if len(by_category) <= len(by_source) else by_source
-        if category is not None:
-            return self._by_category.get(category, [])
-        if source is not None:
-            return self._by_source.get(source, [])
-        return self._records
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        source: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[TraceRecord]:
-        """Return records matching every provided criterion."""
-        selected = []
-        for entry in self._candidates(category, source):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            if since is not None and entry.time < since:
-                continue
-            if until is not None and entry.time > until:
-                continue
-            selected.append(entry)
-        return selected
-
-    def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
-        """Number of retained records matching the criteria."""
-        if category is None and source is None:
-            return len(self._records)
-        self._refresh_index()
-        if source is None:
-            return len(self._by_category.get(category, []))
-        if category is None:
-            return len(self._by_source.get(source, []))
-        return len(self.filter(category=category, source=source))
-
-    def last(
-        self, category: Optional[str] = None, source: Optional[str] = None
-    ) -> Optional[TraceRecord]:
-        """The most recent record matching the criteria, if any."""
-        for entry in reversed(self._candidates(category, source)):
-            if category is not None and entry.category != category:
-                continue
-            if source is not None and entry.source != source:
-                continue
-            return entry
-        return None
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._by_category.clear()
-        self._by_source.clear()
-        self._indexed_upto = 0
-
-
-class RingBufferSink(TraceSink):
-    """Keeps only the newest ``capacity`` records (bounded memory).
-
-    Records are kept as parallel columns, not as :class:`TraceRecord`
-    objects: time, source, category, detail, seq, the first two emit
-    arguments (flattened) and the argument count.  A longer argument tuple
-    is stored whole in the first argument column.  The columns grow to
-    ``capacity`` and are then overwritten in place, oldest slot first; every
-    write replaces both argument cells, so an evicted record keeps nothing
-    alive.  A retained record is thus floats, strings, small integers and a
-    shared renderer: it adds no object the cyclic garbage collector tracks,
-    beyond the objects its arguments name (frames, interfaces).
-
-    Iteration, :attr:`records`, :meth:`filter` and :meth:`last` build
-    :class:`TraceRecord` views, oldest first.  A view renders a lazy detail
-    on its first read and caches it; the ring keeps the renderer and its
-    arguments, so a view built by a later query renders afresh.
-    :attr:`evicted` counts records that have fallen off the old end.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("ring buffer capacity must be positive")
-        self.capacity = int(capacity)
-        self._times: List[float] = []
-        self._sources: List[str] = []
-        self._categories: List[str] = []
-        self._details: List[DetailSource] = []
-        self._seqs: List[Optional[int]] = []
-        self._first_args: list = []
-        self._second_args: list = []
-        self._arg_counts: List[int] = []
-        # The oldest record's slot once the columns are full (and so the
-        # next one to overwrite); 0 while they are still growing.
-        self._oldest = 0
+        self._rows: list = []
+        # Row n lives at cell (n % _modulus) * _WIDTH: a ring wraps, an
+        # unbounded store never does.
+        self._modulus = sys.maxsize
+        self._cells: Optional[int] = None
+        #: Rows that have fallen off the old end (always 0 when unbounded).
         self.evicted = 0
+        # A ring's write cell once it is full: the oldest row's.
+        self._head = 0
+        # The pair table rows fold into, and the rows already folded.
+        self._pairs: Optional[Dict[Tuple[str, str], int]] = None
+        self._folded = 0
+        # Lazy indexes: field offset -> ({value: ascending row numbers},
+        # rows indexed so far).
+        self._indexes: Dict[int, list] = {}
 
-    def store(
-        self,
-        time: float,
-        source: str,
-        category: str,
-        detail: DetailSource,
-        seq: Optional[int],
-        args: tuple,
-    ) -> None:
-        """Retain one record given as fields (the hub's emit store path)."""
-        count = len(args)
-        if count == 1:
-            first = args[0]
-            second = None
-        elif count == 2:
-            first, second = args
-        elif count == 0:
-            first = second = None
-        else:
-            first = args
-            second = None
-        times = self._times
-        if len(times) < self.capacity:
-            times.append(time)
-            self._sources.append(source)
-            self._categories.append(category)
-            self._details.append(detail)
-            self._seqs.append(seq)
-            self._first_args.append(first)
-            self._second_args.append(second)
-            self._arg_counts.append(count)
+    # ------------------------------------------------------------------
+    # Writing
+    # ------------------------------------------------------------------
+
+    def _writer(self) -> Callable[[tuple], None]:
+        """The one-call row writer behind the hub's emit store path."""
+        return self._rows.extend if self._cells is None else self._write
+
+    def _write(self, row: tuple) -> None:
+        rows = self._rows
+        cells = self._cells
+        if cells is None or len(rows) < cells:
+            rows.extend(row)
             return
-        slot = self._oldest
-        times[slot] = time
-        self._sources[slot] = source
-        self._categories[slot] = category
-        self._details[slot] = detail
-        self._seqs[slot] = seq
-        self._first_args[slot] = first
-        self._second_args[slot] = second
-        self._arg_counts[slot] = count
-        slot += 1
-        self._oldest = 0 if slot == self.capacity else slot
+        head = self._head
+        if not head and self._pairs is not None:
+            # The lap fold: count every row before this lap overwrites it.
+            self.fold()
+        rows[head:head + _WIDTH] = row
+        head += _WIDTH
+        self._head = 0 if head == cells else head
         self.evicted += 1
 
     def accept(self, record: TraceRecord) -> None:
-        self.store(
-            record.time,
-            record.source,
-            record.category,
-            record._detail,
-            record.seq,
-            record._args,
+        self._write(
+            _row(
+                record.time,
+                record.source,
+                record.category,
+                record._detail,
+                record.seq,
+                record.shard,
+                record._args,
+            )
         )
 
-    def _view(self, slot: int) -> TraceRecord:
-        """A :class:`TraceRecord` for the record in ``slot``."""
-        count = self._arg_counts[slot]
-        if count == 0:
-            args: tuple = ()
-        elif count == 1:
-            args = (self._first_args[slot],)
-        elif count == 2:
-            args = (self._first_args[slot], self._second_args[slot])
-        else:
-            args = self._first_args[slot]
-        return TraceRecord(
-            self._times[slot],
-            self._sources[slot],
-            self._categories[slot],
-            self._details[slot],
-            self._seqs[slot],
-            args,
-        )
+    # ------------------------------------------------------------------
+    # Row numbers and cells
+    # ------------------------------------------------------------------
 
-    def _slots(self, newest_first: bool = False) -> Iterable[int]:
-        """Slot indices in emission order (or reversed)."""
-        oldest = self._oldest
-        size = len(self._times)
-        if newest_first:
-            return chain(range(oldest - 1, -1, -1), range(size - 1, oldest - 1, -1))
-        return chain(range(oldest, size), range(oldest))
+    def _end(self) -> int:
+        """One past the newest row's number."""
+        return self.evicted + len(self._rows) // _WIDTH
+
+    def _spans(self, first: int, end: int) -> tuple:
+        """Cell ranges holding rows ``first`` to ``end - 1``, oldest first."""
+        if first >= end:
+            return ()
+        start = (first % self._modulus) * _WIDTH
+        stop = start + (end - first) * _WIDTH
+        cells = self._cells
+        if cells is None or stop <= cells:
+            return ((start, stop),)
+        return ((start, cells), (0, stop - cells))
+
+    def _field(self, offset: int, start: int, stop: int) -> Iterator:
+        """One field of the rows in cells ``start`` to ``stop``, without a copy."""
+        return map(self._rows.__getitem__, range(start + offset, stop, _WIDTH))
+
+    # ------------------------------------------------------------------
+    # Counters
+    # ------------------------------------------------------------------
+
+    def _bind(self, pairs: Dict[Tuple[str, str], int]) -> None:
+        """Fold into ``pairs`` from the next row on."""
+        if self._pairs is pairs:
+            return
+        self.fold()
+        self._pairs = pairs
+        self._folded = self._end()
+
+    def _unbind(self, pairs: Dict[Tuple[str, str], int]) -> None:
+        """Stop folding into ``pairs`` once every row owed to it is in."""
+        if self._pairs is pairs:
+            self.fold()
+            self._pairs = None
+
+    def fold(self) -> None:
+        """Count the rows written since the last fold into the bound table.
+
+        Pairs enter the table in first-seen emission order.
+        """
+        pairs = self._pairs
+        end = self._end()
+        if pairs is None or self._folded == end:
+            return
+        fresh: Counter = Counter()
+        for start, stop in self._spans(self._folded, end):
+            fresh.update(
+                zip(self._field(_CATEGORY, start, stop), self._field(_SOURCE, start, stop))
+            )
+        for pair, n in fresh.items():
+            pairs[pair] = pairs.get(pair, 0) + n
+        self._folded = end
+
+    def recount(self) -> None:
+        """Fold every retained row again (its table was cleared)."""
+        self._folded = self.evicted
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+
+    def _index(self, offset: int) -> Dict[Any, List[int]]:
+        """``{value: ascending retained row numbers}`` for one field."""
+        entry = self._indexes.get(offset)
+        if entry is None:
+            entry = self._indexes[offset] = [{}, 0]
+        index, indexed = entry
+        end = self._end()
+        oldest = self.evicted
+        first = max(indexed, oldest)
+        for start, stop in self._spans(first, end):
+            numbers = count_from(first)
+            for value, number in zip(self._field(offset, start, stop), numbers):
+                bucket = index.get(value)
+                if bucket is None:
+                    bucket = index[value] = []
+                bucket.append(number)
+            first += (stop - start) // _WIDTH
+        entry[1] = end
+        if oldest:
+            for bucket in index.values():
+                if bucket and bucket[0] < oldest:
+                    del bucket[: bisect_left(bucket, oldest)]
+        return index
+
+    def _candidates(self, category: Optional[str], source: Optional[str]):
+        """Ascending numbers of the rows that can match; exact for one criterion."""
+        if category is None and source is None:
+            return range(self.evicted, self._end())
+        if category is None:
+            return self._index(_SOURCE).get(source, ())
+        by_category = self._index(_CATEGORY).get(category, ())
+        if source is None:
+            return by_category
+        by_source = self._index(_SOURCE).get(source, ())
+        return by_category if len(by_category) <= len(by_source) else by_source
 
     def _matches(
         self,
         category: Optional[str],
         source: Optional[str],
-        since: Optional[float] = None,
-        until: Optional[float] = None,
+        since: Optional[float],
+        until: Optional[float],
         newest_first: bool = False,
     ) -> Iterator[int]:
-        """Slots of the retained records matching every provided criterion."""
-        times = self._times
-        sources = self._sources
-        categories = self._categories
-        for slot in self._slots(newest_first):
-            if category is not None and categories[slot] != category:
+        candidates = self._candidates(category, source)
+        if newest_first:
+            candidates = reversed(candidates)
+        rows = self._rows
+        modulus = self._modulus
+        for number in candidates:
+            cell = (number % modulus) * _WIDTH
+            if category is not None and rows[cell + _CATEGORY] != category:
                 continue
-            if source is not None and sources[slot] != source:
+            if source is not None and rows[cell + _SOURCE] != source:
                 continue
-            if since is not None and times[slot] < since:
+            if since is not None and rows[cell + _TIME] < since:
                 continue
-            if until is not None and times[slot] > until:
+            if until is not None and rows[cell + _TIME] > until:
                 continue
-            yield slot
+            yield number
+
+    def select(
+        self,
+        category: Optional[str] = None,
+        source: Optional[str] = None,
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+    ) -> List[int]:
+        """Numbers of the retained rows matching every criterion, oldest first."""
+        if (category is None or source is None) and since is None and until is None:
+            return list(self._candidates(category, source))
+        return list(self._matches(category, source, since, until))
+
+    def column(self, field: str, numbers: Iterable[int]) -> list:
+        """One field (a name in :data:`FIELDS`) of the given rows."""
+        offset = FIELDS.index(field)
+        rows = self._rows
+        modulus = self._modulus
+        return [rows[(number % modulus) * _WIDTH + offset] for number in numbers]
+
+    def view(self, number: int) -> TraceRecord:
+        """A :class:`TraceRecord` for the retained row ``number``."""
+        cell = (number % self._modulus) * _WIDTH
+        time, source, category, detail, seq, shard, first, second, count = (
+            self._rows[cell:cell + _WIDTH]
+        )
+        if count == 1:
+            args: tuple = (first,)
+        elif count == 2:
+            args = (first, second)
+        elif count == 0:
+            args = ()
+        else:
+            args = first
+        return TraceRecord(time, source, category, detail, seq, args, shard)
 
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._rows) // _WIDTH
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        """Views of the rows retained when iteration starts, oldest first."""
+        return map(self.view, range(self.evicted, self._end()))
 
     @property
     def records(self) -> List[TraceRecord]:
         """Views of the retained records, oldest first (a new list)."""
-        return [self._view(slot) for slot in self._slots()]
+        return list(self)
 
     def filter(
         self,
@@ -550,39 +529,83 @@ class RingBufferSink(TraceSink):
         since: Optional[float] = None,
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
-        """Records in the retained window matching every provided criterion."""
-        return [
-            self._view(slot) for slot in self._matches(category, source, since, until)
-        ]
+        """Views of the retained records matching every provided criterion."""
+        return list(map(self.view, self.select(category, source, since, until)))
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
         """Number of retained records matching the criteria."""
-        if category is None and source is None:
-            return len(self._times)
-        return sum(1 for _slot in self._matches(category, source))
+        if category is None or source is None:
+            return len(self._candidates(category, source))
+        return sum(1 for _number in self._matches(category, source, None, None))
 
     def last(
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        for slot in self._matches(category, source, newest_first=True):
-            return self._view(slot)
+        for number in self._matches(category, source, None, None, newest_first=True):
+            return self.view(number)
         return None
 
+    # ------------------------------------------------------------------
+    # Bulk access (the process backend ships unbounded stores' rows home)
+    # ------------------------------------------------------------------
+
+    def rows_from(self, first: int) -> List[tuple]:
+        """Rows ``first`` onwards as ``(time, source, category, detail, seq, ())``.
+
+        Lazy details are rendered and the arguments dropped, so the rows
+        pickle without the frames a renderer's arguments reference.
+        """
+        rows = self._rows
+        out = []
+        for number in range(first, self._end()):
+            cell = (number % self._modulus) * _WIDTH
+            time, source, category, detail, seq = rows[cell:cell + _SHARD]
+            if callable(detail):
+                detail = self.view(number).detail
+            out.append((time, source, category, detail, seq, ()))
+        return out
+
+    def truncate(self, length: int) -> None:
+        """Drop every row from ``length`` on (an unbounded store)."""
+        del self._rows[length * _WIDTH:]
+        self._folded = min(self._folded, length)
+        self._indexes.clear()
+
+    def extend(self, entries: Iterable[tuple], shard: Optional[int]) -> None:
+        """Append rows in the :meth:`rows_from` form, emitted by ``shard``."""
+        for time, source, category, detail, seq, args in entries:
+            self._write(_row(time, source, category, detail, seq, shard, args))
+
     def clear(self) -> None:
-        for column in (
-            self._times,
-            self._sources,
-            self._categories,
-            self._details,
-            self._seqs,
-            self._first_args,
-            self._second_args,
-            self._arg_counts,
-        ):
-            column.clear()
-        self._oldest = 0
+        """Drop every row; rows not yet counted are folded in first."""
+        self.fold()
+        # Cleared in place: the hub holds this list's bound ``extend``.
+        self._rows.clear()
         self.evicted = 0
+        self._head = 0
+        self._folded = 0
+        self._indexes.clear()
+
+
+class RingBufferSink(ListSink):
+    """The trace store with a capacity: only the newest ``capacity`` records.
+
+    The rows grow to ``capacity`` and are then overwritten in place, oldest
+    first; every write replaces every cell of the row, so an evicted record
+    keeps nothing alive.  Before a lap starts overwriting, the ring folds
+    its rows into the hub's counters, so the live counters still see every
+    record ever emitted.  :attr:`evicted` counts records that have fallen
+    off the old end.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("ring buffer capacity must be positive")
+        super().__init__()
+        self.capacity = int(capacity)
+        self._modulus = self.capacity
+        self._cells = self.capacity * _WIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -598,28 +621,48 @@ class TraceRecorder:
         sinks: initial sinks; defaults to a single :class:`ListSink`, which
             preserves the historical "append-only, filterable list" API
             (iteration, :meth:`filter`, :meth:`last`).
+        seq: a sharded fabric's shared emission counter, stamped onto every
+            record as :attr:`TraceRecord.seq`; ``None`` on a plain recorder.
+        counters: a sharded fabric's shared counters; by default the hub
+            keeps its own.
+        shard: the index of the fabric shard this recorder belongs to.
 
-    Queries (:meth:`filter`, :meth:`last`, iteration) are served by the first
-    queryable sink (:class:`ListSink` or :class:`RingBufferSink`);
-    :meth:`count` and :meth:`__len__` are served by the always-on internal
-    :class:`CountingSink` (:attr:`counters`) and are therefore O(1) and
+    Queries (:meth:`filter`, :meth:`last`, iteration) are served by the
+    first store installed (:attr:`store`).  :meth:`count` and
+    :meth:`__len__` are served by the live :attr:`counters` and are
     independent of which sinks are installed.
 
-    When a :class:`RingBufferSink` is the only sink and no listener is
-    registered, :meth:`emit` hands the record's fields straight to the ring
-    (:meth:`RingBufferSink.store`), builds no :class:`TraceRecord` and
-    returns ``None``.
+    **The store path.**  When a store is the only sink and no listener is
+    registered, :meth:`emit` writes one row into it and returns ``None``;
+    this covers every default configuration.  Otherwise (several sinks, a
+    listener) :meth:`emit` builds a :class:`TraceRecord`, hands it to each
+    sink and listener and returns it.  Either way the counters fold the
+    store's rows in when read; a hub with no store counts each record as it
+    is emitted.
     """
 
-    def __init__(self, clock: Clock, sinks: Optional[Iterable[TraceSink]] = None) -> None:
+    def __init__(
+        self,
+        clock: Clock,
+        sinks: Optional[Iterable[TraceSink]] = None,
+        seq: Optional[Iterator[int]] = None,
+        counters: Optional[CountingSink] = None,
+        shard: Optional[int] = None,
+    ) -> None:
         self._clock = clock
         self._enabled = True
         self._listeners: List[Callable[[TraceRecord], None]] = []
         self._disabled_categories: set = set()
-        self.counters = CountingSink()
+        self._counters = counters if counters is not None else CountingSink()
+        self._pairs = self._counters.by_category_source
+        self._next_seq = seq.__next__ if seq is not None else None
+        self._shard = shard
+        # Set by a sharded fabric: folds every shard's store, since the
+        # counters are fabric-wide.
+        self._fold_all: Optional[Callable[[], None]] = None
         self._sinks: List[TraceSink] = list(sinks) if sinks is not None else [ListSink()]
-        self._primary: Optional[TraceSink] = None
-        self._store: Optional[Callable[..., None]] = None
+        self._store: Optional[ListSink] = None
+        self._write: Optional[Callable[[tuple], None]] = None
         self._refresh_dispatch()
 
     # ------------------------------------------------------------------
@@ -627,19 +670,33 @@ class TraceRecorder:
     # ------------------------------------------------------------------
 
     def _refresh_dispatch(self) -> None:
-        """Re-derive the query sink and the emit store path."""
+        """Re-derive the query store and the emit path.
+
+        A store that stops being this hub's folds what it owes first.
+        """
         sinks = self._sinks
-        self._primary = next((sink for sink in sinks if hasattr(sink, "filter")), None)
-        sole = sinks[0] if len(sinks) == 1 else None
-        if type(sole) is RingBufferSink and not self._listeners:
-            self._store = sole.store
+        store = next((sink for sink in sinks if isinstance(sink, ListSink)), None)
+        old = self._store
+        if store is not old:
+            if old is not None:
+                old._unbind(self._pairs)
+            if store is not None:
+                store._bind(self._pairs)
+            self._store = store
+        if store is not None and len(sinks) == 1 and not self._listeners:
+            self._write = store._writer()
         else:
-            self._store = None
+            self._write = None
 
     @property
     def sinks(self) -> Tuple[TraceSink, ...]:
         """The installed sinks, in dispatch order."""
         return tuple(self._sinks)
+
+    @property
+    def store(self) -> Optional[ListSink]:
+        """The store queries read (the first one installed), if any."""
+        return self._store
 
     def add_sink(self, sink: TraceSink) -> TraceSink:
         """Install an additional sink and return it."""
@@ -720,26 +777,51 @@ class TraceRecorder:
         ``detail(*args)`` only when some consumer reads
         :attr:`TraceRecord.detail`.  Frame-path producers pass a shared
         module-level renderer and its arguments, never a per-record closure.
-        Returns the record, or ``None`` when it was gated off or went down
-        the ring store path (see the class docstring).
+        Returns the record on the record path, ``None`` when it was gated
+        off or went down the store path (see the class docstring).
         """
         if not self._enabled or category in self._disabled_categories:
             return None
-        # Inline the internal counter update: this runs for every record and
-        # a method call per record is measurable on the frame hot path.
-        pair = (category, source)
-        by_pair = self.counters.by_category_source
-        by_pair[pair] = by_pair.get(pair, 0) + 1
-        store = self._store
-        if store is not None:
-            store(self._clock._now_s, source, category, detail, None, args)
-            return None
-        entry = TraceRecord(self._clock._now_s, source, category, detail, None, args)
-        for sink in self._sinks:
-            sink.accept(entry)
-        for listener in self._listeners:
-            listener(entry)
-        return entry
+        write = self._write
+        if write is None:
+            # The record path: one record for every sink and listener.  A
+            # hub with a store counts its rows on read; one without counts here.
+            if self._store is None:
+                pair = (category, source)
+                pairs = self._pairs
+                pairs[pair] = pairs.get(pair, 0) + 1
+            next_seq = self._next_seq
+            entry = TraceRecord(
+                self._clock._now_s, source, category, detail,
+                None if next_seq is None else next_seq(), args, self._shard,
+            )
+            for sink in self._sinks:
+                sink.accept(entry)
+            for listener in self._listeners:
+                listener(entry)
+            return entry
+        # The store path: one row, flattened as _row() does it (inlined, as
+        # this runs for every record on the frame hot path).
+        count = len(args)
+        if count == 1:
+            first = args[0]
+            second = None
+        elif count == 2:
+            first, second = args
+        elif count == 0:
+            first = second = None
+        else:
+            first = args
+            second = None
+        next_seq = self._next_seq
+        write(
+            (
+                self._clock._now_s, source, category, detail,
+                None if next_seq is None else next_seq(), self._shard,
+                first, second, count,
+            )
+        )
+        return None
 
     def record(self, source: str, category: str, **detail: Any) -> Optional[TraceRecord]:
         """Back-compat eager form of :meth:`emit` (keyword arguments as detail)."""
@@ -749,15 +831,24 @@ class TraceRecorder:
     # Queries
     # ------------------------------------------------------------------
 
+    @property
+    def counters(self) -> CountingSink:
+        """The live ``(category, source)`` counters, folded up to date."""
+        if self._fold_all is not None:
+            self._fold_all()
+        elif self._store is not None:
+            self._store.fold()
+        return self._counters
+
     def __len__(self) -> int:
         """Total records captured since construction / the last :meth:`clear`."""
         return self.counters.total
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        """Iterate the records retained by the primary queryable sink."""
-        if self._primary is None:
+        """Iterate the records retained by the store."""
+        if self._store is None:
             return iter(())
-        return iter(self._primary)  # type: ignore[arg-type]
+        return iter(self._store)
 
     def filter(
         self,
@@ -766,27 +857,25 @@ class TraceRecorder:
         since: Optional[float] = None,
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
-        """Records retained by the primary sink matching every criterion."""
-        if self._primary is None:
+        """Records retained by the store matching every criterion."""
+        if self._store is None:
             return []
-        return self._primary.filter(  # type: ignore[union-attr]
-            category=category, source=source, since=since, until=until
-        )
+        return self._store.filter(category, source, since, until)
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
-        """Number of records captured matching the criteria (O(1), live)."""
+        """Number of records captured matching the criteria (live)."""
         return self.counters.count(category=category, source=source)
 
     def last(
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        if self._primary is None:
+        if self._store is None:
             return None
-        return self._primary.last(category=category, source=source)  # type: ignore[union-attr]
+        return self._store.last(category, source)
 
     def clear(self) -> None:
         """Drop all captured records and reset the live counters."""
-        self.counters.clear()
         for sink in self._sinks:
             sink.clear()
+        self._counters.clear()

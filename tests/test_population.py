@@ -33,6 +33,7 @@ from repro.population import (
 from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.shard import ShardQueue
+from repro.sim.trace import ListSink, RingBufferSink
 from repro.sim.wheel import TimerWheel
 
 SMALL_OFFICE = {"floors": 2, "hosts_per_floor": 6, "duration": 0.3}
@@ -211,6 +212,21 @@ class TestPopulationTraffic:
         assert all(rtt > 0 for rtt in rtts)
         pool = traffic.pool_statistics()
         assert pool["hits"] > 0
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [ListSink, lambda: RingBufferSink(10**6)],
+        ids=["ListSink", "RingBufferSink"],
+    )
+    def test_shared_store_rtts_match_per_shard_buffers(self, make_store):
+        params = {"floors": 4, "hosts_per_floor": 20, "duration": 0.2, "traffic_seed": 1}
+        _run, per_shard = _drive("population/office", params, shards=2)
+        _run, shared = _drive(
+            "population/office", params, shards=2, trace_sinks=[make_store()]
+        )
+        expected = per_shard.service_rtts()
+        assert len(expected) == per_shard.traffic_statistics()["responses_received"] > 0
+        assert shared.service_rtts() == expected
 
     def test_unknown_traffic_axis_rejected(self):
         run = run_scenario("population/office", params=SMALL_OFFICE)

@@ -30,7 +30,7 @@ from repro.scenario import (
 from repro.sim.engine import Simulator
 from repro.sim.fabric import ShardedSimulator
 from repro.sim.shard import ShardQueue
-from repro.sim.trace import CounterWindow, RingBufferSink
+from repro.sim.trace import CounterWindow, ListSink, RingBufferSink
 import itertools
 
 
@@ -336,6 +336,28 @@ class TestFabricTrace:
             shard.trace.emit(f"s{index}", "boot")
         assert [record.source for record in ring] == ["s0", "s1"]
         assert list(fabric.trace)[0].source == "s0"
+
+    @pytest.mark.parametrize(
+        "make_store",
+        [ListSink, lambda: RingBufferSink(10**6)],
+        ids=["ListSink", "RingBufferSink"],
+    )
+    def test_shared_store_merges_like_per_shard_buffers(self, make_store):
+        # One store shared by every shard recorder holds each record once;
+        # its rows carry the emitting shard, so the canonical merge returns
+        # each record once, in the order per-shard buffers give.
+        def keyed(records):
+            return [(r.time, r.source, r.category, r.seq, r.shard, r.detail) for r in records]
+
+        per_shard = run_scenario("pair/active-bridge", shards=2)
+        shared = run_scenario("pair/active-bridge", shards=2, trace_sinks=[make_store()])
+        for run in (per_shard, shared):
+            run.warm_up()
+        trace = shared.sim.trace
+        records = trace.canonical_records()
+        assert len(records) == len(trace) == len(list(trace)) == len(trace.filter()) > 0
+        assert keyed(records) == keyed(per_shard.sim.trace.canonical_records())
+        assert keyed(trace.merged_records()) == keyed(per_shard.sim.trace.merged_records())
 
     def test_clear_resets_everything(self):
         fabric = self._emitting_fabric()

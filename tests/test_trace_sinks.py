@@ -3,8 +3,9 @@
 Covers the refactored instrumentation hot path: per-category gating, lazy
 detail rendering (a shared renderer plus arguments, with a garbage-collector
 budget per retained record), the sink implementations (list, ring buffer,
-counting, null; the columnar ring is checked against a reference ring on
-every write path), live-counter windows, the event queue's live counter and
+counting, null; every store, and the counters folded from it, is checked
+against a reference deque of records on every write path), live-counter
+windows, the event queue's live counter and
 lazy compaction, and the determinism guarantee (same seed, same trace) with
 sinks swapped.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +125,8 @@ class TestLazyDetail:
             calls.append(1)
             return {"value": 7}
 
-        record = sim.trace.emit("a", "lazy", render)
+        sim.trace.emit("a", "lazy", render)
+        record = sim.trace.last()
         assert not record.detail_is_rendered
         assert calls == []
         assert record.detail == {"value": 7}
@@ -133,10 +135,12 @@ class TestLazyDetail:
         assert record.detail_is_rendered
 
     def test_none_and_dict_details(self, sim):
-        empty = sim.trace.emit("a", "bare")
+        sim.trace.emit("a", "bare")
+        empty = sim.trace.last()
         assert empty.detail_is_rendered
         assert empty.detail == {}
-        eager = sim.trace.emit("a", "eager", {"k": 1})
+        sim.trace.emit("a", "eager", {"k": 1})
+        eager = sim.trace.last()
         assert eager.detail_is_rendered
         assert eager.detail == {"k": 1}
 
@@ -162,8 +166,7 @@ def _trace_of(kind):
     if kind == "plain":
         return Simulator().trace
     if kind == "shard-fast":
-        # No caller sinks: shard recorders keep flat tuples, records
-        # materialize on the first query.
+        # No caller sinks: each shard recorder writes its own store.
         return ShardedSimulator(shards=2).trace
     return ShardedSimulator(shards=2, trace_sinks=[ListSink()]).trace
 
@@ -173,6 +176,14 @@ EMITTERS = ("plain", "shard-fast", "shard-sinks")
 
 class _Payload:
     """An emit argument the tests can watch being released."""
+
+
+def _holds(record, target):
+    """Whether ``record`` references ``target``, directly or in a tuple."""
+    return any(
+        ref is target or (type(ref) is tuple and any(item is target for item in ref))
+        for ref in gc.get_referents(record)
+    )
 
 
 class TestRendererWithArguments:
@@ -208,15 +219,17 @@ class TestRendererWithArguments:
         alive = weakref.ref(payload)
         trace.emit("a", "lazy", render, payload)
         record = trace.last(category="lazy")
+        assert _holds(record, payload)  # the unrendered view holds its argument
         del payload
-        assert alive() is not None  # the unrendered record holds its argument
         assert record.detail == {"kind": "_Payload"}
         assert record.detail == {"kind": "_Payload"}
         assert calls == [1]
-        if kind != "shard-fast":
-            # (A fast-path shard also keeps the emitted tuple, which holds
-            # the arguments for as long as the stream is retained.)
-            assert alive() is None
+        # The rendered view drops its own reference to the argument, while
+        # the store keeps it for as long as it retains the row.
+        assert not _holds(record, alive())
+        assert alive() is not None
+        trace.clear()
+        assert alive() is None
 
     @pytest.mark.parametrize("kind", EMITTERS)
     def test_zero_argument_callable_is_the_no_args_case(self, kind):
@@ -303,28 +316,27 @@ class TestPinnedFramePathDetails:
 
 
 class TestRetainedRecordGcBudget:
-    """What a retained frame-path record costs the cyclic collector.
+    """What a retained frame-path record costs the cyclic collector: nothing.
 
-    In a :class:`ListSink`, two objects: the record and its argument tuple (a
-    per-record closure added a function, a closure tuple and one cell per
-    captured variable).  In a :class:`RingBufferSink`, none: the ring keeps
-    fields in columns and flattens up to two arguments.  Every object a
-    retained record holds is rescanned at each full collection, and their
-    growth is what triggers full collections in the first place.
+    Every store keeps a record as one row of a flat list: floats, strings,
+    small integers, the shared renderer and up to two flattened arguments
+    (a per-record closure added a function, a closure tuple and one cell per
+    captured variable).  Every object a retained record holds is rescanned
+    at each full collection, and their growth is what triggers full
+    collections in the first place.
     """
 
     FRAMES = 400
 
-    @pytest.mark.parametrize(
-        "make_sink, budget",
-        [(ListSink, 2.0), (lambda: RingBufferSink(capacity=1 << 20), 0.05)],
-        ids=["ListSink", "RingBufferSink"],
-    )
-    def test_each_retained_record_adds_at_most_two_tracked_objects(
-        self, make_sink, budget
-    ):
-        sink = make_sink()
-        sim = Simulator(trace_sinks=[sink])
+    @pytest.mark.parametrize("engine", ["ListSink", "RingBufferSink", "shard"])
+    def test_no_tracked_object_per_row(self, engine):
+        if engine == "shard":
+            # A component on a fabric shard writes that shard's own stream.
+            sim = ShardedSimulator(shards=2).shards[0]
+        else:
+            sink = ListSink() if engine == "ListSink" else RingBufferSink(1 << 20)
+            sim = Simulator(trace_sinks=[sink])
+        store = sim.trace.store
         segment = Segment(sim, "lan")
         a = NetworkInterface(sim, "a", MacAddress.locally_administered(1))
         b = NetworkInterface(sim, "b", MacAddress.locally_administered(2))
@@ -339,22 +351,23 @@ class TestRetainedRecordGcBudget:
             )
             for index in range(self.FRAMES + 10)
         ]
+        run = sim.fabric.run if engine == "shard" else sim.run
         # Warm the path up first so free lists and caches are already full.
         for frame in frames[:10]:
             a.send(frame)
-        sim.run()
+        run()
         gc.collect()
         before_objects = len(gc.get_objects())
-        before_records = len(sink)
+        before_records = len(store)
         for frame in frames[10:]:
             a.send(frame)
-        sim.run()
+        run()
         gc.collect()
-        records = len(sink) - before_records
+        records = len(store) - before_records
         # nic.tx, segment.enqueue, segment.deliver and nic.rx per frame.
         assert records == 4 * self.FRAMES
         per_record = (len(gc.get_objects()) - before_objects) / records
-        assert per_record <= budget
+        assert per_record <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -429,123 +442,222 @@ class TestRingBufferSink:
         assert sim.trace.last().detail == {"n": 0}
 
 
-class _ReferenceRing:
-    """The ring the columnar store replaced: a ``deque(maxlen)`` of records."""
+class _ReferenceStore:
+    """What a store must retain, and what its hub must count.
+
+    A ``deque(maxlen)`` of records (unbounded for a plain ``ListSink``) and
+    the ``(category, source)`` pair counts kept inline per record, as a hub
+    that counted on emit did.
+    """
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.records = deque(maxlen=capacity)
         self.evicted = 0
+        self.pairs = Counter()
 
     def accept(self, record):
         if len(self.records) == self.capacity:
             self.evicted += 1
         self.records.append(record)
+        self.pairs[(record.category, record.source)] += 1
+
+    def at_lap_start(self):
+        """Whether the next record overwrites a ring's first slot."""
+        capacity = self.capacity
+        return (
+            capacity is not None
+            and len(self.records) == capacity
+            and self.evicted % capacity == 0
+        )
+
+    def count(self, category=None, source=None, pairs=None):
+        return sum(
+            n
+            for (c, s), n in (self.pairs if pairs is None else pairs).items()
+            if category in (None, c) and source in (None, s)
+        )
 
     def clear(self):
         self.records.clear()
         self.evicted = 0
+        self.pairs.clear()
 
 
 def _render_arguments(*args):
     return {"args": list(args)}
 
 
-#: One drawn operation: ``None`` clears the trace; otherwise
-#: (clock step ns, source, category, detail kind, argument count).
-_RING_OPS = st.lists(
-    st.one_of(
-        st.none(),
-        st.tuples(
-            st.sampled_from([0, 0, 1, 250]),
-            st.sampled_from(["a", "b"]),
-            st.sampled_from(["x", "y", "z"]),
-            st.sampled_from(["eager", "lazy", "absent"]),
-            st.integers(min_value=0, max_value=4),
-        ),
+#: Drawn emits: (clock step ns, source, category, detail kind, argument
+#: count, emitting shard).
+_EMITS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 1, 250]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["x", "y", "z"]),
+        st.sampled_from(["eager", "lazy", "absent"]),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=1),
     ),
     max_size=40,
 )
 
+#: What interrupts the emits, keyed by the emit it comes before: a counter
+#: read, an opened counter window, reads either side of a ring lap, or a
+#: clear.  Few interruptions leave long runs of emits that lap a ring
+#: between two reads.
+_INTERRUPTS = st.dictionaries(
+    st.integers(min_value=0, max_value=40),
+    st.one_of(
+        st.tuples(
+            st.just("read"),
+            st.sampled_from([None, "x", "y"]),
+            st.sampled_from([None, "a", "b"]),
+        ),
+        st.just(("window",)),
+        st.just(("lap",)),
+        st.just(("clear",)),
+    ),
+    max_size=6,
+)
+
 
 class TestRingMatchesReference:
-    """The columnar ring retains exactly what the deque of records did.
+    """Every store retains what a deque of records did; counters fold exactly.
 
-    Every write path is driven: the hub's emit store path (the ring is the
-    only sink), ``accept()`` from a hub with several sinks, ``accept()`` of
-    a record built because a listener is registered, and ``accept()`` from
-    a sharded fabric's recorders (which stamp ``seq``).
+    The store is a ``ListSink`` or a ring of capacity 1-8, written on every
+    path: the hub's emit store path (the store is the only sink),
+    ``accept()`` from a hub with several sinks, ``accept()`` of a record
+    built because a listener is registered, a sharded fabric's per-shard
+    streams, and one store shared by a fabric's shard recorders (which
+    stamp ``seq`` and ``shard``).  Counter reads land at random points,
+    either side of a ring lap and after clears.
     """
 
     @staticmethod
-    def _hub(path, ring):
-        if path == "shard":
-            fabric = ShardedSimulator(shards=2, trace_sinks=[ring])
-            return fabric.trace, fabric.clock
-        sim = Simulator(trace_sinks=[ring] if path != "sinks" else [ring, NullSink()])
+    def _hub(path, store):
+        """The trace under test, its clock and the recorders that emit."""
+        if path in ("shard", "shared"):
+            fabric = ShardedSimulator(
+                shards=2, trace_sinks=[store] if path == "shared" else None
+            )
+            return fabric.trace, fabric.clock, [shard.trace for shard in fabric.shards]
+        sim = Simulator(trace_sinks=[store] if path != "sinks" else [store, NullSink()])
         if path == "listener":
             sim.trace.add_listener(lambda record: None)
-        return sim.trace, sim.clock
+        return sim.trace, sim.clock, [sim.trace]
 
     @given(
-        capacity=st.integers(min_value=1, max_value=8),
-        path=st.sampled_from(["store", "sinks", "listener", "shard"]),
-        ops=_RING_OPS,
+        capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        path=st.sampled_from(["store", "sinks", "listener", "shard", "shared"]),
+        emits=_EMITS,
+        interrupts=_INTERRUPTS,
     )
-    @settings(max_examples=120, deadline=None)
-    def test_queries_match_a_deque_of_records(self, capacity, path, ops):
-        ring = RingBufferSink(capacity)
-        reference = _ReferenceRing(capacity)
-        trace, clock = self._hub(path, ring)
+    @settings(max_examples=200, deadline=None)
+    def test_queries_match_a_deque_of_records(self, capacity, path, emits, interrupts):
+        if path == "shard":
+            capacity = None  # a shard's own stream is unbounded
+        store = ListSink() if capacity is None else RingBufferSink(capacity)
+        reference = _ReferenceStore(capacity)
+        trace, clock, recorders = self._hub(path, store)
+        fabric = path in ("shard", "shared")
+        windows = []
         emitted = 0
-        for op in ops:
-            if op is None:
-                trace.clear()
-                reference.clear()
-                continue
-            step, source, category, kind, nargs = op
+
+        def emit(step=0, source="a", category="x", kind="absent", nargs=0, shard=0):
+            nonlocal emitted
             clock.advance_to_ns(clock.now_ns + step)
             args = tuple(range(emitted, emitted + nargs))
             detail = {
                 "eager": {"value": emitted}, "lazy": _render_arguments, "absent": None,
             }[kind]
-            returned = trace.emit(source, category, detail, *args)
-            assert (returned is None) == (path == "store")
-            seq = emitted if path == "shard" else None
+            shard = shard if fabric else None
+            recorder = recorders[shard or 0]
+            returned = recorder.emit(source, category, detail, *args)
+            assert (returned is None) == (path not in ("sinks", "listener"))
+            seq = emitted if fabric else None
             reference.accept(
-                TraceRecord(clock.now, source, category, detail, seq, args)
+                TraceRecord(clock.now, source, category, detail, seq, args, shard)
             )
             emitted += 1
 
+        def read(category=None, source=None):
+            assert trace.count(category=category, source=source) == reference.count(
+                category, source
+            )
+            assert len(trace) == reference.count()
+            pairs = trace.counters.by_category_source
+            if path == "shard":
+                # Per-shard streams fold shard by shard.
+                assert dict(pairs) == dict(reference.pairs)
+            else:
+                # One store folds in emission order: pairs stay first-seen.
+                assert list(pairs.items()) == list(reference.pairs.items())
+            for window, opened in windows:
+                assert window.count(category=category, source=source) == (
+                    reference.count(category, source)
+                    - reference.count(category, source, pairs=opened)
+                )
+
+        def interrupt(kind, *criteria):
+            if kind == "read":
+                read(*criteria)
+            elif kind == "window":
+                windows.append((CounterWindow(trace), Counter(reference.pairs)))
+            elif kind == "lap":
+                if capacity is not None:
+                    while not reference.at_lap_start():
+                        emit()
+                read()
+                emit(source="b", category="y")
+                read()
+            else:
+                trace.clear()
+                reference.clear()
+                read()
+
+        for position in range(max(len(emits), *interrupts, 0) + 1):
+            if position in interrupts:
+                interrupt(*interrupts[position])
+            if position < len(emits):
+                emit(*emits[position])
+        read()
+
         def keyed(records):
             return [
-                (r.time, r.source, r.category, r.seq, r.detail) for r in records
+                (r.time, r.source, r.category, r.seq, r.shard, r.detail) for r in records
             ]
 
-        expected = list(reference.records)
-        assert len(ring) == len(expected)
-        assert ring.evicted == reference.evicted
-        assert keyed(ring) == keyed(ring.records) == keyed(expected)
-        for category in (None, "x", "y"):
-            for source in (None, "a", "b"):
-                matches = [
-                    r for r in expected
-                    if category in (None, r.category) and source in (None, r.source)
-                ]
-                assert keyed(ring.filter(category=category, source=source)) == keyed(
-                    matches
+        assert keyed(trace) == keyed(reference.records)
+        if path == "shard":
+            stores = [(recorder.store, index) for index, recorder in enumerate(recorders)]
+        else:
+            stores = [(store, None)]
+        for held, shard in stores:
+            expected = [r for r in reference.records if shard in (None, r.shard)]
+            assert len(held) == len(expected)
+            assert held.evicted == (0 if path == "shard" else reference.evicted)
+            assert keyed(held) == keyed(held.records) == keyed(expected)
+            for category in (None, "x", "y"):
+                for source in (None, "a", "b"):
+                    matches = [
+                        r for r in expected
+                        if category in (None, r.category) and source in (None, r.source)
+                    ]
+                    assert keyed(held.filter(category=category, source=source)) == keyed(
+                        matches
+                    )
+                    assert held.count(category=category, source=source) == len(matches)
+                    last = held.last(category=category, source=source)
+                    assert keyed([last] if last else []) == keyed(matches[-1:])
+            if expected:
+                middle = expected[len(expected) // 2].time
+                assert keyed(held.filter(since=middle)) == keyed(
+                    [r for r in expected if r.time >= middle]
                 )
-                assert ring.count(category=category, source=source) == len(matches)
-                last = ring.last(category=category, source=source)
-                assert keyed([last] if last else []) == keyed(matches[-1:])
-        if expected:
-            middle = expected[len(expected) // 2].time
-            assert keyed(ring.filter(since=middle)) == keyed(
-                [r for r in expected if r.time >= middle]
-            )
-            assert keyed(ring.filter(until=middle)) == keyed(
-                [r for r in expected if r.time <= middle]
-            )
+                assert keyed(held.filter(until=middle)) == keyed(
+                    [r for r in expected if r.time <= middle]
+                )
 
     def test_each_view_renders_once(self):
         sim = Simulator(trace_sinks=[RingBufferSink(capacity=4)])
