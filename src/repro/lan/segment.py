@@ -733,13 +733,14 @@ class Segment:
                 self.cross_shard_frames += 1
 
     def _drain_coalesced(self) -> None:
-        """Run the armed multi-source batch drain (same-instant ring event).
+        """Run the armed multi-source batch drain (same-instant queue event).
 
-        Fires on the home ring at the arming instant, *after* every
-        same-instant transmit already in the bucket has enqueued its frame —
-        ShardQueue buckets are FIFO in push order — so the whole backlog is
-        served in one :meth:`_drain`.  If the segment left the deferred lane
-        in between (a fault or port flip), :meth:`_service_next` picks again.
+        Fires on the home shard at the arming instant, *after* every
+        same-instant transmit scheduled before it has enqueued its frame —
+        the event queue orders equal times by sequence, so same-instant
+        events are FIFO in push order — and the whole backlog is served in
+        one :meth:`_drain`.  If the segment left the deferred lane in
+        between (a fault or port flip), :meth:`_service_next` picks again.
         """
         self._drain_armed = False
         if not self._pending or self._in_service:

@@ -14,7 +14,7 @@ from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 from repro.sim.engine import Simulator
 from repro.sim.fabric import FabricTrace, ShardedSimulator
-from repro.sim.shard import EngineShard, ShardQueue
+from repro.sim.shard import EngineShard
 from repro.sim.timers import Timer, PeriodicTimer
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
@@ -34,7 +34,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "FabricTrace",
-    "ShardQueue",
     "ShardedSimulator",
     "Simulator",
     "Timer",

@@ -1,32 +1,36 @@
-"""The discrete-event simulator.
+"""The discrete-event engine core and the single-engine simulator.
 
-:class:`Simulator` ties the :class:`~repro.sim.clock.Clock` and the
-:class:`~repro.sim.events.EventQueue` together and provides the scheduling
-API that the rest of the library uses:
+:class:`EngineCore` is what every engine shares: the
+:class:`~repro.sim.events.EventQueue`, the clock, the scheduling API that the
+rest of the library uses and the one loop that drains the queue.
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — one-shot,
-  cancellable events,
-* :meth:`Simulator.schedule_fire_ns` / :meth:`Simulator.schedule_fire_after` —
-  the handle-free lane for work that is never cancelled,
-* :meth:`Simulator.run` / :meth:`Simulator.run_until` / :meth:`Simulator.step`
-  — drive the simulation,
-* :attr:`Simulator.trace` — a :class:`~repro.sim.trace.TraceRecorder` every
-  component can append measurement records to.
+* :meth:`EngineCore.schedule` / :meth:`EngineCore.schedule_at` /
+  :meth:`EngineCore.schedule_at_ns` / :meth:`EngineCore.call_soon` —
+  one-shot, cancellable events,
+* :meth:`EngineCore.schedule_fire_ns` / :meth:`EngineCore.schedule_fire_after`
+  — the handle-free lane for work that is never cancelled,
+* :meth:`EngineCore._drain` — dispatch events in ``(time_ns, sequence)``
+  order up to a horizon and a budget.
 
-A single simulator instance is shared by every host, LAN segment and active
-node in an experiment; the :class:`~repro.lan.topology.NetworkBuilder` wires
-that up.
+:class:`Simulator` is the single engine: it adds
+:meth:`Simulator.run` / :meth:`Simulator.run_until` / :meth:`Simulator.step`
+on top of the drain, and :attr:`Simulator.trace` — a
+:class:`~repro.sim.trace.TraceRecorder` every component can append
+measurement records to.  A single simulator instance is shared by every
+host, LAN segment and active node in an experiment; the
+:class:`~repro.lan.topology.NetworkBuilder` wires that up.
 
-For topologies too large for one engine, the same scheduling surface is
-provided per shard by :class:`repro.sim.shard.EngineShard` under the
-:class:`repro.sim.fabric.ShardedSimulator` coordinator — sharded runs are
-bit-identical to this single engine (see :mod:`repro.sim.fabric`).
+For topologies too large for one engine, each shard of a
+:class:`repro.sim.fabric.ShardedSimulator` is an
+:class:`~repro.sim.shard.EngineShard`, the same core with the fabric's
+cross-shard bookkeeping — sharded runs are bit-identical to this single
+engine (see :mod:`repro.sim.fabric`).
 """
 
 from __future__ import annotations
 
 import sys
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from repro.exceptions import SimulationError
@@ -35,17 +39,65 @@ from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.trace import TraceRecorder, TraceSink
 
+#: "No horizon" for a drain (far beyond any event time).
+NO_BOUND_NS = sys.maxsize
+#: "No budget" for a drain.
+NO_BUDGET = sys.maxsize
+#: Events a telemetry-on drain dispatches between two samples of the queue
+#: depth (``engine_queue_high_water``).
+TELEMETRY_SLICE = 64
 
-class Simulator:
-    """A deterministic discrete-event simulator.
 
-    Args:
-        seed: seed for the simulator-owned :class:`RandomSource`.  Two
-            simulators constructed with the same seed and driven by the same
-            code produce identical event sequences and traces.
-        trace_sinks: optional trace sinks to install instead of the default
-            :class:`~repro.sim.trace.ListSink` (e.g. a bounded
-            :class:`~repro.sim.trace.RingBufferSink` for very long runs).
+def drain_with_telemetry(engine, drain, until_ns: int, budget: int) -> int:
+    """Run ``drain(until_ns, budget)`` in slices under ``engine``'s telemetry.
+
+    The one telemetry wrapper of the single engine and the strict fabric.
+    It adds one wall span per call, a garbage-collection watch over that
+    span and the dispatch count, and samples the queue depth before the
+    first slice and after every slice of :data:`TELEMETRY_SLICE` events.
+    Slicing a drain by budget never changes which events run, or in what
+    order.  The wall clock is read through :mod:`repro.telemetry.spans`,
+    so the overhead test can prove the off path never reaches it.
+    """
+    from repro.telemetry import spans
+
+    telemetry = engine._telemetry
+    start = spans.perf_counter()
+    gc_watch = spans.GcWatch(telemetry.profiler)
+    high_water = engine.pending_events
+    dispatched = 0
+    try:
+        while True:
+            size = min(TELEMETRY_SLICE, budget - dispatched)
+            ran = drain(until_ns, size)
+            dispatched += ran
+            pending = engine.pending_events
+            if pending > high_water:
+                high_water = pending
+            if ran < size or dispatched >= budget:
+                break
+    finally:
+        gc_watch.close()
+        elapsed = spans.perf_counter() - start
+        registry = telemetry.registry
+        registry.counter("engine_events_dispatched").inc(dispatched)
+        registry.gauge("engine_queue_high_water").set_max(high_water)
+        telemetry.profiler.add("compute", elapsed)
+        telemetry.profiler.add_total(elapsed)
+    return dispatched
+
+
+class EngineCore:
+    """The event core every engine shares: queue, scheduling and drain.
+
+    A subclass sets ``clock``, ``_queue`` (an
+    :class:`~repro.sim.events.EventQueue`) and ``_dispatched``.
+
+    The six scheduling methods push straight onto the queue's heap: they
+    are the hottest scheduling entry points (timers, CPU queues, wire
+    service).  On a fabric shard, :attr:`fabric` is set, and a push made
+    while another shard runs a strict batch is reported to the fabric so
+    the batch stops before overtaking it.
     """
 
     #: Whether this engine is executing under the fabric's relaxed sync mode.
@@ -55,33 +107,10 @@ class Simulator:
     #: between the classic event path and the relaxed express/mailbox paths.
     relaxed = False
 
-    #: Telemetry state (:class:`repro.telemetry.Telemetry`), or ``None`` when
-    #: telemetry is off — the only thing the hot paths ever test.  A class
-    #: attribute so the default-off case costs nothing per instance.
-    _telemetry = None
-
-    def __init__(
-        self, seed: int = 0, trace_sinks: Optional[Iterable[TraceSink]] = None
-    ) -> None:
-        self.clock = Clock()
-        self.random = RandomSource(seed)
-        self.trace = TraceRecorder(self.clock, sinks=trace_sinks)
-        self._queue = EventQueue()
-        self._running = False
-        self._dispatched = 0
-        self._auto_station_ids: dict = {}
-
-    def auto_station_id(self, base: int) -> int:
-        """Allocate the next automatic station id in the ``base`` namespace.
-
-        Station classes (active nodes, baseline repeaters/bridges) draw their
-        auto-assigned interface MAC ids from here, one counter per namespace
-        base **per engine**, so two simulations built in the same process
-        allocate identical addresses — runs stay bit-for-bit reproducible.
-        """
-        next_id = self._auto_station_ids.get(base, base)
-        self._auto_station_ids[base] = next_id + 1
-        return next_id
+    #: The :class:`~repro.sim.fabric.ShardedSimulator` this engine is a shard
+    #: of; ``None`` for the single engine, which costs its scheduling
+    #: methods one attribute test each.
+    fabric = None
 
     # ------------------------------------------------------------------
     # Time
@@ -90,12 +119,12 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self.clock.now
+        return self.clock._now_s
 
     @property
     def now_ns(self) -> int:
         """Current simulated time in nanoseconds."""
-        return self.clock.now_ns
+        return self.clock._now_ns
 
     @property
     def events_dispatched(self) -> int:
@@ -132,8 +161,19 @@ class Simulator:
         Raises:
             SchedulingError: if ``delay_seconds`` is negative.
         """
-        when_ns = self.clock.now_ns + seconds_to_ns(delay_seconds)
-        return self.schedule_at_ns(when_ns, callback, label)
+        now_ns = self.clock._now_ns
+        when_ns = now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
+        if when_ns < now_ns:
+            validate_schedule_time(now_ns, when_ns)
+        queue = self._queue
+        sequence = next(queue._counter)
+        event = Event(when_ns, sequence, callback, label, False, queue)
+        heappush(queue._heap, (when_ns, sequence, callback, event))
+        queue._live += 1
+        fabric = self.fabric
+        if fabric is not None and fabric._active is not None and fabric._active is not self:
+            fabric._note_cross_push(self, when_ns, sequence)
+        return event
 
     def schedule_at(
         self, when_seconds: float, callback: Callable[[], None], label: str = ""
@@ -145,14 +185,22 @@ class Simulator:
         self, when_ns: int, callback: Callable[[], None], label: str = ""
     ) -> Event:
         """Schedule ``callback`` at absolute time ``when_ns`` (nanoseconds)."""
-        if when_ns < self.clock._now_ns:
-            # Delegate to the queue for the canonical error message.
-            self._queue.validate_schedule_time(self.clock.now_ns, when_ns)
-        return self._queue.push(when_ns, callback, label)
+        now_ns = self.clock._now_ns
+        if when_ns < now_ns:
+            validate_schedule_time(now_ns, when_ns)
+        queue = self._queue
+        sequence = next(queue._counter)
+        event = Event(when_ns, sequence, callback, label, False, queue)
+        heappush(queue._heap, (when_ns, sequence, callback, event))
+        queue._live += 1
+        fabric = self.fabric
+        if fabric is not None and fabric._active is not None and fabric._active is not self:
+            fabric._note_cross_push(self, when_ns, sequence)
+        return event
 
     def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` at the current simulated time (after pending work)."""
-        return self._queue.push(self.clock.now_ns, callback, label)
+        return self.schedule_at_ns(self.clock._now_ns, callback, label)
 
     def schedule_fire_ns(self, when_ns: int, callback: Callable[[], None]) -> None:
         """Schedule a fire-and-forget callback at ``when_ns`` (nanoseconds).
@@ -164,7 +212,13 @@ class Simulator:
         now_ns = self.clock._now_ns
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
-        self._queue.push_fire(when_ns, callback)
+        queue = self._queue
+        sequence = next(queue._counter)
+        heappush(queue._heap, (when_ns, sequence, callback, None))
+        queue._live += 1
+        fabric = self.fabric
+        if fabric is not None and fabric._active is not None and fabric._active is not self:
+            fabric._note_cross_push(self, when_ns, sequence)
 
     def schedule_fire_after(
         self, delay_seconds: float, callback: Callable[[], None]
@@ -178,7 +232,114 @@ class Simulator:
         when_ns = now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
-        self._queue.push_fire(when_ns, callback)
+        queue = self._queue
+        sequence = next(queue._counter)
+        heappush(queue._heap, (when_ns, sequence, callback, None))
+        queue._live += 1
+        fabric = self.fabric
+        if fabric is not None and fabric._active is not None and fabric._active is not self:
+            fabric._note_cross_push(self, when_ns, sequence)
+
+    # ------------------------------------------------------------------
+    # The drain loop
+    # ------------------------------------------------------------------
+
+    def _drain(self, until_ns: int, budget: int, extend=None) -> int:
+        """Dispatch live events with ``time_ns <= until_ns``, at most ``budget``.
+
+        The one drain loop: it serves :meth:`Simulator.run`,
+        :meth:`Simulator.run_until` and :meth:`Simulator.step`, and a fabric
+        shard's relaxed windows.  Events fire in ``(time_ns, sequence)``
+        order.  Cancelled entries at the top are discarded before the
+        horizon is checked, so a drain never leaves a dead entry on top.
+        The loop stops at the first live event past the horizon or once
+        ``budget`` events have run; then the top is live and due.
+
+        The clock is *set* to each event's time, not only advanced: a
+        relaxed shard may run an event below its private clock's last
+        value (see :meth:`~repro.sim.shard.EngineShard._run_window`).  On
+        the single engine no event is ever behind the clock, so the two
+        are the same.
+
+        ``extend`` (relaxed shards only) is ``None`` or a callable that,
+        given the first live time past the horizon, returns a new horizon
+        or ``None`` to stop.
+        """
+        queue = self._queue
+        # Compaction and clear() rebuild the heap list in place, so this
+        # alias stays valid while callbacks run.
+        heap = queue._heap
+        clock = self.clock
+        n = 0
+        try:
+            while heap:
+                time_ns, _sequence, callback, event = heap[0]
+                if event is not None and event.cancelled:
+                    heappop(heap)
+                    queue.cancelled_discarded += 1
+                    queue._dead_in_heap -= 1
+                    continue
+                if time_ns > until_ns:
+                    if extend is None:
+                        break
+                    until_ns = extend(time_ns)
+                    if until_ns is None:
+                        break
+                if n >= budget:
+                    break
+                heappop(heap)
+                queue._live -= 1
+                if event is not None:
+                    event._queue = None
+                if time_ns != clock._now_ns:
+                    clock._now_ns = time_ns
+                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
+                n += 1
+                callback()
+        finally:
+            self._dispatched += n
+        return n
+
+
+class Simulator(EngineCore):
+    """A deterministic discrete-event simulator.
+
+    Args:
+        seed: seed for the simulator-owned :class:`RandomSource`.  Two
+            simulators constructed with the same seed and driven by the same
+            code produce identical event sequences and traces.
+        trace_sinks: optional trace sinks to install instead of the default
+            :class:`~repro.sim.trace.ListSink` (e.g. a bounded
+            :class:`~repro.sim.trace.RingBufferSink` for very long runs).
+    """
+
+    #: Telemetry state (:class:`repro.telemetry.Telemetry`), or ``None`` when
+    #: telemetry is off — the only thing the hot paths ever test.  A class
+    #: attribute so the default-off case costs nothing per instance.
+    _telemetry = None
+
+    def __init__(
+        self, seed: int = 0, trace_sinks: Optional[Iterable[TraceSink]] = None
+    ) -> None:
+        self.clock = Clock()
+        self.random = RandomSource(seed)
+        self.trace = TraceRecorder(self.clock, sinks=trace_sinks)
+        self._queue = EventQueue()
+        self._running = False
+        self._dispatched = 0
+        self._auto_station_ids: dict = {}
+
+    def auto_station_id(self, base: int) -> int:
+        """Allocate the next automatic station id in the ``base`` namespace.
+
+        Station classes (active nodes, baseline repeaters/bridges) draw their
+        auto-assigned interface MAC ids from here, one counter per namespace
+        base **per engine**, so two simulations built in the same process
+        allocate identical addresses — runs stay bit-for-bit reproducible.
+        """
+        next_id = self._auto_station_ids.get(base, base)
+        self._auto_station_ids[base] = next_id + 1
+        return next_id
 
     # ------------------------------------------------------------------
     # Execution
@@ -191,19 +352,7 @@ class Simulator:
             ``True`` if an event was dispatched, ``False`` if the queue was
             empty.
         """
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        # Inlined clock advance: schedule-time validation guarantees event
-        # times are never behind the clock, and the heap pops in time order.
-        clock = self.clock
-        time_ns = entry[0]
-        if time_ns > clock._now_ns:
-            clock._now_ns = time_ns
-            clock._now_s = time_ns / NANOSECONDS_PER_SECOND
-        self._dispatched += 1
-        entry[2]()
-        return True
+        return self._drain(NO_BOUND_NS, 1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` is reached).
@@ -213,37 +362,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() called re-entrantly")
-        if self._telemetry is not None:
-            return self._run_instrumented(None, max_events)
-        # The dispatch loop pops heap entries inline (see :meth:`step` for
-        # the one-event form): this is every single-engine run's hottest code.
-        queue = self._queue
-        # Compaction and clear() rebuild the heap list in place, so this
-        # alias stays valid while callbacks run.
-        heap = queue._heap
-        clock = self.clock
-        budget = sys.maxsize if max_events is None else max_events
-        dispatched = 0
-        self._running = True
-        try:
-            while queue._live and dispatched < budget:
-                time_ns, _sequence, callback, event = heappop(heap)
-                if event is not None:
-                    if event.cancelled:
-                        queue.cancelled_discarded += 1
-                        queue._dead_in_heap -= 1
-                        continue
-                    event._queue = None
-                queue._live -= 1
-                if time_ns > clock._now_ns:
-                    clock._now_ns = time_ns
-                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
-                self._dispatched += 1
-                dispatched += 1
-                callback()
-        finally:
-            self._running = False
-        return dispatched
+        return self._run(NO_BOUND_NS, max_events)
 
     def run_until(self, until_seconds: float, max_events: Optional[int] = None) -> int:
         """Run events with firing times ``<= until_seconds``.
@@ -260,100 +379,34 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run_until() called re-entrantly")
         until_ns = seconds_to_ns(until_seconds)
-        if until_ns < self.clock.now_ns:
+        clock = self.clock
+        if until_ns < clock._now_ns:
             raise SimulationError(
                 f"run_until({until_seconds}s) is earlier than the current "
-                f"time {self.clock.now}s"
+                f"time {clock.now}s"
             )
-        if self._telemetry is not None:
-            return self._run_instrumented(until_ns, max_events)
-        queue = self._queue
-        # Compaction and clear() rebuild the heap list in place, so this
-        # alias stays valid while callbacks run.
-        heap = queue._heap
-        clock = self.clock
-        budget = sys.maxsize if max_events is None else max_events
-        dispatched = 0
-        self._running = True
-        try:
-            while heap:
-                time_ns, _sequence, callback, event = heap[0]
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    queue.cancelled_discarded += 1
-                    queue._dead_in_heap -= 1
-                    continue
-                if time_ns > until_ns:
-                    break
-                if dispatched >= budget:
-                    # An event is due before the horizon: the clock stays at
-                    # the last dispatched event.
-                    return dispatched
-                heappop(heap)
-                queue._live -= 1
-                if event is not None:
-                    event._queue = None
-                if time_ns > clock._now_ns:
-                    clock._now_ns = time_ns
-                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
-                self._dispatched += 1
-                dispatched += 1
-                callback()
-            if clock._now_ns < until_ns:
-                clock.advance_to_ns(until_ns)
-        finally:
-            self._running = False
+        dispatched = self._run(until_ns, max_events)
+        # A drain leaves a live top, so a top at or before the horizon means
+        # the budget stopped the run with that event still due.
+        heap = self._queue._heap
+        if clock._now_ns < until_ns and not (heap and heap[0][0] <= until_ns):
+            clock.advance_to_ns(until_ns)
         return dispatched
 
     def run_for(self, duration_seconds: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration_seconds`` of simulated time starting from now."""
         return self.run_until(self.now + duration_seconds, max_events=max_events)
 
-    def _run_instrumented(self, until_ns: Optional[int], max_events: Optional[int]) -> int:
-        """The telemetry-on twin of :meth:`run`/:meth:`run_until`.
-
-        A deliberate duplicate of the dispatch loops: the default-off path
-        keeps its inline drain with zero extra work per event, and this
-        loop adds queue high-water tracking, dispatch counting, one wall
-        span per call and a garbage-collection watch over that span.  It
-        dispatches through :meth:`step`, which takes both heap entry kinds
-        (with and without an :class:`Event` handle).  The
-        wall clock is read through :mod:`repro.telemetry.spans` so the
-        overhead test can prove the off path never reaches it.
-        """
-        from repro.telemetry import spans
-
-        telemetry = self._telemetry
-        start = spans.perf_counter()
-        gc_watch = spans.GcWatch(telemetry.profiler)
+    def _run(self, until_ns: int, max_events: Optional[int]) -> int:
+        """Drain up to ``until_ns``, under telemetry when it is on."""
+        budget = NO_BUDGET if max_events is None else max_events
         self._running = True
-        dispatched = 0
-        queue = self._queue
-        high_water = len(queue)
         try:
-            while True:
-                next_time = queue.peek_time_ns()
-                if next_time is None or (until_ns is not None and next_time > until_ns):
-                    if until_ns is not None and self.clock.now_ns < until_ns:
-                        self.clock.advance_to_ns(until_ns)
-                    break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                self.step()
-                dispatched += 1
-                pending = len(queue)
-                if pending > high_water:
-                    high_water = pending
+            if self._telemetry is None:
+                return self._drain(until_ns, budget)
+            return drain_with_telemetry(self, self._drain, until_ns, budget)
         finally:
             self._running = False
-            gc_watch.close()
-            elapsed = spans.perf_counter() - start
-            registry = telemetry.registry
-            registry.counter("engine_events_dispatched").inc(dispatched)
-            registry.gauge("engine_queue_high_water").set_max(high_water)
-            telemetry.profiler.add("compute", elapsed)
-            telemetry.profiler.add_total(elapsed)
-        return dispatched
 
     def enable_telemetry(self):
         """Attach telemetry state to this engine (idempotent).

@@ -6,11 +6,16 @@ two events scheduled for the same instant fire in the order they were
 scheduled — this makes the whole simulation deterministic, which the paper's
 reproducible measurements depend on.
 
-Three hot-path properties the simulator run loop relies on:
+It is the only event queue: the single engine, every shard of the sharded
+fabric and the fabric's control ring each hold one.  A fabric's queues draw
+their sequence numbers from one shared counter, so ``(time, sequence)`` is a
+total order across all of them.
+
+Three hot-path properties the engines' drain loops rely on:
 
 * the heap stores ``(time_ns, sequence, callback, event)`` tuples, so heap
   sifting compares machine integers instead of calling Python comparison
-  methods, and the run loop calls the callback straight from the entry;
+  methods, and the drain loop calls the callback straight from the entry;
 * ``event`` is ``None`` unless the caller asked for a cancellable handle:
   :meth:`EventQueue.push` builds an :class:`Event`, while
   :meth:`EventQueue.push_fire` (work that is never cancelled — wire service,
@@ -22,14 +27,14 @@ Cancelled events stay in the heap (keeping :meth:`Event.cancel` O(1)) and
 are discarded either at the top by :meth:`EventQueue._compact_top` or, when
 they come to dominate the heap, by a lazy full compaction; both are counted
 in :attr:`EventQueue.cancelled_discarded`.  Compaction rebuilds the heap list
-in place, because the simulator's run loop holds a reference to it.
+in place, because the drain loops hold a reference to it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.exceptions import SchedulingError
 
@@ -41,8 +46,8 @@ _COMPACT_MIN_HEAP = 64
 def validate_schedule_time(now_ns: int, when_ns: int) -> None:
     """Raise :class:`SchedulingError` if ``when_ns`` lies in the past.
 
-    Shared by the single-engine :class:`EventQueue` and the per-shard queues
-    of the sharded fabric so both report the identical error.
+    Shared by every engine's scheduling methods and the fabric facade, so
+    all of them report the identical error.
     """
     if when_ns < now_ns:
         raise SchedulingError(
@@ -105,28 +110,30 @@ class EventQueue:
 
     Entries scheduled through :meth:`push` carry a cancellable
     :class:`Event` handle; entries scheduled through :meth:`push_fire` carry
-    none.  Both kinds share one sequence counter, so they interleave in
-    exact scheduling order.
+    none.  Both kinds draw from one sequence counter, so they interleave in
+    exact scheduling order.  The engines' scheduling methods push onto
+    :attr:`_heap` inline, in the same entry shape.
 
     Cancelled events are not removed eagerly — :meth:`Event.cancel` stays
     O(1), which matters because the 802.1D switchlet cancels and re-arms many
     timers.  They are discarded when they reach the top of the heap, or in
     one lazy compaction pass when dead entries outnumber live ones.
 
+    Args:
+        counter: the sequence-number iterator; a sharded fabric passes one
+            counter to all of its queues.  By default the queue has its own.
+
     Attributes:
         cancelled_discarded: total cancelled events physically dropped from
             the heap so far (top-skips plus compactions).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, counter: Optional[Iterator[int]] = None) -> None:
         # Entries are (time_ns, sequence, callback, event_or_None): heap
         # sifting compares the two integers at C speed and never reaches the
-        # callback, since sequence numbers are unique.  (The sharded fabric's
-        # per-shard queues — :class:`repro.sim.shard.ShardQueue` — share one
-        # counter across shards instead, keeping (time, sequence) a global
-        # order.)
+        # callback, since sequence numbers are unique.
         self._heap: list = []
-        self._counter = itertools.count()
+        self._counter = itertools.count() if counter is None else counter
         self._live = 0
         self._dead_in_heap = 0
         self.cancelled_discarded = 0
@@ -186,6 +193,12 @@ class EventQueue:
             self.cancelled_discarded += 1
             self._dead_in_heap -= 1
 
+    def top_key(self) -> Optional[tuple]:
+        """``(time_ns, sequence)`` of the earliest live event, or ``None``."""
+        self._compact_top()
+        heap = self._heap
+        return heap[0][:2] if heap else None
+
     def pop_entry(self) -> Optional[tuple]:
         """Pop the earliest live ``(time_ns, sequence, callback, event_or_None)``
         entry, or ``None`` if the queue is empty."""
@@ -200,27 +213,6 @@ class EventQueue:
             entry[3]._queue = None
         return entry
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or ``None`` if the queue is empty.
-
-        A handle-free entry comes back as a fresh, detached :class:`Event`.
-        """
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        event = entry[3]
-        if event is None:
-            event = Event(entry[0], entry[1], entry[2])
-        return event
-
-    def peek_time_ns(self) -> Optional[int]:
-        """Return the firing time of the earliest pending event, if any."""
-        heap = self._heap
-        self._compact_top()
-        if not heap:
-            return None
-        return heap[0][0]
-
     def clear(self) -> None:
         """Drop every pending event."""
         for entry in self._heap:
@@ -229,10 +221,6 @@ class EventQueue:
         self._heap.clear()
         self._live = 0
         self._dead_in_heap = 0
-
-    def validate_schedule_time(self, now_ns: int, when_ns: int) -> None:
-        """Raise :class:`SchedulingError` if ``when_ns`` lies in the past."""
-        validate_schedule_time(now_ns, when_ns)
 
 
 def describe_event(event: Event) -> dict:

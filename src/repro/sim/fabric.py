@@ -1,9 +1,9 @@
 """The sharded event fabric: partitioned simulators under conservative sync.
 
 A :class:`ShardedSimulator` coordinates several
-:class:`~repro.sim.shard.EngineShard` scheduling cores.  Every component of a
+:class:`~repro.sim.shard.EngineShard` engines.  Every component of a
 scenario (segment, host, device) is *placed* on one shard and schedules onto
-that shard's event ring; the only cross-shard coupling is frame handoff on a
+that shard's event queue; the only cross-shard coupling is frame handoff on a
 LAN segment whose stations live on different shards (see
 :meth:`~repro.lan.segment.Segment` — the inter-shard delivery channel).
 
@@ -19,8 +19,9 @@ derived from inter-shard :attr:`Segment.propagation_delay` (recorded as
 strictly in the shard's future, which is what makes batches non-trivial and
 the fabric deadlock-free.
 
-**Determinism guarantee (strict mode).**  Shard queues share one
-event-sequence counter and the coordinator dispatches in the exact global
+**Determinism guarantee (strict mode).**  Every shard holds the single
+engine's :class:`~repro.sim.events.EventQueue`, all of them on one
+event-sequence counter, and the coordinator dispatches in the exact global
 ``(time_ns, sequence)`` order, so a sharded run executes the very same
 callback sequence as the single :class:`~repro.sim.engine.Simulator` — every
 trace record, counter and component statistic is bit-identical.  Per-shard
@@ -47,14 +48,12 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from repro.exceptions import FabricBackendError, SimulationError
 from repro.sim.clock import Clock, seconds_to_ns
-from repro.sim.events import Event, validate_schedule_time
+from repro.sim.engine import NO_BOUND_NS, NO_BUDGET, drain_with_telemetry
+from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
 from repro.sim.relaxed import BACKENDS, RelaxedExecutor, SYNC_MODES, active_shard
-from repro.sim.shard import EngineShard, ShardQueue
+from repro.sim.shard import EngineShard
 from repro.sim.trace import CountingSink, ListSink, TraceRecord, TraceRecorder, TraceSink
-
-#: "No bound" sentinel for drain-style dispatch (far beyond any event time).
-_NO_BOUND_NS = 2 ** 63
 
 
 class FabricTrace:
@@ -371,7 +370,7 @@ class ShardedSimulator:
         # barriers with every shard clock synchronized — such callbacks may
         # touch components on any shard, which mid-window shard rings must
         # never do.  Under strict sync the facade schedules on shard 0.
-        self._control = ShardQueue(self._event_counter)
+        self._control = EventQueue(self._event_counter)
         self._control_dispatched = 0
         self._relaxed = RelaxedExecutor(self, workers=workers)
         # Segment registry: name -> Segment, filled by Segment.__init__ so
@@ -506,29 +505,20 @@ class ShardedSimulator:
     def _migrate_control_to_shard0(self) -> None:
         """Move pending control-ring events onto shard 0 (relaxed -> strict).
 
-        Entries keep their original shared-counter sequence numbers, so the
-        merged buckets are re-sorted to restore the append-order-equals-seq
-        invariant the strict dispatcher relies on.
+        Entries keep their original shared-counter sequence numbers, so
+        pushing them onto shard 0's heap keeps the global order.
         """
         control = self._control
         target = self._shards[0]._queue
-        for time_ns, bucket in control._buckets.items():
-            destination = target._buckets.get(time_ns)
-            if destination is None:
-                target._buckets[time_ns] = list(bucket)
-                heapq.heappush(target._times, time_ns)
-            else:
-                destination.extend(bucket)
-                destination.sort(key=lambda entry: entry[0])
-            for entry in bucket:
-                if entry[2] is not None:
-                    entry[2]._queue = target
+        for entry in control._heap:
+            if entry[3] is not None:
+                entry[3]._queue = target
+            heapq.heappush(target._heap, entry)
         target._live += control._live
-        target._dead += control._dead
-        control._buckets.clear()
-        control._times.clear()
+        target._dead_in_heap += control._dead_in_heap
+        control._heap.clear()
         control._live = 0
-        control._dead = 0
+        control._dead_in_heap = 0
 
     @property
     def relaxed_stats(self) -> dict:
@@ -664,35 +654,41 @@ class ShardedSimulator:
     # shard — which a mid-window shard event must never do.
     # ------------------------------------------------------------------
 
+    def _control_time(self, when_ns: int) -> int:
+        """``when_ns``, checked against the shared clock for the control ring."""
+        now_ns = self.clock._now_ns
+        if when_ns < now_ns:
+            validate_schedule_time(now_ns, when_ns)
+        return when_ns
+
     def schedule(self, delay_seconds, callback, label: str = "") -> Event:
         """Schedule ``callback`` after ``delay_seconds`` (facade)."""
         if self._sync == "relaxed":
             return self._control.push(
-                self.clock.now_ns + seconds_to_ns(delay_seconds), callback, label
+                self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
+                callback,
+                label,
             )
         return self._shards[0].schedule(delay_seconds, callback, label)
 
     def schedule_at(self, when_seconds, callback, label: str = "") -> Event:
         """Schedule ``callback`` at an absolute time (facade)."""
         if self._sync == "relaxed":
-            when_ns = seconds_to_ns(when_seconds)
-            if when_ns < self.clock.now_ns:
-                validate_schedule_time(self.clock.now_ns, when_ns)
-            return self._control.push(when_ns, callback, label)
+            return self._control.push(
+                self._control_time(seconds_to_ns(when_seconds)), callback, label
+            )
         return self._shards[0].schedule_at(when_seconds, callback, label)
 
     def schedule_at_ns(self, when_ns, callback, label: str = "") -> Event:
         """Schedule ``callback`` at ``when_ns`` (facade)."""
         if self._sync == "relaxed":
-            if when_ns < self.clock.now_ns:
-                validate_schedule_time(self.clock.now_ns, when_ns)
-            return self._control.push(when_ns, callback, label)
+            return self._control.push(self._control_time(when_ns), callback, label)
         return self._shards[0].schedule_at_ns(when_ns, callback, label)
 
     def call_soon(self, callback, label: str = "") -> Event:
         """Schedule ``callback`` at the current time (facade)."""
         if self._sync == "relaxed":
-            return self._control.push(self.clock.now_ns, callback, label)
+            return self._control.push(self.clock._now_ns, callback, label)
         return self._shards[0].call_soon(callback, label)
 
     def schedule_fire_ns(self, when_ns, callback) -> None:
@@ -702,7 +698,7 @@ class ShardedSimulator:
         NIC built with ``run.sim``) resolve here.
         """
         if self._sync == "relaxed":
-            self._control.push_fire(when_ns, callback)
+            self._control.push_fire(self._control_time(when_ns), callback)
             return
         self._shards[0].schedule_fire_ns(when_ns, callback)
 
@@ -710,7 +706,8 @@ class ShardedSimulator:
         """Fire-and-forget scheduling ``delay_seconds`` from now (facade)."""
         if self._sync == "relaxed":
             self._control.push_fire(
-                self.clock.now_ns + seconds_to_ns(delay_seconds), callback
+                self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
+                callback,
             )
             return
         self._shards[0].schedule_fire_after(delay_seconds, callback)
@@ -752,8 +749,9 @@ class ShardedSimulator:
     def _dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
         """Dispatch events up to ``until_ns`` under the active sync mode.
 
-        Strict mode runs the exact global ``(time, sequence)`` order below;
-        relaxed mode hands the run to the :class:`RelaxedExecutor`'s
+        Strict mode runs :meth:`_run_strict`, wrapped by the engine's
+        telemetry drain when telemetry is on; relaxed mode hands the run to
+        the :class:`RelaxedExecutor`'s
         conservative window loop (or, with ``backend="process"``, to a
         fresh :class:`~repro.sim.procpool.ProcessExecutor`).
         """
@@ -771,76 +769,60 @@ class ShardedSimulator:
 
                 return ProcessExecutor(self).dispatch(until_ns, max_events)
             return self._relaxed.dispatch(until_ns, max_events)
+        budget = NO_BUDGET if max_events is None else max_events
+        if self._telemetry is None:
+            return self._run_strict(until_ns, budget)
+        return drain_with_telemetry(self, self._run_strict, until_ns, budget)
+
+    def _run_strict(self, until_ns: int, budget: int) -> int:
+        """Dispatch in the exact global ``(time, sequence)`` order.
+
+        Repeatedly lets the shard holding the globally earliest event run a
+        batch below the batch limit (the smallest key any other shard holds).
+        """
         shards = self._shards
         tops = self._tops
         for shard in shards:
             tops[shard.index] = shard._queue.top_key()
         dispatched = 0
-        telemetry = self._telemetry
-        if telemetry is not None:
-            from repro.telemetry import spans
-
-            strict_start = spans.perf_counter()
-            gc_watch = spans.GcWatch(telemetry.profiler)
-            high_water = self.pending_events
-        try:
-            while True:
-                # One pass finds both the globally minimal shard and the batch
-                # limit (the smallest key any *other* shard holds).
-                best = None
-                best_key = None
-                limit = None
-                for index, key in enumerate(tops):
-                    if key is None:
-                        continue
-                    if best_key is None or key < best_key:
-                        limit = best_key
-                        best_key = key
-                        best = shards[index]
-                    elif limit is None or key < limit:
-                        limit = key
-                if best is None or best_key[0] > until_ns:
-                    break
-                best_index = best.index
-                self._batch_limit = limit
-                self._active = best
-                budget = None if max_events is None else max_events - dispatched
-                if budget is not None and budget <= 0:
-                    self._active = None
-                    break
-                ran = best._run_batch(until_ns, budget)
-                self._active = None
-                dispatched += ran
-                fresh = best._queue.top_key()
-                if ran == 0 and fresh == best_key:
-                    # The batch was eligible to run its top event but did not —
-                    # the caches can only be stale *smaller*, so this means no
-                    # further progress is possible.  Guard against a silent spin.
-                    raise SimulationError(
-                        "sharded dispatch made no progress; shard "
-                        f"{best_index} top={fresh!r} limit={limit!r}"
-                    )
-                tops[best_index] = fresh
-                if telemetry is not None:
-                    pending = self.pending_events
-                    if pending > high_water:
-                        high_water = pending
-                if max_events is not None and dispatched >= max_events:
-                    break
-        finally:
-            if telemetry is not None:
-                gc_watch.close()
-                elapsed = spans.perf_counter() - strict_start
-                registry = telemetry.registry
-                registry.counter("engine_events_dispatched").inc(dispatched)
-                registry.gauge("engine_queue_high_water").set_max(high_water)
-                telemetry.profiler.add("compute", elapsed)
-                telemetry.profiler.add_total(elapsed)
+        while dispatched < budget:
+            # One pass finds both the globally minimal shard and the batch
+            # limit (the smallest key any *other* shard holds).
+            best = None
+            best_key = None
+            limit = None
+            for index, key in enumerate(tops):
+                if key is None:
+                    continue
+                if best_key is None or key < best_key:
+                    limit = best_key
+                    best_key = key
+                    best = shards[index]
+                elif limit is None or key < limit:
+                    limit = key
+            if best is None or best_key[0] > until_ns:
+                break
+            best_index = best.index
+            self._batch_limit = limit
+            self._active = best
+            ran = best._run_batch(until_ns, budget - dispatched)
+            self._active = None
+            dispatched += ran
+            fresh = best._queue.top_key()
+            if ran == 0 and fresh == best_key:
+                # The batch was eligible to run its top event but did not —
+                # the caches can only be stale *smaller*, so this means no
+                # further progress is possible.  Guard against a silent spin.
+                raise SimulationError(
+                    "sharded dispatch made no progress; shard "
+                    f"{best_index} top={fresh!r} limit={limit!r}"
+                )
+            tops[best_index] = fresh
         return dispatched
 
     def step(self) -> bool:
         """Dispatch the single globally earliest event, if any."""
-        return self._dispatch(_NO_BOUND_NS, max_events=1) == 1
+        return self._dispatch(NO_BOUND_NS, max_events=1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until every shard ring drains (or ``max_events`` is reached)."""
@@ -848,7 +830,7 @@ class ShardedSimulator:
             raise SimulationError("Simulator.run() called re-entrantly")
         self._running = True
         try:
-            return self._dispatch(_NO_BOUND_NS, max_events)
+            return self._dispatch(NO_BOUND_NS, max_events)
         finally:
             self._running = False
 
@@ -886,8 +868,8 @@ class ShardedSimulator:
     def _pending_by(self, until_ns: int) -> bool:
         """Whether any ring holds a live event at or before ``until_ns``."""
         for queue in (*(shard._queue for shard in self._shards), self._control):
-            time_ns = queue.peek_time_ns()
-            if time_ns is not None and time_ns <= until_ns:
+            key = queue.top_key()
+            if key is not None and key[0] <= until_ns:
                 return True
         return False
 

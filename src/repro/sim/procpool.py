@@ -238,7 +238,11 @@ def _worker_main(fabric, index, pairs) -> None:
                 for other in shards:
                     other._until_ns = pump_bound
                 extend = None if cap is None else (cap[0], cap[1], control, pump_bound)
-                control_state = (control._live, control._dead)
+                # A cancel can compact the heap, which zeroes the dead count,
+                # so the discard total is compared too.
+                control_state = (
+                    control._live, control._dead_in_heap, control.cancelled_discarded
+                )
                 comp_s = 0.0
                 if telemetry is not None:
                     win_start = perf_counter()
@@ -249,7 +253,9 @@ def _worker_main(fabric, index, pairs) -> None:
                     events_counter.inc(n)
                     win_hist.observe(n)
                     queue_gauge.set_max(len(shard._queue))
-                if (control._live, control._dead) != control_state:
+                if (
+                    control._live, control._dead_in_heap, control.cancelled_discarded
+                ) != control_state:
                     raise FabricBackendError(
                         "facade scheduling (or facade-event cancellation) from "
                         "window context is not supported under the process "
@@ -258,12 +264,12 @@ def _worker_main(fabric, index, pairs) -> None:
                         window=(bound, bound),
                     )
                 mail = _encode_outbox(shard) if shard.outbox else None
-                times = shard._queue._times
+                heap = shard._queue._heap
                 # The trailing element is this round's window-drain wall
                 # seconds (0.0 with telemetry off) — the parent subtracts
                 # the slowest worker's share from the round-trip to split
                 # pipe wait from window compute.
-                conn.send(("ok", mail, times[0] if times else None, n, comp_s))
+                conn.send(("ok", mail, heap[0][0] if heap else None, n, comp_s))
             elif kind == "mail":
                 _apply_mail(fabric, message[1])
                 # Reply with the post-apply ring top: applying mail can
@@ -277,16 +283,16 @@ def _worker_main(fabric, index, pairs) -> None:
                 # (service continuations now ride the control ring, which
                 # keeps the replicas in lockstep; the report stays as the
                 # planner's ground truth).
-                times = shard._queue._times
-                conn.send(("ok", None, times[0] if times else None, 0))
+                heap = shard._queue._heap
+                conn.send(("ok", None, heap[0][0] if heap else None, 0))
             elif kind == "ctrl":
                 n = executor._run_control(message[1], None)
                 for other in shards:
                     if other.outbox:
                         executor._flush_mail(shards)
                         break
-                times = shard._queue._times
-                conn.send(("ok", None, times[0] if times else None, n))
+                heap = shard._queue._heap
+                conn.send(("ok", None, heap[0][0] if heap else None, n))
             elif kind == "sync":
                 conn.send(
                     (
@@ -434,15 +440,15 @@ class ProcessExecutor:
             )
         shards = fabric._shards
         control = fabric._control
-        control_times = control._times
+        control_heap = control._heap
         # Empty fast path: nothing due inside the horizon — no fork, and the
         # fabric stays fresh (run_until on a drained fabric is common driver
         # glue and must not consume the single measured dispatch).
-        due = bool(control_times) and control_times[0] <= until_ns
+        due = bool(control_heap) and control_heap[0][0] <= until_ns
         if not due:
             for shard in shards:
-                times = shard._queue._times
-                if times and times[0] <= until_ns:
+                heap = shard._queue._heap
+                if heap and heap[0][0] <= until_ns:
                     due = True
                     break
         if not due:
@@ -514,9 +520,9 @@ class ProcessExecutor:
                 tied = False
                 for index in shard_range:
                     top = reported[index]
-                    times = shards[index]._queue._times
-                    if times and (top is None or times[0] < top):
-                        top = times[0]
+                    heap = shards[index]._queue._heap
+                    if heap and (top is None or heap[0][0] < top):
+                        top = heap[0][0]
                     effective[index] = top
                     if top is None:
                         continue
@@ -530,7 +536,7 @@ class ProcessExecutor:
                         t_second = top
                     elif t_second is None or top < t_second:
                         t_second = top
-                control_t = control_times[0] if control_times else None
+                control_t = control_heap[0][0] if control_heap else None
                 if control_t is not None and control_t <= until_ns and (
                     t_min is None or control_t <= t_min
                 ):

@@ -26,8 +26,8 @@ shard can be woken by this window's mail at ``T + L`` and respond one hop
 later, so the leader must never outrun ``T + 2L - 1``.  Shards whose next
 event lies beyond their bound are skipped outright — control-heavy
 topologies (e.g. ``ring/failover``) concentrate events on one shard at a
-time, and skipping turns each barrier round from ``n`` ring drains into one.
-After the eligible shards drain their rings (sequentially, or on one worker
+time, and skipping turns each barrier round from ``n`` queue drains into one.
+After the eligible shards drain their queues (sequentially, or on one worker
 thread per shard) the executor flushes the cross-shard *mailboxes* at the
 barrier.  When the shards share no cut segment (``lookahead_ns is None``)
 the window is the whole run horizon and every shard free-runs.
@@ -39,7 +39,7 @@ appended to the *sending* shard's outbox (single-writer, so no locks).  At
 the window barrier the coordinator merges all outboxes in the canonical
 ``(time_ns, sender_shard, position)`` order and applies them: transmits
 replay through the segment at their recorded times, event pushes land on the
-target rings.  Thread interleaving therefore cannot influence any simulation
+target queues.  Thread interleaving therefore cannot influence any simulation
 state: relaxed runs are deterministic with and without worker threads.
 
 **Correctness contract (canonical-merge equivalence).**  Relaxed mode does
@@ -55,7 +55,7 @@ engine's.  The test suite proves this catalog-wide at ``shards=1,2,4``.
 persistent thread pool.  On a free-threaded CPython build this parallelizes
 the windows across cores; on a GIL build threads only add synchronization
 overhead, so the benchmarked pick (see ``bench_sharded_fabric.py``) is the
-sequential executor, whose win comes from the lean per-shard window loop and
+sequential executor, whose win comes from the engine's plain drain loop and
 the segment express lanes (:meth:`~repro.lan.segment.Segment._pump`).
 Either way the mailbox discipline keeps results identical.
 """
@@ -137,20 +137,20 @@ class RelaxedExecutor:
         self.windows = 0
         self.mail_flushed = 0
         control = fabric._control
-        control_times = control._times
+        control_heap = control._heap
         dispatched = 0
         last_pump = None
         # Cached shard tops.  During a window only three queues can change:
-        # the running shard's own ring (direct scheduling), the control ring
+        # the running shard's own queue (direct scheduling), the control ring
         # (facade scheduling), and the outboxes (cut-segment mail, applied at
         # the barrier flush) — so after a flush-free fast-path round only the
         # leader's cached top needs refreshing; everything else is refreshed
         # wholesale after a mail flush or control barrier.  The peek reads
-        # the raw bucket heap instead of ``top_key``: a head made entirely of
-        # cancelled events can only make a top look *earlier* than it really
-        # is, and an earlier top merely tightens the window bounds — still
-        # sound — while the granted drain physically discards the dead
-        # entries, so progress is guaranteed.
+        # the raw heap top instead of ``top_key``: a cancelled head can only
+        # make a top look *earlier* than it really is, and an earlier top
+        # merely tightens the window bounds — still sound — while the granted
+        # drain physically discards the dead entries, so progress is
+        # guaranteed.
         n_shards = len(shards)
         shard_range = range(n_shards)
         tops = [None] * n_shards
@@ -175,8 +175,8 @@ class RelaxedExecutor:
             while True:
                 if refresh_all:
                     for index in shard_range:
-                        st = shards[index]._queue._times
-                        tops[index] = st[0] if st else None
+                        heap = shards[index]._queue._heap
+                        tops[index] = heap[0][0] if heap else None
                     refresh_all = False
                 # One pass over the cached tops yields everything the window
                 # plan needs: the global minimum ``t_min``, the runner-up
@@ -203,7 +203,7 @@ class RelaxedExecutor:
                 # Raw control peek: a stale (all-cancelled) head triggers a
                 # no-op barrier whose ``_run_control`` discards the dead
                 # entries — one wasted round, never a wrong one.
-                control_t = control_times[0] if control_times else None
+                control_t = control_heap[0][0] if control_heap else None
                 budget = None if max_events is None else max_events - dispatched
                 if budget is not None and budget <= 0:
                     break
@@ -300,8 +300,8 @@ class RelaxedExecutor:
                             if timer is not None:
                                 timer.lap("barrier")
                         else:
-                            st = leader._queue._times
-                            tops[leader_index] = st[0] if st else None
+                            heap = leader._queue._heap
+                            tops[leader_index] = heap[0][0] if heap else None
                         continue
                     if tied:
                         # Two shards share the earliest top: nobody outruns
@@ -334,12 +334,12 @@ class RelaxedExecutor:
                             )
                             if top > bound:
                                 # Nothing inside this shard's bound; skip the
-                                # ring drain (and its clock churn) entirely.
+                                # drain (and its clock churn) entirely.
                                 continue
                             shard = shards[index]
                             dispatched += shard._run_window(bound)
-                            st = shard._queue._times
-                            tops[index] = st[0] if st else None
+                            heap = shard._queue._heap
+                            tops[index] = heap[0][0] if heap else None
                         if timer is not None:
                             wall = timer.lap("compute")
                             win_hist.observe(dispatched - round_base)
@@ -367,7 +367,7 @@ class RelaxedExecutor:
                     plan = [
                         (shard, pump_bound)
                         for shard in shards
-                        if shard._queue._times
+                        if shard._queue._heap
                     ]
                 if timer is not None:
                     timer.lap("plan")
@@ -401,8 +401,8 @@ class RelaxedExecutor:
                     refresh_all = True
                 else:
                     for shard, _ in plan:
-                        st = shard._queue._times
-                        tops[shard.index] = st[0] if st else None
+                        heap = shard._queue._heap
+                        tops[shard.index] = heap[0][0] if heap else None
                 if timer is not None:
                     timer.lap("barrier")
                 if max_events is not None and dispatched >= max_events:
@@ -447,14 +447,11 @@ class RelaxedExecutor:
         shared._now_ns = time_ns
         shared._now_s = seconds
         n = 0
-        while True:
-            if budget is not None and n >= budget:
-                break
+        while budget is None or n < budget:
             key = control.top_key()
             if key is None or key[0] != time_ns:
                 break
-            entry = control.pop()
-            entry[1]()
+            control.pop_entry()[2]()
             n += 1
         fabric._control_dispatched += n
         return n

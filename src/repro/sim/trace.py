@@ -22,11 +22,13 @@ applies global and per-category gating, and dispatches to composable sinks:
   The hub always maintains one (:attr:`TraceRecorder.counters`), which is
   what lets measurement tools subscribe to live counters instead of
   re-scanning the trace.
-* :class:`NullSink` — discards everything (a record is still built for it).
+* :class:`NullSink` — discards everything.
 
 When a store is the hub's only sink and nothing listens, :meth:`emit` writes
 one row straight into it and counts nothing: the counters fold the stored
-rows in when someone reads them.
+rows in when someone reads them.  When nothing listens and every sink is a
+:class:`NullSink` or a :class:`CountingSink`, :meth:`emit` only counts: no
+record is built.
 
 Record *details* are rendered lazily: producers on the frame hot path pass a
 shared module-level renderer plus its arguments instead of an eager dict, and
@@ -152,7 +154,7 @@ class TraceSink:
 
 
 class NullSink(TraceSink):
-    """Discards every record; the hub still builds one per emit for it."""
+    """Discards every record; a hub whose sinks keep nothing only counts."""
 
     def accept(self, record: TraceRecord) -> None:
         pass
@@ -634,11 +636,14 @@ class TraceRecorder:
 
     **The store path.**  When a store is the only sink and no listener is
     registered, :meth:`emit` writes one row into it and returns ``None``;
-    this covers every default configuration.  Otherwise (several sinks, a
-    listener) :meth:`emit` builds a :class:`TraceRecord`, hands it to each
-    sink and listener and returns it.  Either way the counters fold the
-    store's rows in when read; a hub with no store counts each record as it
-    is emitted.
+    this covers every default configuration.  **The count path.**  When no
+    listener is registered and every sink is a :class:`NullSink` or a
+    :class:`CountingSink`, :meth:`emit` counts the ``(category, source)``
+    pair into the hub's table and each counting sink's table and returns
+    ``None``.  Otherwise (several sinks, a listener, a custom sink)
+    :meth:`emit` builds a :class:`TraceRecord`, hands it to each sink and
+    listener and returns it.  The counters fold the store's rows in when
+    read; a hub with no store counts each record as it is emitted.
     """
 
     def __init__(
@@ -663,6 +668,7 @@ class TraceRecorder:
         self._sinks: List[TraceSink] = list(sinks) if sinks is not None else [ListSink()]
         self._store: Optional[ListSink] = None
         self._write: Optional[Callable[[tuple], None]] = None
+        self._tally: Optional[List[Dict[Tuple[str, str], int]]] = None
         self._refresh_dispatch()
 
     # ------------------------------------------------------------------
@@ -687,6 +693,18 @@ class TraceRecorder:
             self._write = store._writer()
         else:
             self._write = None
+        # The count path: no listener and every sink a NullSink or a
+        # CountingSink, so nothing would keep or see a record.
+        if store is None and not self._listeners and all(
+            type(sink) is NullSink or type(sink) is CountingSink for sink in sinks
+        ):
+            tables = {id(self._pairs): self._pairs}
+            for sink in sinks:
+                if type(sink) is CountingSink:
+                    tables[id(sink.by_category_source)] = sink.by_category_source
+            self._tally = list(tables.values())
+        else:
+            self._tally = None
 
     @property
     def sinks(self) -> Tuple[TraceSink, ...]:
@@ -778,12 +796,18 @@ class TraceRecorder:
         :attr:`TraceRecord.detail`.  Frame-path producers pass a shared
         module-level renderer and its arguments, never a per-record closure.
         Returns the record on the record path, ``None`` when it was gated
-        off or went down the store path (see the class docstring).
+        off or went down the store or count path (see the class docstring).
         """
         if not self._enabled or category in self._disabled_categories:
             return None
         write = self._write
         if write is None:
+            tally = self._tally
+            if tally is not None:
+                pair = (category, source)
+                for pairs in tally:
+                    pairs[pair] = pairs.get(pair, 0) + 1
+                return None
             # The record path: one record for every sink and listener.  A
             # hub with a store counts its rows on read; one without counts here.
             if self._store is None:

@@ -1,14 +1,11 @@
 """A quantizing timer wheel for population-scale timer churn.
 
 Fifty thousand on/off traffic sources each keep one pending timer alive.
-Pushed naively, every timer lands on its own nanosecond and therefore its
-own heap entry — on the sharded engines that is one `heapq` push *and*
-one bucket allocation per timer (`ShardQueue` hashes events into
-per-timestamp FIFO buckets and heap-orders only the distinct
-timestamps).  The wheel's job is to make those timestamps collide on
-purpose: it quantizes each fire time **up** to the next tick boundary
-and schedules through the engine's ordinary API, so every timer that
-lands in the same tick shares one bucket and one heap entry.
+The wheel quantizes each fire time **up** to the next tick boundary and
+schedules through the engine's ordinary API, so the sources' timers fire
+on a shared tick grid.  The grid is part of the population model: it sets
+the simulated time at which every traffic timer fires, so a different tick
+gives different (equally valid) traffic.
 
 Crucially the wheel adds **no dispatch machinery of its own** — no
 aggregated callbacks, no private ordering.  One timer is still one
@@ -31,7 +28,7 @@ from repro.sim.clock import seconds_to_ns
 
 #: Default tick: 100 µs.  Traffic timers run at millisecond scales, so a
 #: 100 µs grid perturbs an individual source's schedule by less than one
-#: part in ten while collapsing thousands of timers onto shared buckets.
+#: part in ten while collapsing thousands of timers onto shared instants.
 DEFAULT_TICK_NS = 100_000
 
 

@@ -32,7 +32,6 @@ from repro.population import (
 )
 from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
-from repro.sim.shard import ShardQueue
 from repro.sim.trace import ListSink, RingBufferSink
 from repro.sim.wheel import TimerWheel
 
@@ -186,19 +185,6 @@ class TestSlotsAndFreeList:
         for obj in (host, host.nic, host.cpu, bridge, bridge.cpu):
             with pytest.raises(AttributeError):
                 obj.this_attribute_does_not_exist = 1
-
-    def test_shard_queue_recycles_drained_buckets(self):
-        import itertools
-
-        queue = ShardQueue(itertools.count())
-        queue.push_fire(100, lambda: None)
-        bucket_object = queue._buckets[100]
-        queue.pop()
-        assert queue.top_key() is None  # drains and recycles the bucket
-        assert queue._free and queue._free[0] is bucket_object
-        queue.push_fire(200, lambda: None)
-        assert queue._buckets[200] is bucket_object  # reused, not reallocated
-        assert not queue._free
 
 
 class TestPopulationTraffic:

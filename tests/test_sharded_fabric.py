@@ -1,9 +1,8 @@
 """The sharded event fabric: partitioning, conservative sync, determinism.
 
-Four layers are covered:
+Three layers are covered (the shards' event queue is the single engine's
+``EventQueue``, tested in ``test_sim.py``):
 
-* the **per-shard scheduling core** — the bucketed event ring's ordering,
-  cancellation and fire-and-forget semantics;
 * the **segment-graph partitioner** — balanced contiguous placement, cut
   segments, the positive-lookahead requirement, explicit overrides;
 * the **coordinator facade** — Simulator API parity (run/run_until/step,
@@ -29,79 +28,7 @@ from repro.scenario import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.fabric import ShardedSimulator
-from repro.sim.shard import ShardQueue
 from repro.sim.trace import CounterWindow, ListSink, RingBufferSink
-import itertools
-
-
-# ---------------------------------------------------------------------------
-# The per-shard event ring
-# ---------------------------------------------------------------------------
-
-
-class TestShardQueue:
-    def _queue(self):
-        return ShardQueue(itertools.count())
-
-    def test_pops_in_time_then_sequence_order(self):
-        queue = self._queue()
-        fired = []
-        queue.push(20, lambda: fired.append("b"))
-        queue.push(10, lambda: fired.append("a1"))
-        queue.push(10, lambda: fired.append("a2"))
-        while queue:
-            queue.pop()[1]()
-        assert fired == ["a1", "a2", "b"]
-
-    def test_same_time_bucket_is_fifo(self):
-        queue = self._queue()
-        order = [queue.push(5, lambda: None).sequence for _ in range(10)]
-        popped = [queue.pop()[0] for _ in range(10)]
-        assert popped == order
-
-    def test_cancelled_events_are_skipped_and_counted(self):
-        queue = self._queue()
-        keep = queue.push(5, lambda: None)
-        drop = queue.push(5, lambda: None)
-        drop.cancel()
-        assert len(queue) == 1
-        assert queue.top_key() == (5, keep.sequence)
-        assert queue.pop()[2] is keep
-        # The cancelled corpse now heads the bucket and is discarded lazily.
-        assert queue.top_key() is None
-        assert queue.cancelled_discarded == 1
-
-    def test_cancelled_head_discarded_by_top_key(self):
-        queue = self._queue()
-        first = queue.push(1, lambda: None)
-        second = queue.push(2, lambda: None)
-        first.cancel()
-        assert queue.top_key() == (2, second.sequence)
-        assert queue.cancelled_discarded == 1
-
-    def test_push_fire_keeps_order_without_handles(self):
-        queue = self._queue()
-        queue.push(7, lambda: None)
-        sequence = queue.push_fire(7, lambda: None)
-        entries = [queue.pop() for _ in range(2)]
-        assert entries[1][0] == sequence
-        assert entries[1][2] is None
-
-    def test_reusing_a_drained_bucket_time(self):
-        queue = self._queue()
-        queue.push(3, lambda: None)
-        queue.pop()
-        queue.push(3, lambda: None)
-        assert queue.peek_time_ns() == 3
-        assert len(queue) == 1
-
-    def test_clear_detaches_events(self):
-        queue = self._queue()
-        event = queue.push(3, lambda: None)
-        queue.clear()
-        assert not queue
-        event.cancel()  # must not corrupt the emptied queue
-        assert len(queue) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +174,30 @@ class TestShardedSimulatorFacade:
         with pytest.raises(SchedulingError) as fabric_err:
             fabric.shards[1].schedule_at(0.5, lambda: None)
         assert str(single_err.value) == str(fabric_err.value)
+
+    @pytest.mark.parametrize("engine", ["single", "strict", "relaxed"])
+    @pytest.mark.parametrize(
+        "entry", ["schedule", "schedule_fire_after", "schedule_fire_ns"]
+    )
+    def test_facade_rejects_past_times_in_every_mode(self, engine, entry):
+        if engine == "single":
+            sim = Simulator()
+        elif engine == "strict":
+            sim = ShardedSimulator(shards=2)
+        else:
+            sim = ShardedSimulator(shards=2, sync="relaxed", lookahead_ns=1_000)
+        sim.run_until(1.0)
+        fired = []
+        schedule = getattr(sim, entry)
+        with pytest.raises(SchedulingError):
+            if entry == "schedule_fire_ns":
+                schedule(500_000_000, lambda: fired.append(sim.now))
+            else:
+                schedule(-0.5, lambda: fired.append(sim.now))
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == []
+        assert sim.now == 1.0
 
     def test_run_until_backwards_rejected(self):
         fabric = ShardedSimulator(shards=2)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.costs.cpu import CpuQueue
@@ -16,7 +17,7 @@ from repro.measurement.ping import PingRunner
 from repro.scenario import run_scenario
 from repro.sim.clock import Clock, ns_to_seconds, seconds_to_ns
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue, describe_event
+from repro.sim.events import Event, EventQueue, describe_event, validate_schedule_time
 from repro.sim.fabric import ShardedSimulator
 from repro.sim.process import Process
 from repro.sim.random_source import RandomSource
@@ -70,10 +71,10 @@ class TestEventQueue:
         queue.push(100, lambda: fired.append(1))
         queue.push(200, lambda: fired.append(2))
         while True:
-            event = queue.pop()
-            if event is None:
+            entry = queue.pop_entry()
+            if entry is None:
                 break
-            event.callback()
+            entry[2]()
         assert fired == [1, 2, 3]
 
     def test_ties_preserve_scheduling_order(self):
@@ -82,7 +83,7 @@ class TestEventQueue:
         for index in range(5):
             queue.push(100, lambda i=index: order.append(i))
         while queue:
-            queue.pop().callback()
+            queue.pop_entry()[2]()
         assert order == [0, 1, 2, 3, 4]
 
     def test_cancelled_events_are_skipped(self):
@@ -91,20 +92,19 @@ class TestEventQueue:
         queue.push(20, lambda: None)
         event.cancel()
         assert len(queue) == 1
-        popped = queue.pop()
-        assert popped.time_ns == 20
+        popped = queue.pop_entry()
+        assert popped[0] == 20
 
     def test_peek_skips_cancelled(self):
         queue = EventQueue()
         first = queue.push(10, lambda: None)
-        queue.push(20, lambda: None)
+        second = queue.push(20, lambda: None)
         first.cancel()
-        assert queue.peek_time_ns() == 20
+        assert queue.top_key() == (20, second.sequence)
 
     def test_validate_schedule_time(self):
-        queue = EventQueue()
         with pytest.raises(SchedulingError):
-            queue.validate_schedule_time(now_ns=100, when_ns=50)
+            validate_schedule_time(now_ns=100, when_ns=50)
 
     def test_describe_event(self):
         queue = EventQueue()
@@ -112,6 +112,34 @@ class TestEventQueue:
         description = describe_event(event)
         assert description["label"] == "x"
         assert description["time_ns"] == 10
+
+    def test_queues_sharing_a_counter_interleave_in_global_order(self):
+        # A fabric's shard queues and control ring share one counter, so
+        # (time, sequence) orders entries across all of them.
+        counter = itertools.count()
+        queues = [EventQueue(counter), EventQueue(counter)]
+        keys = []
+        for index, when in enumerate([5, 5, 3, 5, 3, 7]):
+            queue = queues[index % 2]
+            if index % 3:
+                sequence = queue.push_fire(when, lambda: None)
+            else:
+                sequence = queue.push(when, lambda: None).sequence
+            keys.append((when, sequence))
+        assert [key[1] for key in keys] == list(range(6))
+        merged = []
+        while any(queues):
+            queue = min((q for q in queues if q), key=EventQueue.top_key)
+            merged.append(queue.pop_entry()[:2])
+        assert merged == sorted(keys)
+
+    def test_clear_detaches_events(self):
+        queue = EventQueue()
+        event = queue.push(3, lambda: None)
+        queue.clear()
+        assert not queue
+        event.cancel()  # must not corrupt the emptied queue
+        assert len(queue) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
@@ -121,7 +149,7 @@ class TestEventQueue:
             queue.push(when, lambda: None)
         popped = []
         while queue:
-            popped.append(queue.pop().time_ns)
+            popped.append(queue.pop_entry()[0])
         assert popped == sorted(times)
 
 
@@ -312,10 +340,33 @@ class TestHandleFreeEntries:
         ops=_ENTRY_OPS,
         how=st.sampled_from(["run", "run_until", "budgeted", "step"]),
         telemetry=st.booleans(),
+        engine=st.sampled_from(["single", "strict"]),
+    )
+    # Entry 0's follow-up lands on shard 1 at t=0, mid-batch on shard 0 and
+    # before shard 0's entry 3 at 1 us: the batch must stop for it.
+    @example(
+        ops=[
+            ("schedule", 0, False, True),
+            ("schedule", 2, False, False),
+            ("schedule", 2, False, False),
+            ("schedule", 1, False, False),
+        ],
+        how="run",
+        telemetry=False,
+        engine="strict",
     )
     @settings(max_examples=150, deadline=None)
-    def test_dispatch_order_and_counters_match_a_reference(self, ops, how, telemetry):
-        sim = Simulator()
+    def test_dispatch_order_and_counters_match_a_reference(
+        self, ops, how, telemetry, engine
+    ):
+        # The strict fabric schedules entry i on shard i % 3 and its
+        # follow-up on the next shard, so follow-ups are cross-shard pushes.
+        if engine == "single":
+            sim = Simulator()
+            targets = [sim]
+        else:
+            sim = ShardedSimulator(shards=3)
+            targets = sim.shards
         if telemetry:
             sim.enable_telemetry()
         fired = []
@@ -325,18 +376,19 @@ class TestHandleFreeEntries:
         sequence = 0
         cancelled = set()
 
-        def make(label, kind, delay_us, follow):
+        def make(label, kind, delay_us, follow, index):
             def callback():
                 fired.append(label)
                 if follow:
-                    add(label + "'", kind, delay_us, False, sim.now_ns)
+                    add(label + "'", kind, delay_us, False, sim.now_ns, index + 1)
             return callback
 
-        def add(label, kind, delay_us, follow, now_ns):
+        def add(label, kind, delay_us, follow, now_ns, index):
             nonlocal sequence
             when_ns = now_ns + (0 if kind == "call_soon" else delay_us * 1000)
-            callback = make(label, kind, delay_us, follow)
-            handle = _schedule_via(sim, kind, delay_us, callback)
+            callback = make(label, kind, delay_us, follow, index)
+            target = targets[index % len(targets)]
+            handle = _schedule_via(target, kind, delay_us, callback)
             entry = (when_ns, sequence, label, kind, delay_us, follow)
             heapq.heappush(reference, entry)
             sequence += 1
@@ -344,7 +396,7 @@ class TestHandleFreeEntries:
 
         handles = {}
         for index, (kind, delay_us, cancel, follow) in enumerate(ops):
-            handle = add(str(index), kind, delay_us, follow, 0)
+            handle = add(str(index), kind, delay_us, follow, 0, index)
             if cancel and handle is not None:
                 handles[str(index)] = handle
         for label, handle in handles.items():
@@ -353,10 +405,8 @@ class TestHandleFreeEntries:
         assert sim.pending_events == len(ops) - len(cancelled)
 
         expected = []
-        keys = []
         while reference:
             when_ns, seq, label, kind, delay_us, follow = heapq.heappop(reference)
-            keys.append((when_ns, seq, label in cancelled))
             if label in cancelled:
                 continue
             expected.append(label)
@@ -371,16 +421,9 @@ class TestHandleFreeEntries:
         assert fired == expected
         assert sim.pending_events == 0
         assert sim.events_dispatched == len(expected)
-        if how == "run" and not telemetry:
-            # The plain run() stops once nothing live is left: cancelled
-            # entries behind the last dispatched one stay in the heap,
-            # uncounted.  (The telemetry loop peeks past them, as before.)
-            live = [index for index, key in enumerate(keys) if not key[2]]
-            passed = keys[: live[-1]] if live else []
-            discarded = sum(1 for key in passed if key[2])
-        else:
-            discarded = len(cancelled)
-        assert sim.cancelled_events_discarded == discarded
+        # Every dispatch path drains to an empty queue, so each cancelled
+        # entry has been discarded exactly once.
+        assert sim.cancelled_events_discarded == len(cancelled)
 
     @pytest.mark.parametrize("telemetry", [False, True])
     @pytest.mark.parametrize("when", ["before-run", "mid-run"])

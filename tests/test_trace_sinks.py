@@ -689,6 +689,38 @@ class TestNullSink:
         assert len(sim.trace) == 2
 
 
+    @pytest.mark.parametrize("kind", ["null", "counting", "null+counting"])
+    def test_a_hub_whose_sinks_keep_nothing_builds_no_record(self, kind, monkeypatch):
+        # Build the reference counts first, on the default store.
+        _setup, reference = run_short_ping(trace_sinks=[ListSink()])
+        reference_pairs = dict(_setup.network.sim.trace.counters.by_category_source)
+        built = []
+        construct = TraceRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[2])
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+        counting = CountingSink()
+        sinks = {
+            "null": [NullSink()],
+            "counting": [counting],
+            "null+counting": [NullSink(), counting],
+        }[kind]
+        setup, result = run_short_ping(trace_sinks=sinks)
+        assert built == []
+        assert result.rtts == reference.rtts
+        trace = setup.network.sim.trace
+        assert trace.counters.by_category_source == reference_pairs
+        if kind != "null":
+            assert counting.by_category_source == reference_pairs
+        # A listener needs records: the hub goes back to building them.
+        trace.add_listener(lambda record: None)
+        trace.record("probe", "x")
+        assert built == ["x"]
+
+
 class TestSinkManagement:
     def test_add_remove_and_replace(self, sim):
         counting = CountingSink()
@@ -792,11 +824,11 @@ class TestEventQueueAccounting:
         queue = EventQueue()
         event = queue.push(1, lambda: None)
         queue.push(2, lambda: None)
-        popped = queue.pop()
-        assert popped is event
+        popped = queue.pop_entry()
+        assert popped[3] is event
         event.cancel()
         assert len(queue) == 1
-        assert queue.pop().time_ns == 2
+        assert queue.pop_entry()[0] == 2
 
     def test_cancelled_discarded_counts_top_skips(self):
         queue = EventQueue()
@@ -805,10 +837,10 @@ class TestEventQueueAccounting:
         queue.push(3, lambda: None)
         first.cancel()
         second.cancel()
-        assert queue.peek_time_ns() == 3
+        assert queue.top_key()[0] == 3
         assert queue.cancelled_discarded == 2
-        assert queue.pop().time_ns == 3
-        assert queue.pop() is None
+        assert queue.pop_entry()[0] == 3
+        assert queue.pop_entry() is None
 
     def test_lazy_compaction_when_cancellations_dominate(self):
         queue = EventQueue()
@@ -823,11 +855,11 @@ class TestEventQueueAccounting:
         assert len(queue._heap) < len(doomed) + len(survivors)
         popped = []
         while queue:
-            popped.append(queue.pop().time_ns)
+            popped.append(queue.pop_entry()[0])
         assert popped == sorted(event.time_ns for event in survivors)
         # Draining accounts for every cancelled event exactly once.
         assert queue.cancelled_discarded == len(doomed)
-        assert queue.pop() is None
+        assert queue.pop_entry() is None
 
     def test_simulator_exposes_discard_stat(self):
         sim = Simulator()
