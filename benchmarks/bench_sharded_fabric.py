@@ -27,11 +27,7 @@ Each size sweeps engine configurations across both synchronization modes:
   records/sec at the same shard count) is the headline metric; the 256-LAN
   ring at shards=4 is the perf-gated configuration.
 
-A relaxed configuration run on worker threads is also recorded (under
-``threaded``, informational, not perf-gated): on GIL builds the threads only
-add synchronization overhead — the benchmarked pick is the sequential window
-executor — while on free-threaded builds the same numbers show the wall-clock
-win.  Every sharded run, strict or relaxed, must reproduce the single-engine
+Every sharded run, strict or relaxed, must reproduce the single-engine
 counters exactly — the benchmark asserts this before reporting.
 
 Measurement hygiene: every engine configuration is measured in its own fresh
@@ -45,18 +41,18 @@ the comparison measures engine mechanics, not collector cadence against
 retained-record volume.
 
 Besides the CPU-time sweep, each size carries a **wall-clock sweep** (the
-``wall`` block): the single engine versus relaxed worker threads versus the
-relaxed **process backend** (:mod:`repro.sim.procpool`, one worker process
-per shard) at shards 2 and 4, each configuration measured as one blast pass
-per fresh interpreter with the fastest of the invocations kept.  Wall-clock
-and CPU-time numbers are distinct metric families — the wall sweep reports
-``seconds_wall`` and the ``fabric/wall-speedup`` ratios only, never mixed
-with the CPU-time rates above.  On runners with fewer than four CPU cores
-the speedup measurements are skipped with an explicit log line (parallel
-wall-clock gains cannot be measured honestly there) and the skip is recorded
-in the entry; the **canonical-merge identity** check — the relaxed-process
-run at shards=4 must produce records bit-identical to a fresh strict fabric
-replaying the same workload — runs regardless of core count.
+``wall`` block): the single engine versus the relaxed **process backend**
+(:mod:`repro.sim.procpool`, one worker process per shard) at shards 2 and 4,
+each configuration measured as one blast pass per fresh interpreter with the
+fastest of the invocations kept.  Wall-clock and CPU-time numbers are
+distinct metric families — the wall sweep reports ``seconds_wall`` and the
+``fabric/wall-speedup`` ratios only, never mixed with the CPU-time rates
+above.  On runners with fewer than four CPU cores the speedup measurements
+are skipped with an explicit log line (parallel wall-clock gains cannot be
+measured honestly there) and the skip is recorded in the entry; the
+**canonical-merge identity** check — the relaxed-process run at shards=4
+must produce records bit-identical to a fresh strict fabric replaying the
+same workload — runs regardless of core count.
 
 Results are appended to ``BENCH_trace.json`` as one entry holding both size
 sweeps (``sharded_fabric`` = 64 LANs, ``sharded_fabric_256`` = 256 LANs);
@@ -104,14 +100,12 @@ SWEEPS = ((64, "sharded_fabric"), (256, "sharded_fabric_256"))
 #: config-key suffix.
 CONFIGS = (("strict", 1), ("strict", 2), ("strict", 4), ("relaxed", 4))
 
-#: The relaxed configuration re-run on worker threads (informational).
-THREADED_SHARDS = 4
+#: The shard count at which ``relaxed_speedup`` compares relaxed with strict.
+SPEEDUP_SHARDS = 4
 
 #: Wall-clock sweep configurations: (config key, backend, shards).
 WALL_CONFIGS = (
     ("single", "single", 1),
-    ("shards=2/threads", "threads", 2),
-    ("shards=4/threads", "threads", 4),
     ("shards=2/process", "process", 2),
     ("shards=4/process", "process", 4),
 )
@@ -132,7 +126,7 @@ def config_key(sync: str, shards: int) -> str:
     return f"shards={shards}" if sync == "strict" else f"shards={shards}/{sync}"
 
 
-def build(segments: int, shards: int, sync: str, workers: int = 0, backend=None):
+def build(segments: int, shards: int, sync: str, backend=None):
     """Compile and warm up the host-populated ring on ``shards`` engines."""
     compile_start = time.perf_counter()
     run = run_scenario(
@@ -140,7 +134,6 @@ def build(segments: int, shards: int, sync: str, workers: int = 0, backend=None)
         params={"n_bridges": segments - 1, "hosts_per_segment": 2},
         shards=shards,
         sync=sync if shards > 1 else None,
-        workers=workers,
         backend=backend if shards > 1 else None,
     )
     compiled = time.perf_counter()
@@ -249,9 +242,9 @@ def _down_bridge_ports(run) -> None:
 
 
 def bench_configuration(
-    segments: int, shards: int, frames_per_pair: int, sync: str, workers: int = 0
+    segments: int, shards: int, frames_per_pair: int, sync: str
 ) -> dict:
-    run, compile_seconds, warm_seconds = build(segments, shards, sync, workers)
+    run, compile_seconds, warm_seconds = build(segments, shards, sync)
     _down_bridge_ports(run)
     inline_safe = sync == "relaxed"
     # Verification exchange: runs before any trace clearing so the counters
@@ -276,14 +269,11 @@ def bench_configuration(
             for stats in run.network.sim.shard_stats()
         ]
         if sync == "relaxed":
-            result["workers"] = workers
             result["relaxed_stats"] = run.network.sim.relaxed_stats
     return result
 
 
-def measure_in_subprocess(
-    segments: int, shards: int, frames: int, sync: str, workers: int = 0
-) -> dict:
+def measure_in_subprocess(segments: int, shards: int, frames: int, sync: str) -> dict:
     """Run one configuration in a fresh interpreter and return its JSON."""
     process = subprocess.run(
         [
@@ -293,7 +283,6 @@ def measure_in_subprocess(
             f"--segments={segments}",
             f"--frames={frames}",
             f"--sync={sync}",
-            f"--workers={workers}",
             "--shards",
             str(shards),
         ],
@@ -399,7 +388,6 @@ def bench_wall_configuration(
         segments,
         shards,
         "relaxed",
-        workers=shards if backend == "threads" else 0,
         backend="process" if backend == "process" else None,
     )
     _down_bridge_ports(run)
@@ -520,7 +508,7 @@ def run_wall_sweep(
     # where parallel speedups are not — and outside the timed samples above.
     # The barrier+pipe share measured here is the baseline the shared-memory
     # mailbox ROADMAP item has to beat.
-    breakdown_configs = [("shards=4/threads", "threads", 4)]
+    breakdown_configs = [("shards=4/sequential", "sequential", 4)]
     if hasattr(os, "fork"):
         breakdown_configs.append(("shards=4/process", "process", 4))
     breakdown = {}
@@ -586,19 +574,6 @@ def run_sweep(segments: int, frames: int) -> dict:
             f"{blast['records_per_second']:,} records/s"
         )
 
-    threaded = measure_in_subprocess(
-        segments, THREADED_SHARDS, frames, "relaxed", workers=THREADED_SHARDS
-    )
-    threaded_counters = threaded.pop("counters")
-    assert threaded_counters == baseline_counters, (
-        "threaded relaxed run diverged from the single engine"
-    )
-    print(
-        f"{segments} LANs shards={THREADED_SHARDS}/relaxed+threads: "
-        f"{threaded['blast']['records_per_second']:,} records/s cpu-based "
-        f"({threaded['blast']['seconds_wall']:.3f}s wall)"
-    )
-
     base_rate = configs["shards=1"]["blast"]["records_per_second"]
     best_shards, best_speedup = 1, 1.0
     for result in configs.values():
@@ -607,15 +582,15 @@ def run_sweep(segments: int, frames: int) -> dict:
             best_shards = result["shards"]
             best_speedup = speedup
 
-    strict_key = config_key("strict", THREADED_SHARDS)
-    relaxed_key = config_key("relaxed", THREADED_SHARDS)
+    strict_key = config_key("strict", SPEEDUP_SHARDS)
+    relaxed_key = config_key("relaxed", SPEEDUP_SHARDS)
     relaxed_speedup = (
         configs[relaxed_key]["blast"]["records_per_second"]
         / configs[strict_key]["blast"]["records_per_second"]
     )
     print(
         f"{segments} LANs: relaxed is {relaxed_speedup:.2f}x strict records/s "
-        f"at shards={THREADED_SHARDS}; best vs single engine: "
+        f"at shards={SPEEDUP_SHARDS}; best vs single engine: "
         f"shards={best_shards} at {best_speedup:.2f}x "
         "(all engine modes verified counter-identical)\n"
     )
@@ -623,7 +598,6 @@ def run_sweep(segments: int, frames: int) -> dict:
         "segments": segments,
         "frames_per_pair": frames,
         "configs": configs,
-        "threaded": threaded,
         "best_shards": best_shards,
         "best_speedup": round(best_speedup, 2),
         "relaxed_speedup": round(relaxed_speedup, 2),
@@ -651,10 +625,6 @@ def main() -> None:
         help="fabric synchronization mode for --measure-one",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="relaxed worker threads for --measure-one (0 = sequential)",
-    )
-    parser.add_argument(
         "--measure-one",
         action="store_true",
         help="internal: measure the single given configuration and print JSON",
@@ -665,8 +635,9 @@ def main() -> None:
         help="internal: wall-time one configuration (one pass) and print JSON",
     )
     parser.add_argument(
-        "--backend", choices=("single", "threads", "process"), default=None,
-        help="engine backend for --measure-wall",
+        "--backend", choices=("single", "sequential", "process"), default=None,
+        help="engine backend for --measure-wall (sequential = in-process "
+        "relaxed windows)",
     )
     parser.add_argument(
         "--verify-identity",
@@ -758,7 +729,6 @@ def main() -> None:
             args.shards[0] if args.shards else 4,
             args.frames,
             args.sync,
-            args.workers,
         )
         # Counter keys are (category, source) tuples; make them JSON-safe.
         result["counters"] = {

@@ -169,9 +169,9 @@ def collect_metrics(entry: dict) -> dict:
             metrics[f"telemetry/on-off-ratio@{frames} x"] = float(ratio)
     # One block per ring size (``sharded_fabric`` = 64 LANs,
     # ``sharded_fabric_256`` = 256 LANs); the size lives in the metric name
-    # so different sweeps never ratio against each other.  The ``threaded``
-    # sub-result is deliberately not gated: thread scheduling is the one
-    # knowingly non-deterministic configuration.
+    # so different sweeps never ratio against each other.  Older entries
+    # also hold a ``threaded`` sub-result, from relaxed windows on worker
+    # threads, which were removed; it was never collected and stays history.
     for key, fabric in entry.items():
         if not key.startswith("sharded_fabric") or not isinstance(fabric, dict):
             continue

@@ -52,12 +52,13 @@ other shards are staged in the sending shard's outbox.
 
 **Fault hooks.**  The fault subsystem (:mod:`repro.faults`) drives three
 knobs, all mutated only from driver/control context — the single engine's
-queue, strict shard 0, or relaxed control barriers — so mid-window shard
-threads only ever *read* them: :meth:`set_link` (cable cut: later transmits
-drop at the sender), :meth:`set_fault_model` (a seeded loss/corruption model
-judging every frame the event lane serves; an active model vetoes the
-express lanes) and :meth:`set_degrade` (less bandwidth, more delay, never
-beyond the compiled values, so the fabric's lookahead stays conservative).
+queue, strict shard 0, or relaxed control barriers — so code inside a
+relaxed window only ever *reads* them: :meth:`set_link` (cable cut: later
+transmits drop at the sender), :meth:`set_fault_model` (a seeded
+loss/corruption model judging every frame the event lane serves; an active
+model vetoes the express lanes) and :meth:`set_degrade` (less bandwidth,
+more delay, never beyond the compiled values, so the fabric's lookahead
+stays conservative).
 """
 
 from __future__ import annotations
@@ -266,10 +267,9 @@ class Segment:
 
         A downed link or an active loss model vetoes both lanes.  Each
         refresh also replaces the fan-out plan table (see :meth:`_deliver`).
-        Cut segments get none: their delivery runs can execute on several
-        shard threads at once, where a lazy build would race.
+        A cut segment delivers by run, and a run never reads the table.
         """
-        self._plans = None if self._delivery_runs is not None else {}
+        self._plans = {}
         model = self._fault_model
         if not self._link_up or (model is not None and model.active):
             self._express = EXPRESS_OFF
@@ -474,8 +474,8 @@ class Segment:
             # No carrier: the frame is lost at the sender.  The drop record
             # belongs to the sending context's stream (mirroring the enqueue
             # record below); on a cut segment under relaxed sync the counter
-            # increment is routed through the outbox — another shard's thread
-            # must not mutate this segment mid-window.
+            # increment is routed through the outbox — a window on another
+            # shard must not mutate this segment.
             trace = self._trace
             if self._delivery_runs is not None:
                 sim = self.sim
@@ -507,14 +507,16 @@ class Segment:
                 caller = active_shard()
                 if caller is not None:
                     # Inside a relaxed window this segment's state must not
-                    # be touched (another shard's thread may own it, and
-                    # strict FIFO order across shards is only defined at the
-                    # barrier).  Defer the transmit — home-shard senders
-                    # included, so same-nanosecond transmits from different
-                    # shards are FIFO'd by the one canonical mailbox merge.
-                    # (Express-eligible cut segments are exempt: their only
-                    # live senders are home-shard stations, so the home
-                    # thread owns the state outright.)
+                    # be touched (it may belong to another shard, whose
+                    # window runs before or after this one in the round,
+                    # and strict FIFO order across shards is only defined
+                    # at the barrier).  Defer the transmit — home-shard
+                    # senders included, so same-nanosecond transmits from
+                    # different shards are FIFO'd by the one canonical
+                    # mailbox merge.  (Express-eligible cut segments are
+                    # exempt: their only live senders are home-shard
+                    # stations, so the home shard's windows own the state
+                    # outright.)
                     trace = caller.trace
                     if trace.wants("segment.enqueue"):
                         trace.emit(
@@ -539,11 +541,11 @@ class Segment:
     ) -> None:
         """Replay a mailboxed transmit at its recorded time (window barrier).
 
-        Runs on the coordinator thread between windows: the home shard's
-        clock is set to the transmit time so the service arithmetic and
-        everything scheduled downstream carry exactly the timestamps the
-        strict engine produces.  (The enqueue record was already emitted at
-        send time, on the sending shard's stream.)
+        Runs between windows: the home shard's clock is set to the transmit
+        time so the service arithmetic and everything scheduled downstream
+        carry exactly the timestamps the strict engine produces.  (The
+        enqueue record was already emitted at send time, on the sending
+        shard's stream.)
         """
         clock = self.sim.clock
         clock._now_ns = when_ns
@@ -777,8 +779,8 @@ class Segment:
         cut segment's frame has legs instead: the home leg (an empty
         ``run``) emits the record, and each receiver run's leg delivers on
         its own shard.  A home delivery retires the entry; run legs only
-        read its state, which becomes "taken" only at barriers, so threaded
-        windows never race on it.
+        read its state, which becomes "taken" only at barriers, so no leg
+        depends on the order of the windows within a round.
         """
         sender, frame = entry[2], entry[3]
         if run:
@@ -970,8 +972,6 @@ class Segment:
         :data:`_FOREIGN`, so the table never outgrows the NIC count.  With
         fewer than :data:`_PLAN_MIN_FILTERING` filtering receivers the
         segment keeps the plain scan until the next refresh.
-
-        Runs on the segment's own engine only: cut segments never plan.
         """
         receivers = self._receivers
         shared: List[int] = []

@@ -378,7 +378,8 @@ class PopulationTraffic:
     def pool_statistics(self) -> Dict[str, int]:
         """Aggregated frame-pool counters across lanes.
 
-        Meaningful for in-process runs (single, strict, relaxed threads);
+        Meaningful for in-process runs (single engine, strict, and relaxed
+        on the ``"thread"`` backend);
         under ``backend="process"`` the workers' pools advance in their
         own address spaces and the parent's copy stays at its pre-fork
         values.

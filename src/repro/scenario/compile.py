@@ -120,7 +120,6 @@ class PartitionPlan:
             (``None`` when the shards are fully independent).
         sync: the fabric synchronization mode the run was compiled with
             (``"strict"`` or ``"relaxed"``).
-        workers: worker threads for relaxed windows (0 = sequential).
         backend: relaxed-window execution backend (``"thread"`` in-process,
             ``"process"`` one worker process per shard).
     """
@@ -130,7 +129,6 @@ class PartitionPlan:
     cut_segments: Tuple[str, ...] = ()
     lookahead_ns: Optional[int] = None
     sync: str = "strict"
-    workers: int = 0
     backend: str = "thread"
 
 
@@ -157,12 +155,10 @@ def plan_partition(
     """
     if isinstance(partition, PartitionSpec):
         requested, explicit = partition.shards, dict(partition.assignments)
-        sync, workers = partition.sync, partition.workers
-        backend = partition.backend
+        sync, backend = partition.sync, partition.backend
     else:
         requested, explicit = int(partition), {}
-        sync, workers = "strict", 0
-        backend = "thread"
+        sync, backend = "strict", "thread"
     if requested < 1:
         raise ValueError("a partition needs at least one shard")
     shards = min(requested, len(spec.segments)) if spec.segments else 1
@@ -190,7 +186,6 @@ def plan_partition(
             n_shards=1,
             assignments={name: 0 for name in names},
             sync=sync,
-            workers=workers,
             backend=backend,
         )
 
@@ -270,7 +265,6 @@ def plan_partition(
         cut_segments=tuple(cut),
         lookahead_ns=lookahead_ns,
         sync=sync,
-        workers=workers,
         backend=backend,
     )
 
@@ -512,7 +506,6 @@ def compile_spec(
     trace_sinks=None,
     shards: Union[int, PartitionSpec] = 1,
     sync: Optional[str] = None,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     faults=None,
     telemetry: bool = False,
@@ -531,10 +524,11 @@ def compile_spec(
     timestamps — to the single-engine compile (see :mod:`repro.sim.fabric`
     for the determinism argument).  ``sync="relaxed"`` (directly or via
     :attr:`PartitionSpec.sync`; the explicit argument wins) switches the
-    fabric to concurrent lookahead windows under the canonical-merge
-    contract, optionally on ``workers`` threads; ``backend="process"``
-    (directly or via :attr:`PartitionSpec.backend`) runs those windows on
-    one worker process per shard for wall-clock multi-core speedup.
+    fabric to per-shard lookahead windows under the canonical-merge
+    contract, run one after another on the calling thread;
+    ``backend="process"`` (directly or via :attr:`PartitionSpec.backend`)
+    runs those windows on one worker process per shard for wall-clock
+    multi-core speedup.
     Construction always runs strictly — the mode only affects dispatch.
 
     ``faults`` extends the spec's own fault timeline with additional
@@ -557,8 +551,6 @@ def compile_spec(
                 f"{ShardedSimulator.SYNC_MODES}"
             )
         plan.sync = sync
-    if workers is not None:
-        plan.workers = workers
     if backend is not None:
         if backend not in ShardedSimulator.BACKENDS:
             raise ValueError(
@@ -574,7 +566,6 @@ def compile_spec(
             placement=plan.assignments,
             lookahead_ns=plan.lookahead_ns,
             sync=plan.sync,
-            workers=plan.workers,
             backend=plan.backend,
         )
         builder = NetworkBuilder(seed=seed, cost_model=cost_model, engine=engine)

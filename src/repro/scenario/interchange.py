@@ -8,8 +8,8 @@ files, travel between tools and come back bit-identical:
   hosts, devices, ports, switchlets, faults, params) as plain mappings,
   lists and scalars, and back.
 * :func:`partition_to_dict` / :func:`dict_to_partition` — the engine-side
-  :class:`~repro.scenario.spec.PartitionSpec` (shards, sync, workers,
-  backend, explicit assignments).
+  :class:`~repro.scenario.spec.PartitionSpec` (shards, sync, backend,
+  explicit assignments).
 * :func:`dump_scenario` / :func:`load_scenario` — a complete *scenario
   document* (spec + optional partition + optional free-form ``run`` block)
   as YAML or JSON text, plus :func:`save_scenario` / :func:`load_scenario_file`
@@ -152,7 +152,6 @@ def partition_to_dict(partition: PartitionSpec) -> dict:
         "shards": partition.shards,
         "assignments": dict(partition.assignments),
         "sync": partition.sync,
-        "workers": partition.workers,
         "backend": partition.backend,
     }
 
@@ -388,7 +387,12 @@ def dict_to_spec(data: object, where: str = "spec") -> ScenarioSpec:
 
 
 def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
-    """Rebuild a :class:`PartitionSpec` from :func:`partition_to_dict` output."""
+    """Rebuild a :class:`PartitionSpec` from :func:`partition_to_dict` output.
+
+    A ``workers`` key (the size of the relaxed worker-thread pool, which no
+    longer exists) is still accepted, checked and dropped: threads never
+    changed a result, so older documents load to the same partition.
+    """
     fields = _take(
         _require_mapping(data, where),
         where,
@@ -401,6 +405,11 @@ def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
             "backend": "thread",
         },
     )
+    workers = fields["workers"]
+    if not isinstance(workers, int) or workers < 0:
+        raise InterchangeError(
+            f"{where}.workers: expected a non-negative integer, got {workers!r}"
+        )
     try:
         return PartitionSpec(
             shards=fields["shards"],
@@ -408,7 +417,6 @@ def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
                 _require_mapping(fields["assignments"], f"{where}.assignments")
             ),
             sync=fields["sync"],
-            workers=fields["workers"],
             backend=fields["backend"],
         )
     except ValueError as exc:

@@ -49,12 +49,14 @@ def run_scenario(
             topologies execute faster on the fabric's batched per-shard
             event rings.
         sync: fabric synchronization mode — ``"strict"`` (default) or
-            ``"relaxed"`` (concurrent lookahead windows, canonical-merge
+            ``"relaxed"`` (per-shard lookahead windows, canonical-merge
             equivalent to strict; see :mod:`repro.sim.relaxed`).  Overrides
             :attr:`PartitionSpec.sync` when both are given; ignored for
             single-engine runs.
-        workers: worker threads for relaxed windows (``None`` keeps the
-            partition's setting; ``0`` = sequential).
+        workers: only ``None`` or ``0``, which change nothing.  Relaxed
+            windows run on the calling thread; the worker-thread pool this
+            argument sized no longer exists, and any other value raises
+            :class:`ValueError`.
         backend: relaxed-window execution backend — ``"thread"``
             (in-process) or ``"process"`` (one worker process per shard,
             wall-clock parallel; see :mod:`repro.sim.procpool`).  Overrides
@@ -74,6 +76,16 @@ def run_scenario(
         The compiled :class:`ScenarioRun`; the caller decides how far to run
         the simulator (``run.warm_up()`` reaches the scenario's ready time).
     """
+    # ``workers`` outlives the worker-thread pool it sized because
+    # perfbench/workloads.py, which stays unchanged so that benchmark runs
+    # compare across commits, passes ``workers=0``: sequential windows, the
+    # only kind left.  A request for threads fails loudly instead.
+    if workers not in (None, 0):
+        raise ValueError(
+            f"workers={workers!r}: relaxed worker threads were removed; "
+            "relaxed windows run on the calling thread, and "
+            "backend='process' runs them in parallel worker processes"
+        )
     if isinstance(scenario, str):
         spec = get_scenario(scenario, **dict(params or {}))
     else:
@@ -82,7 +94,7 @@ def run_scenario(
         spec = scenario
     return compile_spec(
         spec, seed=seed, cost_model=cost_model, trace_sinks=trace_sinks,
-        shards=shards, sync=sync, workers=workers, backend=backend,
+        shards=shards, sync=sync, backend=backend,
         faults=faults, telemetry=telemetry,
     )
 
@@ -97,7 +109,6 @@ def run_matrix(
     base_params: Optional[Mapping[str, object]] = None,
     shards: Union[int, PartitionSpec] = 1,
     sync: Optional[str] = None,
-    workers: Optional[int] = None,
     backend: Optional[str] = None,
     faults=None,
     telemetry: bool = False,
@@ -107,13 +118,13 @@ def run_matrix(
     Expansion order is deterministic (see
     :func:`~repro.scenario.registry.expand_matrix`); each run is compiled
     lazily, so a large sweep only holds one live network at a time.  The
-    ``shards`` and ``sync``/``workers``/``backend`` knobs apply to every
+    ``shards`` and ``sync``/``backend`` knobs apply to every
     point (the partitioner clamps the shard count for points with fewer
     segments).
     """
     for spec in expand_matrix(name, axes, base_params=base_params):
         yield compile_spec(
             spec, seed=seed, cost_model=cost_model, trace_sinks=trace_sinks,
-            shards=shards, sync=sync, workers=workers, backend=backend,
+            shards=shards, sync=sync, backend=backend,
             faults=faults, telemetry=telemetry,
         )

@@ -115,20 +115,18 @@ class PartitionSpec:
             segment, devices with their first port's segment.
         sync: fabric synchronization mode — ``"strict"`` (exact global
             event order, bit-identical to the single engine) or
-            ``"relaxed"`` (concurrent lookahead windows under the
+            ``"relaxed"`` (per-shard lookahead windows under the
             canonical-merge contract; see :mod:`repro.sim.relaxed`).
-        workers: worker threads for relaxed windows (``0`` = sequential,
-            the benchmarked pick on GIL builds).  Ignored under strict sync.
         backend: relaxed-window execution backend — ``"thread"`` (default,
-            in-process) or ``"process"`` (one worker process per shard for
-            wall-clock multi-core speedup; see :mod:`repro.sim.procpool`).
-            Ignored under strict sync.
+            in-process, one window after another on the calling thread) or
+            ``"process"`` (one worker process per shard for wall-clock
+            multi-core speedup; see :mod:`repro.sim.procpool`).  Ignored
+            under strict sync.
     """
 
     shards: int = 1
     assignments: Mapping[str, int] = field(default_factory=dict)
     sync: str = "strict"
-    workers: int = 0
     backend: str = "thread"
 
     def __post_init__(self) -> None:
@@ -138,8 +136,6 @@ class PartitionSpec:
             raise ValueError(
                 f"unknown sync mode {self.sync!r}; expected one of {SYNC_MODES}"
             )
-        if self.workers < 0:
-            raise ValueError("partition workers cannot be negative")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown relaxed backend {self.backend!r}; "

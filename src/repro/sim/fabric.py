@@ -30,8 +30,8 @@ trace streams carry a shared emission sequence (:attr:`TraceRecord.seq`);
 that key, deterministically.
 
 **Relaxed mode (canonical-merge equivalence).**  With ``sync="relaxed"`` the
-fabric instead advances shards concurrently through conservative lookahead
-windows (see :mod:`repro.sim.relaxed` for the model and
+fabric instead advances each shard independently through conservative
+lookahead windows (see :mod:`repro.sim.relaxed` for the model and
 :meth:`FabricTrace.canonical_records` for the merge): the global emission
 order is given up, and correctness is redefined as *canonical-merge
 equivalence* — per-shard streams merged by the canonical ``(time, shard_id,
@@ -303,17 +303,15 @@ class ShardedSimulator:
             in relaxed mode.
         sync: ``"strict"`` (default) dispatches in the exact global
             ``(time_ns, sequence)`` order — bit-identical to the single
-            engine; ``"relaxed"`` advances shards concurrently through
-            lookahead windows under the canonical-merge contract (see
+            engine; ``"relaxed"`` advances shards through lookahead windows
+            under the canonical-merge contract (see
             :mod:`repro.sim.relaxed`).
-        workers: worker threads for relaxed windows (``0`` = run windows
-            inline on the calling thread — the benchmarked pick on GIL
-            builds).  Ignored under strict sync.
         backend: relaxed-window execution backend — ``"thread"`` (default)
-            runs windows in-process; ``"process"`` forks one worker process
-            per shard for wall-clock multi-core speedup (see
-            :mod:`repro.sim.procpool`; one measured dispatch per run, then
-            ``reset()``).  Ignored under strict sync.
+            runs windows in-process, one after another on the calling
+            thread; ``"process"`` forks one worker process per shard for
+            wall-clock multi-core speedup (see :mod:`repro.sim.procpool`;
+            one measured dispatch per run, then ``reset()``).  Ignored
+            under strict sync.
     """
 
     SYNC_MODES = SYNC_MODES
@@ -331,7 +329,6 @@ class ShardedSimulator:
         placement: Optional[Mapping[str, int]] = None,
         lookahead_ns: Optional[int] = None,
         sync: str = "strict",
-        workers: int = 0,
         backend: str = "thread",
     ) -> None:
         if shards < 1:
@@ -372,7 +369,7 @@ class ShardedSimulator:
         # never do.  Under strict sync the facade schedules on shard 0.
         self._control = EventQueue(self._event_counter)
         self._control_dispatched = 0
-        self._relaxed = RelaxedExecutor(self, workers=workers)
+        self._relaxed = RelaxedExecutor(self)
         # Segment registry: name -> Segment, filled by Segment.__init__ so
         # the process backend can rebind serialized mail symbolically.
         self._segments: Dict[str, object] = {}
@@ -387,7 +384,7 @@ class ShardedSimulator:
         if backend != "thread":
             self.set_backend(backend)
         if sync != "strict":
-            self.set_sync(sync, workers=workers)
+            self.set_sync(sync)
 
     def auto_station_id(self, base: int) -> int:
         """Allocate the next automatic station id in the ``base`` namespace.
@@ -419,17 +416,7 @@ class ShardedSimulator:
         """
         return self._sync == "relaxed"
 
-    @property
-    def relaxed_workers(self) -> int:
-        """Worker threads used for relaxed windows (0 = sequential)."""
-        return self._relaxed.workers
-
-    def set_sync(
-        self,
-        sync: str,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def set_sync(self, sync: str, backend: Optional[str] = None) -> None:
         """Switch the execution mode between runs.
 
         Modes may be switched freely while the fabric is idle — a common
@@ -463,8 +450,6 @@ class ShardedSimulator:
             self._migrate_control_to_shard0()
         self._sync = sync
         self.trace._canonical = sync == "relaxed"
-        if workers is not None:
-            self._relaxed.set_workers(workers)
         if backend is not None:
             self.set_backend(backend)
 

@@ -1,10 +1,10 @@
 """Process-per-shard execution of the relaxed fabric: the wall-clock backend.
 
-The threaded relaxed executor (:mod:`repro.sim.relaxed`) parallelizes CMB
-lookahead windows across worker *threads*; on a GIL build that buys CPU-time
-throughput but never wall-clock speedup.  This module runs the same window
-plan across worker *processes* — true multi-core execution — while keeping
-the canonical-merge correctness contract bit-for-bit.
+The in-process relaxed executor (:mod:`repro.sim.relaxed`) runs each round
+of CMB lookahead windows one window after another on the calling thread.
+This module runs the same window plan across worker *processes* — true
+multi-core execution, so windows run in parallel in wall time — while
+keeping the canonical-merge correctness contract bit-for-bit.
 
 **Execution model (fork-at-dispatch SPMD replicas).**  At the relaxed
 dispatch the parent forks one worker per shard (``fork`` start method: each
@@ -460,8 +460,6 @@ class ProcessExecutor:
                 "the process backend requires the 'fork' start method, which "
                 "this platform does not provide"
             ) from exc
-        # No live worker threads may cross a fork.
-        fabric._relaxed.close()
         lookahead = fabric.lookahead_ns
         shared_clock = fabric.clock
         n_shards = len(shards)

@@ -27,20 +27,23 @@ later, so the leader must never outrun ``T + 2L - 1``.  Shards whose next
 event lies beyond their bound are skipped outright — control-heavy
 topologies (e.g. ``ring/failover``) concentrate events on one shard at a
 time, and skipping turns each barrier round from ``n`` queue drains into one.
-After the eligible shards drain their queues (sequentially, or on one worker
-thread per shard) the executor flushes the cross-shard *mailboxes* at the
+The eligible shards drain their queues one after another on the calling
+thread; then the executor flushes the cross-shard *mailboxes* at the
 barrier.  When the shards share no cut segment (``lookahead_ns is None``)
-the window is the whole run horizon and every shard free-runs.
+the window is the whole run horizon and every shard free-runs.  Windows
+that run in parallel, in wall time, are the process backend's job
+(:mod:`repro.sim.procpool`).
 
 **Mailboxes.**  During a window a shard never touches another shard's state.
 Cross-shard interactions — a station transmitting on a cut segment homed
 elsewhere, and a cut segment scheduling its per-shard delivery runs — are
-appended to the *sending* shard's outbox (single-writer, so no locks).  At
-the window barrier the coordinator merges all outboxes in the canonical
-``(time_ns, sender_shard, position)`` order and applies them: transmits
-replay through the segment at their recorded times, event pushes land on the
-target queues.  Thread interleaving therefore cannot influence any simulation
-state: relaxed runs are deterministic with and without worker threads.
+appended to the *sending* shard's outbox.  At the window barrier the
+coordinator merges all outboxes in the canonical ``(time_ns, sender_shard,
+position)`` order and applies them: transmits replay through the segment at
+their recorded times, event pushes land on the target queues.  The order in
+which a round's shards ran therefore cannot influence any simulation state,
+and the process backend, whose workers run a round's windows at once, gets
+the same results from the same merge.
 
 **Correctness contract (canonical-merge equivalence).**  Relaxed mode does
 not preserve the global emission order of trace records.  Instead, per-shard
@@ -50,23 +53,12 @@ for why same-instant ties of independent sources fall back to the source
 name — and the contract is that the canonically merged records, all live
 counters and every component statistic are identical to the strict
 engine's.  The test suite proves this catalog-wide at ``shards=1,2,4``.
-
-**Worker threads.**  ``workers > 0`` dispatches each window's shards on a
-persistent thread pool.  On a free-threaded CPython build this parallelizes
-the windows across cores; on a GIL build threads only add synchronization
-overhead, so the benchmarked pick (see ``bench_sharded_fabric.py``) is the
-sequential executor, whose win comes from the engine's plain drain loop and
-the segment express lanes (:meth:`~repro.lan.segment.Segment._pump`).
-Either way the mailbox discipline keeps results identical.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro.exceptions import SimulationError
 from repro.sim.clock import NANOSECONDS_PER_SECOND
 
 #: The fabric's synchronization modes — the single source of truth consumed
@@ -74,23 +66,24 @@ from repro.sim.clock import NANOSECONDS_PER_SECOND
 #: :class:`~repro.scenario.spec.PartitionSpec`.
 SYNC_MODES = ("strict", "relaxed")
 
-#: Relaxed-window execution backends.  ``"thread"`` runs windows in-process
-#: (sequentially or on a worker-thread pool — see :class:`RelaxedExecutor`);
+#: Relaxed-window execution backends.  ``"thread"`` runs windows in-process,
+#: one after another on the calling thread (see :class:`RelaxedExecutor`);
 #: ``"process"`` runs one worker process per shard for wall-clock multi-core
 #: speedup (see :mod:`repro.sim.procpool`).  Ignored under strict sync.
 BACKENDS = ("thread", "process")
 
-#: Thread-local "which shard is executing on this thread" marker.  Set by
-#: :meth:`EngineShard._run_window` for the duration of a relaxed window; the
-#: segment layer reads it to route cross-shard interactions into the correct
-#: outbox (and to recognize the window context at all — outside a relaxed
-#: window the classic direct paths are single-threaded and safe).
-_ACTIVE = threading.local()
+#: The shard whose relaxed window is executing, or ``None``.  Set by
+#: :meth:`EngineShard._run_window` for the duration of a window; the segment
+#: layer reads it to route cross-shard interactions into the correct outbox
+#: (and to recognize the window context at all — outside a relaxed window
+#: the classic direct paths are safe).  Each process-backend worker is a
+#: process of its own, with its own copy.
+_ACTIVE = None
 
 
 def active_shard():
-    """The shard whose relaxed window is executing on this thread, if any."""
-    return getattr(_ACTIVE, "shard", None)
+    """The shard whose relaxed window is executing, if any."""
+    return _ACTIVE
 
 
 class RelaxedExecutor:
@@ -98,16 +91,10 @@ class RelaxedExecutor:
 
     Args:
         fabric: the owning :class:`~repro.sim.fabric.ShardedSimulator`.
-        workers: worker threads for window execution; ``0`` (the default)
-            runs every window inline on the calling thread.
     """
 
-    def __init__(self, fabric, workers: int = 0) -> None:
-        if workers < 0:
-            raise SimulationError("relaxed workers cannot be negative")
+    def __init__(self, fabric) -> None:
         self.fabric = fabric
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
         #: Windows executed by the last dispatch (diagnostics/benchmarks).
         self.windows = 0
         #: Mailbox entries flushed by the last dispatch.
@@ -123,15 +110,14 @@ class RelaxedExecutor:
     def dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
         """Run every pending event with ``time_ns <= until_ns`` (relaxed).
 
-        With ``max_events`` the executor degrades to sequential windows so
-        the budget is consumed in canonical shard order; budgeted stepping is
-        a debugging affordance, not the hot path.
+        With ``max_events`` a round drains its eligible shards in index
+        order until the budget is spent, and the sole-leader fast path is
+        off; budgeted stepping is a debugging affordance, not the hot path.
         """
         fabric = self.fabric
         shards = fabric._shards
         lookahead = fabric.lookahead_ns
         shared_clock = fabric.clock
-        self._ensure_pool()
         for shard in shards:
             shard._enter_relaxed(shared_clock, until_ns)
         self.windows = 0
@@ -143,8 +129,8 @@ class RelaxedExecutor:
         # Cached shard tops.  During a window only three queues can change:
         # the running shard's own queue (direct scheduling), the control ring
         # (facade scheduling), and the outboxes (cut-segment mail, applied at
-        # the barrier flush) — so after a flush-free fast-path round only the
-        # leader's cached top needs refreshing; everything else is refreshed
+        # the barrier flush) — so after a flush-free round only the drained
+        # shards' cached tops need refreshing; everything else is refreshed
         # wholesale after a mail flush or control barrier.  The peek reads
         # the raw heap top instead of ``top_key``: a cancelled head can only
         # make a top look *earlier* than it really is, and an earlier top
@@ -179,7 +165,7 @@ class RelaxedExecutor:
                         tops[index] = heap[0][0] if heap else None
                     refresh_all = False
                 # One pass over the cached tops yields everything the window
-                # plan needs: the global minimum ``t_min``, the runner-up
+                # bounds need: the global minimum ``t_min``, the runner-up
                 # ``t_second`` among the *other* shards, whether the minimum
                 # is tied, and which shard leads.
                 t_min = None
@@ -204,8 +190,7 @@ class RelaxedExecutor:
                 # no-op barrier whose ``_run_control`` discards the dead
                 # entries — one wasted round, never a wrong one.
                 control_t = control_heap[0][0] if control_heap else None
-                budget = None if max_events is None else max_events - dispatched
-                if budget is not None and budget <= 0:
+                if max_events is not None and dispatched >= max_events:
                     break
                 if timer is not None:
                     pending = 0
@@ -222,7 +207,10 @@ class RelaxedExecutor:
                     # synchronously touch components on any shard.
                     if timer is not None:
                         timer.lap("plan")
-                    dispatched += self._run_control(control_t, budget)
+                    dispatched += self._run_control(
+                        control_t,
+                        None if max_events is None else max_events - dispatched,
+                    )
                     # Barrier callbacks use the direct (non-outbox) paths, so
                     # mail is rare here; skip the flush when every box is
                     # empty.  The full top refresh stays: control callbacks
@@ -250,163 +238,114 @@ class RelaxedExecutor:
                     for shard in shards:
                         shard._until_ns = pump_bound
                 self.windows += 1
-                if lookahead is not None:
+                if lookahead is None:
+                    # Whole-horizon round: the shards share no cut segment,
+                    # so every shard with work drains to the pump bound —
+                    # also one whose cached top lies past it, whose drain
+                    # then discards its cancelled heads.  ``pump_bound``
+                    # stands in for each such shard's top.
+                    lead_bound = base_bound = pump_bound
+                    scan = [
+                        pump_bound if shard._queue._heap else None
+                        for shard in shards
+                    ]
+                else:
+                    scan = tops
                     base_bound = t_min + lookahead - 1
                     if base_bound > pump_bound:
                         base_bound = pump_bound
-                    if (
-                        budget is None
-                        and not tied
-                        and (t_second is None or t_second > base_bound)
-                    ):
-                        # Fast path: the leader is the sole eligible shard —
-                        # every other top (the earliest is ``t_second``) lies
-                        # beyond the classic window (control-heavy topologies
-                        # live here).  While the leader generates no mail the
-                        # other shards' tops are provably static, so the
-                        # drain extends its own window in place (see
-                        # ``extend`` in :meth:`EngineShard._run_window`) —
-                        # no rescan, no plan, no flush per window.  The
-                        # leader's first bound adds the feedback protection:
-                        # no other shard can act before ``min(its own top,
-                        # t_min + L)`` — an idle shard must first be woken by
-                        # the leader's mail — and its reaction needs one more
-                        # lookahead hop to reach back.
-                        other = t_min + lookahead
-                        if t_second is not None and t_second < other:
-                            other = t_second
-                        lead_bound = other + lookahead - 1
-                        if lead_bound > pump_bound:
-                            lead_bound = pump_bound
-                        leader = shards[leader_index]
-                        if timer is not None:
-                            timer.lap("plan")
-                            round_base = dispatched
-                        dispatched += leader._run_window(
-                            lead_bound,
-                            None,
-                            (t_second, lookahead, control, pump_bound),
-                        )
-                        if timer is not None:
-                            wall = timer.lap("compute")
-                            sole_counter.inc()
-                            win_hist.observe(dispatched - round_base)
-                            telemetry.flight.record(
-                                leader_index, "win", (t_min, lead_bound), wall
-                            )
-                        if leader.outbox:
-                            self._flush_mail(shards)
-                            refresh_all = True
-                            if timer is not None:
-                                timer.lap("barrier")
-                        else:
-                            heap = leader._queue._heap
-                            tops[leader_index] = heap[0][0] if heap else None
-                        continue
                     if tied:
                         # Two shards share the earliest top: nobody outruns
                         # the classic global window.
                         lead_bound = base_bound
                     else:
-                        # Sole leader with a reachable runner-up: same
-                        # feedback-protected bound as the fast path.
+                        # The sole leader's feedback-protected bound: no
+                        # other shard can act before ``min(its own top,
+                        # t_min + L)`` — an idle shard must first be woken
+                        # by the leader's mail — and its reaction needs one
+                        # more lookahead hop to reach back.
                         other = t_min + lookahead
                         if t_second is not None and t_second < other:
                             other = t_second
                         lead_bound = other + lookahead - 1
                         if lead_bound > pump_bound:
                             lead_bound = pump_bound
-                    if self._pool is None and budget is None:
-                        # Sequential slow path, inlined: run each eligible
-                        # shard as the scan finds it and refresh its cached
-                        # top in the same breath — no plan list at all.
-                        if timer is not None:
-                            timer.lap("plan")
-                            round_base = dispatched
-                        for index in shard_range:
-                            top = tops[index]
-                            if top is None:
-                                continue
-                            bound = (
-                                lead_bound
-                                if index == leader_index
-                                else base_bound
+                        if max_events is None and (
+                            t_second is None or t_second > base_bound
+                        ):
+                            # Fast path: the leader is the sole eligible
+                            # shard — every other top (the earliest is
+                            # ``t_second``) lies beyond the classic window
+                            # (control-heavy topologies live here).  While
+                            # the leader generates no mail the other shards'
+                            # tops are provably static, so the drain extends
+                            # its own window in place (see ``extend`` in
+                            # :meth:`EngineShard._run_window`) — no rescan
+                            # and no flush per window.
+                            leader = shards[leader_index]
+                            if timer is not None:
+                                timer.lap("plan")
+                                round_base = dispatched
+                            dispatched += leader._run_window(
+                                lead_bound,
+                                None,
+                                (t_second, lookahead, control, pump_bound),
                             )
-                            if top > bound:
-                                # Nothing inside this shard's bound; skip the
-                                # drain (and its clock churn) entirely.
-                                continue
-                            shard = shards[index]
-                            dispatched += shard._run_window(bound)
-                            heap = shard._queue._heap
-                            tops[index] = heap[0][0] if heap else None
-                        if timer is not None:
-                            wall = timer.lap("compute")
-                            win_hist.observe(dispatched - round_base)
-                            telemetry.flight.record(
-                                leader_index, "win", (t_min, lead_bound), wall
-                            )
-                        for shard in shards:
-                            if shard.outbox:
+                            if timer is not None:
+                                wall = timer.lap("compute")
+                                sole_counter.inc()
+                                win_hist.observe(dispatched - round_base)
+                                telemetry.flight.record(
+                                    leader_index, "win", (t_min, lead_bound), wall
+                                )
+                            if leader.outbox:
                                 self._flush_mail(shards)
                                 refresh_all = True
-                                break
-                        if timer is not None:
-                            timer.lap("barrier")
-                        continue
-                    plan = []
-                    for index in shard_range:
-                        top = tops[index]
-                        if top is None:
+                                if timer is not None:
+                                    timer.lap("barrier")
+                            else:
+                                heap = leader._queue._heap
+                                tops[leader_index] = heap[0][0] if heap else None
                             continue
-                        bound = lead_bound if index == leader_index else base_bound
-                        if top > bound:
-                            continue
-                        plan.append((shards[index], bound))
-                else:
-                    plan = [
-                        (shard, pump_bound)
-                        for shard in shards
-                        if shard._queue._heap
-                    ]
+                # The round: drain each eligible shard in index order and
+                # refresh its cached top in the same breath.
                 if timer is not None:
                     timer.lap("plan")
                     round_base = dispatched
-                if self._pool is not None and budget is None:
-                    dispatched += self._run_window_threaded(plan)
-                else:
-                    for shard, bound in plan:
-                        remaining = (
-                            None if budget is None else budget - dispatched
-                        )
-                        if remaining is not None and remaining <= 0:
+                for index in shard_range:
+                    top = scan[index]
+                    if top is None:
+                        continue
+                    bound = lead_bound if index == leader_index else base_bound
+                    if top > bound:
+                        # Nothing inside this shard's bound; skip the drain
+                        # (and its clock churn) entirely.
+                        continue
+                    shard = shards[index]
+                    if max_events is None:
+                        dispatched += shard._run_window(bound)
+                    else:
+                        remaining = max_events - dispatched
+                        if remaining <= 0:
                             break
                         dispatched += shard._run_window(bound, remaining)
+                    heap = shard._queue._heap
+                    tops[index] = heap[0][0] if heap else None
                 if timer is not None:
                     wall = timer.lap("compute")
                     win_hist.observe(dispatched - round_base)
                     telemetry.flight.record(
-                        max(leader_index, 0), "win", (t_min, pump_bound), wall
+                        leader_index, "win", (t_min, lead_bound), wall
                     )
-                # Only the planned shards' rings changed unless they mailed:
-                # refresh just those tops and skip the flush (and the full
-                # rescan it forces) on mail-free rounds.
-                mailed = False
+                # A mail-free round skips the flush and the full rescan it
+                # forces: only the drained shards' queues changed.
                 for shard in shards:
                     if shard.outbox:
-                        mailed = True
+                        self._flush_mail(shards)
+                        refresh_all = True
                         break
-                if mailed:
-                    self._flush_mail(shards)
-                    refresh_all = True
-                else:
-                    for shard, _ in plan:
-                        heap = shard._queue._heap
-                        tops[shard.index] = heap[0][0] if heap else None
                 if timer is not None:
                     timer.lap("barrier")
-                if max_events is not None and dispatched >= max_events:
-                    break
         finally:
             top_ns = shared_clock._now_ns
             for shard in shards:
@@ -456,11 +395,6 @@ class RelaxedExecutor:
         fabric._control_dispatched += n
         return n
 
-    def _run_window_threaded(self, plan) -> int:
-        pool = self._pool
-        futures = [pool.submit(shard._run_window, bound) for shard, bound in plan]
-        return sum(future.result() for future in futures)
-
     # ------------------------------------------------------------------
     # Barrier: canonical mailbox flush
     # ------------------------------------------------------------------
@@ -481,8 +415,9 @@ class RelaxedExecutor:
           barrier; the drop record was already emitted on the sender's
           stream at send time).
 
-        The sort key makes the merge independent of thread scheduling, which
-        is what keeps threaded relaxed runs deterministic.
+        The sort key makes the merge independent of the order in which the
+        round's shards ran; every process-backend replica applies the same
+        merged batch.
         """
         entries = None
         single = None
@@ -565,33 +500,3 @@ class RelaxedExecutor:
                 ).inc(entry[4].wire_length)
         registry.counter("fabric_mail_entries_total").inc(n)
 
-    # ------------------------------------------------------------------
-    # Worker pool lifecycle
-    # ------------------------------------------------------------------
-
-    def set_workers(self, workers: int) -> None:
-        """Resize the worker pool (``0`` returns to sequential windows)."""
-        if workers < 0:
-            raise SimulationError("relaxed workers cannot be negative")
-        if workers == self.workers and (workers == 0) == (self._pool is None):
-            return
-        self.close()
-        self.workers = workers
-
-    def _ensure_pool(self) -> None:
-        if self.workers > 0 and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="relaxed-shard"
-            )
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -47,11 +47,11 @@ from functools import partial
 from heapq import heappop
 from typing import Optional
 
+from repro.sim import relaxed as _relaxed
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND
 from repro.sim.engine import NO_BUDGET, EngineCore
 from repro.sim.events import EventQueue
 from repro.sim.random_source import RandomSource
-from repro.sim.relaxed import _ACTIVE
 from repro.sim.trace import TraceRecorder
 
 
@@ -206,7 +206,7 @@ class EngineShard(EngineCore):
         in place instead of bouncing through the executor's barrier loop
         once per window (see :meth:`_extend_window`).
         """
-        _ACTIVE.shard = self
+        _relaxed._ACTIVE = self
         try:
             n = self._drain(
                 window_end_ns,
@@ -214,7 +214,7 @@ class EngineShard(EngineCore):
                 None if extend is None else partial(self._extend_window, *extend),
             )
         finally:
-            _ACTIVE.shard = None
+            _relaxed._ACTIVE = None
         # Within one drain event times never decrease, and callbacks leave
         # the clock where the drain set it, so it holds the last event's time.
         if n and self.clock._now_ns > self.cursor_ns:

@@ -3,9 +3,10 @@
 The headline contract under test: one fault timeline — scripted link/port
 failures, loss models, degradations — produces **bit-identical** results on
 the single engine and the strict sharded fabric, and **canonical-merge
-equivalent** results under relaxed execution (sequential and threaded),
-proven over the new ``ring/failover`` and ``pair/lossy`` catalog scenarios
-driven through a whole failure → reconvergence → recovery episode.
+equivalent** results under relaxed execution (whole and in budgeted
+slices), proven over the new ``ring/failover`` and ``pair/lossy`` catalog
+scenarios driven through a whole failure → reconvergence → recovery
+episode.
 
 Also covered: the spanning tree genuinely failing over (blocked port walks
 to forwarding, traffic reroutes), express-lane re-evaluation when ports or
@@ -69,25 +70,40 @@ def _observables(run):
     return counters, host_stats, segment_stats, run.sim.now
 
 
-def _drive_failover(shards, sync="strict", workers=0):
-    """Warm up, ping across the whole outage, run to recovery + settle."""
+def _run_until(sim, until, budget=None):
+    """``sim.run_until(until)``, in slices of ``budget`` events if given."""
+    if budget is None:
+        sim.run_until(until)
+        return
+    while sim.run_until(until, max_events=budget) == budget:
+        pass
+
+
+def _drive_failover(shards, sync="strict", budget=None):
+    """Warm up, ping across the whole outage, run to recovery + settle.
+
+    With ``budget`` every dispatch runs as ``run_until(..., max_events=
+    budget)`` slices, which must not change anything.
+    """
     run = run_scenario(
-        "ring/failover", params=FAILOVER_PARAMS,
-        shards=shards, sync=sync, workers=workers,
+        "ring/failover", params=FAILOVER_PARAMS, shards=shards, sync=sync,
     )
-    run.warm_up()
-    PingRunner(
+    _run_until(run.sim, run.ready_time, budget)
+    start = run.sim.now + 0.01
+    pings = PingRunner(
         run.sim, run.host("left"), run.host("right").ip, payload_size=64,
         count=30, interval=0.25, identifier=7,
-    ).run(start_time=run.sim.now + 0.01)
-    run.sim.run_until(14.0)
+    )
+    pings.start(start)
+    _run_until(run.sim, start + pings.count * pings.interval + 2.0, budget)
+    _run_until(run.sim, 14.0, budget)
     return run
 
 
-def _drive_lossy(shards, sync="strict", workers=0):
+def _drive_lossy(shards, sync="strict"):
     run = run_scenario(
         "pair/lossy", params={"loss_rate": 0.25, "corrupt_rate": 0.05},
-        shards=shards, sync=sync, workers=workers,
+        shards=shards, sync=sync,
     )
     run.warm_up()
     PingRunner(
@@ -129,11 +145,12 @@ class TestFailoverEquivalence:
         assert _canonical(relaxed) == _canonical(strict)
         assert _observables(relaxed) == _observables(reference)
 
-    def test_threaded_relaxed_equals_sequential(self, reference):
-        sequential = _drive_failover(4, sync="relaxed")
-        threaded = _drive_failover(4, sync="relaxed", workers=4)
-        assert _canonical(threaded) == _canonical(sequential)
-        assert _observables(threaded) == _observables(reference)
+    def test_budgeted_relaxed_slices_equal_one_run(self, reference):
+        whole = _drive_failover(4, sync="relaxed")
+        sliced = _drive_failover(4, sync="relaxed", budget=7)
+        assert _canonical(sliced) == _canonical(whole)
+        assert sliced.sim.shard_stats() == whole.sim.shard_stats()
+        assert _observables(sliced) == _observables(reference)
 
 
 class TestLossyEquivalence:
@@ -152,14 +169,11 @@ class TestLossyEquivalence:
         assert list(sharded.sim.trace) == list(reference.sim.trace)
         assert _observables(sharded) == _observables(reference)
 
-    def test_relaxed_and_threaded_equivalent(self, reference):
+    def test_relaxed_equivalent(self, reference):
         strict = _drive_lossy(2)
         relaxed = _drive_lossy(2, sync="relaxed")
-        threaded = _drive_lossy(2, sync="relaxed", workers=2)
         assert _canonical(relaxed) == _canonical(strict)
-        assert _canonical(threaded) == _canonical(relaxed)
         assert _observables(relaxed) == _observables(reference)
-        assert _observables(threaded) == _observables(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +417,11 @@ class TestCutDrainLinkDown:
     )
     TARGET = "seg2"  # cut at shards=2 and shards=4 (deterministic partition)
 
-    def _drive(self, shards, sync, workers=0, frames=400):
+    def _drive(self, shards, sync, frames=400):
         run = run_scenario(
             "ring",
             params={"n_bridges": 3, "hosts_per_segment": 2},
-            shards=shards, sync=sync, workers=workers,
+            shards=shards, sync=sync,
         )
         timeline = FaultTimeline()
         for down, up in self.OUTAGES:
@@ -484,12 +498,6 @@ class TestCutDrainLinkDown:
         assert [s[0] for s in relaxed_states] == [s[0] for s in strict_states]
         assert _canonical(relaxed_run) == _canonical(strict_run)
         assert _observables(relaxed_run) == _observables(strict_run)
-
-    def test_threaded_equals_sequential(self):
-        sequential = self._drive(4, "relaxed")
-        threaded = self._drive(4, "relaxed", workers=4)
-        assert _canonical(threaded[0]) == _canonical(sequential[0])
-        assert _observables(threaded[0]) == _observables(sequential[0])
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,27 @@ class TestRoundTrip:
             shards=3,
             assignments={"lan1": 0, "host2": 2},
             sync="relaxed",
-            workers=2,
             backend="process",
         )
         assert dict_to_partition(partition_to_dict(partition)) == partition
+
+    def test_partition_workers_key_is_read_and_dropped(self):
+        """Documents from before the worker-thread pool was removed still load."""
+        plain = {"shards": 2, "sync": "relaxed"}
+        assert dict_to_partition(dict(plain, workers=3)) == dict_to_partition(plain)
+        document = dict_to_document({
+            "schema": SCHEMA,
+            "spec": spec_to_dict(get_scenario("pair/direct")),
+            "partition": dict(plain, workers=3),
+        })
+        assert document.partition == PartitionSpec(shards=2, sync="relaxed")
 
     @pytest.mark.parametrize("suffix", [".json"] + (
         [".yaml", ".yml"] if interchange.yaml is not None else []
     ))
     def test_file_round_trip_carries_partition_and_run(self, tmp_path, suffix):
         spec = get_scenario("ring/failover")
-        partition = PartitionSpec(shards=2, sync="relaxed", workers=1)
+        partition = PartitionSpec(shards=2, sync="relaxed")
         run = {"purpose": "regression", "case": 7}
         path = save_scenario(tmp_path / f"doc{suffix}", spec, partition=partition,
                              run=run)
@@ -137,6 +147,12 @@ class TestStrictRejection:
         document = self._document()
         document["spec"]["hosts"] = "host1"
         with pytest.raises(InterchangeError, match=r"spec\.hosts.*expected a list"):
+            dict_to_document(document)
+
+    def test_negative_partition_workers_is_rejected(self):
+        document = self._document()
+        document["partition"] = {"shards": 2, "workers": -1}
+        with pytest.raises(InterchangeError, match=r"partition\.workers"):
             dict_to_document(document)
 
     def test_wrong_schema_version_is_rejected(self):

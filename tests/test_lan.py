@@ -730,11 +730,18 @@ class TestFanOutPlans:
         assert segment._plans == {}
 
     def test_cut_segments_never_plan(self):
+        """A cut segment delivers by run, and a run never builds a plan."""
         fabric = ShardedSimulator(seed=1, shards=2)
         segment = Segment(fabric.shards[0], "lan")
+        nics = []
         for index in range(4):
-            _nic(fabric.shards[index % 2], f"n{index}", index + 1).attach(segment)
-        assert segment._plans is None
+            nic = _nic(fabric.shards[index % 2], f"n{index}", index + 1)
+            nic.attach(segment)
+            nics.append(nic)
+        nics[0].send(_frame(src=str(nics[0].mac), dst=str(nics[2].mac)))
+        fabric.run()
+        assert segment._plans == {}
+        assert [nic.frames_received for nic in nics] == [0, 0, 1, 0]
 
     def test_plan_table_is_bounded_by_attached_macs(self, sim):
         segment, nics = self._segment(sim, 6, promiscuous={5})

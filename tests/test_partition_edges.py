@@ -206,10 +206,6 @@ class TestPartitionSpecValidation:
         with pytest.raises(ValueError, match="unknown sync mode"):
             PartitionSpec(sync="eventual")
 
-    def test_negative_workers_are_rejected(self):
-        with pytest.raises(ValueError, match="cannot be negative"):
-            PartitionSpec(workers=-1)
-
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="unknown relaxed backend"):
             PartitionSpec(backend="fiber")

@@ -2,7 +2,7 @@
 
 Identity under test: the seeded population scenarios produce the same
 canonical event history on every engine mode — single engine, strict
-shards, relaxed thread windows and the process backend — and repeated
+shards, relaxed in-process windows and the process backend — and repeated
 runs of the same seed are stable.  Record lists are compared under a
 mode-independent canonical order (stable sort by ``(time, source)``):
 each source's records are emitted sequentially on one engine, so their
@@ -251,6 +251,26 @@ class TestPopulationTraffic:
             run.segment(spec.name).frames_coalesced for spec in run.spec.segments
         )
         assert coalesced > 0
+
+
+class TestWorkersKeyword:
+    """What is left of ``run_scenario(workers=)``: office5k's ``workers=0``."""
+
+    def test_workers_zero_changes_nothing(self):
+        def canonical(**kw):
+            run, _ = _drive(
+                "population/office", SMALL_OFFICE, shards=2, sync="relaxed", **kw
+            )
+            return run.sim.trace.canonical_records()
+
+        assert canonical(workers=0) == canonical()
+
+    def test_asking_for_worker_threads_is_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(
+                "population/office", params=SMALL_OFFICE, shards=2,
+                sync="relaxed", workers=2,
+            )
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 
 Identity under test: ``sync="relaxed", backend="process"`` produces canonical
 merge records, live counters and a final clock identical to strict and to the
-threaded relaxed backend — catalog-wide and across fault episodes — under the
-backend's single-measured-dispatch model (warm-up runs in-process, then one
-process dispatch; trace queries fetch worker results lazily).
+in-process (``"thread"``) relaxed backend — catalog-wide and across fault
+episodes — under the backend's single-measured-dispatch model (warm-up runs
+in-process, then one process dispatch; trace queries fetch worker results
+lazily).
 
 Component statistics (host/segment attributes) are *not* compared for
 process runs: workers advance copy-on-write replicas, so the parent's

@@ -51,7 +51,6 @@ def _tree_case(case_id: int = 0, shards: int = 2) -> fuzz_tool.FuzzCase:
         params=params,
         spec=get_scenario("gen/tree", **params),
         shards=shards,
-        workers=0,
         check_process=False,
     )
 
@@ -197,7 +196,6 @@ class TestCommittedReproducers:
             document.spec,
             partition.shards,
             sync="relaxed",
-            workers=partition.workers,
             backend="process",
         )
         assert fuzz_tool._canonical(process) == fuzz_tool._canonical(sequential)

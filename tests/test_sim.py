@@ -228,9 +228,7 @@ class TestSimulator:
             if engine == "strict":
                 simulator = ShardedSimulator(seed=1, shards=2)
             elif engine == "relaxed":
-                simulator = ShardedSimulator(
-                    seed=1, shards=2, sync="relaxed", workers=0
-                )
+                simulator = ShardedSimulator(seed=1, shards=2, sync="relaxed")
             else:
                 simulator = Simulator(seed=1)
                 if engine == "single-telemetry":

@@ -2,8 +2,8 @@
 
 Every case draws a random topology (one of the ``gen/*`` generators with
 seeded parameters), a random fault timeline, and a random engine
-configuration (shard count, workers, backend), then asserts the engine-mode
-invariance oracle:
+configuration (shard count, and whether to run the process backend too),
+then asserts the engine-mode invariance oracle:
 
 * **interchange** — the spec survives a YAML (or JSON) round-trip exactly,
   and the reference run is driven *from the round-tripped spec*, so every
@@ -18,9 +18,8 @@ invariance oracle:
   ``tie-excused`` rather than a failure.  Divergence *before* any tie is a
   real bug.  Tie instants are a deterministic function of the case, so runs
   are reproducible — never flaky;
-* **threaded / process** — relaxed threaded windows and the process backend
-  must be bit-identical to sequential relaxed execution (the documented
-  determinism contract), ties or no ties.
+* **process** — the process backend must be bit-identical to in-process
+  relaxed execution (the documented determinism contract), ties or no ties.
 
 A failing case is shrunk greedily — faults, hosts, devices, then whole
 segments (with cascade) are dropped while the failure reproduces — and the
@@ -69,7 +68,7 @@ from repro.scenario import interchange  # noqa: E402
 FMT = "yaml" if interchange.yaml is not None else "json"
 
 #: Record streams a mutation hook can intercept, in oracle order.
-MODES = ("reference", "strict", "strict-canonical", "relaxed", "threaded", "process")
+MODES = ("reference", "strict", "strict-canonical", "relaxed", "process")
 
 #: A mutation hook: ``(mode, records) -> records``.  The oracle passes every
 #: record stream through it before comparing; tests inject determinism bugs
@@ -95,7 +94,6 @@ class FuzzCase:
     params: Mapping[str, int]
     spec: ScenarioSpec
     shards: int
-    workers: int
     check_process: bool
 
 
@@ -117,12 +115,11 @@ class CaseResult:
 
     def describe(self) -> str:
         case = self.case
-        threads = f" workers={case.workers}" if case.workers else ""
         proc = " +process" if case.check_process else ""
         head = (
             f"case {case.case_id}: {case.generator or 'literal'} "
             f"{dict(case.params)} faults={len(case.spec.faults)} "
-            f"shards={case.shards}{threads}{proc} -> {self.status}"
+            f"shards={case.shards}{proc} -> {self.status}"
         )
         if self.status == "tie-excused":
             head += f" (tie horizon t={self.tie_horizon:g}s)"
@@ -189,14 +186,12 @@ def draw_case(master_seed: int, case_id: int) -> FuzzCase:
     faults = _draw_faults(rng, spec)
     if faults:
         spec = replace(spec, faults=faults)
-    shards = rng.randint(2, 4)
     return FuzzCase(
         case_id=case_id,
         generator=generator,
         params=params,
         spec=spec,
-        shards=shards,
-        workers=rng.choice((0, shards)),
+        shards=rng.randint(2, 4),
         check_process=rng.random() < 0.125,
     )
 
@@ -207,10 +202,9 @@ def draw_case(master_seed: int, case_id: int) -> FuzzCase:
 
 
 def _drive(spec: ScenarioSpec, shards: int = 1, sync: str = "strict",
-           workers: int = 0, backend: str = "thread"):
+           backend: str = "thread"):
     """The fixed fuzz workload: warm up, ping end-to-end, run out the faults."""
-    run = run_scenario(spec, shards=shards, sync=sync, workers=workers,
-                       backend=backend)
+    run = run_scenario(spec, shards=shards, sync=sync, backend=backend)
     run.warm_up()
     hosts = run.hosts
     if len(hosts) >= 2:
@@ -309,28 +303,13 @@ def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
             )
         status = "tie-excused"
 
-    if case.workers:
-        threaded = _drive(loaded, case.shards, sync="relaxed",
-                          workers=case.workers)
-        threaded_canonical = mutate("threaded", _canonical(threaded))
-        if threaded_canonical != relaxed_canonical:
-            return CaseResult(
-                case, "failed", failing_mode="threaded",
-                detail="threaded relaxed diverged from sequential relaxed",
-                divergence_time=first_divergence_time(
-                    relaxed_canonical, threaded_canonical
-                ),
-                tie_horizon=horizon, records=len(ref_records),
-            )
-
     if case.check_process:
-        process = _drive(loaded, case.shards, sync="relaxed",
-                         workers=max(1, case.workers), backend="process")
+        process = _drive(loaded, case.shards, sync="relaxed", backend="process")
         process_canonical = mutate("process", _canonical(process))
         if process_canonical != relaxed_canonical:
             return CaseResult(
                 case, "failed", failing_mode="process",
-                detail="process backend diverged from sequential relaxed",
+                detail="process backend diverged from in-process relaxed",
                 divergence_time=first_divergence_time(
                     relaxed_canonical, process_canonical
                 ),
@@ -404,8 +383,6 @@ def _engine_reductions(case: FuzzCase):
     """Simplify the engine configuration before touching the topology."""
     if case.check_process:
         yield replace(case, check_process=False)
-    if case.workers:
-        yield replace(case, workers=0)
     if case.shards > 2:
         yield replace(case, shards=2)
 
@@ -434,7 +411,7 @@ def shrink_case(
         if res is not None:
             best_case, best_result = candidate, res
             log(f"  shrink: engine -> shards={best_case.shards} "
-                f"workers={best_case.workers} process={best_case.check_process}")
+                f"process={best_case.check_process}")
 
     changed = True
     while changed:
@@ -464,9 +441,6 @@ def _failing_partition(case: FuzzCase, failing_mode: str) -> PartitionSpec:
     return PartitionSpec(
         shards=case.shards,
         sync="relaxed",
-        workers=case.workers if failing_mode == "threaded" else (
-            max(1, case.workers) if failing_mode == "process" else 0
-        ),
         backend="process" if failing_mode == "process" else "thread",
     )
 
@@ -546,7 +520,7 @@ def write_report(path: Path, master_seed: int) -> None:
     """
     case = draw_case(master_seed, 0)
     run = run_scenario(case.spec, shards=case.shards, sync="relaxed",
-                       workers=case.workers, telemetry=True)
+                       telemetry=True)
     run.warm_up()
     hosts = run.hosts
     rtts = []
