@@ -20,9 +20,9 @@ allocators and the page cache never leak between measurements, and peak RSS
 is attributable to exactly one build+run.  Within a scale the benchmark
 asserts frame counts and RTT distributions are identical across engine
 configurations — the sharded sweeps must be measuring the *same* workload —
-and a small-scale identity block replays one seeded population on all four
-engine modes (single, strict shards, relaxed windows, process backend) and
-records that their canonical histories match.
+and a small-scale identity block replays one seeded population on every
+engine mode (single engine, relaxed shards at 2 and 4, process backend) and
+records that their canonical histories (``canonical_records()``) match.
 
 The process-backend configuration measures wall clock (parent CPU time is
 meaningless for forked workers) and is only run on machines with at least
@@ -77,8 +77,8 @@ SCALES = {
 #: relaxed sharded configuration only — the point of that scale is the
 #: completed run and its RSS-per-station figure, not a full sweep.
 CONFIGS = {
-    1000: ["single", "shards=2/strict", "shards=4/strict", "shards=4/relaxed"],
-    5000: ["single", "shards=4/strict", "shards=4/relaxed"],
+    1000: ["single", "shards=4/relaxed"],
+    5000: ["single", "shards=4/relaxed"],
     50000: ["shards=4/relaxed"],
 }
 
@@ -87,15 +87,13 @@ CONFIGS = {
 PROCESS_CONFIG = "shards=4/process"
 WALL_MIN_CORES = 4
 
-#: Small fleet replayed on all four engine modes for the identity block.
+#: Small fleet replayed on every engine mode for the identity block.
 IDENTITY_PARAMS = {"floors": 2, "hosts_per_floor": 6, "duration": 0.3}
 IDENTITY_MODES = {
     "single": {},
-    "shards=2/strict": {"shards": 2},
-    "shards=4/strict": {"shards": 4},
-    "shards=2/relaxed": {"shards": 2, "sync": "relaxed"},
-    "shards=4/relaxed": {"shards": 4, "sync": "relaxed"},
-    "shards=4/process": {"shards": 4, "sync": "relaxed", "backend": "process"},
+    "shards=2/relaxed": {"shards": 2},
+    "shards=4/relaxed": {"shards": 4},
+    "shards=4/process": {"shards": 4, "backend": "process"},
 }
 
 
@@ -112,29 +110,11 @@ def config_kwargs(config: str) -> dict:
         return {}
     shard_text, _, mode = config.partition("/")
     shards = int(shard_text.split("=")[1])
-    if mode == "strict":
-        return {"shards": shards}
     if mode == "relaxed":
-        return {"shards": shards, "sync": "relaxed"}
+        return {"shards": shards}
     if mode == "process":
-        return {"shards": shards, "sync": "relaxed", "backend": "process"}
+        return {"shards": shards, "backend": "process"}
     raise ValueError(f"unknown configuration {config!r}")
-
-
-def canonical_records(run):
-    """Mode-independent canonical history: stable sort by (time, source).
-
-    Per-source record order is preserved by every engine mode; the tie
-    order between different sources at one timestamp is a mode artifact
-    (single-engine execution order vs the fabric's shard merge), so the
-    comparison canonicalizes it away exactly like the identity tests do.
-    """
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        records = trace.canonical_records()
-    else:
-        records = list(trace)
-    return sorted(records, key=lambda record: (record.time, record.source))
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +227,7 @@ def run_identity_block() -> dict:
         run.warm_up()
         run.sim.run_until(traffic.horizon)
         return (
-            canonical_records(run),
+            run.sim.trace.canonical_records(),
             dict(run.sim.trace.counters.by_category_source),
             run.sim.now,
             traffic.service_rtts(),
@@ -337,11 +317,11 @@ def run_sweep(scales) -> dict:
         block["p99_rtt_ns"] = next(iter(p99s.values()))
         rss = min(r["peak_rss_kb"] for r in block["configs"].values())
         block["rss_kb_per_station"] = round(rss / stations, 2)
-        strict = block["configs"].get("shards=4/strict")
+        single = block["configs"].get("single")
         relaxed = block["configs"].get("shards=4/relaxed")
-        if strict and relaxed and strict.get("frames_per_second"):
-            block["relaxed_speedup"] = round(
-                relaxed["frames_per_second"] / strict["frames_per_second"], 3
+        if single and relaxed and single.get("frames_per_second"):
+            block["relaxed_over_single"] = round(
+                relaxed["frames_per_second"] / single["frames_per_second"], 3
             )
         entry["scales"][str(scale)] = block
 
@@ -364,7 +344,7 @@ def build_run_report() -> dict:
     sweep numbers.  The measured sweep itself always runs telemetry-off.
     """
     run = run_scenario(
-        SCENARIO, params=IDENTITY_PARAMS, shards=4, sync="relaxed", telemetry=True
+        SCENARIO, params=IDENTITY_PARAMS, shards=4, telemetry=True
     )
     traffic = install_traffic(run)
     run.warm_up()

@@ -10,9 +10,9 @@ Uses :func:`repro.scenario.run_matrix` for three sweeps the ROADMAP calls for:
   chain of learning bridges, the many-LAN scaling of Figure 9's latency
   experiment;
 * **large-ring shard-count sweep** — the 256-LAN host-populated ring warmed
-  up (compile + spanning-tree convergence) on the single engine, the strict
-  fabric and the relaxed fabric at increasing shard counts: the
-  engine-scaling view at a size where partitioning actually matters;
+  up (compile + spanning-tree convergence) on the single engine and on the
+  relaxed fabric at increasing shard counts: the engine-scaling view at a
+  size where partitioning actually matters;
 * **VLAN fan-out vs. trunk utilization** — the ``vlan/trunk`` scenario with
   a growing number of VLANs, one concurrent cross-switch ping flow per VLAN:
   every flow shares the single 802.1Q trunk, so trunk frame counts and
@@ -20,8 +20,8 @@ Uses :func:`repro.scenario.run_matrix` for three sweeps the ROADMAP calls for:
 
 The study emits one markdown report (default ``benchmarks/scaling_study.md``)
 that CI uploads as a build artifact, and prints it to stdout.  Pass
-``--shards`` to run every matrix point on the sharded fabric — results are
-bit-identical, larger points just run faster.
+``--shards`` to run every matrix point on the sharded fabric — the
+simulated results are the same as the single engine's.
 
 Run directly::
 
@@ -44,12 +44,11 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "scaling_study.md"
 #: Figure 9's range.
 CHAIN_PAYLOADS = (64, 1024)
 
-#: Engine configurations for the large-ring sweep: (label, shards, sync).
+#: Engine configurations for the large-ring sweep: (label, shards).
 LARGE_RING_CONFIGS = (
-    ("single", 1, "strict"),
-    ("strict, 2 shards", 2, "strict"),
-    ("strict, 4 shards", 4, "strict"),
-    ("relaxed, 4 shards", 4, "relaxed"),
+    ("single", 1),
+    ("relaxed, 2 shards", 2),
+    ("relaxed, 4 shards", 4),
 )
 
 
@@ -168,13 +167,12 @@ def large_ring_sweep(segments: int) -> list:
     """Warm the 256-LAN host-populated ring up under each engine config."""
     rows = []
     reference_counters = None
-    for label, shards, sync in LARGE_RING_CONFIGS:
+    for label, shards in LARGE_RING_CONFIGS:
         start = time.perf_counter()
         run = run_scenario(
             "ring",
             params={"n_bridges": segments - 1, "hosts_per_segment": 2},
             shards=shards,
-            sync=sync if shards > 1 else None,
         )
         compiled = time.perf_counter()
         run.warm_up()

@@ -1,4 +1,4 @@
-"""Sharded-fabric benchmark: wire-speed multi-LAN ring sweeps, strict vs relaxed.
+"""Sharded-fabric benchmark: wire-speed multi-LAN ring sweeps, single vs relaxed.
 
 Measures the :class:`~repro.sim.fabric.ShardedSimulator` against the
 single-engine path on the catalog ``ring`` scenario populated with end hosts,
@@ -8,27 +8,28 @@ engine configuration:
 
 * **warm-up** — compile plus spanning-tree convergence to the scenario's
   ready time: the control plane crosses shard boundaries, exercising the
-  inter-shard channel and the conservative synchronizer;
+  inter-shard channel and the conservative window loop;
 * **wire blast** — every segment's host pair exchanges raw frames
   back-to-back, all LANs concurrently.  Bridge ports are administratively
   down for this phase so the sweep measures the event fabric at wire speed
   rather than the bridge CPU model (the paper's bridge tops out near 2100
   frames/second — three orders of magnitude below the wire).
 
-Each size sweeps engine configurations across both synchronization modes:
+Each size sweeps two engine configurations:
 
-* ``shards=1`` — the single engine baseline;
-* ``shards=N`` — the strict fabric (exact global event order, bit-identical);
-* ``shards=N/relaxed`` — relaxed sync (:mod:`repro.sim.relaxed`): concurrent
-  lookahead windows plus segment express lanes, equivalent to strict under
-  the canonical merge.  The blast handlers are declared ``inline_safe`` so
-  eligible segments take the express lane — that is the production pattern
-  the relaxed mode exists for.  ``relaxed_speedup`` (relaxed over strict
-  records/sec at the same shard count) is the headline metric; the 256-LAN
-  ring at shards=4 is the perf-gated configuration.
+* ``shards=1`` — the single engine, the exact-order reference;
+* ``shards=4/relaxed`` — the sharded fabric (:mod:`repro.sim.relaxed`):
+  lookahead windows plus segment express lanes, equal to the single engine
+  in the canonical order.  The blast handlers are declared ``inline_safe``
+  so eligible segments take the express lane — that is the production
+  pattern the fabric exists for.  ``relaxed_over_single`` (relaxed over
+  single-engine records/sec) is the headline ratio, and the relaxed
+  configuration's ``events_dispatched`` is held exactly by the perf gate:
+  the express lanes are what cut the events, so a rise means a lane
+  stopped engaging.
 
-Every sharded run, strict or relaxed, must reproduce the single-engine
-counters exactly — the benchmark asserts this before reporting.
+Every sharded run must reproduce the single-engine counters exactly — the
+benchmark asserts this before reporting.
 
 Measurement hygiene: every engine configuration is measured in its own fresh
 interpreter (a subprocess), so one configuration's allocator/heap state never
@@ -50,14 +51,14 @@ distinct metric families — the wall sweep reports ``seconds_wall`` and the
 above.  On runners with fewer than four CPU cores the speedup measurements
 are skipped with an explicit log line (parallel wall-clock gains cannot be
 measured honestly there) and the skip is recorded in the entry; the
-**canonical-merge identity** check — the relaxed-process run at shards=4
-must produce records bit-identical to a fresh strict fabric replaying the
-same workload — runs regardless of core count.
+**canonical identity** check — the relaxed-process run at shards=4 must
+produce canonical records bit-identical to a fresh single engine replaying
+the same workload — runs regardless of core count.
 
 Results are appended to ``BENCH_trace.json`` as one entry holding both size
 sweeps (``sharded_fabric`` = 64 LANs, ``sharded_fabric_256`` = 256 LANs);
-``perf_gate.py`` tracks the throughput and speedup metrics against the
-committed baseline.  Run directly::
+``perf_gate.py`` tracks the throughput, ratio and event-count metrics
+against the committed baseline.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_sharded_fabric.py [--frames N]
 
@@ -95,13 +96,9 @@ BLAST_FRAME_BUDGET = 40e-6
 #: The two ring sizes swept, and the BENCH entry key each one records under.
 SWEEPS = ((64, "sharded_fabric"), (256, "sharded_fabric_256"))
 
-#: Engine configurations per sweep: (sync, shards).  ``shards=1`` is always
-#: the single-engine baseline; the relaxed configurations carry their own
-#: config-key suffix.
-CONFIGS = (("strict", 1), ("strict", 2), ("strict", 4), ("relaxed", 4))
-
-#: The shard count at which ``relaxed_speedup`` compares relaxed with strict.
-SPEEDUP_SHARDS = 4
+#: Shard counts per sweep.  ``shards=1`` is the single-engine baseline; a
+#: sharded configuration's key carries the ``/relaxed`` suffix.
+CONFIGS = (1, 4)
 
 #: Wall-clock sweep configurations: (config key, backend, shards).
 WALL_CONFIGS = (
@@ -122,18 +119,17 @@ def cpu_cores() -> int:
         return os.cpu_count() or 1
 
 
-def config_key(sync: str, shards: int) -> str:
-    return f"shards={shards}" if sync == "strict" else f"shards={shards}/{sync}"
+def config_key(shards: int) -> str:
+    return "shards=1" if shards == 1 else f"shards={shards}/relaxed"
 
 
-def build(segments: int, shards: int, sync: str, backend=None):
+def build(segments: int, shards: int, backend=None):
     """Compile and warm up the host-populated ring on ``shards`` engines."""
     compile_start = time.perf_counter()
     run = run_scenario(
         "ring",
         params={"n_bridges": segments - 1, "hosts_per_segment": 2},
         shards=shards,
-        sync=sync if shards > 1 else None,
         backend=backend if shards > 1 else None,
     )
     compiled = time.perf_counter()
@@ -173,8 +169,8 @@ def _arm_blast(run, frames_per_pair: int, inline_safe: bool):
             return handler
 
         # inline_safe declares the handlers reactive-only, which is what
-        # makes relaxed segments express-eligible; the strict engine and the
-        # single engine ignore the flag entirely.
+        # makes relaxed segments express-eligible; the single engine ignores
+        # the flag entirely.
         left.nic.set_handler(bounce(left.nic, forward), inline_safe=inline_safe)
         right.nic.set_handler(bounce(right.nic, backward), inline_safe=inline_safe)
         pairs.append((left, forward))
@@ -241,12 +237,10 @@ def _down_bridge_ports(run) -> None:
             nic.set_up(False)
 
 
-def bench_configuration(
-    segments: int, shards: int, frames_per_pair: int, sync: str
-) -> dict:
-    run, compile_seconds, warm_seconds = build(segments, shards, sync)
+def bench_configuration(segments: int, shards: int, frames_per_pair: int) -> dict:
+    run, compile_seconds, warm_seconds = build(segments, shards)
     _down_bridge_ports(run)
-    inline_safe = sync == "relaxed"
+    inline_safe = shards > 1
     # Verification exchange: runs before any trace clearing so the counters
     # snapshot covers compile, warm-up and a full blast round-trip.
     _blast_pass(run, VERIFY_FRAMES, inline_safe)
@@ -254,7 +248,7 @@ def bench_configuration(
     blast = wire_blast(run, frames_per_pair, inline_safe)
     result = {
         "shards": shards,
-        "sync": sync if shards > 1 else "single",
+        "mode": "relaxed" if shards > 1 else "single",
         "compile_seconds": round(compile_seconds, 3),
         "warmup_seconds": round(warm_seconds, 3),
         "blast": blast,
@@ -268,12 +262,11 @@ def bench_configuration(
             {k: v for k, v in stats.items() if k != "records"}
             for stats in run.network.sim.shard_stats()
         ]
-        if sync == "relaxed":
-            result["relaxed_stats"] = run.network.sim.relaxed_stats
+        result["relaxed_stats"] = run.network.sim.relaxed_stats
     return result
 
 
-def measure_in_subprocess(segments: int, shards: int, frames: int, sync: str) -> dict:
+def measure_in_subprocess(segments: int, shards: int, frames: int) -> dict:
     """Run one configuration in a fresh interpreter and return its JSON."""
     process = subprocess.run(
         [
@@ -282,7 +275,6 @@ def measure_in_subprocess(segments: int, shards: int, frames: int, sync: str) ->
             "--measure-one",
             f"--segments={segments}",
             f"--frames={frames}",
-            f"--sync={sync}",
             "--shards",
             str(shards),
         ],
@@ -292,8 +284,8 @@ def measure_in_subprocess(segments: int, shards: int, frames: int, sync: str) ->
     )
     if process.returncode != 0:
         raise RuntimeError(
-            f"measurement subprocess (segments={segments}, shards={shards}, "
-            f"sync={sync}) failed:\n{process.stderr}"
+            f"measurement subprocess (segments={segments}, shards={shards}) "
+            f"failed:\n{process.stderr}"
         )
     return json.loads(process.stdout)
 
@@ -313,7 +305,7 @@ def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool
     handler closures fire in the worker processes — the parent's ``state``
     cells never move — so completion is checked through the shipped record
     stream instead (``check_states=False``); cross-configuration counter
-    identity and the strict-replay identity check carry the real proof.
+    identity and the single-engine identity check carry the real proof.
     Trace shipping and the counters' fold stay outside the timed window for
     every backend so the comparison stays like-for-like.
     """
@@ -344,27 +336,27 @@ def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool
 
 
 def _verify_process_identity(process_run, segments: int, shards: int, frames: int) -> dict:
-    """Assert the process run's canonical merge is bit-identical to strict.
+    """Assert the process run's canonical records equal the single engine's.
 
-    Builds a fresh strict fabric at the same shard count in this interpreter,
-    replays the same warm-up + blast workload, and compares the two canonical
-    record streams element by element.
+    Builds a fresh single engine in this interpreter, replays the same
+    warm-up + blast workload, and compares the two canonical record streams
+    element by element.
     """
     process_records = process_run.sim.trace.canonical_records()
-    strict_run, _, _ = build(segments, shards, "strict")
-    _down_bridge_ports(strict_run)
-    _wall_blast(strict_run, frames, inline_safe=True, check_states=True)
-    strict_records = strict_run.sim.trace.canonical_records()
-    if process_records != strict_records:
+    single_run, _, _ = build(segments, 1)
+    _down_bridge_ports(single_run)
+    _wall_blast(single_run, frames, inline_safe=True, check_states=True)
+    single_records = single_run.sim.trace.canonical_records()
+    if process_records != single_records:
         raise RuntimeError(
-            f"relaxed-process canonical merge diverged from strict at "
-            f"shards={shards}: {len(process_records)} vs "
-            f"{len(strict_records)} records"
+            f"relaxed-process canonical records at shards={shards} diverged "
+            f"from the single engine: {len(process_records)} vs "
+            f"{len(single_records)} records"
         )
     return {
         "verified": True,
         "records": len(process_records),
-        "against": f"strict shards={shards}",
+        "against": "single engine",
     }
 
 
@@ -385,10 +377,7 @@ def bench_wall_configuration(
     numbers must stay like-for-like with the default-off runs.
     """
     run, _, _ = build(
-        segments,
-        shards,
-        "relaxed",
-        backend="process" if backend == "process" else None,
+        segments, shards, backend="process" if backend == "process" else None
     )
     _down_bridge_ports(run)
     if breakdown:
@@ -464,7 +453,7 @@ def run_wall_sweep(
             f"wall sweep ({segments} LANs): SKIPPED wall-speedup measurements — "
             f"only {cores} CPU core(s) available (< {WALL_MIN_CORES}); "
             "parallel wall-clock speedup cannot be measured honestly on this "
-            "runner (canonical-merge identity is still verified below)"
+            "runner (canonical identity is still verified below)"
         )
         wall["skipped"] = True
         wall["reason"] = f"{cores} CPU core(s) < {WALL_MIN_CORES}"
@@ -540,8 +529,8 @@ def run_wall_sweep(
         identity["identity"], frames_per_pair=identity_frames
     )
     print(
-        f"{segments} LANs: relaxed-process canonical merge verified "
-        f"bit-identical to strict at shards=4 "
+        f"{segments} LANs: relaxed-process canonical records verified "
+        f"bit-identical to the single engine at shards=4 "
         f"({wall['identity']['records']} records)\n"
     )
     return wall
@@ -551,20 +540,19 @@ def run_sweep(segments: int, frames: int) -> dict:
     """Measure every configuration at one ring size; verify and summarize."""
     configs = {}
     baseline_counters = None
-    for sync, shards in CONFIGS:
-        result = measure_in_subprocess(segments, shards, frames, sync)
+    for shards in CONFIGS:
+        result = measure_in_subprocess(segments, shards, frames)
         counters = result.pop("counters")
         if shards == 1:
             baseline_counters = counters
         else:
-            # The fabric's contract — strict runs are bit-identical, relaxed
-            # runs canonical-merge-equivalent — means the live counters over
-            # compile, warm-up and a blast round-trip must match the single
-            # engine exactly in every mode.
+            # The fabric's contract — canonical equivalence with the single
+            # engine — means the live counters over compile, warm-up and a
+            # blast round-trip must match the single engine exactly.
             assert counters == baseline_counters, (
-                f"{sync} run (shards={shards}) diverged from the single engine"
+                f"relaxed run (shards={shards}) diverged from the single engine"
             )
-        key = config_key(sync, shards)
+        key = config_key(shards)
         configs[key] = result
         blast = result["blast"]
         print(
@@ -574,33 +562,22 @@ def run_sweep(segments: int, frames: int) -> dict:
             f"{blast['records_per_second']:,} records/s"
         )
 
-    base_rate = configs["shards=1"]["blast"]["records_per_second"]
-    best_shards, best_speedup = 1, 1.0
-    for result in configs.values():
-        speedup = result["blast"]["records_per_second"] / base_rate
-        if speedup > best_speedup:
-            best_shards = result["shards"]
-            best_speedup = speedup
-
-    strict_key = config_key("strict", SPEEDUP_SHARDS)
-    relaxed_key = config_key("relaxed", SPEEDUP_SHARDS)
-    relaxed_speedup = (
+    relaxed_key = config_key(CONFIGS[-1])
+    relaxed_over_single = (
         configs[relaxed_key]["blast"]["records_per_second"]
-        / configs[strict_key]["blast"]["records_per_second"]
+        / configs["shards=1"]["blast"]["records_per_second"]
     )
     print(
-        f"{segments} LANs: relaxed is {relaxed_speedup:.2f}x strict records/s "
-        f"at shards={SPEEDUP_SHARDS}; best vs single engine: "
-        f"shards={best_shards} at {best_speedup:.2f}x "
-        "(all engine modes verified counter-identical)\n"
+        f"{segments} LANs: {relaxed_key} runs {relaxed_over_single:.2f}x the "
+        f"single engine's records/s with "
+        f"{configs[relaxed_key]['events_dispatched']:,} events "
+        "(verified counter-identical)\n"
     )
     return {
         "segments": segments,
         "frames_per_pair": frames,
         "configs": configs,
-        "best_shards": best_shards,
-        "best_speedup": round(best_speedup, 2),
-        "relaxed_speedup": round(relaxed_speedup, 2),
+        "relaxed_over_single": round(relaxed_over_single, 2),
     }
 
 
@@ -621,10 +598,6 @@ def main() -> None:
         help="shard count for --measure-one (sweep configurations are fixed)",
     )
     parser.add_argument(
-        "--sync", choices=("strict", "relaxed"), default="strict",
-        help="fabric synchronization mode for --measure-one",
-    )
-    parser.add_argument(
         "--measure-one",
         action="store_true",
         help="internal: measure the single given configuration and print JSON",
@@ -642,7 +615,7 @@ def main() -> None:
     parser.add_argument(
         "--verify-identity",
         action="store_true",
-        help="with --measure-wall: assert canonical-merge identity vs strict",
+        help="with --measure-wall: assert canonical identity vs the single engine",
     )
     parser.add_argument(
         "--breakdown",
@@ -656,7 +629,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--identity-frames", type=int, default=50,
-        help="blast frames per pair for the process-vs-strict identity check",
+        help="blast frames per pair for the process-vs-single identity check",
     )
     parser.add_argument(
         "--wall-only",
@@ -725,10 +698,7 @@ def main() -> None:
         if args.segments is None:
             parser.error("--measure-one needs --segments")
         result = bench_configuration(
-            args.segments,
-            args.shards[0] if args.shards else 4,
-            args.frames,
-            args.sync,
+            args.segments, args.shards[0] if args.shards else 4, args.frames
         )
         # Counter keys are (category, source) tuples; make them JSON-safe.
         result["counters"] = {

@@ -7,20 +7,19 @@ sharded-fabric ring sweeps — so the gate pairs each tracked metric with its
 own history: for every metric name it takes the **newest** value and compares
 it with that metric's **previous** occurrence, failing when any throughput —
 emit records/second per sink, frame-blast frames/second per sink,
-sharded-fabric frames/records per second per engine configuration (strict
-and relaxed sync, 64- and 256-LAN rings), population-fleet frames/second per
-engine configuration and station count, or the relaxed-over-strict speedup
-ratio — regresses by more than the threshold (default 20 %).
+sharded-fabric frames/records per second per engine configuration (the
+single engine and relaxed shards, 64- and 256-LAN rings), population-fleet
+frames/second per engine configuration and station count, or a
+relaxed-over-single ratio — regresses by more than the threshold (default
+20 %).
 
-On top of the regression pairing, the gate holds **absolute ratio floors**:
-relaxed must deliver at least 1.0x the strict records/s at the same shard
-count (the express/batched machinery must pay for its windows on every
-committed workload, failover included) and at least 2.0x on the 256-LAN
-wire-speed ring.  Floors compare two configurations *within one entry* —
-same run, same machine — so they hold across hardware generations where
-absolute rates cannot; each floor passes when the best of its two newest
-occurrences meets it, so one noisy sample cannot fail a floor the committed
-baseline demonstrably clears (see :func:`check_floors`).
+On top of the regression pairing, the gate holds **event counts exactly**:
+each relaxed configuration's ``events_dispatched`` in the sharded-fabric
+sweeps (64 and 256 LANs) and the failover episode is deterministic, and the
+express lanes are what keep it low, so a count that rises over its previous
+occurrence fails at any threshold (see :func:`compare_counts`).  A change
+that raises a count on purpose commits a fresh benchmark entry, which
+re-baselines it, and says why.
 
 **Wall-clock and CPU-time metrics are distinct families and are never paired
 against each other.**  The CPU-time families above (``records/s`` rates from
@@ -60,14 +59,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_trace.json"
 
-#: Relaxed-over-strict records/s floors per workload family (the entry key
-#: the workload records under).  Ratios are taken within a single entry.
-RATIO_FLOORS = {
-    "sharded_fabric": 1.0,
-    "sharded_fabric_256": 2.0,
-    "failover": 1.0,
-}
-
 #: The wall-sweep configuration held to an absolute floor, and the floor:
 #: relaxed-process at shards=4 must not be slower than the single engine in
 #: wall-clock terms on any runner that can measure it (>= 4 CPU cores).
@@ -86,20 +77,14 @@ def _wall_block(workload: dict):
 def collect_floors(entry: dict) -> dict:
     """Floor-checked ratios in one entry: {name: (ratio, floor)}.
 
-    Reads each workload's own ``relaxed_speedup`` field — the benchmark is
-    responsible for sound pairing (bench_failover medians per-round ratios
-    so both sides of every ratio share a CPU frequency window; the fabric
-    sweeps ratio best-of-passes from isolated subprocesses) — and the gate
-    holds the result at the family's floor.
+    The one floor is the wall sweep's: the process backend at shards=4
+    against the single engine's wall clock, in each fabric sweep.
     """
     floors = {}
-    for family, floor in RATIO_FLOORS.items():
+    for family in ("sharded_fabric", "sharded_fabric_256"):
         workload = entry.get(family)
         if not isinstance(workload, dict):
             continue
-        speedup = workload.get("relaxed_speedup")
-        if speedup is not None:
-            floors[f"floor/{family} relaxed-over-strict"] = (float(speedup), floor)
         wall = _wall_block(workload)
         if wall is not None:
             wall_speedup = (wall.get("speedups") or {}).get(WALL_FLOOR_CONFIG)
@@ -120,8 +105,8 @@ def check_floors(history: list) -> list:
     the committed baseline entry and CI's fresh run both in the history, a
     genuine regression shows up in both while an unlucky sample does not.
     Sustained drift is additionally caught by the regression pairing, which
-    tracks each workload's ``relaxed_speedup`` (and every records/s metric)
-    against its previous occurrence at the default 20 % threshold.
+    tracks every wall-speedup ratio against its previous occurrence at the
+    default 20 % threshold.
     """
     occurrences: dict = {}
     for entry in history:
@@ -171,7 +156,10 @@ def collect_metrics(entry: dict) -> dict:
     # ``sharded_fabric_256`` = 256 LANs); the size lives in the metric name
     # so different sweeps never ratio against each other.  Older entries
     # also hold a ``threaded`` sub-result, from relaxed windows on worker
-    # threads, which were removed; it was never collected and stays history.
+    # threads, which were removed, and a ``relaxed_speedup`` ratio over the
+    # strict fabric, which was removed too; neither is collected, and both
+    # stay history.  The relaxed-over-single ratio has its own name, so it
+    # never pairs against relaxed-over-strict values.
     for key, fabric in entry.items():
         if not key.startswith("sharded_fabric") or not isinstance(fabric, dict):
             continue
@@ -182,9 +170,9 @@ def collect_metrics(entry: dict) -> dict:
                 rate = blast.get(f"{unit}_per_second")
                 if rate is not None:
                     metrics[f"fabric/{config}@{size} {unit}/s"] = float(rate)
-        speedup = fabric.get("relaxed_speedup")
-        if speedup is not None:
-            metrics[f"fabric/relaxed-speedup@{size} x"] = float(speedup)
+        ratio = fabric.get("relaxed_over_single")
+        if ratio is not None:
+            metrics[f"fabric/relaxed-over-single@{size} x"] = float(ratio)
         # The wall sweep is its own metric family (elapsed time, not CPU
         # time); only the within-entry speedup ratios are gated — absolute
         # wall seconds are runner-dependent noise.  A skipped sweep
@@ -205,17 +193,14 @@ def collect_metrics(entry: dict) -> dict:
     # against an unloaded baseline.
     failover = entry.get("failover")
     if isinstance(failover, dict):
-        size = f"{failover.get('bridges', '?')}b"
-        local_hosts = failover.get("local_hosts")
-        if local_hosts:
-            size = f"{size}/{local_hosts}h"
+        size = _failover_size(failover)
         for config, result in (failover.get("configs") or {}).items():
             rate = result.get("records_per_second")
             if rate is not None:
                 metrics[f"failover/{config}@{size} records/s"] = float(rate)
-        speedup = failover.get("relaxed_speedup")
-        if speedup is not None:
-            metrics[f"failover/relaxed-speedup@{size} x"] = float(speedup)
+        ratio = failover.get("relaxed_over_single")
+        if ratio is not None:
+            metrics[f"failover/relaxed-over-single@{size} x"] = float(ratio)
     # Population fleets (``bench_population.py``): aggregate frames/s per
     # engine configuration, sized by station count so a reduced CI smoke
     # never ratios against a full-scale baseline.  The latency and RSS
@@ -229,13 +214,43 @@ def collect_metrics(entry: dict) -> dict:
                 rate = result.get("frames_per_second")
                 if rate is not None:
                     metrics[f"population/{config}@{size} frames/s"] = float(rate)
-            speedup = block.get("relaxed_speedup")
-            if speedup is not None:
-                metrics[f"population/relaxed-speedup@{size} x"] = float(speedup)
+            ratio = block.get("relaxed_over_single")
+            if ratio is not None:
+                metrics[f"population/relaxed-over-single@{size} x"] = float(ratio)
     return metrics
 
 
-def pair_metrics(history: list) -> dict:
+def _failover_size(failover: dict) -> str:
+    size = f"{failover.get('bridges', '?')}b"
+    local_hosts = failover.get("local_hosts")
+    return f"{size}/{local_hosts}h" if local_hosts else size
+
+
+def collect_counts(entry: dict) -> dict:
+    """Flatten one entry's exactly-gated event counts into {name: count}.
+
+    One count per relaxed configuration (a config key ending in
+    ``/relaxed``): the sharded-fabric sweeps' and the failover episode's
+    ``events_dispatched``, sized like the rate metrics.
+    """
+    blocks = []
+    for key, fabric in entry.items():
+        if key.startswith("sharded_fabric") and isinstance(fabric, dict):
+            size = f"{fabric.get('segments', '?')}x{fabric.get('frames_per_pair', '?')}"
+            blocks.append(("fabric", size, fabric))
+    failover = entry.get("failover")
+    if isinstance(failover, dict):
+        blocks.append(("failover", _failover_size(failover), failover))
+    counts = {}
+    for family, size, block in blocks:
+        for config, result in (block.get("configs") or {}).items():
+            events = result.get("events_dispatched")
+            if config.endswith("/relaxed") and events is not None:
+                counts[f"{family}/{config}@{size} events"] = int(events)
+    return counts
+
+
+def pair_metrics(history: list, collect=None) -> dict:
     """Pair every *fresh* metric's newest value with its previous occurrence.
 
     Walks the whole history so entries of different kinds interleave freely:
@@ -245,20 +260,23 @@ def pair_metrics(history: list) -> dict:
     a retired metric whose occurrences are all historical is skipped rather
     than compared against two frozen committed values forever.
 
+    ``collect`` flattens one entry (default :func:`collect_metrics`).
+
     Returns:
         {metric name: (baseline value, fresh value)}; metrics seen only once
         or only in older entries are omitted.
     """
+    collect = collect or collect_metrics
     newest: dict = {}
     previous: dict = {}
     for entry in history:
-        for name, value in collect_metrics(entry).items():
+        for name, value in collect(entry).items():
             if name in newest:
                 previous[name] = newest[name]
             newest[name] = value
     fresh_names = set()
     for entry in history[-2:]:
-        fresh_names.update(collect_metrics(entry))
+        fresh_names.update(collect(entry))
     return {
         name: (previous[name], newest[name])
         for name in newest
@@ -287,6 +305,18 @@ def compare(history: list, threshold: float) -> list:
         ratio = new / base if base > 0 else float("inf")
         rows.append((name, base, new, ratio, ratio >= 1.0 - threshold))
     return rows
+
+
+def compare_counts(history: list) -> list:
+    """Return [(count, base, new, ok)] for every paired event count.
+
+    Counts are deterministic, so they pair exactly: a count that rose over
+    its previous occurrence fails, whatever the threshold.
+    """
+    pairs = pair_metrics(history, collect_counts)
+    return [
+        (name, base, new, new <= base) for name, (base, new) in sorted(pairs.items())
+    ]
 
 
 def main(argv=None) -> int:
@@ -320,8 +350,9 @@ def main(argv=None) -> int:
         return 0
 
     rows = compare(history, args.threshold)
+    count_rows = compare_counts(history)
     floor_rows = check_floors(history)
-    if not rows and not floor_rows:
+    if not rows and not count_rows and not floor_rows:
         print("perf gate: no metric has both a fresh and a baseline value; passing")
         return 0
 
@@ -337,10 +368,18 @@ def main(argv=None) -> int:
             print(f"  {marker} {name:<{width}}  {base:>12,.0f} -> {new:>12,.0f}  ({ratio:6.2%})")
             if not ok:
                 failed.append(name)
+    if count_rows:
+        width = max(len(name) for name, *_ in count_rows)
+        print("perf gate: event counts, exact (a rise over the previous occurrence fails)")
+        for name, base, new, ok in count_rows:
+            marker = "ok  " if ok else "FAIL"
+            print(f"  {marker} {name:<{width}}  {base:>12,} -> {new:>12,}")
+            if not ok:
+                failed.append(name)
     if floor_rows:
         width = max(len(name) for name, *_ in floor_rows)
         print(
-            "perf gate: relaxed-over-strict ratio floors "
+            "perf gate: wall-clock ratio floors "
             "(best of the two newest occurrences per workload)"
         )
         for name, ratio, floor, ok in floor_rows:
@@ -349,11 +388,11 @@ def main(argv=None) -> int:
             if not ok:
                 failed.append(name)
     if failed:
-        print(f"perf gate: {len(failed)} metric(s) regressed or under floor:")
+        print(f"perf gate: {len(failed)} metric(s) regressed, rose or under floor:")
         for name in failed:
             print(f"  - {name}")
         return 1
-    print(f"perf gate: all {len(rows) + len(floor_rows)} checks passed")
+    print(f"perf gate: all {len(rows) + len(count_rows) + len(floor_rows)} checks passed")
     return 0
 
 

@@ -9,8 +9,8 @@ degrade mid-run, deterministically:
   (the ``faults=`` axis of :class:`~repro.scenario.spec.ScenarioSpec`);
 * :class:`~repro.faults.timeline.FaultTimeline` — resolves specs against a
   live network and schedules them through the simulator control path, so a
-  timeline is bit-identical under the single engine, strict sharding and
-  relaxed canonical-merge execution;
+  timeline is canonically identical on the single engine and the sharded
+  fabric;
 * :class:`~repro.faults.models.FrameLossModel` — seeded per-segment frame
   loss / corruption, consulted by the LAN layer once per serviced frame.
 

@@ -8,8 +8,8 @@ fault import.
 
 **Determinism.**  The model owns a private seeded :class:`random.Random`
 stream and draws exactly once per serviced frame.  Segment service order is
-identical across the single engine, strict sharding and relaxed
-canonical-merge execution (a segment's service chain is causal on that one
+identical on the single engine and the sharded fabric (a segment's
+service chain is causal on that one
 segment), so the same timeline and seed drop the same frames everywhere —
 this is what makes lossy scenarios bit-identical across engine modes.  The
 one caveat is inherited from the fabric's canonical contract: two

@@ -11,8 +11,8 @@ are ordinary factory parameters).
 The runtime counterpart is :class:`repro.faults.timeline.FaultTimeline`,
 which resolves target names against a live network and schedules every event
 through the simulator's *control path* — the facade under the sharded fabric
-— so the same timeline is bit-identical under the single engine, strict
-sharding and relaxed canonical-merge execution.
+— so the same timeline is canonically identical on the single engine and
+the sharded fabric.
 """
 
 from __future__ import annotations

@@ -7,24 +7,23 @@ builder helpers below), resolves their target names against a live
 simulator's **control path**:
 
 * on the single :class:`~repro.sim.engine.Simulator`, the plain event queue;
-* on the strict sharded fabric, shard 0's ring (the facade's scheduling
-  home) — fault events participate in the exact global ``(time, seq)``
-  order, and because the timeline is installed before traffic starts they
+  because the timeline is installed before traffic starts, fault events
   carry lower sequence numbers than any same-instant traffic event, so a
   fault always precedes same-time traffic;
-* under relaxed sync, the fabric's control ring — fault events run at window
+* on the sharded fabric, the control ring — fault events run at window
   barriers with every shard clock synchronized, *before* any shard event at
-  the same or a later nanosecond, mirroring the strict tie-break exactly.
+  the same or a later nanosecond, mirroring the single engine's tie-break
+  exactly.
 
-That shared control-path discipline is what makes one timeline bit-identical
-(canonical-merge equivalent in relaxed mode) across every engine
-configuration; the test suite proves it over the ``ring/failover`` and
-``pair/lossy`` scenarios.
+That shared control-path discipline is what makes one timeline canonically
+identical on every engine configuration; the test suite proves it over the
+``ring/failover`` and ``pair/lossy`` scenarios.
 
 Install the timeline **before starting the traffic it is meant to disturb**
 (the scenario compiler installs at compile time, before any event is
 dispatched); installing mid-run next to already-scheduled same-nanosecond
-traffic would make the strict tie-break depend on scheduling order.
+traffic would make the single engine's tie-break depend on scheduling
+order.
 """
 
 from __future__ import annotations

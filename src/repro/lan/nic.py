@@ -159,7 +159,7 @@ class NetworkInterface:
         automatically), and it admits the segment to the *deferred* express
         drain (:meth:`Segment._drain`): service bookkeeping runs
         batched at transmit time while deliveries stay on the event ring at
-        their exact strict-engine timestamps.
+        their exact single-engine timestamps.
 
         Handlers that synchronously drive *other* segments from delivery
         context, or that sample wire-side counters mid-flight, must keep

@@ -52,7 +52,7 @@ other shards are staged in the sending shard's outbox.
 
 **Fault hooks.**  The fault subsystem (:mod:`repro.faults`) drives three
 knobs, all mutated only from driver/control context — the single engine's
-queue, strict shard 0, or relaxed control barriers — so code inside a
+queue or the fabric's control barriers — so code inside a
 relaxed window only ever *reads* them: :meth:`set_link` (cable cut: later
 transmits drop at the sender), :meth:`set_fault_model` (a seeded
 loss/corruption model judging every frame the event lane serves; an active
@@ -476,34 +476,21 @@ class Segment:
             # record below); on a cut segment under relaxed sync the counter
             # increment is routed through the outbox — a window on another
             # shard must not mutate this segment.
-            trace = self._trace
-            if self._delivery_runs is not None:
-                sim = self.sim
-                if sim.relaxed:
-                    caller = active_shard()
-                    if caller is not None:
-                        self._emit_drop(caller.trace, sender, frame, "link-down")
-                        caller.outbox.append(
-                            ("drop", caller.clock._now_ns, self)
-                        )
-                        return
-                else:
-                    active = sim.fabric._active
-                    if active is not None:
-                        trace = active.trace
-            self.frames_lost += 1
-            self._emit_drop(trace, sender, frame, "link-down")
+            if self._delivery_runs is not None and self.sim.relaxed:
+                caller = active_shard()
+                if caller is not None:
+                    self._emit_drop(caller.trace, sender, frame, "link-down")
+                    caller.outbox.append(("drop", caller.clock._now_ns, self))
+                    return
+            self._count_drop(sender, frame, "link-down")
             return
-        trace = self._trace
-        if self._delivery_runs is not None:
-            # Cut segment: the enqueue record belongs to the *sending*
-            # shard's stream — the transmit is the sender's action at the
-            # sender's time.  (The emission moment is unchanged, so strict
-            # runs stay bit-identical; under relaxed sync it is what lets
-            # the record carry the exact send-time stamp even though the
-            # segment state update is deferred to the window barrier.)
-            sim = self.sim
-            if sim.relaxed and not self._express:
+        if self._delivery_runs is not None and not self._express:
+            # Cut segment: inside a window the enqueue record belongs to the
+            # *sending* shard's stream — the transmit is the sender's action
+            # at the sender's time — which lets the record carry the exact
+            # send-time stamp even though the segment state update is
+            # deferred to the window barrier.
+            if self.sim.relaxed:
                 caller = active_shard()
                 if caller is not None:
                     # Inside a relaxed window this segment's state must not
@@ -526,11 +513,8 @@ class Segment:
                         ("tx", caller.clock._now_ns, self, sender, frame)
                     )
                     return
-            else:
-                active = sim.fabric._active
-                if active is not None:
-                    trace = active.trace
         self._pending.append((sender, frame))
+        trace = self._trace
         if trace.wants("segment.enqueue"):
             trace.emit(self.name, "segment.enqueue", _frame_detail, sender, frame)
         if not self._in_service:
@@ -543,7 +527,7 @@ class Segment:
 
         Runs between windows: the home shard's clock is set to the transmit
         time so the service arithmetic and everything scheduled downstream
-        carry exactly the timestamps the strict engine produces.  (The
+        carry exactly the timestamps the single engine produces.  (The
         enqueue record was already emitted at send time, on the sending
         shard's stream.)
         """
@@ -683,11 +667,12 @@ class Segment:
                        pop_ns: int, deliver_ns: int) -> None:
         """Schedule an event-lane frame's delivery on a cut segment, per run.
 
-        Strict mode schedules each run through its owning engine, the first
-        run emitting the record.  At a relaxed barrier the legs are parked
-        in flight.  Inside a relaxed window the record and the home runs go
-        straight onto the home ring (the same bucket position as strict) and
-        runs for other shards are staged in the outbox.
+        Outside any dispatch (a transmit made while the fabric is idle) each
+        run is scheduled through its owning engine, the first run emitting
+        the record.  At a relaxed barrier the legs are parked in flight.
+        Inside a relaxed window the record and the home runs go straight
+        onto the home ring and runs for other shards are staged in the
+        outbox.
         """
         self.cross_shard_frames += 1
         sim = self.sim
@@ -805,7 +790,7 @@ class Segment:
 
         Fuses every service -> delivery -> (inline-safe handler reply) step
         into one loop, advancing the shard's private clock to each step's
-        exact strict-engine timestamp instead of paying a queue round-trip
+        exact single-engine timestamp instead of paying a queue round-trip
         per event.  This is only sound under the relaxed canonical-merge
         contract: the emitted records interleave with other segments'
         streams out of execution order, and the canonical merge re-sorts
@@ -817,7 +802,7 @@ class Segment:
         earliest delivery still in flight, whose ring event must run first:
         its replies queue ahead of any later delivery's.  A delivery past
         that bound is parked in flight, and a service event is left where
-        the strict engine would have one.
+        the single engine would have one.
         """
         shard = self.sim
         clock = shard.clock
@@ -877,8 +862,7 @@ class Segment:
         interface is down) the home runs are delivered inline and the
         remote runs — pure drop counting — execute on their own shards:
         staged via the outbox inside a window, or scheduled directly from
-        barrier/strict contexts (a parked delivery can fire after a mode
-        switch).
+        barrier contexts (a parked delivery can fire after a lane switch).
         """
         runs = self._delivery_runs
         if runs is None:

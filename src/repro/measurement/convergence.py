@@ -22,9 +22,9 @@ which *nothing* was delivered, nothing transitioned, or the fault never
 fired reports zeros/``None`` rather than raising — the same robustness
 contract the ping/ttcp rate windows follow.
 
-Works identically on the single engine, strict shards and relaxed
-canonical-merge runs (record scans go through the trace's defined merge
-order; counter reads are mode-independent).
+Works identically on the single engine and the sharded fabric (record
+scans go through the trace's defined order; counter reads are
+mode-independent).
 """
 
 from __future__ import annotations

@@ -116,8 +116,7 @@ class PingRunner:
         # sharded fabric the facade's control ring — a global barrier per
         # event under relaxed sync — would synchronize every shard 4x per
         # second for a callback only one shard can observe.  On a single
-        # engine ``source.sim`` is the same simulator, and under strict sync
-        # the shared ``(time, seq)`` order makes the ring choice invisible.
+        # engine ``source.sim`` is the same simulator.
         home = self.source.sim
         for index in range(self.count):
             when = at_time + index * self.interval

@@ -26,7 +26,7 @@ private ``random.Random`` seeded from ``(traffic_seed, station, kind)``
 interleaving cannot perturb a single sample — and every timer rides a
 :class:`~repro.sim.wheel.TimerWheel` whose integer quantization is
 engine-independent.  The population scenario tests assert the resulting
-canonical traces bit-identical across single / strict / relaxed /
+canonical traces bit-identical across single-engine, relaxed and
 process runs.
 
 Call :func:`install_traffic` on a compiled run **before**
@@ -378,7 +378,7 @@ class PopulationTraffic:
     def pool_statistics(self) -> Dict[str, int]:
         """Aggregated frame-pool counters across lanes.
 
-        Meaningful for in-process runs (single engine, strict, and relaxed
+        Meaningful for in-process runs (the single engine, and the fabric
         on the ``"thread"`` backend);
         under ``backend="process"`` the workers' pools advance in their
         own address spaces and the parent's copy stays at its pre-fork
@@ -413,11 +413,7 @@ class PopulationTraffic:
         backend — including process runs, where the records ship back
         with the worker trace streams.
         """
-        trace = self.run.sim.trace
-        if hasattr(trace, "canonical_records"):
-            records = trace.canonical_records(category="svc.rtt")
-        else:
-            records = trace.filter(category="svc.rtt")
+        records = self.run.sim.trace.canonical_records(category="svc.rtt")
         return [record.detail["rtt_ns"] for record in records]
 
 

@@ -18,8 +18,8 @@ chunk boundaries) and what makes the cut set — and with it the conservative
 lookahead, the minimum over cut segments of wire service time for a
 minimum-size frame plus propagation delay — a deterministic function of the
 spec alone.  Every cut segment must have a positive propagation delay: that
-delay anchors the fabric's lookahead, and both sync modes (the strict batch
-bound and the relaxed window length) depend on it being non-zero.
+delay anchors the fabric's lookahead, and the relaxed window length depends
+on it being non-zero.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.baselines.static_bridge import StaticLearningBridge
 from repro.core.node import ActiveNode
 from repro.costs.model import CostModel
 from repro.ethernet.frame import MIN_WIRE_LENGTH
+from repro.exceptions import SimulationError
 from repro.faults.timeline import FaultTimeline
 from repro.lan.host import Host
 from repro.lan.segment import Segment
@@ -118,8 +119,6 @@ class PartitionPlan:
             minimum over the cut segments of wire service time for a
             minimum-size frame plus propagation delay, in nanoseconds
             (``None`` when the shards are fully independent).
-        sync: the fabric synchronization mode the run was compiled with
-            (``"strict"`` or ``"relaxed"``).
         backend: relaxed-window execution backend (``"thread"`` in-process,
             ``"process"`` one worker process per shard).
     """
@@ -128,7 +127,6 @@ class PartitionPlan:
     assignments: Dict[str, int]
     cut_segments: Tuple[str, ...] = ()
     lookahead_ns: Optional[int] = None
-    sync: str = "strict"
     backend: str = "thread"
 
 
@@ -155,10 +153,10 @@ def plan_partition(
     """
     if isinstance(partition, PartitionSpec):
         requested, explicit = partition.shards, dict(partition.assignments)
-        sync, backend = partition.sync, partition.backend
+        backend = partition.backend
     else:
         requested, explicit = int(partition), {}
-        sync, backend = "strict", "thread"
+        backend = "thread"
     if requested < 1:
         raise ValueError("a partition needs at least one shard")
     shards = min(requested, len(spec.segments)) if spec.segments else 1
@@ -185,7 +183,6 @@ def plan_partition(
         return PartitionPlan(
             n_shards=1,
             assignments={name: 0 for name in names},
-            sync=sync,
             backend=backend,
         )
 
@@ -264,7 +261,6 @@ def plan_partition(
         assignments=assignments,
         cut_segments=tuple(cut),
         lookahead_ns=lookahead_ns,
-        sync=sync,
         backend=backend,
     )
 
@@ -294,11 +290,6 @@ class ScenarioRun:
     def n_shards(self) -> int:
         """Shard engines this run executes on (1 = single engine)."""
         return getattr(self.network.sim, "n_shards", 1)
-
-    @property
-    def sync(self) -> str:
-        """The fabric synchronization mode (``"strict"`` for single engine)."""
-        return getattr(self.network.sim, "sync", "strict")
 
     @property
     def backend(self) -> str:
@@ -505,7 +496,6 @@ def compile_spec(
     cost_model: Optional[CostModel] = None,
     trace_sinks=None,
     shards: Union[int, PartitionSpec] = 1,
-    sync: Optional[str] = None,
     backend: Optional[str] = None,
     faults=None,
     telemetry: bool = False,
@@ -519,24 +509,23 @@ def compile_spec(
 
     With ``shards`` > 1 (or an explicit :class:`PartitionSpec`) the same
     sequence is replayed onto a :class:`~repro.sim.fabric.ShardedSimulator`:
-    the partitioner places every component on a shard engine and the
-    resulting strict run is bit-identical — same traces, same counters, same
-    timestamps — to the single-engine compile (see :mod:`repro.sim.fabric`
-    for the determinism argument).  ``sync="relaxed"`` (directly or via
-    :attr:`PartitionSpec.sync`; the explicit argument wins) switches the
-    fabric to per-shard lookahead windows under the canonical-merge
-    contract, run one after another on the calling thread;
-    ``backend="process"`` (directly or via :attr:`PartitionSpec.backend`)
-    runs those windows on one worker process per shard for wall-clock
-    multi-core speedup.
-    Construction always runs strictly — the mode only affects dispatch.
+    the partitioner places every component on a shard engine, which runs
+    per-shard lookahead windows one after another on the calling thread.
+    The run's canonical records, counters and component statistics equal
+    the single-engine compile's (see :mod:`repro.sim.fabric` for the
+    contract).  ``backend="process"`` (directly or via
+    :attr:`PartitionSpec.backend`; the explicit argument wins) runs those
+    windows on one worker process per shard for wall-clock multi-core
+    speedup.  A sharded run keeps each shard's records in its own store, so
+    ``trace_sinks`` raises :class:`~repro.exceptions.SimulationError` there;
+    a spec too small to shard compiles onto the single engine, sinks and
+    all.
 
     ``faults`` extends the spec's own fault timeline with additional
     :class:`~repro.faults.spec.FaultSpec` events; the combined timeline is
     installed on the simulator control path *before any event has been
-    dispatched*, which is what keeps one timeline bit-identical across the
-    single engine, strict shards and relaxed execution (see
-    :mod:`repro.faults.timeline`).
+    dispatched*, which is what keeps one timeline identical on the single
+    engine and the fabric (see :mod:`repro.faults.timeline`).
 
     ``telemetry=True`` enables the engine's metrics/span instrumentation
     (:mod:`repro.telemetry`) before any event dispatches.  Telemetry never
@@ -544,13 +533,6 @@ def compile_spec(
     bit-identity with it on; ``ScenarioRun.report()`` collects the results.
     """
     plan = plan_partition(spec, shards)
-    if sync is not None:
-        if sync not in ShardedSimulator.SYNC_MODES:
-            raise ValueError(
-                f"unknown sync mode {sync!r}; expected one of "
-                f"{ShardedSimulator.SYNC_MODES}"
-            )
-        plan.sync = sync
     if backend is not None:
         if backend not in ShardedSimulator.BACKENDS:
             raise ValueError(
@@ -559,13 +541,17 @@ def compile_spec(
             )
         plan.backend = backend
     if plan.n_shards > 1:
+        if trace_sinks is not None:
+            raise SimulationError(
+                f"trace_sinks: a sharded run ({plan.n_shards} shards) keeps "
+                "each shard's records in its own store; pass trace_sinks "
+                "only to single-engine runs"
+            )
         engine = ShardedSimulator(
             seed=seed,
             shards=plan.n_shards,
-            trace_sinks=trace_sinks,
             placement=plan.assignments,
             lookahead_ns=plan.lookahead_ns,
-            sync=plan.sync,
             backend=plan.backend,
         )
         builder = NetworkBuilder(seed=seed, cost_model=cost_model, engine=engine)

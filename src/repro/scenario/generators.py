@@ -46,10 +46,10 @@ Two structural invariants every generator maintains:
   reference trace (same-instant multi-sender enqueues) and excuses
   relaxed-mode divergence at or after the first tie instant — see
   ``tools/fuzz_scenarios.py``.  The loopy generators therefore register
-  with ``tie_prone=True``: catalog-wide *plain* relaxed-vs-strict
-  bit-identity tests skip them (the fuzzer owns that contract with its
-  tie-horizon refinement), while strict-mode sharding identities still
-  cover them unconditionally.
+  with ``tie_prone=True``: the catalog-wide tests that compare a fabric's
+  canonical records with the single engine's skip them (the fuzzer owns
+  that contract with its tie-horizon refinement), while the catalog-wide
+  fabric determinism test still covers them unconditionally.
 * **Compressed 802.1D timers** — loopy shapes run the spanning tree with
   :data:`FAST_STP_TIMERS` by default (overridable per call), so whole
   convergence episodes fit in a few simulated seconds and a fuzz case

@@ -8,8 +8,8 @@ files, travel between tools and come back bit-identical:
   hosts, devices, ports, switchlets, faults, params) as plain mappings,
   lists and scalars, and back.
 * :func:`partition_to_dict` / :func:`dict_to_partition` — the engine-side
-  :class:`~repro.scenario.spec.PartitionSpec` (shards, sync, backend,
-  explicit assignments).
+  :class:`~repro.scenario.spec.PartitionSpec` (shards, backend, explicit
+  assignments).
 * :func:`dump_scenario` / :func:`load_scenario` — a complete *scenario
   document* (spec + optional partition + optional free-form ``run`` block)
   as YAML or JSON text, plus :func:`save_scenario` / :func:`load_scenario_file`
@@ -151,7 +151,6 @@ def partition_to_dict(partition: PartitionSpec) -> dict:
     return {
         "shards": partition.shards,
         "assignments": dict(partition.assignments),
-        "sync": partition.sync,
         "backend": partition.backend,
     }
 
@@ -389,9 +388,12 @@ def dict_to_spec(data: object, where: str = "spec") -> ScenarioSpec:
 def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
     """Rebuild a :class:`PartitionSpec` from :func:`partition_to_dict` output.
 
-    A ``workers`` key (the size of the relaxed worker-thread pool, which no
-    longer exists) is still accepted, checked and dropped: threads never
-    changed a result, so older documents load to the same partition.
+    Two keys of older documents are still accepted, checked and dropped:
+    ``workers`` (the size of the relaxed worker-thread pool, which no longer
+    exists; threads never changed a result) and ``sync`` (``"strict"`` or
+    ``"relaxed"``; every fabric now runs relaxed windows, whose canonical
+    records equal the strict mode's), so older documents load to the same
+    partition.
     """
     fields = _take(
         _require_mapping(data, where),
@@ -400,7 +402,7 @@ def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
         optional={
             "shards": 1,
             "assignments": {},
-            "sync": "strict",
+            "sync": "relaxed",
             "workers": 0,
             "backend": "thread",
         },
@@ -410,13 +412,16 @@ def dict_to_partition(data: object, where: str = "partition") -> PartitionSpec:
         raise InterchangeError(
             f"{where}.workers: expected a non-negative integer, got {workers!r}"
         )
+    if fields["sync"] not in ("strict", "relaxed"):
+        raise InterchangeError(
+            f"{where}.sync: expected 'strict' or 'relaxed', got {fields['sync']!r}"
+        )
     try:
         return PartitionSpec(
             shards=fields["shards"],
             assignments=dict(
                 _require_mapping(fields["assignments"], f"{where}.assignments")
             ),
-            sync=fields["sync"],
             backend=fields["backend"],
         )
     except ValueError as exc:

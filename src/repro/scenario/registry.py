@@ -32,13 +32,13 @@ class ScenarioEntry:
             documentary; any factory parameter can be used as an axis).
         tie_prone: the topology class admits residual same-instant wire
             ties (queueing feedback re-aligning causal chains on a loop),
-            which the canonical-merge contract deliberately refuses to
-            order.  Such entries promise the *tie-excused* relaxed
-            contract — divergence from strict is legitimate at or after
-            the first tie instant — so catalog-wide plain bit-identity
+            which the canonical contract deliberately refuses to order.
+            Such entries promise the *tie-excused* contract — a fabric's
+            divergence from the single engine is legitimate at or after
+            the first tie instant — so the catalog-wide canonical-identity
             tests skip them and the scenario fuzzer covers them with its
-            tie-horizon oracle instead.  Strict-mode identities (sharded
-            vs unsharded) are unaffected and still hold.
+            tie-horizon oracle instead.  Fabric determinism (two runs
+            agree) still holds for them.
     """
 
     name: str

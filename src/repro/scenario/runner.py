@@ -44,15 +44,14 @@ def run_scenario(
         params: factory parameters when ``scenario`` is a name (matrix-axis
             values such as ``{"n_bridges": 5}``).
         shards: shard the compiled network across this many cooperating
-            engines (or per an explicit :class:`PartitionSpec`).  Strict
-            results are bit-identical to the single-engine run; large
-            topologies execute faster on the fabric's batched per-shard
-            event rings.
-        sync: fabric synchronization mode — ``"strict"`` (default) or
-            ``"relaxed"`` (per-shard lookahead windows, canonical-merge
-            equivalent to strict; see :mod:`repro.sim.relaxed`).  Overrides
-            :attr:`PartitionSpec.sync` when both are given; ignored for
-            single-engine runs.
+            engines (or per an explicit :class:`PartitionSpec`).  The
+            fabric runs relaxed lookahead windows, and its canonical records
+            equal the single-engine run's (see :mod:`repro.sim.relaxed`).
+            A sharded run accepts no ``trace_sinks``.
+        sync: only ``None`` or ``"relaxed"``, which change nothing: every
+            fabric runs relaxed windows, and the strict mode this argument
+            selected no longer exists, so any other value raises
+            :class:`ValueError`.
         workers: only ``None`` or ``0``, which change nothing.  Relaxed
             windows run on the calling thread; the worker-thread pool this
             argument sized no longer exists, and any other value raises
@@ -76,10 +75,17 @@ def run_scenario(
         The compiled :class:`ScenarioRun`; the caller decides how far to run
         the simulator (``run.warm_up()`` reaches the scenario's ready time).
     """
-    # ``workers`` outlives the worker-thread pool it sized because
-    # perfbench/workloads.py, which stays unchanged so that benchmark runs
-    # compare across commits, passes ``workers=0``: sequential windows, the
-    # only kind left.  A request for threads fails loudly instead.
+    # ``sync`` and ``workers`` outlive the strict mode and the worker-thread
+    # pool they selected because perfbench/workloads.py, which stays
+    # unchanged so that benchmark runs compare across commits, passes
+    # ``sync="relaxed", workers=0``: sequential relaxed windows, the only
+    # kind left.  A request for anything else fails loudly instead.
+    if sync not in (None, "relaxed"):
+        raise ValueError(
+            f"sync={sync!r}: strict sync was removed; every fabric runs "
+            "relaxed windows, and the single engine (shards=1) runs events "
+            "in the exact global order"
+        )
     if workers not in (None, 0):
         raise ValueError(
             f"workers={workers!r}: relaxed worker threads were removed; "
@@ -94,8 +100,7 @@ def run_scenario(
         spec = scenario
     return compile_spec(
         spec, seed=seed, cost_model=cost_model, trace_sinks=trace_sinks,
-        shards=shards, sync=sync, backend=backend,
-        faults=faults, telemetry=telemetry,
+        shards=shards, backend=backend, faults=faults, telemetry=telemetry,
     )
 
 
@@ -108,7 +113,6 @@ def run_matrix(
     trace_sinks=None,
     base_params: Optional[Mapping[str, object]] = None,
     shards: Union[int, PartitionSpec] = 1,
-    sync: Optional[str] = None,
     backend: Optional[str] = None,
     faults=None,
     telemetry: bool = False,
@@ -118,13 +122,12 @@ def run_matrix(
     Expansion order is deterministic (see
     :func:`~repro.scenario.registry.expand_matrix`); each run is compiled
     lazily, so a large sweep only holds one live network at a time.  The
-    ``shards`` and ``sync``/``backend`` knobs apply to every
+    ``shards`` and ``backend`` knobs apply to every
     point (the partitioner clamps the shard count for points with fewer
     segments).
     """
     for spec in expand_matrix(name, axes, base_params=base_params):
         yield compile_spec(
             spec, seed=seed, cost_model=cost_model, trace_sinks=trace_sinks,
-            shards=shards, sync=sync, backend=backend,
-            faults=faults, telemetry=telemetry,
+            shards=shards, backend=backend, faults=faults, telemetry=telemetry,
         )

@@ -22,7 +22,7 @@ from repro.faults.spec import (
     SEGMENT_KINDS,
 )
 from repro.lan.segment import DEFAULT_BANDWIDTH_BPS, DEFAULT_PROPAGATION_DELAY
-from repro.sim.relaxed import BACKENDS, SYNC_MODES
+from repro.sim.relaxed import BACKENDS
 
 #: Extra settling time after the forwarding-delay window before measuring.
 SPANNING_TREE_WARMUP = 31.0
@@ -113,29 +113,19 @@ class PartitionSpec:
             left out are placed automatically: segments by balanced
             contiguous chunking in declaration order, hosts with their
             segment, devices with their first port's segment.
-        sync: fabric synchronization mode — ``"strict"`` (exact global
-            event order, bit-identical to the single engine) or
-            ``"relaxed"`` (per-shard lookahead windows under the
-            canonical-merge contract; see :mod:`repro.sim.relaxed`).
         backend: relaxed-window execution backend — ``"thread"`` (default,
             in-process, one window after another on the calling thread) or
             ``"process"`` (one worker process per shard for wall-clock
-            multi-core speedup; see :mod:`repro.sim.procpool`).  Ignored
-            under strict sync.
+            multi-core speedup; see :mod:`repro.sim.procpool`).
     """
 
     shards: int = 1
     assignments: Mapping[str, int] = field(default_factory=dict)
-    sync: str = "strict"
     backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("a partition needs at least one shard")
-        if self.sync not in SYNC_MODES:
-            raise ValueError(
-                f"unknown sync mode {self.sync!r}; expected one of {SYNC_MODES}"
-            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown relaxed backend {self.backend!r}; "

@@ -22,9 +22,11 @@ host, LAN segment and active node in an experiment; the
 
 For topologies too large for one engine, each shard of a
 :class:`repro.sim.fabric.ShardedSimulator` is an
-:class:`~repro.sim.shard.EngineShard`, the same core with the fabric's
-cross-shard bookkeeping — sharded runs are bit-identical to this single
-engine (see :mod:`repro.sim.fabric`).
+:class:`~repro.sim.shard.EngineShard`, the same core run through relaxed
+lookahead windows.  The single engine runs events in the exact global
+order, and it is the reference a fabric run is checked against: in the
+canonical order (:meth:`~repro.sim.trace.TraceRecorder.canonical_records`)
+a fabric's records equal this engine's (see :mod:`repro.sim.fabric`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from repro.exceptions import SimulationError
+from repro.sim import relaxed as _relaxed
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
 from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
@@ -48,45 +51,6 @@ NO_BUDGET = sys.maxsize
 TELEMETRY_SLICE = 64
 
 
-def drain_with_telemetry(engine, drain, until_ns: int, budget: int) -> int:
-    """Run ``drain(until_ns, budget)`` in slices under ``engine``'s telemetry.
-
-    The one telemetry wrapper of the single engine and the strict fabric.
-    It adds one wall span per call, a garbage-collection watch over that
-    span and the dispatch count, and samples the queue depth before the
-    first slice and after every slice of :data:`TELEMETRY_SLICE` events.
-    Slicing a drain by budget never changes which events run, or in what
-    order.  The wall clock is read through :mod:`repro.telemetry.spans`,
-    so the overhead test can prove the off path never reaches it.
-    """
-    from repro.telemetry import spans
-
-    telemetry = engine._telemetry
-    start = spans.perf_counter()
-    gc_watch = spans.GcWatch(telemetry.profiler)
-    high_water = engine.pending_events
-    dispatched = 0
-    try:
-        while True:
-            size = min(TELEMETRY_SLICE, budget - dispatched)
-            ran = drain(until_ns, size)
-            dispatched += ran
-            pending = engine.pending_events
-            if pending > high_water:
-                high_water = pending
-            if ran < size or dispatched >= budget:
-                break
-    finally:
-        gc_watch.close()
-        elapsed = spans.perf_counter() - start
-        registry = telemetry.registry
-        registry.counter("engine_events_dispatched").inc(dispatched)
-        registry.gauge("engine_queue_high_water").set_max(high_water)
-        telemetry.profiler.add("compute", elapsed)
-        telemetry.profiler.add_total(elapsed)
-    return dispatched
-
-
 class EngineCore:
     """The event core every engine shares: queue, scheduling and drain.
 
@@ -96,20 +60,22 @@ class EngineCore:
     The six scheduling methods push straight onto the queue's heap: they
     are the hottest scheduling entry points (timers, CPU queues, wire
     service).  On a fabric shard, :attr:`fabric` is set, and a push made
-    while another shard runs a strict batch is reported to the fabric so
-    the batch stops before overtaking it.
+    from inside another shard's relaxed window raises
+    :class:`~repro.exceptions.SimulationError` (see
+    :meth:`~repro.sim.shard.EngineShard._check_home`): the pushing shard's
+    clock is not this shard's, so the event would fire at the wrong time.
     """
 
-    #: Whether this engine is executing under the fabric's relaxed sync mode.
+    #: Whether this engine is a fabric shard inside a relaxed dispatch.
     #: Always ``False`` for the single engine; :class:`~repro.sim.shard.
-    #: EngineShard` toggles its instance attribute during relaxed dispatches.
+    #: EngineShard` sets its instance attribute for the length of a dispatch.
     #: Components (the LAN segment in particular) branch on this to pick
     #: between the classic event path and the relaxed express/mailbox paths.
     relaxed = False
 
     #: The :class:`~repro.sim.fabric.ShardedSimulator` this engine is a shard
     #: of; ``None`` for the single engine, which costs its scheduling
-    #: methods one attribute test each.
+    #: methods one attribute test each (the cross-shard check).
     fabric = None
 
     # ------------------------------------------------------------------
@@ -165,14 +131,13 @@ class EngineCore:
         when_ns = now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
+        if self.fabric is not None and _relaxed._ACTIVE is not self:
+            self._check_home()
         queue = self._queue
         sequence = next(queue._counter)
         event = Event(when_ns, sequence, callback, label, False, queue)
         heappush(queue._heap, (when_ns, sequence, callback, event))
         queue._live += 1
-        fabric = self.fabric
-        if fabric is not None and fabric._active is not None and fabric._active is not self:
-            fabric._note_cross_push(self, when_ns, sequence)
         return event
 
     def schedule_at(
@@ -188,14 +153,13 @@ class EngineCore:
         now_ns = self.clock._now_ns
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
+        if self.fabric is not None and _relaxed._ACTIVE is not self:
+            self._check_home()
         queue = self._queue
         sequence = next(queue._counter)
         event = Event(when_ns, sequence, callback, label, False, queue)
         heappush(queue._heap, (when_ns, sequence, callback, event))
         queue._live += 1
-        fabric = self.fabric
-        if fabric is not None and fabric._active is not None and fabric._active is not self:
-            fabric._note_cross_push(self, when_ns, sequence)
         return event
 
     def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
@@ -212,13 +176,12 @@ class EngineCore:
         now_ns = self.clock._now_ns
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
+        if self.fabric is not None and _relaxed._ACTIVE is not self:
+            self._check_home()
         queue = self._queue
         sequence = next(queue._counter)
         heappush(queue._heap, (when_ns, sequence, callback, None))
         queue._live += 1
-        fabric = self.fabric
-        if fabric is not None and fabric._active is not None and fabric._active is not self:
-            fabric._note_cross_push(self, when_ns, sequence)
 
     def schedule_fire_after(
         self, delay_seconds: float, callback: Callable[[], None]
@@ -232,13 +195,12 @@ class EngineCore:
         when_ns = now_ns + round(delay_seconds * NANOSECONDS_PER_SECOND)
         if when_ns < now_ns:
             validate_schedule_time(now_ns, when_ns)
+        if self.fabric is not None and _relaxed._ACTIVE is not self:
+            self._check_home()
         queue = self._queue
         sequence = next(queue._counter)
         heappush(queue._heap, (when_ns, sequence, callback, None))
         queue._live += 1
-        fabric = self.fabric
-        if fabric is not None and fabric._active is not None and fabric._active is not self:
-            fabric._note_cross_push(self, when_ns, sequence)
 
     # ------------------------------------------------------------------
     # The drain loop
@@ -404,9 +366,46 @@ class Simulator(EngineCore):
         try:
             if self._telemetry is None:
                 return self._drain(until_ns, budget)
-            return drain_with_telemetry(self, self._drain, until_ns, budget)
+            return self._drain_with_telemetry(until_ns, budget)
         finally:
             self._running = False
+
+    def _drain_with_telemetry(self, until_ns: int, budget: int) -> int:
+        """Run the drain in slices under this engine's telemetry.
+
+        It adds one wall span per call, a garbage-collection watch over that
+        span and the dispatch count, and samples the queue depth before the
+        first slice and after every slice of :data:`TELEMETRY_SLICE` events.
+        Slicing a drain by budget never changes which events run, or in what
+        order.  The wall clock is read through :mod:`repro.telemetry.spans`,
+        so the overhead test can prove the off path never reaches it.
+        """
+        from repro.telemetry import spans
+
+        telemetry = self._telemetry
+        start = spans.perf_counter()
+        gc_watch = spans.GcWatch(telemetry.profiler)
+        high_water = len(self._queue)
+        dispatched = 0
+        try:
+            while True:
+                size = min(TELEMETRY_SLICE, budget - dispatched)
+                ran = self._drain(until_ns, size)
+                dispatched += ran
+                pending = len(self._queue)
+                if pending > high_water:
+                    high_water = pending
+                if ran < size or dispatched >= budget:
+                    break
+        finally:
+            gc_watch.close()
+            elapsed = spans.perf_counter() - start
+            registry = telemetry.registry
+            registry.counter("engine_events_dispatched").inc(dispatched)
+            registry.gauge("engine_queue_high_water").set_max(high_water)
+            telemetry.profiler.add("compute", elapsed)
+            telemetry.profiler.add_total(elapsed)
+        return dispatched
 
     def enable_telemetry(self):
         """Attach telemetry state to this engine (idempotent).

@@ -7,9 +7,8 @@ scheduled — this makes the whole simulation deterministic, which the paper's
 reproducible measurements depend on.
 
 It is the only event queue: the single engine, every shard of the sharded
-fabric and the fabric's control ring each hold one.  A fabric's queues draw
-their sequence numbers from one shared counter, so ``(time, sequence)`` is a
-total order across all of them.
+fabric and the fabric's control ring each hold one, and each counts its own
+sequence numbers, so ``(time, sequence)`` orders the events of one queue.
 
 Three hot-path properties the engines' drain loops rely on:
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.exceptions import SchedulingError
 
@@ -110,30 +109,26 @@ class EventQueue:
 
     Entries scheduled through :meth:`push` carry a cancellable
     :class:`Event` handle; entries scheduled through :meth:`push_fire` carry
-    none.  Both kinds draw from one sequence counter, so they interleave in
-    exact scheduling order.  The engines' scheduling methods push onto
-    :attr:`_heap` inline, in the same entry shape.
+    none.  Both kinds draw from the queue's one sequence counter, so they
+    interleave in exact scheduling order.  The engines' scheduling methods
+    push onto :attr:`_heap` inline, in the same entry shape.
 
     Cancelled events are not removed eagerly — :meth:`Event.cancel` stays
     O(1), which matters because the 802.1D switchlet cancels and re-arms many
     timers.  They are discarded when they reach the top of the heap, or in
     one lazy compaction pass when dead entries outnumber live ones.
 
-    Args:
-        counter: the sequence-number iterator; a sharded fabric passes one
-            counter to all of its queues.  By default the queue has its own.
-
     Attributes:
         cancelled_discarded: total cancelled events physically dropped from
             the heap so far (top-skips plus compactions).
     """
 
-    def __init__(self, counter: Optional[Iterator[int]] = None) -> None:
+    def __init__(self) -> None:
         # Entries are (time_ns, sequence, callback, event_or_None): heap
         # sifting compares the two integers at C speed and never reaches the
         # callback, since sequence numbers are unique.
         self._heap: list = []
-        self._counter = itertools.count() if counter is None else counter
+        self._counter = itertools.count()
         self._live = 0
         self._dead_in_heap = 0
         self.cancelled_discarded = 0

@@ -1,4 +1,4 @@
-"""The sharded event fabric: partitioned simulators under conservative sync.
+"""The sharded event fabric: partitioned simulators under relaxed windows.
 
 A :class:`ShardedSimulator` coordinates several
 :class:`~repro.sim.shard.EngineShard` engines.  Every component of a
@@ -7,53 +7,42 @@ that shard's event queue; the only cross-shard coupling is frame handoff on a
 LAN segment whose stations live on different shards (see
 :meth:`~repro.lan.segment.Segment` — the inter-shard delivery channel).
 
-**Synchronization model.**  Shards advance under a conservative protocol:
-the coordinator repeatedly picks the shard holding the globally earliest
-pending event and lets it run a *batch* — every event strictly below the
-earliest pending key of any other shard (the batch limit).  Cross-shard
-pushes made while a batch runs shrink the limit live, so no shard ever runs
-past an event another shard must fire first.  This next-event bound is at
-least as tight as the classic clock-plus-lookahead bound — the lookahead
-derived from inter-shard :attr:`Segment.propagation_delay` (recorded as
+**Execution model.**  A fabric dispatches relaxed lookahead windows only
+(see :mod:`repro.sim.relaxed`): each shard runs every event below its
+conservative bound on a private clock, cross-shard work waits in outboxes
+until the window barrier, and facade-scheduled work (measurement drivers,
+fault timelines) runs at control barriers with every shard clock
+synchronized.  The lookahead derived from inter-shard
+:attr:`Segment.propagation_delay` (recorded as
 :attr:`ShardedSimulator.lookahead_ns`) guarantees cross-shard handoffs land
-strictly in the shard's future, which is what makes batches non-trivial and
-the fabric deadlock-free.
+strictly in the receiving shard's future, which is what makes windows
+non-trivial and the fabric deadlock-free.  Inside a window a shard may
+schedule only onto its own queue; a push onto another shard raises
+:class:`~repro.exceptions.SimulationError`.
 
-**Determinism guarantee (strict mode).**  Every shard holds the single
-engine's :class:`~repro.sim.events.EventQueue`, all of them on one
-event-sequence counter, and the coordinator dispatches in the exact global
-``(time_ns, sequence)`` order, so a sharded run executes the very same
-callback sequence as the single :class:`~repro.sim.engine.Simulator` — every
-trace record, counter and component statistic is bit-identical.  Per-shard
-trace streams carry a shared emission sequence (:attr:`TraceRecord.seq`);
-:class:`FabricTrace` merges them back into single-engine emission order by
-that key, deterministically.
-
-**Relaxed mode (canonical-merge equivalence).**  With ``sync="relaxed"`` the
-fabric instead advances each shard independently through conservative
-lookahead windows (see :mod:`repro.sim.relaxed` for the model and
-:meth:`FabricTrace.canonical_records` for the merge): the global emission
-order is given up, and correctness is redefined as *canonical-merge
-equivalence* — per-shard streams merged by the canonical ``(time, shard_id,
-source, shard_seq)`` key must be identical to the strict engine's, as must
-all counters and component statistics.  Strict stays the default; relaxed is
-the throughput mode for large fan-out topologies.
+**Correctness contract (canonical equivalence).**  The single
+:class:`~repro.sim.engine.Simulator` is the exact-order reference.  A
+fabric gives the global emission order up, so both engines put their
+records in one canonical order, keyed ``(time, source, category)`` with
+ties in stream order (:meth:`FabricTrace.canonical_records`,
+:meth:`~repro.sim.trace.TraceRecorder.canonical_records`).  A fabric run's
+canonical records, all live counters and every component statistic equal
+the single engine's.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import FabricBackendError, SimulationError
 from repro.sim.clock import Clock, seconds_to_ns
-from repro.sim.engine import NO_BOUND_NS, NO_BUDGET, drain_with_telemetry
+from repro.sim.engine import NO_BOUND_NS
 from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
-from repro.sim.relaxed import BACKENDS, RelaxedExecutor, SYNC_MODES, active_shard
+from repro.sim.relaxed import BACKENDS, RelaxedExecutor, active_shard
 from repro.sim.shard import EngineShard
-from repro.sim.trace import CountingSink, ListSink, TraceRecord, TraceRecorder, TraceSink
+from repro.sim.trace import CountingSink, ListSink, TraceRecord, TraceRecorder
 
 
 class FabricTrace:
@@ -65,27 +54,17 @@ class FabricTrace:
     (``disable_category`` et al.) fan out to every shard recorder so hot-path
     producers keep their one-set-lookup ``wants()`` check.
 
-    Each shard recorder writes into its own store, or every recorder into
-    one shared store (the fabric's ``trace_sinks``); either way a row
-    carries its emitting shard and its emission ``seq``.  Queries select
-    rows in each store, sort the selection's merge keys and build views
-    only for the rows they return.
+    Each shard recorder writes into its own store.  Every query returns
+    records in the canonical order (:meth:`canonical_records`): it selects
+    rows in each store, sorts the selection's merge keys and builds views
+    only for the rows it returns.
     """
 
-    def __init__(
-        self,
-        recorders: List[TraceRecorder],
-        counters: CountingSink,
-        shared_sinks: List[TraceSink],
-    ) -> None:
+    def __init__(self, recorders: List[TraceRecorder], counters: CountingSink) -> None:
         self._recorders = recorders
         self._counters_sink = counters
-        self._shared_sinks = shared_sinks
         self._enabled = True
         self._disabled_categories: set = set()
-        # Canonical-merge view: set by the fabric when it runs relaxed, where
-        # the global emission seq is no longer an execution order.
-        self._canonical = False
         # Deferred-result hooks installed by a process-backed fabric: fetch
         # pulls pending worker record suffixes in before a query, discard
         # drops them (clear/reset).  ``None`` on every in-process fabric.
@@ -95,10 +74,8 @@ class FabricTrace:
             recorder._fold_all = self.fold
 
     def _stores(self) -> List[ListSink]:
-        """The distinct stores the shard recorders write, in shard order."""
-        return list(
-            dict.fromkeys(r.store for r in self._recorders if r.store is not None)
-        )
+        """The stores the shard recorders write, in shard order."""
+        return [r.store for r in self._recorders if r.store is not None]
 
     @property
     def counters(self) -> CountingSink:
@@ -193,82 +170,67 @@ class FabricTrace:
     # Queries
     # ------------------------------------------------------------------
 
-    def _keys(self, canonical: bool, category=None, source=None, since=None, until=None):
-        """Sorted merge keys of the matching rows: shard second, row last.
+    def _keys(self, category=None, source=None, since=None, until=None):
+        """Sorted canonical keys ``(time, source, category, shard, row)``.
 
-        Strict keys are ``(seq, shard, row)``.  Canonical keys are ``(time,
-        shard, source, row)``: within one shard a row number orders rows
-        exactly as their position in that shard's stream does, whether the
-        shard has a store of its own or shares one.
+        Within one shard a row number orders rows exactly as their position
+        in that shard's stream does.
         """
         if self._pending_fetch is not None:
             self._pending_fetch()
         keys: list = []
-        for store in self._stores():
-            rows = store.select(category, source, since, until)
-            shards = store.column("shard", rows)
-            if canonical:
-                keys.extend(
-                    zip(store.column("time", rows), shards, store.column("source", rows), rows)
-                )
-            else:
-                keys.extend(zip(store.column("seq", rows), shards, rows))
+        for index, recorder in enumerate(self._recorders):
+            store = recorder.store
+            if store is not None:
+                rows = store.select(category, source, since, until)
+                keys.extend(store.canonical_keys(rows, repeat(index)))
         keys.sort()
         return keys
 
     def _views(self, keys) -> List[TraceRecord]:
-        stores = [recorder.store for recorder in self._recorders]
-        return [stores[key[1]].view(key[-1]) for key in keys]
-
-    def merged_records(self) -> List[TraceRecord]:
-        """Every retained record, in the fabric's defined merge order.
-
-        Under strict sync the merge key is the shared emission ``seq``, so
-        the result is bit-identical to the single engine's record list.
-        Under relaxed sync the defined order is the canonical merge
-        (:meth:`canonical_records`).
-        """
-        return self._views(self._keys(self._canonical))
+        recorders = self._recorders
+        return [recorders[key[3]].store.view(key[4]) for key in keys]
 
     def canonical_records(self, category=None, source=None) -> List[TraceRecord]:
         """The retained records matching the criteria, in the canonical order.
 
-        The canonical merge key is ``(time, shard_id, source, shard_seq)``,
-        where ``shard_seq`` is the record's position in its shard's stream —
-        stable under both the strict shared counter and relaxed out-of-order
-        windows.  Within one source the stream order is causal and fully
-        preserved; *across* sources the key only orders records that differ
-        in time or shard, because two same-instant records of independent
-        sources carry no causal order (their state effects commute — which
-        is precisely the freedom relaxed windows exploit), so the tie falls
-        back to the source name rather than to an execution accident.
+        The canonical key is ``(time, source, category)``, the single
+        engine's (:meth:`~repro.sim.trace.TraceRecorder.canonical_records`);
+        ties keep stream order, shard first and then the record's position
+        in its shard's stream.  Within one source the stream order is causal
+        and fully preserved; *across* sources two same-instant records carry
+        no causal order (their state effects commute — which is precisely
+        the freedom relaxed windows exploit), so the tie falls back to the
+        source name rather than to an execution accident.  The category
+        orders a segment's same-instant records that two shards wrote (a
+        cut segment's ``segment.enqueue`` is written on the sender's shard,
+        its ``segment.drop`` on the home shard).
 
-        This order is the relaxed mode's correctness contract: it is
-        computable from any fabric run (strict or relaxed, per-shard or
-        shared stores), and a relaxed run's canonical records are identical
-        to the strict engine's — proven catalog-wide by the test suite.
-        Rows are selected on ``category`` and ``source`` before the merge.
+        This order is the fabric's correctness contract: a fabric run's
+        canonical records are identical to the single engine's, which the
+        test suite proves catalog-wide.  Rows are selected on ``category``
+        and ``source`` before the merge.
         """
-        return self._views(self._keys(True, category, source))
+        return self._views(self._keys(category, source))
 
     def __len__(self) -> int:
         """Total records captured (live, O(pairs))."""
         return self.counters.total
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.merged_records())
+        return iter(self.canonical_records())
 
     def filter(self, category=None, source=None, since=None, until=None):
-        """Records matching every provided criterion, in merge order."""
-        return self._views(self._keys(self._canonical, category, source, since, until))
+        """Records matching every provided criterion, in canonical order."""
+        return self._views(self._keys(category, source, since, until))
 
     def count(self, category=None, source=None) -> int:
         """Number of records captured matching the criteria (live)."""
         return self.counters.count(category=category, source=source)
 
     def last(self, category=None, source=None) -> Optional[TraceRecord]:
-        """The most recent retained record matching the criteria, if any."""
-        keys = self._keys(self._canonical, category, source)
+        """The last retained record matching the criteria in canonical order."""
+        keys = self._keys(category, source)
         return self._views(keys[-1:])[0] if keys else None
 
     def clear(self) -> None:
@@ -285,37 +247,33 @@ class ShardedSimulator:
     Drop-in compatible with :class:`~repro.sim.engine.Simulator` for
     experiment drivers (``run_until`` / ``run`` / ``step``, ``now``,
     ``schedule*``, ``trace``), while components are constructed on individual
-    shards via :meth:`sim_for`.
+    shards via :meth:`sim_for`.  Each shard keeps its records in its own
+    :class:`~repro.sim.trace.ListSink`, merged on query.
 
     Args:
         seed: seed for the fabric-wide :class:`RandomSource`.
         shards: number of shard engines.
-        trace_sinks: optional sinks shared by every shard (e.g. one bounded
-            :class:`~repro.sim.trace.RingBufferSink`); ``None`` gives each
-            shard its own :class:`~repro.sim.trace.ListSink`, merged on query.
         placement: component name -> shard index used by :meth:`sim_for`
             (the scenario compiler passes the partitioner's assignment).
             Unknown names fall back to shard 0.
         lookahead_ns: minimum cross-shard handoff latency (derived by the
             partitioner from inter-shard segments' minimum-frame wire time
-            plus propagation delay); recorded for introspection, validated
-            positive by the partitioner, and the conservative window length
-            in relaxed mode.
-        sync: ``"strict"`` (default) dispatches in the exact global
-            ``(time_ns, sequence)`` order — bit-identical to the single
-            engine; ``"relaxed"`` advances shards through lookahead windows
-            under the canonical-merge contract (see
-            :mod:`repro.sim.relaxed`).
-        backend: relaxed-window execution backend — ``"thread"`` (default)
-            runs windows in-process, one after another on the calling
-            thread; ``"process"`` forks one worker process per shard for
-            wall-clock multi-core speedup (see :mod:`repro.sim.procpool`;
-            one measured dispatch per run, then ``reset()``).  Ignored
-            under strict sync.
+            plus propagation delay); validated positive by the partitioner,
+            and the conservative window length.
+        backend: window execution backend — ``"thread"`` (default) runs
+            windows in-process, one after another on the calling thread;
+            ``"process"`` forks one worker process per shard for wall-clock
+            multi-core speedup (see :mod:`repro.sim.procpool`; one measured
+            dispatch per run, then ``reset()``).
     """
 
-    SYNC_MODES = SYNC_MODES
     BACKENDS = BACKENDS
+
+    #: Always ``True``: a fabric dispatches relaxed windows only.  Components
+    #: built directly against the facade (segments included) consult this
+    #: exactly like :attr:`Simulator.relaxed`; their callbacks run at control
+    #: barriers, where the classic paths are safe.
+    relaxed = True
 
     #: Telemetry state (:class:`repro.telemetry.Telemetry`), or ``None`` when
     #: telemetry is off — mirrors :attr:`Simulator._telemetry`.
@@ -325,49 +283,33 @@ class ShardedSimulator:
         self,
         seed: int = 0,
         shards: int = 2,
-        trace_sinks: Optional[Iterable[TraceSink]] = None,
         placement: Optional[Mapping[str, int]] = None,
         lookahead_ns: Optional[int] = None,
-        sync: str = "strict",
         backend: str = "thread",
     ) -> None:
         if shards < 1:
             raise SimulationError("a sharded simulator needs at least one shard")
         self.clock = Clock()
         self.random = RandomSource(seed)
-        self._event_counter = itertools.count()
-        self._emit_counter = itertools.count()
         counters_sink = CountingSink()
-        shared_sinks = list(trace_sinks) if trace_sinks is not None else None
         recorders = [
-            TraceRecorder(
-                self.clock,
-                shared_sinks,
-                seq=self._emit_counter,
-                counters=counters_sink,
-                shard=index,
-            )
+            TraceRecorder(self.clock, counters=counters_sink, shard=index)
             for index in range(shards)
         ]
         self._shards: List[EngineShard] = [
-            EngineShard(self, index, self.clock, self.random, self._event_counter, rec)
-            for index, rec in enumerate(recorders)
+            EngineShard(self, index, self.clock, self.random, recorder)
+            for index, recorder in enumerate(recorders)
         ]
-        self.trace = FabricTrace(recorders, counters_sink, shared_sinks or [])
+        self.trace = FabricTrace(recorders, counters_sink)
         self._placement: Dict[str, int] = dict(placement or {})
         self.lookahead_ns = lookahead_ns
-        self._active: Optional[EngineShard] = None
-        self._batch_limit: Optional[tuple] = None
-        self._tops: List[Optional[tuple]] = [None] * shards
         self._running = False
         self._auto_station_ids: Dict[int, int] = {}
-        self._sync = "strict"
-        # The control ring: under relaxed sync, facade-scheduled work
-        # (measurement drivers, experiment scripts) runs here at window
-        # barriers with every shard clock synchronized — such callbacks may
-        # touch components on any shard, which mid-window shard rings must
-        # never do.  Under strict sync the facade schedules on shard 0.
-        self._control = EventQueue(self._event_counter)
+        # The control ring: facade-scheduled work (measurement drivers,
+        # experiment scripts) runs here at window barriers with every shard
+        # clock synchronized — such callbacks may touch components on any
+        # shard, which mid-window shard rings must never do.
+        self._control = EventQueue()
         self._control_dispatched = 0
         self._relaxed = RelaxedExecutor(self)
         # Segment registry: name -> Segment, filled by Segment.__init__ so
@@ -383,8 +325,6 @@ class ShardedSimulator:
         self.trace._pending_discard = self._proc_discard
         if backend != "thread":
             self.set_backend(backend)
-        if sync != "strict":
-            self.set_sync(sync)
 
     def auto_station_id(self, base: int) -> int:
         """Allocate the next automatic station id in the ``base`` namespace.
@@ -398,69 +338,17 @@ class ShardedSimulator:
         return next_id
 
     # ------------------------------------------------------------------
-    # Synchronization mode
+    # Execution backend
     # ------------------------------------------------------------------
-
-    @property
-    def sync(self) -> str:
-        """The active synchronization mode: ``"strict"`` or ``"relaxed"``."""
-        return self._sync
-
-    @property
-    def relaxed(self) -> bool:
-        """Whether relaxed sync is active (Simulator-compatible attribute).
-
-        Components built directly against the facade (segments included)
-        consult this exactly like :attr:`Simulator.relaxed`; their callbacks
-        run at control barriers, where the classic paths are safe.
-        """
-        return self._sync == "relaxed"
-
-    def set_sync(self, sync: str, backend: Optional[str] = None) -> None:
-        """Switch the execution mode between runs.
-
-        Modes may be switched freely while the fabric is idle — a common
-        pattern is a strict warm-up followed by a relaxed measurement phase.
-        Relaxed mode requires the default per-shard stores (caller
-        sinks observe records in execution order, which relaxed mode does not
-        define), so it refuses fabrics built with ``trace_sinks``.
-
-        Pending facade work across a switch: relaxed -> strict migrates the
-        control ring onto shard 0 (order-preserving).  The reverse cannot be
-        migrated — facade events scheduled under strict sync are
-        indistinguishable from component events on shard 0's ring — so such
-        events still fire inside shard 0's windows after a switch.  Schedule
-        driver callbacks *after* switching to relaxed (the usual phase
-        pattern drains between phases anyway); a leftover strict-scheduled
-        driver callback that touches other shards' components would read
-        their mid-window private clocks.
-        """
-        if sync not in self.SYNC_MODES:
-            raise SimulationError(
-                f"unknown sync mode {sync!r}; expected one of {self.SYNC_MODES}"
-            )
-        if self._running:
-            raise SimulationError("cannot switch sync modes during a run")
-        if sync == "relaxed" and self.trace._shared_sinks:
-            raise SimulationError(
-                "relaxed sync requires the default per-shard trace stores; "
-                "this fabric was built with shared trace_sinks"
-            )
-        if sync == "strict" and self._sync == "relaxed" and self._control:
-            self._migrate_control_to_shard0()
-        self._sync = sync
-        self.trace._canonical = sync == "relaxed"
-        if backend is not None:
-            self.set_backend(backend)
 
     def set_backend(self, backend: str) -> None:
         """Select the relaxed-window execution backend (see :data:`BACKENDS`).
 
         ``"thread"`` (default) runs windows in-process; ``"process"`` forks
         one worker process per shard at dispatch time for wall-clock speedup.
-        Like :meth:`set_sync`, backends may be switched freely while the
-        fabric is idle — the usual pattern is an in-process warm-up phase
-        followed by one process-backed measured dispatch.
+        Backends may be switched freely while the fabric is idle — the usual
+        pattern is an in-process warm-up phase followed by one process-backed
+        measured dispatch.
         """
         if backend not in BACKENDS:
             raise SimulationError(
@@ -486,24 +374,6 @@ class ShardedSimulator:
         pending = self._proc_pending
         if pending is not None:
             pending.discard()
-
-    def _migrate_control_to_shard0(self) -> None:
-        """Move pending control-ring events onto shard 0 (relaxed -> strict).
-
-        Entries keep their original shared-counter sequence numbers, so
-        pushing them onto shard 0's heap keeps the global order.
-        """
-        control = self._control
-        target = self._shards[0]._queue
-        for entry in control._heap:
-            if entry[3] is not None:
-                entry[3]._queue = target
-            heapq.heappush(target._heap, entry)
-        target._live += control._live
-        target._dead_in_heap += control._dead_in_heap
-        control._heap.clear()
-        control._live = 0
-        control._dead_in_heap = 0
 
     @property
     def relaxed_stats(self) -> dict:
@@ -566,11 +436,8 @@ class ShardedSimulator:
                 "events_dispatched": shard.events_dispatched,
                 "pending_events": shard.pending_events,
                 "cursor_ns": shard.cursor_ns,
-                "cross_pushes": shard.cross_pushes,
                 "cancelled_discarded": shard._queue.cancelled_discarded,
-                "records": (
-                    None if self.trace._shared_sinks else len(shard.trace.store)
-                ),
+                "records": len(shard.trace.store),
             }
             for shard in self._shards
         ]
@@ -583,27 +450,24 @@ class ShardedSimulator:
     def now(self) -> float:
         """Current simulated time in seconds.
 
-        Relaxed sync has no single global present mid-run: each shard sits
-        at its own point inside the lookahead window.  The facade answers
-        with *the asking context's* time — the executing shard's private
-        clock when called from inside a window (e.g. a measurement callback
-        fired by a component), the shared clock otherwise (drivers between
-        runs, control barriers).  Under strict sync the shared clock is the
-        global present and is always used.
+        A fabric has no single global present mid-run: each shard sits at
+        its own point inside the lookahead window.  The facade answers with
+        *the asking context's* time — the executing shard's private clock
+        when called from inside a window (e.g. a measurement callback fired
+        by a component), the shared clock otherwise (drivers between runs,
+        control barriers).
         """
-        if self._sync == "relaxed":
-            shard = active_shard()
-            if shard is not None:
-                return shard.clock._now_s
+        shard = active_shard()
+        if shard is not None:
+            return shard.clock._now_s
         return self.clock._now_s
 
     @property
     def now_ns(self) -> int:
         """Current simulated time in nanoseconds (see :attr:`now`)."""
-        if self._sync == "relaxed":
-            shard = active_shard()
-            if shard is not None:
-                return shard.clock._now_ns
+        shard = active_shard()
+        if shard is not None:
+            return shard.clock._now_ns
         return self.clock._now_ns
 
     @property
@@ -632,11 +496,10 @@ class ShardedSimulator:
     # ------------------------------------------------------------------
     # Scheduling (facade)
     #
-    # Strict sync: facade work lands on shard 0 and participates in the
-    # exact global order.  Relaxed sync: facade work lands on the control
-    # ring and runs at window barriers with every shard clock synchronized,
-    # because a driver callback may synchronously touch components on any
-    # shard — which a mid-window shard event must never do.
+    # Facade work lands on the control ring and runs at window barriers
+    # with every shard clock synchronized, because a driver callback may
+    # synchronously touch components on any shard — which a mid-window
+    # shard event must never do.
     # ------------------------------------------------------------------
 
     def _control_time(self, when_ns: int) -> int:
@@ -648,33 +511,25 @@ class ShardedSimulator:
 
     def schedule(self, delay_seconds, callback, label: str = "") -> Event:
         """Schedule ``callback`` after ``delay_seconds`` (facade)."""
-        if self._sync == "relaxed":
-            return self._control.push(
-                self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
-                callback,
-                label,
-            )
-        return self._shards[0].schedule(delay_seconds, callback, label)
+        return self._control.push(
+            self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
+            callback,
+            label,
+        )
 
     def schedule_at(self, when_seconds, callback, label: str = "") -> Event:
         """Schedule ``callback`` at an absolute time (facade)."""
-        if self._sync == "relaxed":
-            return self._control.push(
-                self._control_time(seconds_to_ns(when_seconds)), callback, label
-            )
-        return self._shards[0].schedule_at(when_seconds, callback, label)
+        return self._control.push(
+            self._control_time(seconds_to_ns(when_seconds)), callback, label
+        )
 
     def schedule_at_ns(self, when_ns, callback, label: str = "") -> Event:
         """Schedule ``callback`` at ``when_ns`` (facade)."""
-        if self._sync == "relaxed":
-            return self._control.push(self._control_time(when_ns), callback, label)
-        return self._shards[0].schedule_at_ns(when_ns, callback, label)
+        return self._control.push(self._control_time(when_ns), callback, label)
 
     def call_soon(self, callback, label: str = "") -> Event:
         """Schedule ``callback`` at the current time (facade)."""
-        if self._sync == "relaxed":
-            return self._control.push(self.clock._now_ns, callback, label)
-        return self._shards[0].call_soon(callback, label)
+        return self._control.push(self.clock._now_ns, callback, label)
 
     def schedule_fire_ns(self, when_ns, callback) -> None:
         """Fire-and-forget scheduling at an absolute time in ns (facade).
@@ -682,63 +537,35 @@ class ShardedSimulator:
         Components constructed directly against the facade (e.g. a monitoring
         NIC built with ``run.sim``) resolve here.
         """
-        if self._sync == "relaxed":
-            self._control.push_fire(self._control_time(when_ns), callback)
-            return
-        self._shards[0].schedule_fire_ns(when_ns, callback)
+        self._control.push_fire(self._control_time(when_ns), callback)
 
     def schedule_fire_after(self, delay_seconds, callback) -> None:
         """Fire-and-forget scheduling ``delay_seconds`` from now (facade)."""
-        if self._sync == "relaxed":
-            self._control.push_fire(
-                self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
-                callback,
-            )
-            return
-        self._shards[0].schedule_fire_after(delay_seconds, callback)
+        self._control.push_fire(
+            self._control_time(self.clock._now_ns + seconds_to_ns(delay_seconds)),
+            callback,
+        )
 
     def _relaxed_push_fire(self, when_ns: int, callback) -> None:
         """Barrier-context push targeting the facade: the control ring.
 
         A facade-homed component (a monitoring NIC built against ``run.sim``)
-        receiving cut-segment deliveries under relaxed sync gets its work at
-        a control barrier, where every shard clock is synchronized — the
-        facade has no ring of its own.
+        receiving cut-segment deliveries gets its work at a control barrier,
+        where every shard clock is synchronized — the facade has no ring of
+        its own.
         """
         self._control.push_fire(when_ns, callback)
-
-    # ------------------------------------------------------------------
-    # Cross-shard bookkeeping
-    # ------------------------------------------------------------------
-
-    def _note_cross_push(self, shard: EngineShard, time_ns: int, sequence: int) -> None:
-        """A batch on another shard scheduled into ``shard``'s ring.
-
-        Refreshes the cached top key and shrinks the live batch limit so the
-        running batch stops before overtaking the new event.
-        """
-        shard.cross_pushes += 1
-        key = (time_ns, sequence)
-        index = shard.index
-        top = self._tops[index]
-        if top is None or key < top:
-            self._tops[index] = key
-        limit = self._batch_limit
-        if limit is None or key < limit:
-            self._batch_limit = key
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def _dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
-        """Dispatch events up to ``until_ns`` under the active sync mode.
+        """Dispatch events up to ``until_ns`` through relaxed windows.
 
-        Strict mode runs :meth:`_run_strict`, wrapped by the engine's
-        telemetry drain when telemetry is on; relaxed mode hands the run to
-        the :class:`RelaxedExecutor`'s
-        conservative window loop (or, with ``backend="process"``, to a
-        fresh :class:`~repro.sim.procpool.ProcessExecutor`).
+        The :class:`RelaxedExecutor` runs the conservative window loop (or,
+        with ``backend="process"``, a fresh
+        :class:`~repro.sim.procpool.ProcessExecutor` does).
         """
         if self._proc_stale:
             self._proc_fetch()
@@ -748,62 +575,11 @@ class ShardedSimulator:
                 "is stale; call reset() (and rebuild the scenario state) "
                 "before dispatching again"
             )
-        if self._sync == "relaxed":
-            if self._backend == "process":
-                from repro.sim.procpool import ProcessExecutor
+        if self._backend == "process":
+            from repro.sim.procpool import ProcessExecutor
 
-                return ProcessExecutor(self).dispatch(until_ns, max_events)
-            return self._relaxed.dispatch(until_ns, max_events)
-        budget = NO_BUDGET if max_events is None else max_events
-        if self._telemetry is None:
-            return self._run_strict(until_ns, budget)
-        return drain_with_telemetry(self, self._run_strict, until_ns, budget)
-
-    def _run_strict(self, until_ns: int, budget: int) -> int:
-        """Dispatch in the exact global ``(time, sequence)`` order.
-
-        Repeatedly lets the shard holding the globally earliest event run a
-        batch below the batch limit (the smallest key any other shard holds).
-        """
-        shards = self._shards
-        tops = self._tops
-        for shard in shards:
-            tops[shard.index] = shard._queue.top_key()
-        dispatched = 0
-        while dispatched < budget:
-            # One pass finds both the globally minimal shard and the batch
-            # limit (the smallest key any *other* shard holds).
-            best = None
-            best_key = None
-            limit = None
-            for index, key in enumerate(tops):
-                if key is None:
-                    continue
-                if best_key is None or key < best_key:
-                    limit = best_key
-                    best_key = key
-                    best = shards[index]
-                elif limit is None or key < limit:
-                    limit = key
-            if best is None or best_key[0] > until_ns:
-                break
-            best_index = best.index
-            self._batch_limit = limit
-            self._active = best
-            ran = best._run_batch(until_ns, budget - dispatched)
-            self._active = None
-            dispatched += ran
-            fresh = best._queue.top_key()
-            if ran == 0 and fresh == best_key:
-                # The batch was eligible to run its top event but did not —
-                # the caches can only be stale *smaller*, so this means no
-                # further progress is possible.  Guard against a silent spin.
-                raise SimulationError(
-                    "sharded dispatch made no progress; shard "
-                    f"{best_index} top={fresh!r} limit={limit!r}"
-                )
-            tops[best_index] = fresh
-        return dispatched
+            return ProcessExecutor(self).dispatch(until_ns, max_events)
+        return self._relaxed.dispatch(until_ns, max_events)
 
     def step(self) -> bool:
         """Dispatch the single globally earliest event, if any."""
@@ -873,12 +649,10 @@ class ShardedSimulator:
             shard._queue.clear()
             shard._dispatched = 0
             shard.cursor_ns = 0
-            shard.cross_pushes = 0
             shard.outbox.clear()
             shard._own_clock.reset()
         self._control.clear()
         self._control_dispatched = 0
-        self._tops = [None] * len(self._shards)
         self.clock.reset()
         self.trace.clear()
         self._auto_station_ids.clear()

@@ -1,10 +1,10 @@
-"""Relaxed execution of the sharded fabric: canonical-merge mode.
+"""Relaxed execution: how the sharded fabric runs its shards.
 
-The strict :class:`~repro.sim.fabric.ShardedSimulator` dispatches in the
-exact global ``(time_ns, sequence)`` order, which makes sharded runs
-bit-identical to the single engine — at the price of a coordinator pass and a
-batch-limit comparison on every event.  *Relaxed* mode trades that total
-order for throughput while keeping a provable correctness contract:
+The single :class:`~repro.sim.engine.Simulator` runs every event in the
+exact global ``(time_ns, sequence)`` order.  A
+:class:`~repro.sim.fabric.ShardedSimulator` gives that total order up and
+runs each shard through conservative lookahead windows instead, under a
+checkable correctness contract (below) against the single engine:
 
 **Execution model (conservative windows, per-shard bounds).**  Let ``T`` be
 the globally earliest pending event time and ``L`` the fabric lookahead (the
@@ -45,14 +45,16 @@ which a round's shards ran therefore cannot influence any simulation state,
 and the process backend, whose workers run a round's windows at once, gets
 the same results from the same merge.
 
-**Correctness contract (canonical-merge equivalence).**  Relaxed mode does
-not preserve the global emission order of trace records.  Instead, per-shard
-trace streams are merged by the canonical key ``(time, shard_id, source,
-shard_seq)`` — see :meth:`~repro.sim.fabric.FabricTrace.canonical_records`
-for why same-instant ties of independent sources fall back to the source
-name — and the contract is that the canonically merged records, all live
-counters and every component statistic are identical to the strict
-engine's.  The test suite proves this catalog-wide at ``shards=1,2,4``.
+**Correctness contract (canonical equivalence).**  A relaxed run does not
+preserve the global emission order of trace records.  Both engines put
+their records in one canonical order instead, keyed ``(time, source,
+category)`` with ties in stream order (see
+:meth:`~repro.sim.trace.TraceRecorder.canonical_records` and
+:meth:`~repro.sim.fabric.FabricTrace.canonical_records`), and the contract
+is that a relaxed run's canonical records, all live counters and every
+component statistic are identical to the single engine's.  The test suite
+proves this at ``shards=1,2,4`` for every catalog entry not flagged
+``tie_prone`` (topologies with same-instant multi-sender wire ties).
 """
 
 from __future__ import annotations
@@ -61,22 +63,18 @@ from typing import Optional
 
 from repro.sim.clock import NANOSECONDS_PER_SECOND
 
-#: The fabric's synchronization modes — the single source of truth consumed
-#: by :class:`~repro.sim.fabric.ShardedSimulator` and the scenario layer's
-#: :class:`~repro.scenario.spec.PartitionSpec`.
-SYNC_MODES = ("strict", "relaxed")
-
 #: Relaxed-window execution backends.  ``"thread"`` runs windows in-process,
 #: one after another on the calling thread (see :class:`RelaxedExecutor`);
 #: ``"process"`` runs one worker process per shard for wall-clock multi-core
-#: speedup (see :mod:`repro.sim.procpool`).  Ignored under strict sync.
+#: speedup (see :mod:`repro.sim.procpool`).
 BACKENDS = ("thread", "process")
 
 #: The shard whose relaxed window is executing, or ``None``.  Set by
 #: :meth:`EngineShard._run_window` for the duration of a window; the segment
 #: layer reads it to route cross-shard interactions into the correct outbox
 #: (and to recognize the window context at all — outside a relaxed window
-#: the classic direct paths are safe).  Each process-backend worker is a
+#: the classic direct paths are safe), and the scheduling methods read it to
+#: refuse a push onto another shard.  Each process-backend worker is a
 #: process of its own, with its own copy.
 _ACTIVE = None
 
@@ -110,9 +108,11 @@ class RelaxedExecutor:
     def dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
         """Run every pending event with ``time_ns <= until_ns`` (relaxed).
 
-        With ``max_events`` a round drains its eligible shards in index
-        order until the budget is spent, and the sole-leader fast path is
-        off; budgeted stepping is a debugging affordance, not the hot path.
+        With ``max_events`` a round drains the leader (the shard holding
+        the earliest event) first, then the other eligible shards in index
+        order, until the budget is spent, so ``step()`` fires the globally
+        earliest event; the sole-leader fast path is off.  Budgeted
+        stepping is a debugging affordance, not the hot path.
         """
         fabric = self.fabric
         shards = fabric._shards
@@ -159,6 +159,12 @@ class RelaxedExecutor:
             self._tele = telemetry
         try:
             while True:
+                if max_events is not None:
+                    # A budgeted round picks its leader from live tops: a
+                    # cancelled head would make a later shard look earliest.
+                    for shard in shards:
+                        shard._queue._compact_top()
+                    refresh_all = True
                 if refresh_all:
                     for index in shard_range:
                         heap = shards[index]._queue._heap
@@ -307,12 +313,17 @@ class RelaxedExecutor:
                                 heap = leader._queue._heap
                                 tops[leader_index] = heap[0][0] if heap else None
                             continue
-                # The round: drain each eligible shard in index order and
-                # refresh its cached top in the same breath.
+                # The round: drain each eligible shard in index order (a
+                # budgeted round takes the leader first) and refresh its
+                # cached top in the same breath.
                 if timer is not None:
                     timer.lap("plan")
                     round_base = dispatched
-                for index in shard_range:
+                order = shard_range
+                if max_events is not None and leader_index > 0:
+                    order = [leader_index, *range(leader_index)]
+                    order.extend(range(leader_index + 1, n_shards))
+                for index in order:
                     top = scan[index]
                     if top is None:
                         continue
@@ -371,7 +382,7 @@ class RelaxedExecutor:
         All shard clocks (and the shared clock) are synchronized to the
         control time so a driver callback sees a globally consistent present
         no matter which shard's components it drives — exactly the view the
-        strict engine would give it.
+        single engine would give it.
         """
         fabric = self.fabric
         control = fabric._control

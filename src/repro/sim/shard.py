@@ -5,50 +5,38 @@
 :class:`~repro.sim.engine.EngineCore` — the same
 :class:`~repro.sim.events.EventQueue`, the same six scheduling methods and
 the same drain loop — plus its own progress cursor, its own trace recorder
-(a :class:`~repro.sim.trace.TraceRecorder` that stamps the fabric's merge
-keys) and the fabric's cross-shard bookkeeping, so every existing
-component — segments, NICs, hosts, active nodes, CPU queues, timers — runs
-on a shard unchanged.
+(a :class:`~repro.sim.trace.TraceRecorder` that stamps its shard index on
+every record) and the relaxed-window state, so every existing component —
+segments, NICs, hosts, active nodes, CPU queues, timers — runs on a shard
+unchanged.
 
-Three shared pieces of state make the fabric *bit-deterministic* relative to
-the single engine when it runs in strict mode:
+The fabric drives its shards through relaxed lookahead windows only (see
+:mod:`repro.sim.relaxed`).  For the length of a dispatch
+(:meth:`EngineShard._enter_relaxed` to :meth:`EngineShard._exit_relaxed`)
+each shard runs against a **private clock**, so shards can sit at different
+simulated times inside one window; :meth:`EngineShard._run_window` is the
+engine's drain loop against that clock.  Between dispatches every shard
+reads the fabric's shared clock, which a dispatch leaves at the furthest
+point any shard reached.
 
-* one **event-sequence counter** shared by every shard queue and the
-  control ring, so ``(time_ns, sequence)`` stays a global total order exactly
-  as in the single engine's queue;
-* one **clock**, advanced by the coordinator strictly in that global order,
-  so a component called synchronously across a shard boundary (a NIC sending
-  onto a segment homed on another shard) reads the same timestamps it would
-  under the single engine;
-* one **trace emission counter**, stamped onto every record
-  (:attr:`~repro.sim.trace.TraceRecord.seq`), which is the deterministic
-  merge key that interleaves per-shard trace streams back into the exact
-  single-engine emission order.
-
-**Emission-seq ordering invariant.**  Because the emission counter is shared
-and monotone, every *per-shard* stream is seq-ascending in both execution
-modes.  Strict mode additionally makes the seq a global emission order (the
-``FabricTrace`` merge key).  Relaxed mode (:mod:`repro.sim.relaxed`) gives
-that up — shards execute windows out of global order, so only the per-shard
-monotonicity survives — and the canonical merge key becomes ``(time,
-shard_id, position-in-stream)``; :meth:`EngineShard._run_window` runs the
-shared drain loop against a **private per-shard clock**, so shards can sit
-at different simulated times inside one lookahead window.
-
-Strict mode keeps its own loop, :meth:`EngineShard._run_batch`, over the
-same heap: it re-reads the fabric's batch limit before every event, which
-makes it the exact-order reference that the scenario fuzzer compares the
-relaxed mode against.
+**The cross-shard check.**  Inside a window a shard may schedule only onto
+its own queue: another shard's private clock is somewhere else in the
+window, so an event pushed onto it would fire at the wrong simulated time.
+Components route such interactions through the outbox instead, and a
+direct push raises :class:`~repro.exceptions.SimulationError`
+(:meth:`EngineShard._check_home`).  Pushes made outside any window — while
+the network is built, between runs, at control barriers and mail flushes —
+are always allowed.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from heapq import heappop
 from typing import Optional
 
+from repro.exceptions import SimulationError
 from repro.sim import relaxed as _relaxed
-from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND
+from repro.sim.clock import Clock
 from repro.sim.engine import NO_BUDGET, EngineCore
 from repro.sim.events import EventQueue
 from repro.sim.random_source import RandomSource
@@ -56,14 +44,13 @@ from repro.sim.trace import TraceRecorder
 
 
 class EngineShard(EngineCore):
-    """One shard of the fabric: the engine core on the fabric's counter.
+    """One shard of the fabric: the engine core behind relaxed windows.
 
     Components constructed "on" a shard use it exactly as they would use a
     :class:`~repro.sim.engine.Simulator`; the coordinating
-    :class:`~repro.sim.fabric.ShardedSimulator` drives every shard's queue in
-    the global ``(time_ns, sequence)`` order.  The scheduling methods are
-    the core's; a push made while another shard runs a strict batch is
-    reported through :meth:`ShardedSimulator._note_cross_push`.
+    :class:`~repro.sim.fabric.ShardedSimulator` drives every shard's queue
+    through relaxed lookahead windows.  The scheduling methods are the
+    core's, with the cross-shard check (:meth:`_check_home`).
 
     Attributes:
         index: the shard's position in the fabric.
@@ -71,8 +58,6 @@ class EngineShard(EngineCore):
             last event this shard dispatched.  Always ``<=`` the fabric
             clock; per-shard lag is what the conservative synchronizer
             reasons about.
-        cross_pushes: events other shards (or the facade) scheduled into this
-            shard's queue — cross-shard frame handoffs land here.
     """
 
     def __init__(
@@ -81,7 +66,6 @@ class EngineShard(EngineCore):
         index: int,
         clock: Clock,
         random: RandomSource,
-        counter,
         trace: TraceRecorder,
     ) -> None:
         self.fabric = fabric
@@ -89,10 +73,9 @@ class EngineShard(EngineCore):
         self.clock = clock
         self.random = random
         self.trace = trace
-        self._queue = EventQueue(counter)
+        self._queue = EventQueue()
         self._dispatched = 0
         self.cursor_ns = 0
-        self.cross_pushes = 0
         # Relaxed-mode state: the shard's private clock (swapped in for the
         # duration of a relaxed dispatch so shards can sit at different
         # simulated times), its cross-shard outbox (single-writer mailbox,
@@ -111,56 +94,23 @@ class EngineShard(EngineCore):
         """
         return self.fabric.auto_station_id(base)
 
-    # ------------------------------------------------------------------
-    # Dispatch (driven by the coordinator)
-    # ------------------------------------------------------------------
+    def _check_home(self) -> None:
+        """Refuse a push onto this shard from another shard's window.
 
-    def _run_batch(self, until_ns: int, budget: int) -> int:
-        """Run this shard's events while they stay globally minimal.
-
-        The coordinator sets ``fabric._batch_limit`` to the smallest pending
-        key of every *other* shard before calling; cross-shard pushes made by
-        the callbacks running here shrink that limit live, so it is re-read
-        before every event and the batch never runs past an event another
-        shard must fire first.  This keeps the whole fabric's dispatch order
-        exactly the single engine's ``(time_ns, sequence)`` order.
+        The scheduling methods call this when the shard whose window is
+        running is not this one; outside any window a push is allowed.
         """
-        fabric = self.fabric
-        clock = self.clock
-        queue = self._queue
-        heap = queue._heap
-        n = 0
-        try:
-            while heap:
-                time_ns, sequence, callback, event = heap[0]
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    queue.cancelled_discarded += 1
-                    queue._dead_in_heap -= 1
-                    continue
-                if time_ns > until_ns or n >= budget:
-                    break
-                limit = fabric._batch_limit
-                if limit is not None and (
-                    time_ns > limit[0] or (time_ns == limit[0] and sequence > limit[1])
-                ):
-                    break
-                heappop(heap)
-                queue._live -= 1
-                if event is not None:
-                    event._queue = None
-                if time_ns > clock._now_ns:
-                    clock._now_ns = time_ns
-                    clock._now_s = time_ns / NANOSECONDS_PER_SECOND
-                self.cursor_ns = time_ns
-                n += 1
-                callback()
-        finally:
-            self._dispatched += n
-        return n
+        active = _relaxed._ACTIVE
+        if active is not None:
+            raise SimulationError(
+                f"shard {active.index} scheduled an event onto shard "
+                f"{self.index} inside its relaxed window; a window may only "
+                "schedule onto its own shard (cross-shard work goes through "
+                "the outbox, which the window barrier applies)"
+            )
 
     # ------------------------------------------------------------------
-    # Relaxed (canonical-merge) execution — see repro.sim.relaxed
+    # Relaxed execution — see repro.sim.relaxed
     # ------------------------------------------------------------------
 
     def _enter_relaxed(self, shared_clock: Clock, until_ns: int) -> None:
@@ -191,11 +141,9 @@ class EngineShard(EngineCore):
     ) -> int:
         """Run every pending event with ``time_ns <= window_end_ns``.
 
-        The relaxed counterpart of :meth:`_run_batch`: no batch-limit
-        comparisons and no live cross-push bookkeeping — within a
-        conservative window this shard's events cannot interact with any
-        other shard except through the outbox, so the window is the
-        engine's plain drain loop against the shard's private clock.  The
+        Within a conservative window this shard's events cannot interact
+        with any other shard except through the outbox, so the window is
+        the engine's plain drain loop against the shard's private clock.  The
         drain sets that clock to each event's time, because barrier-flushed
         mailbox entries may legitimately schedule below the shard's furthest
         point; record timestamps stay exact either way and the canonical

@@ -70,16 +70,15 @@ class TraceRecord:
             ``detail(*args)``, and the result is cached on the record and
             the record's own reference to the arguments released, so
             untouched hot-path records never pay for rendering.
-        seq: global emission sequence number, stamped by the sharded fabric's
-            per-shard recorders so per-shard streams merge back into the
-            exact single-engine emission order; ``None`` on records emitted
-            by a plain (unsharded) recorder.
+        seq: an emission sequence number for callers that build records
+            themselves; the store keeps it in the row, and the recorders
+            leave it ``None``.
         shard: index of the fabric shard that emitted the record; ``None``
             on a plain recorder.
 
     ``seq`` and ``shard`` are deliberately ignored by equality: a sharded
     and an unsharded run compare record-for-record even though only one of
-    them carries merge keys.
+    them carries a shard.
     """
 
     __slots__ = ("time", "source", "category", "_detail", "seq", "_args", "shard")
@@ -496,6 +495,17 @@ class ListSink(TraceSink):
         modulus = self._modulus
         return [rows[(number % modulus) * _WIDTH + offset] for number in numbers]
 
+    def canonical_keys(self, numbers: List[int], *ties: Iterable) -> Iterator[tuple]:
+        """Canonical merge keys ``(time, source, category, *ties, row)``.
+
+        Sorted, the keys put the rows in the canonical order; ``ties``
+        (a fabric passes the shard index) and the row number break ties.
+        """
+        return zip(
+            self.column("time", numbers), self.column("source", numbers),
+            self.column("category", numbers), *ties, numbers,
+        )
+
     def view(self, number: int) -> TraceRecord:
         """A :class:`TraceRecord` for the retained row ``number``."""
         cell = (number % self._modulus) * _WIDTH
@@ -623,14 +633,13 @@ class TraceRecorder:
         sinks: initial sinks; defaults to a single :class:`ListSink`, which
             preserves the historical "append-only, filterable list" API
             (iteration, :meth:`filter`, :meth:`last`).
-        seq: a sharded fabric's shared emission counter, stamped onto every
-            record as :attr:`TraceRecord.seq`; ``None`` on a plain recorder.
         counters: a sharded fabric's shared counters; by default the hub
             keeps its own.
         shard: the index of the fabric shard this recorder belongs to.
 
-    Queries (:meth:`filter`, :meth:`last`, iteration) are served by the
-    first store installed (:attr:`store`).  :meth:`count` and
+    Queries (:meth:`filter`, :meth:`last`, iteration, and
+    :meth:`canonical_records`) are served by the first store installed
+    (:attr:`store`).  :meth:`count` and
     :meth:`__len__` are served by the live :attr:`counters` and are
     independent of which sinks are installed.
 
@@ -650,7 +659,6 @@ class TraceRecorder:
         self,
         clock: Clock,
         sinks: Optional[Iterable[TraceSink]] = None,
-        seq: Optional[Iterator[int]] = None,
         counters: Optional[CountingSink] = None,
         shard: Optional[int] = None,
     ) -> None:
@@ -660,7 +668,6 @@ class TraceRecorder:
         self._disabled_categories: set = set()
         self._counters = counters if counters is not None else CountingSink()
         self._pairs = self._counters.by_category_source
-        self._next_seq = seq.__next__ if seq is not None else None
         self._shard = shard
         # Set by a sharded fabric: folds every shard's store, since the
         # counters are fabric-wide.
@@ -814,10 +821,8 @@ class TraceRecorder:
                 pair = (category, source)
                 pairs = self._pairs
                 pairs[pair] = pairs.get(pair, 0) + 1
-            next_seq = self._next_seq
             entry = TraceRecord(
-                self._clock._now_s, source, category, detail,
-                None if next_seq is None else next_seq(), args, self._shard,
+                self._clock._now_s, source, category, detail, None, args, self._shard
             )
             for sink in self._sinks:
                 sink.accept(entry)
@@ -837,11 +842,9 @@ class TraceRecorder:
         else:
             first = args
             second = None
-        next_seq = self._next_seq
         write(
             (
-                self._clock._now_s, source, category, detail,
-                None if next_seq is None else next_seq(), self._shard,
+                self._clock._now_s, source, category, detail, None, self._shard,
                 first, second, count,
             )
         )
@@ -897,6 +900,24 @@ class TraceRecorder:
         if self._store is None:
             return None
         return self._store.last(category, source)
+
+    def canonical_records(
+        self, category: Optional[str] = None, source: Optional[str] = None
+    ) -> List[TraceRecord]:
+        """The retained records matching the criteria, in the canonical order.
+
+        The canonical key is ``(time, source, category)``, and ties keep
+        emission order.  Every engine offers this order
+        (:meth:`repro.sim.fabric.FabricTrace.canonical_records` on a
+        fabric), so a fabric run compares record for record with this
+        engine's.  Rows are selected on ``category`` and ``source`` before
+        the sort.
+        """
+        store = self._store
+        if store is None:
+            return []
+        keys = sorted(store.canonical_keys(store.select(category, source)))
+        return [store.view(key[-1]) for key in keys]
 
     def clear(self) -> None:
         """Drop all captured records and reset the live counters."""

@@ -11,8 +11,8 @@ Crucially the wheel adds **no dispatch machinery of its own** — no
 aggregated callbacks, no private ordering.  One timer is still one
 engine event, executed by the engine's normal same-timestamp FIFO
 discipline.  That is what keeps the determinism contract intact: the
-quantized fire times are computed from integers only, so `single`,
-strict, relaxed and process runs schedule bit-identical timelines, and
+quantized fire times are computed from integers only, so single-engine,
+relaxed and process runs schedule bit-identical timelines, and
 same-tick ordering is the engine's own seq order everywhere.
 
 Cancellation is the engine's own: :meth:`TimerWheel.schedule` returns

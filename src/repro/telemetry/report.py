@@ -144,9 +144,8 @@ def build_report(run, latency_ns=None) -> RunReport:
     n_shards = run.n_shards
 
     engine = {
-        "mode": "single" if n_shards == 1 else run.sync,
+        "mode": "single" if n_shards == 1 else "relaxed",
         "shards": n_shards,
-        "sync": run.sync,
         "backend": run.backend,
     }
 

@@ -1,9 +1,10 @@
 """The catalog traces match their committed pin.
 
-``tests/data/catalog_traces.json`` holds, for eight catalog runs in three
+``tests/data/catalog_traces.json`` holds, for eight catalog runs in two
 engine modes, the record count per category and one digest over every
-record (see ``tools/catalog_traces.py``).  A change that moves a trace must
-re-record the pin with ``--write`` and say which runs moved.
+record in the canonical order (see ``tools/catalog_traces.py``).  A change
+that moves a trace must re-record the pin with ``--write`` and say which
+runs moved.
 """
 
 import json
@@ -20,6 +21,16 @@ import catalog_traces  # noqa: E402
 def test_catalog_traces_match_the_pin():
     expected = json.loads(catalog_traces.PIN_PATH.read_text())
     assert catalog_traces.differences(expected, catalog_traces.collect()) == []
+
+
+def test_every_pinned_run_is_the_same_in_both_modes():
+    # The fabric's canonical records equal the single engine's, so a
+    # re-record can never pin two modes that disagree.
+    pins = json.loads(catalog_traces.PIN_PATH.read_text())
+    assert set(catalog_traces.MODES) == {"single", "relaxed-4"}
+    for name, modes in pins.items():
+        assert set(modes) == set(catalog_traces.MODES), name
+        assert modes["single"] == modes["relaxed-4"], name
 
 
 def test_differences_name_the_moved_categories():

@@ -1,12 +1,12 @@
 """The fault & dynamics subsystem.
 
 The headline contract under test: one fault timeline — scripted link/port
-failures, loss models, degradations — produces **bit-identical** results on
-the single engine and the strict sharded fabric, and **canonical-merge
-equivalent** results under relaxed execution (whole and in budgeted
-slices), proven over the new ``ring/failover`` and ``pair/lossy`` catalog
-scenarios driven through a whole failure → reconvergence → recovery
-episode.
+failures, loss models, degradations — produces the same results on the
+single engine and on the sharded fabric: canonical records
+(``canonical_records()``), counters and component statistics, whole and in
+budgeted slices, proven over the ``ring/failover`` and ``pair/lossy``
+catalog scenarios driven through a whole failure → reconvergence →
+recovery episode.
 
 Also covered: the spanning tree genuinely failing over (blocked port walks
 to forwarding, traffic reroutes), express-lane re-evaluation when ports or
@@ -48,13 +48,6 @@ FAILOVER_PARAMS = {
 # ---------------------------------------------------------------------------
 
 
-def _canonical(run):
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
-
-
 def _observables(run):
     counters = dict(run.sim.trace.counters.by_category_source)
     host_stats = {host.name: host.statistics() for host in run.hosts}
@@ -79,14 +72,14 @@ def _run_until(sim, until, budget=None):
         pass
 
 
-def _drive_failover(shards, sync="strict", budget=None):
+def _drive_failover(shards, budget=None):
     """Warm up, ping across the whole outage, run to recovery + settle.
 
     With ``budget`` every dispatch runs as ``run_until(..., max_events=
     budget)`` slices, which must not change anything.
     """
     run = run_scenario(
-        "ring/failover", params=FAILOVER_PARAMS, shards=shards, sync=sync,
+        "ring/failover", params=FAILOVER_PARAMS, shards=shards,
     )
     _run_until(run.sim, run.ready_time, budget)
     start = run.sim.now + 0.01
@@ -100,10 +93,10 @@ def _drive_failover(shards, sync="strict", budget=None):
     return run
 
 
-def _drive_lossy(shards, sync="strict"):
+def _drive_lossy(shards):
     run = run_scenario(
         "pair/lossy", params={"loss_rate": 0.25, "corrupt_rate": 0.05},
-        shards=shards, sync=sync,
+        shards=shards,
     )
     run.warm_up()
     PingRunner(
@@ -132,23 +125,19 @@ class TestFailoverEquivalence:
         ]
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_strict_shards_bit_identical(self, reference, shards):
-        sharded = _drive_failover(shards)
-        assert sharded.partition.cut_segments  # the loop really is cut
-        assert list(sharded.sim.trace) == list(reference.sim.trace)
-        assert _observables(sharded) == _observables(reference)
-
-    @pytest.mark.parametrize("shards", [2, 4])
     def test_relaxed_is_canonical_merge_identical(self, reference, shards):
-        strict = _drive_failover(shards)
-        relaxed = _drive_failover(shards, sync="relaxed")
-        assert _canonical(relaxed) == _canonical(strict)
+        relaxed = _drive_failover(shards)
+        assert relaxed.partition.cut_segments  # the loop really is cut
+        records = relaxed.sim.trace.canonical_records()
+        assert records == reference.sim.trace.canonical_records()
         assert _observables(relaxed) == _observables(reference)
 
     def test_budgeted_relaxed_slices_equal_one_run(self, reference):
-        whole = _drive_failover(4, sync="relaxed")
-        sliced = _drive_failover(4, sync="relaxed", budget=7)
-        assert _canonical(sliced) == _canonical(whole)
+        whole = _drive_failover(4)
+        sliced = _drive_failover(4, budget=7)
+        records = sliced.sim.trace.canonical_records()
+        assert records == whole.sim.trace.canonical_records()
+        assert records == reference.sim.trace.canonical_records()
         assert sliced.sim.shard_stats() == whole.sim.shard_stats()
         assert _observables(sliced) == _observables(reference)
 
@@ -163,16 +152,11 @@ class TestLossyEquivalence:
         assert lan1.frames_lost > 0
         assert lan1.frames_corrupted > 0
 
-    @pytest.mark.parametrize("shards", [2])
-    def test_strict_shards_bit_identical(self, reference, shards):
-        sharded = _drive_lossy(shards)
-        assert list(sharded.sim.trace) == list(reference.sim.trace)
-        assert _observables(sharded) == _observables(reference)
-
     def test_relaxed_equivalent(self, reference):
-        strict = _drive_lossy(2)
-        relaxed = _drive_lossy(2, sync="relaxed")
-        assert _canonical(relaxed) == _canonical(strict)
+        relaxed = _drive_lossy(2)
+        assert relaxed.n_shards == 2
+        records = relaxed.sim.trace.canonical_records()
+        assert records == reference.sim.trace.canonical_records()
         assert _observables(relaxed) == _observables(reference)
 
 
@@ -269,12 +253,12 @@ class TestSpanningTreeFailover:
 # ---------------------------------------------------------------------------
 
 
-def _build_blast_ring(shards, sync, frames, timeline_builder):
+def _build_blast_ring(shards, frames, timeline_builder):
     """Host-populated ring blast with a fault timeline installed pre-run."""
     run = run_scenario(
         "ring",
         params={"n_bridges": 3, "hosts_per_segment": 2},
-        shards=shards, sync=sync,
+        shards=shards,
     )
     timeline = timeline_builder()
     timeline.install(run.network)
@@ -302,9 +286,9 @@ def _build_blast_ring(shards, sync, frames, timeline_builder):
 
             return handler
 
-        inline = sync == "relaxed"
-        left.nic.set_handler(bounce(left.nic, forward), inline_safe=inline)
-        right.nic.set_handler(bounce(right.nic, backward), inline_safe=inline)
+        # The single engine ignores inline_safe.
+        left.nic.set_handler(bounce(left.nic, forward), inline_safe=True)
+        right.nic.set_handler(bounce(right.nic, backward), inline_safe=True)
     seeds = [
         (run.host(f"{s.name}h1"),
          EthernetFrame(
@@ -319,9 +303,10 @@ def _build_blast_ring(shards, sync, frames, timeline_builder):
 
 class TestExpressLaneReevaluation:
     """A segment whose remote ports go down mid-run must fall back /
-    re-express deterministically in relaxed mode (and match strict)."""
+    re-express deterministically on the fabric (and match the single
+    engine)."""
 
-    def _drive(self, sync):
+    def _drive(self, shards):
         frames = 400
         warm = 31.0
 
@@ -336,12 +321,11 @@ class TestExpressLaneReevaluation:
             return timeline
 
         run, states, seeds, timeline = _build_blast_ring(
-            2, sync, frames, build_timeline
+            shards, frames, build_timeline
         )
         express_log = []
         sim = run.sim
-        cut = run.partition.cut_segments
-        assert cut
+        cut = run.partition.cut_segments if run.partition else ()
 
         def snapshot(label):
             express_log.append(
@@ -355,27 +339,31 @@ class TestExpressLaneReevaluation:
         sim.run_until(warm + 0.016)
         return run, states, express_log, timeline
 
-    def test_fall_back_and_re_express_matches_strict(self):
-        strict_run, strict_states, strict_log, _ = self._drive("strict")
-        relaxed_run, relaxed_states, relaxed_log, timeline = self._drive("relaxed")
-        # In relaxed mode the cut segments flip to express while the bridges
+    def test_fall_back_and_re_express_matches_single_engine(self):
+        single_run, single_states, _, _ = self._drive(1)
+        relaxed_run, relaxed_states, relaxed_log, timeline = self._drive(2)
+        # On the fabric the cut segments flip to express while the bridges
         # are down and back off it after the restart.
         relaxed_flags = dict(relaxed_log)
+        assert relaxed_flags["crashed"]
         assert all(relaxed_flags["crashed"].values())
         assert not any(relaxed_flags["restarted"].values())
         assert timeline.stats()["applied"] == 6
-        # ...and the run remains canonical-merge identical to strict.
-        assert [s[0] for s in relaxed_states] == [s[0] for s in strict_states]
-        assert _canonical(relaxed_run) == _canonical(strict_run)
+        # ...and the run remains canonically identical to the single engine.
+        assert [s[0] for s in relaxed_states] == [s[0] for s in single_states]
+        assert (
+            relaxed_run.sim.trace.canonical_records()
+            == single_run.sim.trace.canonical_records()
+        )
         assert dict(relaxed_run.sim.trace.counters.by_category_source) == dict(
-            strict_run.sim.trace.counters.by_category_source
+            single_run.sim.trace.counters.by_category_source
         )
 
     def test_loss_model_vetoes_express_and_detach_restores(self):
         run = run_scenario(
             "ring",
             params={"n_bridges": 3, "hosts_per_segment": 2},
-            shards=2, sync="relaxed",
+            shards=2,
         )
         run.warm_up()
         segment = run.segment("seg0")
@@ -398,7 +386,7 @@ class TestExpressLaneReevaluation:
 class TestCutDrainLinkDown:
     """Batched cut-segment service straddling a mid-window link failure.
 
-    In relaxed mode a cut segment's mailed transmits are serviced in one
+    On the fabric a cut segment's mailed transmits are serviced in one
     batch at the barrier (``Segment._drain``), so at the instant a
     scripted ``link-down`` fires the busy chain may extend *past* the fault:
     exactly the frames the classic path would still hold queued must be
@@ -406,7 +394,8 @@ class TestCutDrainLinkDown:
     back) while already-popped frames keep arriving.  The episode below
     keeps the target segment's wire saturated (each bounce answers twice)
     and cycles the link three times, so several outages land inside a busy
-    chain — and the run must stay canonical-merge identical to strict.
+    chain — and the run must stay canonically identical to the single
+    engine.
     """
 
     WARM = 31.0
@@ -417,11 +406,11 @@ class TestCutDrainLinkDown:
     )
     TARGET = "seg2"  # cut at shards=2 and shards=4 (deterministic partition)
 
-    def _drive(self, shards, sync, frames=400):
+    def _drive(self, shards, frames=400):
         run = run_scenario(
             "ring",
             params={"n_bridges": 3, "hosts_per_segment": 2},
-            shards=shards, sync=sync,
+            shards=shards,
         )
         timeline = FaultTimeline()
         for down, up in self.OUTAGES:
@@ -458,13 +447,12 @@ class TestCutDrainLinkDown:
 
                 return handler
 
-            inline = sync == "relaxed"
-            left.nic.set_handler(bounce(left.nic, forward), inline_safe=inline)
-            right.nic.set_handler(bounce(right.nic, backward), inline_safe=inline)
+            left.nic.set_handler(bounce(left.nic, forward), inline_safe=True)
+            right.nic.set_handler(bounce(right.nic, backward), inline_safe=True)
             left.nic.send(forward)
         segment = run.segment(self.TARGET)
         stats = {"drains": 0, "kills": 0}
-        if sync == "relaxed":
+        if run.n_shards > 1:
             assert self.TARGET in run.partition.cut_segments
             original_drain = segment._drain
             original_set_link = segment.set_link
@@ -485,19 +473,20 @@ class TestCutDrainLinkDown:
         return run, states, stats, segment
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_straddling_outage_matches_strict(self, shards):
-        strict_run, strict_states, _, strict_seg = self._drive(shards, "strict")
-        relaxed_run, relaxed_states, stats, relaxed_seg = self._drive(
-            shards, "relaxed"
-        )
+    def test_straddling_outage_matches_single_engine(self, shards):
+        single_run, single_states, _, single_seg = self._drive(1)
+        relaxed_run, relaxed_states, stats, relaxed_seg = self._drive(shards)
         # The path under test genuinely ran: batched barrier service, and at
         # least one outage killed in-flight entries mid-chain.
         assert stats["drains"] > 0
         assert stats["kills"] > 0
-        assert relaxed_seg.frames_lost == strict_seg.frames_lost > 0
-        assert [s[0] for s in relaxed_states] == [s[0] for s in strict_states]
-        assert _canonical(relaxed_run) == _canonical(strict_run)
-        assert _observables(relaxed_run) == _observables(strict_run)
+        assert relaxed_seg.frames_lost == single_seg.frames_lost > 0
+        assert [s[0] for s in relaxed_states] == [s[0] for s in single_states]
+        assert (
+            relaxed_run.sim.trace.canonical_records()
+            == single_run.sim.trace.canonical_records()
+        )
+        assert _observables(relaxed_run) == _observables(single_run)
 
 
 # ---------------------------------------------------------------------------

@@ -57,28 +57,38 @@ class TestRoundTrip:
         partition = PartitionSpec(
             shards=3,
             assignments={"lan1": 0, "host2": 2},
-            sync="relaxed",
             backend="process",
         )
         assert dict_to_partition(partition_to_dict(partition)) == partition
+        assert "sync" not in partition_to_dict(partition)
 
     def test_partition_workers_key_is_read_and_dropped(self):
         """Documents from before the worker-thread pool was removed still load."""
-        plain = {"shards": 2, "sync": "relaxed"}
+        plain = {"shards": 2}
         assert dict_to_partition(dict(plain, workers=3)) == dict_to_partition(plain)
         document = dict_to_document({
             "schema": SCHEMA,
             "spec": spec_to_dict(get_scenario("pair/direct")),
             "partition": dict(plain, workers=3),
         })
-        assert document.partition == PartitionSpec(shards=2, sync="relaxed")
+        assert document.partition == PartitionSpec(shards=2)
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_partition_sync_key_is_read_checked_and_dropped(self, sync):
+        """Documents from before strict sync was removed still load."""
+        plain = {"shards": 2, "backend": "process"}
+        assert dict_to_partition(dict(plain, sync=sync)) == PartitionSpec(
+            shards=2, backend="process"
+        )
+        with pytest.raises(InterchangeError, match="partition.sync"):
+            dict_to_partition(dict(plain, sync="eventual"))
 
     @pytest.mark.parametrize("suffix", [".json"] + (
         [".yaml", ".yml"] if interchange.yaml is not None else []
     ))
     def test_file_round_trip_carries_partition_and_run(self, tmp_path, suffix):
         spec = get_scenario("ring/failover")
-        partition = PartitionSpec(shards=2, sync="relaxed")
+        partition = PartitionSpec(shards=2)
         run = {"purpose": "regression", "case": 7}
         path = save_scenario(tmp_path / f"doc{suffix}", spec, partition=partition,
                              run=run)

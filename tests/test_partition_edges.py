@@ -202,9 +202,11 @@ class TestPartitionSpecValidation:
         with pytest.raises(ValueError, match="at least one shard"):
             PartitionSpec(shards=0)
 
-    def test_unknown_sync_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown sync mode"):
-            PartitionSpec(sync="eventual")
+    def test_sync_mode_is_no_partition_field(self):
+        # Every fabric runs relaxed windows; an interchange document's old
+        # ``sync`` key is read and dropped (see test_interchange.py).
+        with pytest.raises(TypeError):
+            PartitionSpec(sync="relaxed")
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="unknown relaxed backend"):

@@ -1,15 +1,9 @@
 """Population layer: typed fleets, synthetic traffic and the pooled hot path.
 
 Identity under test: the seeded population scenarios produce the same
-canonical event history on every engine mode — single engine, strict
-shards, relaxed in-process windows and the process backend — and repeated
-runs of the same seed are stable.  Record lists are compared under a
-mode-independent canonical order (stable sort by ``(time, source)``):
-each source's records are emitted sequentially on one engine, so their
-per-source order is preserved by every mode, while the tie order
-*between* different sources at one timestamp is a mode-dependent
-artifact (single-engine execution order vs the fabric's
-``(time, shard, source, seq)`` merge) that carries no semantics.
+canonical event history (``canonical_records()``) on every engine mode —
+single engine, relaxed in-process windows and the process backend — and
+repeated runs of the same seed are stable.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from repro.population import (
 )
 from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
-from repro.sim.trace import ListSink, RingBufferSink
 from repro.sim.wheel import TimerWheel
 
 SMALL_OFFICE = {"floors": 2, "hosts_per_floor": 6, "duration": 0.3}
@@ -47,19 +40,9 @@ def _drive(name, params, **kw):
     return run, traffic
 
 
-def _canonical(run):
-    """Mode-independent canonical history (see module docstring)."""
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        records = trace.canonical_records()
-    else:
-        records = list(trace)
-    return sorted(records, key=lambda record: (record.time, record.source))
-
-
 def _observables(run, traffic):
     return (
-        _canonical(run),
+        run.sim.trace.canonical_records(),
         dict(run.sim.trace.counters.by_category_source),
         run.sim.now,
         traffic.service_rtts(),
@@ -199,21 +182,6 @@ class TestPopulationTraffic:
         pool = traffic.pool_statistics()
         assert pool["hits"] > 0
 
-    @pytest.mark.parametrize(
-        "make_store",
-        [ListSink, lambda: RingBufferSink(10**6)],
-        ids=["ListSink", "RingBufferSink"],
-    )
-    def test_shared_store_rtts_match_per_shard_buffers(self, make_store):
-        params = {"floors": 4, "hosts_per_floor": 20, "duration": 0.2, "traffic_seed": 1}
-        _run, per_shard = _drive("population/office", params, shards=2)
-        _run, shared = _drive(
-            "population/office", params, shards=2, trace_sinks=[make_store()]
-        )
-        expected = per_shard.service_rtts()
-        assert len(expected) == per_shard.traffic_statistics()["responses_received"] > 0
-        assert shared.service_rtts() == expected
-
     def test_unknown_traffic_axis_rejected(self):
         run = run_scenario("population/office", params=SMALL_OFFICE)
         with pytest.raises(ValueError):
@@ -244,9 +212,7 @@ class TestPopulationTraffic:
             wheel_tick_ns=10_000_000,
             off_mean=0.05,
         )
-        run, traffic = _drive(
-            "population/office", params, shards=2, sync="relaxed"
-        )
+        run, traffic = _drive("population/office", params, shards=2)
         coalesced = sum(
             run.segment(spec.name).frames_coalesced for spec in run.spec.segments
         )
@@ -278,17 +244,12 @@ class TestWorkersKeyword:
     [("population/office", SMALL_OFFICE), ("population/datacenter", SMALL_DATACENTER)],
 )
 class TestEngineModeIdentity:
-    def test_strict_and_relaxed_match_single(self, name, params):
+    def test_fabric_matches_single(self, name, params):
         base = _observables(*_drive(name, params))
         assert base[3], "identity test needs completed exchanges"
-        for kw in (
-            dict(shards=2),
-            dict(shards=4),
-            dict(shards=2, sync="relaxed"),
-            dict(shards=4, sync="relaxed"),
-        ):
-            candidate = _observables(*_drive(name, params, **kw))
-            assert candidate == base, kw
+        for shards in (2, 4):
+            candidate = _observables(*_drive(name, params, shards=shards))
+            assert candidate == base, shards
 
     @pytest.mark.skipif(
         not hasattr(os, "fork"), reason="process backend needs fork()"
@@ -296,6 +257,6 @@ class TestEngineModeIdentity:
     def test_process_backend_matches_single(self, name, params):
         base = _observables(*_drive(name, params))
         candidate = _observables(
-            *_drive(name, params, shards=4, sync="relaxed", backend="process")
+            *_drive(name, params, shards=4, backend="process")
         )
         assert candidate == base

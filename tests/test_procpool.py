@@ -1,9 +1,9 @@
 """Process-backed relaxed execution: the wall-clock backend's contracts.
 
-Identity under test: ``sync="relaxed", backend="process"`` produces canonical
-merge records, live counters and a final clock identical to strict and to the
-in-process (``"thread"``) relaxed backend — catalog-wide and across fault
-episodes — under the backend's single-measured-dispatch model (warm-up runs
+Identity under test: ``backend="process"`` produces canonical records, live
+counters and a final clock identical to the single engine and to the
+in-process (``"thread"``) backend — catalog-wide and across fault episodes
+— under the backend's single-measured-dispatch model (warm-up runs
 in-process, then one process dispatch; trace queries fetch worker results
 lazily).
 
@@ -45,7 +45,7 @@ pytestmark = pytest.mark.skipif(
 # ---------------------------------------------------------------------------
 
 
-def _drive(name, shards, sync="strict", backend="thread"):
+def _drive(name, shards, backend="thread"):
     """Compile, warm up and ping with exactly one post-warm-up dispatch.
 
     The process backend supports one measured dispatch per run, so the ping
@@ -53,9 +53,7 @@ def _drive(name, shards, sync="strict", backend="thread"):
     send + settle — the same horizon for every engine configuration.
     """
     params = {"n_bridges": 2} if name in ("ring", "chain") else None
-    run = run_scenario(
-        name, params=params, shards=shards, sync=sync, backend=backend
-    )
+    run = run_scenario(name, params=params, shards=shards, backend=backend)
     run.warm_up()
     hosts = run.hosts
     if len(hosts) >= 2:
@@ -70,13 +68,6 @@ def _drive(name, shards, sync="strict", backend="thread"):
     return run
 
 
-def _canonical(run):
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
-
-
 def _trace_observables(run):
     """The observables a process run ships back: counters, records, clock."""
     return (
@@ -86,13 +77,16 @@ def _trace_observables(run):
 
 
 def _assert_identical(reference, candidate, context=""):
-    assert _canonical(candidate) == _canonical(reference), context
+    assert (
+        candidate.sim.trace.canonical_records()
+        == reference.sim.trace.canonical_records()
+    ), context
     assert _trace_observables(candidate) == _trace_observables(reference), context
 
 
 def _fabric(shards=2, **kwargs):
     kwargs.setdefault("lookahead_ns", 1000)
-    return ShardedSimulator(shards=shards, sync="relaxed", backend="process", **kwargs)
+    return ShardedSimulator(shards=shards, backend="process", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +103,8 @@ from repro.scenario.registry import list_scenarios  # noqa: E402
 )
 @pytest.mark.parametrize("shards", [2, 4])
 def test_catalog_process_backend_is_canonical_merge_identical(name, shards):
-    reference = _drive(name, shards, sync="strict")
-    candidate = _drive(name, shards, sync="relaxed", backend="process")
+    reference = _drive(name, 1)
+    candidate = _drive(name, shards, backend="process")
     if candidate.n_shards > 1:
         assert candidate.backend == "process"
     _assert_identical(reference, candidate, (name, shards))
@@ -118,14 +112,14 @@ def test_catalog_process_backend_is_canonical_merge_identical(name, shards):
 
 @pytest.mark.parametrize("name", ["ring", "vlan/trunk"])
 def test_process_equals_threaded_relaxed(name):
-    threaded = _drive(name, 4, sync="relaxed")
-    process = _drive(name, 4, sync="relaxed", backend="process")
+    threaded = _drive(name, 4)
+    process = _drive(name, 4, backend="process")
     _assert_identical(threaded, process, name)
 
 
 def test_process_repeated_runs_are_deterministic():
-    first = _drive("ring", 4, sync="relaxed", backend="process")
-    second = _drive("ring", 4, sync="relaxed", backend="process")
+    first = _drive("ring", 4, backend="process")
+    second = _drive("ring", 4, backend="process")
     _assert_identical(first, second)
 
 
@@ -141,7 +135,7 @@ def test_shipped_trace_suffixes_hold_plain_dicts(monkeypatch):
         return reply
 
     monkeypatch.setattr(procpool.ProcessExecutor, "_recv", spy)
-    run = _drive("chain", 4, sync="relaxed", backend="process")
+    run = _drive("chain", 4, backend="process")
     assert run.sim._proc_pending is not None  # one measured process dispatch
     run.sim.trace.canonical_records()  # the first query fetches the suffixes
     entries = [entry for suffix in shipped for entry in suffix]
@@ -153,8 +147,8 @@ def test_shipped_trace_suffixes_hold_plain_dicts(monkeypatch):
 
 
 def test_process_shard_stats_match_threaded():
-    threaded = _drive("ring", 4, sync="relaxed")
-    process = _drive("ring", 4, sync="relaxed", backend="process")
+    threaded = _drive("ring", 4)
+    process = _drive("ring", 4, backend="process")
     assert process.sim.shard_stats() == threaded.sim.shard_stats()
     assert process.sim.events_dispatched == threaded.sim.events_dispatched
 
@@ -164,10 +158,9 @@ def test_process_shard_stats_match_threaded():
 # ---------------------------------------------------------------------------
 
 
-def _drive_failover(shards, sync="strict", backend="thread"):
+def _drive_failover(shards, backend="thread"):
     run = run_scenario(
-        "ring/failover", params=FAILOVER_PARAMS,
-        shards=shards, sync=sync, backend=backend,
+        "ring/failover", params=FAILOVER_PARAMS, shards=shards, backend=backend,
     )
     run.warm_up()
     runner = PingRunner(
@@ -179,10 +172,10 @@ def _drive_failover(shards, sync="strict", backend="thread"):
     return run
 
 
-def _drive_lossy(shards, sync="strict", backend="thread"):
+def _drive_lossy(shards, backend="thread"):
     run = run_scenario(
         "pair/lossy", params={"loss_rate": 0.25, "corrupt_rate": 0.05},
-        shards=shards, sync=sync, backend=backend,
+        shards=shards, backend=backend,
     )
     run.warm_up()
     count, interval = 40, 0.05
@@ -198,30 +191,31 @@ def _drive_lossy(shards, sync="strict", backend="thread"):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_failover_episode_process_identical(shards):
-    strict = _drive_failover(shards)
-    process = _drive_failover(shards, sync="relaxed", backend="process")
-    assert strict.partition.cut_segments
+    single = _drive_failover(1)
+    process = _drive_failover(shards, backend="process")
+    assert process.partition.cut_segments
     # The outage really happened in the reference run.
-    assert strict.segment("seg1").frames_lost > 0
-    _assert_identical(strict, process, shards)
+    assert single.segment("seg1").frames_lost > 0
+    _assert_identical(single, process, shards)
 
 
 def test_lossy_pair_process_identical():
-    strict = _drive_lossy(2)
-    process = _drive_lossy(2, sync="relaxed", backend="process")
-    assert strict.segment("lan1").frames_lost > 0
-    assert strict.segment("lan1").frames_corrupted > 0
-    _assert_identical(strict, process)
+    single = _drive_lossy(1)
+    process = _drive_lossy(2, backend="process")
+    assert process.n_shards == 2
+    assert single.segment("lan1").frames_lost > 0
+    assert single.segment("lan1").frames_corrupted > 0
+    _assert_identical(single, process)
 
 
 def test_extra_fault_timeline_process_identical():
     """Driver-supplied faults (link flaps mid-ping) survive the backend."""
     faults = [FaultSpec("link-down", 31.05, "seg1"), FaultSpec("link-up", 31.15, "seg1")]
 
-    def drive(sync, backend="thread"):
+    def drive(shards, backend="thread"):
         run = run_scenario(
             "ring", params={"n_bridges": 2, "hosts_per_segment": 1},
-            shards=2, sync=sync, backend=backend, faults=faults,
+            shards=shards, backend=backend, faults=faults,
         )
         run.warm_up()
         count, interval = 4, 0.05
@@ -234,9 +228,9 @@ def test_extra_fault_timeline_process_identical():
         run.sim.run_until(start + count * interval + 2.0)
         return run
 
-    strict = drive("strict")
-    process = drive("relaxed", backend="process")
-    _assert_identical(strict, process)
+    single = drive(1)
+    process = drive(2, backend="process")
+    _assert_identical(single, process)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ class TestBackendPlumbing:
         run = run_scenario(
             "chain",
             params={"n_bridges": 3},
-            shards=PartitionSpec(shards=2, sync="relaxed", backend="process"),
+            shards=PartitionSpec(shards=2, backend="process"),
             backend="thread",
         )
         assert run.backend == "thread"
@@ -366,22 +360,22 @@ class TestBackendPlumbing:
         run = run_scenario(
             "chain",
             params={"n_bridges": 3},
-            shards=PartitionSpec(shards=2, sync="relaxed", backend="process"),
+            shards=PartitionSpec(shards=2, backend="process"),
         )
         assert run.backend == "process"
         assert run.sim.relaxed_backend == "process"
 
-    def test_strict_sync_ignores_process_backend(self):
+    def test_process_backend_runs_windows_in_workers(self):
         fabric = ShardedSimulator(shards=2, backend="process")
         fired = []
         fabric.shards[0].schedule(0.001, lambda: fired.append(1))
         assert fabric.run_until(0.01) == 1
-        assert fired == [1]  # strict dispatch ran in-process
+        assert fired == []  # the callback ran in a worker's copy
 
     def test_warm_up_preserves_the_measured_dispatch(self):
         run = run_scenario(
             "ring", params={"n_bridges": 2, "hosts_per_segment": 1},
-            shards=2, sync="relaxed", backend="process",
+            shards=2, backend="process",
         )
         run.warm_up()  # runs on the in-process backend
         assert run.backend == "process"  # restored

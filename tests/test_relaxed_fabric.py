@@ -1,10 +1,11 @@
-"""Relaxed (canonical-merge) execution of the sharded fabric.
+"""Relaxed execution of the sharded fabric, against the single engine.
 
-The correctness contract under test: a relaxed run's canonically merged
-trace records — per-shard streams merged by ``(time, shard_id, source,
-shard_seq)`` — plus every live counter and component statistic are identical
-to the strict engine's, across the whole scenario catalog, and reproducibly
-across repeated runs in one process.
+The correctness contract under test: a fabric run's canonical trace records
+— ``canonical_records()``, keyed ``(time, source, category)`` with ties in
+stream order — plus every live counter and component statistic are
+identical to the single engine's, across the scenario catalog (every entry
+not flagged ``tie_prone``), and reproducibly across repeated runs in one
+process.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from repro.sim.trace import RingBufferSink
 # ---------------------------------------------------------------------------
 
 
-def _drive(name, shards, sync="strict"):
+def _drive(name, shards):
     """Compile, warm up and (when possible) ping across a catalog scenario."""
     params = {"n_bridges": 2} if name in ("ring", "chain") else None
-    run = run_scenario(name, params=params, shards=shards, sync=sync)
+    run = run_scenario(name, params=params, shards=shards)
     run.warm_up()
     hosts = run.hosts
     if len(hosts) >= 2:
@@ -47,13 +48,6 @@ def _drive(name, shards, sync="strict"):
             run.sim, hosts[0], hosts[1].ip, payload_size=96, count=2, interval=0.05
         ).run(start_time=run.sim.now)
     return run
-
-
-def _canonical(run):
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
 
 
 def _observables(run):
@@ -67,12 +61,15 @@ def _observables(run):
 
 
 def _assert_equivalent(reference, candidate, context=""):
-    assert _canonical(candidate) == _canonical(reference), context
+    assert (
+        candidate.sim.trace.canonical_records()
+        == reference.sim.trace.canonical_records()
+    ), context
     assert _observables(candidate) == _observables(reference), context
 
 
 # ---------------------------------------------------------------------------
-# The headline: catalog-wide canonical-merge equivalence
+# The headline: catalog-wide canonical equivalence with the single engine
 # ---------------------------------------------------------------------------
 
 
@@ -82,10 +79,10 @@ def _assert_equivalent(reference, candidate, context=""):
 )
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_catalog_relaxed_is_canonical_merge_identical(name, shards):
-    """Relaxed runs equal strict runs under the canonical merge, catalog-wide."""
-    reference = _drive(name, shards, sync="strict")
-    candidate = _drive(name, shards, sync="relaxed")
-    assert candidate.sync == ("relaxed" if candidate.n_shards > 1 else "strict")
+    """Fabric runs equal the single engine in the canonical order, catalog-wide."""
+    reference = _drive(name, 1)
+    assert reference.partition is None
+    candidate = _drive(name, shards)
     _assert_equivalent(reference, candidate, (name, shards))
 
 
@@ -94,23 +91,20 @@ def test_catalog_express_report_is_stable(name):
     """Express-lane eligibility is declaration- and topology-driven.
 
     For a given scenario and shard count the per-segment report must be
-    identical across independent compiles, identical between strict and
-    relaxed fabrics (strict computes eligibility too — it just never engages
-    a lane), and reproducible after warm-up (scheduled fault-model
-    activations may legitimately move a segment off the lane, but two
-    identical runs must agree on where it lands).
+    identical across independent compiles and reproducible after warm-up
+    (scheduled fault-model activations may legitimately move a segment off
+    the lane, but two identical runs must agree on where it lands).
     """
     params = {"n_bridges": 2} if name in ("ring", "chain") else None
 
-    def compiled(sync):
-        return run_scenario(name, params=params, shards=4, sync=sync)
+    def compiled():
+        return run_scenario(name, params=params, shards=4)
 
-    first = compiled("relaxed")
-    second = compiled("relaxed")
+    first = compiled()
+    second = compiled()
     report = first.express_report()
     assert report == second.express_report()
     assert set(report.values()) <= {"off", "inline", "deferred"}
-    assert compiled("strict").express_report() == report
     first.warm_up()
     second.warm_up()
     assert first.express_report() == second.express_report()
@@ -119,8 +113,8 @@ def test_catalog_express_report_is_stable(name):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_relaxed_repeated_runs_are_deterministic(shards):
     """Two relaxed runs in one process produce identical canonical traces."""
-    first = _drive("ring", shards, sync="relaxed")
-    second = _drive("ring", shards, sync="relaxed")
+    first = _drive("ring", shards)
+    second = _drive("ring", shards)
     _assert_equivalent(first, second, shards)
 
 
@@ -158,8 +152,8 @@ def _populated_chain_spec(n_bridges=5):
     )
 
 
-def _drive_populated_chain(shards, sync):
-    run = run_scenario(_populated_chain_spec(), shards=shards, sync=sync)
+def _drive_populated_chain(shards):
+    run = run_scenario(_populated_chain_spec(), shards=shards)
     run.warm_up()
     hosts = run.hosts
     # Every neighbouring pair pings across its bridge; staggered starts keep
@@ -178,12 +172,12 @@ def _drive_populated_chain(shards, sync):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_cross_shard_dominated_chain_is_equivalent(shards):
-    reference = _drive_populated_chain(shards, "strict")
-    candidate = _drive_populated_chain(shards, "relaxed")
-    assert reference.partition.cut_segments  # the stress premise holds
+    reference = _drive_populated_chain(1)
+    candidate = _drive_populated_chain(shards)
+    assert candidate.partition.cut_segments  # the stress premise holds
     assert any(
         segment.cross_shard_frames
-        for segment in reference.network.segments.values()
+        for segment in candidate.network.segments.values()
     )
     _assert_equivalent(reference, candidate, shards)
 
@@ -193,13 +187,12 @@ def test_cross_shard_dominated_chain_is_equivalent(shards):
 # ---------------------------------------------------------------------------
 
 
-def _build_blast(segments, shards, sync, frames):
+def _build_blast(segments, shards, frames):
     """The wire-speed workload: raw ping-pong pairs, bridge ports down."""
     run = run_scenario(
         "ring",
         params={"n_bridges": segments - 1, "hosts_per_segment": 2},
         shards=shards,
-        sync=sync,
     )
     run.warm_up()
     for device in run.devices:
@@ -228,11 +221,10 @@ def _build_blast(segments, shards, sync, frames):
 
             return handler
 
-        # inline_safe only on the relaxed side: the strict engine ignores it,
-        # which is exactly what makes the comparison meaningful.
-        inline = sync == "relaxed"
-        left.nic.set_handler(bounce(left.nic, forward), inline_safe=inline)
-        right.nic.set_handler(bounce(right.nic, backward), inline_safe=inline)
+        # The single engine ignores inline_safe, which is exactly what makes
+        # the comparison with the fabric's express lanes meaningful.
+        left.nic.set_handler(bounce(left.nic, forward), inline_safe=True)
+        right.nic.set_handler(bounce(right.nic, backward), inline_safe=True)
     seeds = [
         run.host(f"{segment_spec.name}h1") for segment_spec in run.spec.segments
     ]
@@ -259,40 +251,41 @@ def _blast(run, states, seeds, forwards, frames, horizon=None):
 
 def test_express_lane_blast_is_equivalent():
     frames = 30
-    strict_run, s_states, s_seeds, s_fwd = _build_blast(8, 4, "strict", frames)
-    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(8, 4, "relaxed", frames)
+    single_run, s_states, s_seeds, s_fwd = _build_blast(8, 1, frames)
+    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(8, 4, frames)
     # The express precondition: shard-local segments with only inline-safe /
     # downed receivers.
     assert any(
         segment._express for segment in relaxed_run.network.segments.values()
     )
-    _blast(strict_run, s_states, s_seeds, s_fwd, frames)
+    _blast(single_run, s_states, s_seeds, s_fwd, frames)
     _blast(relaxed_run, r_states, r_seeds, r_fwd, frames)
     assert all(state[0] <= 0 for state in r_states)
-    _assert_equivalent(strict_run, relaxed_run)
+    _assert_equivalent(single_run, relaxed_run)
 
 
 def test_express_lane_horizon_straddling_resumes_exactly():
-    """Cutting a run mid-cascade and resuming matches strict at every stop."""
+    """Cutting a run mid-cascade and resuming matches the single engine at
+    every stop."""
     frames = 20
-    strict_run, s_states, s_seeds, s_fwd = _build_blast(6, 3, "strict", frames)
-    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(6, 3, "relaxed", frames)
+    single_run, s_states, s_seeds, s_fwd = _build_blast(6, 1, frames)
+    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(6, 3, frames)
     # Stop mid-exchange: the horizon lands inside every pair's ping-pong.
-    mid = strict_run.sim.now + frames * 40e-6 / 3
-    end = strict_run.sim.now + frames * 40e-6
-    _blast(strict_run, s_states, s_seeds, s_fwd, frames, horizon=mid)
+    mid = single_run.sim.now + frames * 40e-6 / 3
+    end = single_run.sim.now + frames * 40e-6
+    _blast(single_run, s_states, s_seeds, s_fwd, frames, horizon=mid)
     _blast(relaxed_run, r_states, r_seeds, r_fwd, frames, horizon=mid)
-    assert dict(strict_run.sim.trace.counters.by_category_source) == dict(
+    assert dict(single_run.sim.trace.counters.by_category_source) == dict(
         relaxed_run.sim.trace.counters.by_category_source
     )
-    strict_run.sim.run_until(end)
+    single_run.sim.run_until(end)
     relaxed_run.sim.run_until(end)
     assert all(state[0] <= 0 for state in r_states)
-    _assert_equivalent(strict_run, relaxed_run)
+    _assert_equivalent(single_run, relaxed_run)
 
 
 def test_express_pump_stops_at_control_barriers():
-    """A driver callback mid-blast observes exactly the strict engine's state.
+    """A driver callback mid-blast observes exactly the single engine's state.
 
     Regression: the pump used to run whole cascades to the dispatch horizon,
     past pending control-ring events, so a facade-scheduled observer saw
@@ -301,22 +294,22 @@ def test_express_pump_stops_at_control_barriers():
     frames = 30
     observations = {}
 
-    def drive(sync):
-        run, states, seeds, forwards = _build_blast(6, 3, sync, frames)
+    def drive(shards):
+        run, states, seeds, forwards = _build_blast(6, shards, frames)
         seg = run.segment("seg0")
         sim = run.sim
         at = sim.now + 0.0001  # mid-blast (the exchange takes ~0.3 ms)
         sim.schedule_at(
-            at, lambda: observations.setdefault(sync, seg.frames_carried)
+            at, lambda: observations.setdefault(shards, seg.frames_carried)
         )
         _blast(run, states, seeds, forwards, frames)
         return run
 
-    strict_run = drive("strict")
-    relaxed_run = drive("relaxed")
-    assert observations["relaxed"] == observations["strict"]
-    assert 0 < observations["strict"] < strict_run.segment("seg0").frames_carried
-    _assert_equivalent(strict_run, relaxed_run)
+    single_run = drive(1)
+    relaxed_run = drive(3)
+    assert observations[3] == observations[1]
+    assert 0 < observations[1] < single_run.segment("seg0").frames_carried
+    _assert_equivalent(single_run, relaxed_run)
 
 
 def test_express_pump_respects_horizon_with_future_control_event():
@@ -327,93 +320,96 @@ def test_express_pump_respects_horizon_with_future_control_event():
     """
     frames = 30
 
-    def drive(sync):
-        run, states, seeds, forwards = _build_blast(6, 3, sync, frames)
+    def drive(shards):
+        run, states, seeds, forwards = _build_blast(6, shards, frames)
         run.sim.schedule(5.0, lambda: None)  # a far-future driver timeout
         # The 64-byte exchange cycles every ~10.6 us; land inside it.
         mid = run.sim.now + frames * 40e-6 / 8
         _blast(run, states, seeds, forwards, frames, horizon=mid)
         return run, states
 
-    strict_run, strict_states = drive("strict")
-    relaxed_run, relaxed_states = drive("relaxed")
-    assert [s[0] for s in relaxed_states] == [s[0] for s in strict_states]
+    single_run, single_states = drive(1)
+    relaxed_run, relaxed_states = drive(3)
+    assert [s[0] for s in relaxed_states] == [s[0] for s in single_states]
     assert any(s[0] > 0 for s in relaxed_states)  # genuinely cut mid-exchange
-    assert relaxed_run.sim.now == strict_run.sim.now
+    assert relaxed_run.sim.now == single_run.sim.now
     assert dict(relaxed_run.sim.trace.counters.by_category_source) == dict(
-        strict_run.sim.trace.counters.by_category_source
+        single_run.sim.trace.counters.by_category_source
     )
 
 
 def test_cut_segment_stats_survive_horizon_cut():
-    """cross_shard_frames on express cut segments match strict mid-run."""
+    """Segment statistics on express cut segments are exact mid-run.
+
+    Every frame served on a cut segment crosses the cut, so a cut segment's
+    ``cross_shard_frames`` must equal the frames the single engine carried
+    on that segment by the same instant.
+    """
     frames = 20
-    strict_run, s_states, s_seeds, s_fwd = _build_blast(6, 3, "strict", frames)
-    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(6, 3, "relaxed", frames)
-    mid = strict_run.sim.now + frames * 40e-6 / 3
-    _blast(strict_run, s_states, s_seeds, s_fwd, frames, horizon=mid)
+    single_run, s_states, s_seeds, s_fwd = _build_blast(6, 1, frames)
+    relaxed_run, r_states, r_seeds, r_fwd = _build_blast(6, 3, frames)
+    mid = single_run.sim.now + frames * 40e-6 / 3
+    _blast(single_run, s_states, s_seeds, s_fwd, frames, horizon=mid)
     _blast(relaxed_run, r_states, r_seeds, r_fwd, frames, horizon=mid)
-    strict_stats = {
-        name: (seg.frames_carried, seg.cross_shard_frames)
-        for name, seg in strict_run.network.segments.items()
+    single_carried = {
+        name: seg.frames_carried for name, seg in single_run.network.segments.items()
     }
-    relaxed_stats = {
-        name: (seg.frames_carried, seg.cross_shard_frames)
-        for name, seg in relaxed_run.network.segments.items()
-    }
-    assert relaxed_stats == strict_stats
-    assert any(cross for _, cross in strict_stats.values())
+    assert {
+        name: seg.frames_carried for name, seg in relaxed_run.network.segments.items()
+    } == single_carried
+    cut = relaxed_run.partition.cut_segments
+    crossed = {name: relaxed_run.segment(name).cross_shard_frames for name in cut}
+    assert crossed == {name: single_carried[name] for name in cut}
+    assert any(crossed.values())
 
 
-def test_facade_homed_segment_works_in_both_modes():
+def test_facade_homed_segment_transmits():
     """A segment built directly against the fabric facade still transmits."""
     from repro.ethernet.mac import MacAddress
     from repro.lan.nic import NetworkInterface
     from repro.lan.segment import Segment
 
-    for sync in ("strict", "relaxed"):
-        fabric = ShardedSimulator(shards=2, sync=sync)
-        segment = Segment(fabric, "facade-lan")
-        a = NetworkInterface(fabric, "a", MacAddress.from_string("02:00:00:aa:00:01"))
-        b = NetworkInterface(fabric, "b", MacAddress.from_string("02:00:00:aa:00:02"))
-        a.attach(segment)
-        b.attach(segment)
-        got = []
-        b.set_handler(lambda nic, frame: got.append(frame))
-        a.send(
-            EthernetFrame(
-                destination=b.mac, source=a.mac, ethertype=0x88B5, payload=b"hi"
-            )
+    fabric = ShardedSimulator(shards=2)
+    segment = Segment(fabric, "facade-lan")
+    a = NetworkInterface(fabric, "a", MacAddress.from_string("02:00:00:aa:00:01"))
+    b = NetworkInterface(fabric, "b", MacAddress.from_string("02:00:00:aa:00:02"))
+    a.attach(segment)
+    b.attach(segment)
+    got = []
+    b.set_handler(lambda nic, frame: got.append(frame))
+    a.send(
+        EthernetFrame(
+            destination=b.mac, source=a.mac, ethertype=0x88B5, payload=b"hi"
         )
-        fabric.run_until(0.01)
-        assert len(got) == 1, sync
+    )
+    fabric.run_until(0.01)
+    assert len(got) == 1
 
 
 def test_facade_homed_nic_on_cut_segment_relaxed():
-    """A monitoring NIC built against ``run.sim`` works on a relaxed cut segment."""
+    """A monitoring NIC built against ``run.sim`` works on a cut segment."""
     from repro.ethernet.mac import MacAddress
     from repro.lan.nic import NetworkInterface
 
-    def drive(sync):
-        run = run_scenario(
-            "ring", params={"n_bridges": 3, "hosts_per_segment": 1},
-            shards=2, sync=sync,
-        )
-        cut_name = (run.partition.cut_segments or ("seg1",))[0]
+    params = {"n_bridges": 3, "hosts_per_segment": 1}
+
+    def drive(shards, segment_name):
+        run = run_scenario("ring", params=params, shards=shards)
         monitor = NetworkInterface(
             run.sim, "monitor.eth0", MacAddress.from_string("02:00:00:ff:00:01")
         )
         monitor.set_promiscuous(True)
-        monitor.attach(run.segment(cut_name))
+        monitor.attach(run.segment(segment_name))
         run.warm_up()
         return run, monitor
 
-    strict_run, strict_monitor = drive("strict")
-    relaxed_run, relaxed_monitor = drive("relaxed")
-    assert strict_monitor.frames_received > 0
-    assert relaxed_monitor.statistics() == strict_monitor.statistics()
+    cut_name = run_scenario("ring", params=params, shards=2).partition.cut_segments[0]
+    single_run, single_monitor = drive(1, cut_name)
+    relaxed_run, relaxed_monitor = drive(2, cut_name)
+    assert single_monitor.frames_received > 0
+    assert relaxed_monitor.statistics() == single_monitor.statistics()
     assert dict(relaxed_run.sim.trace.counters.by_category_source) == dict(
-        strict_run.sim.trace.counters.by_category_source
+        single_run.sim.trace.counters.by_category_source
     )
 
 
@@ -422,7 +418,6 @@ def test_express_refresh_follows_handler_and_link_state():
         "ring",
         params={"n_bridges": 3, "hosts_per_segment": 2},
         shards=2,
-        sync="relaxed",
     )
     run.warm_up()
     segment = run.segment("seg0")
@@ -454,13 +449,13 @@ def test_express_refresh_follows_handler_and_link_state():
 
 
 # ---------------------------------------------------------------------------
-# Facade semantics under relaxed sync
+# Facade semantics
 # ---------------------------------------------------------------------------
 
 
 class TestRelaxedFacade:
     def _fabric(self, shards=3, **kwargs):
-        return ShardedSimulator(shards=shards, sync="relaxed", **kwargs)
+        return ShardedSimulator(shards=shards, **kwargs)
 
     def test_run_until_advances_clock_and_drains(self):
         fabric = self._fabric()
@@ -525,7 +520,7 @@ class TestRelaxedFacade:
         fabric = self._fabric()
         fabric.shards[0].schedule(0.001, lambda: None)
         fabric.run_until(0.01)
-        assert fabric.sync == "relaxed"
+        assert fabric.relaxed is True
         assert fabric.relaxed_stats["windows"] >= 1
         assert all(not shard.outbox for shard in fabric.shards)
         assert all(not shard.relaxed for shard in fabric.shards)
@@ -546,90 +541,98 @@ class TestRelaxedFacade:
         reply handler running in component context; a stale shared clock
         made every relaxed RTT zero.
         """
-        run = run_scenario("pair/active-bridge", shards=2, sync="relaxed")
+        run = run_scenario("pair/active-bridge", shards=2)
         run.warm_up()
         relaxed = PingRunner(
             run.sim, run.hosts[0], run.hosts[1].ip, payload_size=512, count=3,
             interval=0.1,
         ).run(start_time=run.sim.now)
-        twin = run_scenario("pair/active-bridge", shards=2)
+        twin = run_scenario("pair/active-bridge")
         twin.warm_up()
-        strict = PingRunner(
+        single = PingRunner(
             twin.sim, twin.hosts[0], twin.hosts[1].ip, payload_size=512,
             count=3, interval=0.1,
         ).run(start_time=twin.sim.now)
         assert relaxed.received == 3
         assert min(relaxed.rtts) > 0
-        assert relaxed.rtts == strict.rtts
-        assert relaxed.bridge_forwards == strict.bridge_forwards
+        assert relaxed.rtts == single.rtts
+        assert relaxed.bridge_forwards == single.bridge_forwards
 
-    def test_canonical_records_available_in_strict_mode_too(self):
+    def test_canonical_records_break_same_instant_ties_by_source(self):
+        # Same instant, two shards: the source name orders the records, not
+        # the shard that happened to write them.
         fabric = ShardedSimulator(shards=2)
-        fabric.shards[0].schedule(0.001, lambda: fabric.shards[0].trace.emit("a", "x"))
-        fabric.shards[1].schedule(0.001, lambda: fabric.shards[1].trace.emit("b", "x"))
+        fabric.shards[0].schedule(0.001, lambda: fabric.shards[0].trace.emit("b", "x"))
+        fabric.shards[1].schedule(0.001, lambda: fabric.shards[1].trace.emit("a", "x"))
         fabric.run()
         canonical = fabric.trace.canonical_records()
         assert [record.source for record in canonical] == ["a", "b"]
+        assert [record.shard for record in canonical] == [1, 0]
 
 
 # ---------------------------------------------------------------------------
-# Mode validation and plumbing
+# Option validation and plumbing
 # ---------------------------------------------------------------------------
 
 
 class TestSyncPlumbing:
-    def test_partition_spec_rejects_unknown_sync(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(shards=2, sync="optimistic")
+    def test_sync_option_is_gone(self):
+        """Every fabric runs relaxed windows; nothing selects a sync mode."""
+        with pytest.raises(TypeError):
+            PartitionSpec(shards=2, sync="relaxed")
+        with pytest.raises(TypeError):
+            ShardedSimulator(shards=2, sync="relaxed")
+        assert not hasattr(ShardedSimulator(shards=2), "set_sync")
 
     def test_worker_threads_are_gone(self):
         """Relaxed windows run on the calling thread; nothing sizes a pool."""
         with pytest.raises(TypeError):
-            PartitionSpec(shards=2, sync="relaxed", workers=1)
+            PartitionSpec(shards=2, workers=1)
         with pytest.raises(TypeError):
-            ShardedSimulator(shards=2, sync="relaxed", workers=1)
+            ShardedSimulator(shards=2, workers=1)
 
-    def test_fabric_rejects_unknown_sync(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator(shards=2, sync="bogus")
+    def test_sharded_run_refuses_trace_sinks(self):
+        with pytest.raises(SimulationError, match="trace_sinks"):
+            run_scenario(
+                "chain", params={"n_bridges": 3}, shards=2,
+                trace_sinks=[RingBufferSink(16)],
+            )
+        with pytest.raises(TypeError):
+            ShardedSimulator(shards=2, trace_sinks=[RingBufferSink(16)])
+        # A network too small to shard runs on the single engine, sinks and all.
+        ring = RingBufferSink(16)
+        run = run_scenario("pair/direct", shards=2, trace_sinks=[ring])
+        assert run.n_shards == 1
+        assert run.sim.trace.sinks == (ring,)
 
-    def test_relaxed_refuses_shared_sinks(self):
-        fabric = ShardedSimulator(shards=2, trace_sinks=[RingBufferSink(16)])
-        with pytest.raises(SimulationError):
-            fabric.set_sync("relaxed")
-
-    def test_run_scenario_sync_overrides_partition_spec(self):
-        run = run_scenario(
-            "chain",
-            params={"n_bridges": 3},
-            shards=PartitionSpec(shards=2, sync="relaxed"),
-            sync="strict",
-        )
-        assert run.sync == "strict"
-        assert run.partition.sync == "strict"
+    def test_run_scenario_sync_is_only_a_guard(self):
+        for sync in (None, "relaxed"):
+            run = run_scenario("chain", params={"n_bridges": 3}, shards=2, sync=sync)
+            assert run.n_shards == 2
+        with pytest.raises(ValueError, match="sync"):
+            run_scenario("chain", params={"n_bridges": 3}, shards=2, sync="strict")
 
     def test_compile_rejects_unknown_sync(self):
         with pytest.raises(ValueError):
             run_scenario("chain", params={"n_bridges": 3}, shards=2, sync="nope")
 
-    def test_mode_switch_mid_experiment(self):
-        """Strict warm-up then relaxed measurement — the headline pattern."""
-        run = run_scenario(
-            "ring", params={"n_bridges": 3, "hosts_per_segment": 1}, shards=2
-        )
+    def test_phased_runs_equal_one_run(self):
+        """A warm-up phase then two measurement phases equal one long run,
+        and both equal the single engine."""
+        params = {"n_bridges": 3, "hosts_per_segment": 1}
+        run = run_scenario("ring", params=params, shards=2)
         run.warm_up()
-        assert run.sync == "strict"
-        run.sim.set_sync("relaxed")
         run.sim.run_for(2.0)
-        run.sim.set_sync("strict")
         run.sim.run_for(2.0)
-        # Compare against an all-strict twin.
-        twin = run_scenario(
-            "ring", params={"n_bridges": 3, "hosts_per_segment": 1}, shards=2
-        )
+        twin = run_scenario("ring", params=params, shards=2)
         twin.warm_up()
         twin.sim.run_for(4.0)
-        assert run.sim.trace.canonical_records() == twin.sim.trace.canonical_records()
+        single = run_scenario("ring", params=params)
+        single.warm_up()
+        single.sim.run_for(4.0)
+        records = run.sim.trace.canonical_records()
+        assert records == twin.sim.trace.canonical_records()
+        assert records == single.sim.trace.canonical_records()
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +692,6 @@ class TestPartitionerAndAddressing:
             "ring",
             params={"n_bridges": 255, "hosts_per_segment": 2},
             shards=4,
-            sync="relaxed",
         )
         assert run.n_shards == 4
         assert len(run.spec.hosts) == 512

@@ -132,13 +132,16 @@ class TestInjectedBug:
         assert result.failing_mode == "relaxed"
         assert result.divergence_time is not None
 
-    def test_injected_strict_divergence_is_caught(self):
+    def test_injected_reference_divergence_is_caught(self):
+        # The single engine is the only reference: a perturbed reference
+        # stream must fail the fabric's comparison just as a perturbed
+        # fabric stream does.
         def perturb(mode, records):
-            return records[::-1] if mode == "strict" else records
+            return records[::-1] if mode == "reference" else records
 
         result = fuzz_tool.run_case(_tree_case(), mutate=perturb)
         assert result.status == "failed"
-        assert result.failing_mode == "strict"
+        assert result.failing_mode == "relaxed"
 
     def test_shrinking_reduces_the_case_and_keeps_it_failing(self, tmp_path):
         case = _tree_case(case_id=41, shards=3)
@@ -159,7 +162,7 @@ class TestInjectedBug:
         assert path.name == f"case-0041.{fuzz_tool.FMT}"
         document = interchange.load_scenario_file(path)
         assert document.spec == shrunk.spec
-        assert document.partition == PartitionSpec(shards=shrunk.shards, sync="relaxed")
+        assert document.partition == PartitionSpec(shards=shrunk.shards)
         assert document.run["failing_mode"] == "relaxed"
         assert document.run["fuzz_seed"] == 2026
 
@@ -191,11 +194,9 @@ class TestCommittedReproducers:
         partition = document.partition
         assert partition is not None and partition.backend == "process"
 
-        sequential = fuzz_tool._drive(document.spec, partition.shards, sync="relaxed")
-        process = fuzz_tool._drive(
-            document.spec,
-            partition.shards,
-            sync="relaxed",
-            backend="process",
+        sequential = fuzz_tool._drive(document.spec, partition.shards)
+        process = fuzz_tool._drive(document.spec, partition.shards, backend="process")
+        assert (
+            process.sim.trace.canonical_records()
+            == sequential.sim.trace.canonical_records()
         )
-        assert fuzz_tool._canonical(process) == fuzz_tool._canonical(sequential)

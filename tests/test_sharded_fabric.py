@@ -1,4 +1,4 @@
-"""The sharded event fabric: partitioning, conservative sync, determinism.
+"""The sharded event fabric: partitioning, relaxed windows, determinism.
 
 Three layers are covered (the shards' event queue is the single engine's
 ``EventQueue``, tested in ``test_sim.py``):
@@ -6,9 +6,10 @@ Three layers are covered (the shards' event queue is the single engine's
 * the **segment-graph partitioner** — balanced contiguous placement, cut
   segments, the positive-lookahead requirement, explicit overrides;
 * the **coordinator facade** — Simulator API parity (run/run_until/step,
-  validation errors, counters) and the merged trace plane;
-* the headline guarantee: **every catalog scenario, run with shards=1,2,4,
-  produces traces and counters bit-identical to the unsharded engine.**
+  validation errors, counters), the cross-shard check and the merged trace
+  plane;
+* cross-shard frame handoff, whose catalog-wide equivalence with the single
+  engine ``test_relaxed_fabric.py`` proves.
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ import pytest
 from repro.exceptions import SchedulingError, SimulationError
 from repro.measurement.ping import PingRunner
 from repro.scenario import (
+    HostSpec,
     PartitionSpec,
     ScenarioSpec,
     SegmentSpec,
-    list_scenarios,
     get_scenario,
+    list_scenarios,
     plan_partition,
     run_scenario,
 )
 from repro.sim.engine import Simulator
 from repro.sim.fabric import ShardedSimulator
-from repro.sim.trace import CounterWindow, ListSink, RingBufferSink
+from repro.sim.trace import CounterWindow
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +123,67 @@ class TestPartitionPlanner:
 # ---------------------------------------------------------------------------
 
 
+def _idle_relaxed_fabric(connected: bool):
+    """A two-shard fabric with nothing pending, built by the scenario layer.
+
+    ``connected`` joins the two LANs with a repeater, which cuts a segment
+    and gives the fabric a lookahead; otherwise the shards share nothing.
+    ``sync="relaxed"`` names the fabric's one mode.
+    """
+    if connected:
+        spec = get_scenario("pair/repeater")
+    else:
+        spec = ScenarioSpec(
+            name="split",
+            segments=(SegmentSpec("a"), SegmentSpec("b")),
+            hosts=(HostSpec("ha", "a"), HostSpec("hb", "b")),
+        )
+    run = run_scenario(spec, shards=2, sync="relaxed")
+    fabric = run.sim
+    fabric.run()
+    assert fabric.n_shards == 2 and fabric.pending_events == 0
+    assert (fabric.lookahead_ns is not None) == connected
+    return fabric
+
+
+#: The engine's scheduling entry points, each of which a push can take.
+SCHEDULING_ENTRIES = (
+    "schedule", "schedule_at", "schedule_at_ns", "call_soon",
+    "schedule_fire_ns", "schedule_fire_after",
+)
+
+
+def _push(engine, entry, delay_ns, callback):
+    """Schedule ``callback`` ``delay_ns`` from now through one entry point."""
+    now_ns = engine.now_ns
+    if entry == "schedule":
+        engine.schedule(delay_ns * 1e-9, callback)
+    elif entry == "schedule_at":
+        engine.schedule_at((now_ns + delay_ns) * 1e-9, callback)
+    elif entry == "schedule_at_ns":
+        engine.schedule_at_ns(now_ns + delay_ns, callback)
+    elif entry == "call_soon":
+        engine.call_soon(callback)
+    elif entry == "schedule_fire_ns":
+        engine.schedule_fire_ns(now_ns + delay_ns, callback)
+    else:
+        engine.schedule_fire_after(delay_ns * 1e-9, callback)
+
+
 class TestShardedSimulatorFacade:
     def test_run_until_matches_single_engine(self):
         def drive(sim, engines):
             fired = []
-            for tag, engine in engines:
-                def cb(tag=tag, engine=engine):
+
+            def ticker(tag, engine):
+                def cb():
                     fired.append((tag, sim.now_ns))
                     engine.schedule(1e-6, cb)
-                engine.schedule(0.0, cb)
+
+                return cb
+
+            for tag, engine in engines:
+                engine.schedule(0.0, ticker(tag, engine))
             sim.run_until(5e-6)
             return fired
 
@@ -137,8 +191,68 @@ class TestShardedSimulatorFacade:
         fabric = ShardedSimulator(shards=2)
         expected = drive(single, [("a", single), ("b", single)])
         actual = drive(fabric, [("a", fabric.shards[0]), ("b", fabric.shards[1])])
-        assert actual == expected
+        # Each shard fires its own ticks at the single engine's times; the
+        # fabric does not promise the interleaving across shards.
+        assert sorted(actual) == sorted(expected)
         assert fabric.now == single.now == 5e-6
+
+    @pytest.mark.parametrize("entry", SCHEDULING_ENTRIES)
+    @pytest.mark.parametrize("connected", [False, True], ids=["no-lookahead", "lookahead"])
+    def test_push_onto_another_shard_inside_a_window_raises(self, connected, entry):
+        """A window may schedule only onto its own shard, by any entry point.
+
+        Shard 1's private clock is not shard 0's present, so a push from
+        shard 0's window at 3,000 ns onto shard 1 would fire 1 us after
+        shard 1's clock (1,000 ns), not at 4,000 ns.
+        """
+        fabric = _idle_relaxed_fabric(connected)
+        base = fabric.now_ns
+        fired = []
+        target = fabric.shards[1]
+
+        def push():
+            _push(target, entry, 1_000, lambda: fired.append(fabric.now_ns - base))
+
+        fabric.shards[0].schedule_at_ns(base + 3_000, push)
+        with pytest.raises(SimulationError, match="shard 0 .*onto shard 1"):
+            fabric.run()
+        assert fired == []
+
+    def test_push_onto_a_shard_outside_windows_is_allowed(self):
+        # Control barriers (facade work) and the idle fabric may schedule
+        # onto any shard: every shard clock reads the same present there.
+        fabric = ShardedSimulator(shards=2, lookahead_ns=1_000)
+        fired = []
+        record = lambda: fired.append(fabric.now_ns)  # noqa: E731
+        fabric.shards[1].schedule_at_ns(500, record)
+        fabric.schedule_at(3e-6, lambda: fabric.shards[1].schedule(1e-6, record))
+        assert fabric.run() == 3
+        assert fired == [500, 4_000]
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["no-lookahead", "lookahead"])
+    def test_step_fires_the_globally_earliest_event(self, connected):
+        """``step()`` runs the earliest event of all shards, not shard 0's."""
+        fabric = _idle_relaxed_fabric(connected)
+        base = fabric.now_ns
+        fired = []
+        fabric.shards[1].schedule_at_ns(base + 1_000, lambda: fired.append(1_000))
+        fabric.shards[0].schedule_at_ns(base + 2_000, lambda: fired.append(2_000))
+        assert fabric.step() is True
+        assert fired == [1_000]
+        assert fabric.now_ns == base + 1_000
+        assert fabric.run() == 1
+        assert fired == [1_000, 2_000]
+
+    def test_step_skips_a_cancelled_head_when_picking_the_leader(self):
+        fabric = ShardedSimulator(shards=2, lookahead_ns=10_000)
+        fired = []
+        fabric.shards[0].schedule_at_ns(500, lambda: fired.append(500)).cancel()
+        fabric.shards[0].schedule_at_ns(3_000, lambda: fired.append(3_000))
+        fabric.shards[1].schedule_at_ns(1_000, lambda: fired.append(1_000))
+        assert fabric.step() is True
+        assert fired == [1_000]
+        assert fabric.run() == 1
+        assert fired == [1_000, 3_000]
 
     def test_step_and_run_and_reset(self):
         fabric = ShardedSimulator(shards=2)
@@ -155,14 +269,26 @@ class TestShardedSimulatorFacade:
         assert fabric.pending_events == 0
 
     def test_max_events_budget(self):
-        fabric = ShardedSimulator(shards=2)
-        hits = []
-        for i in range(6):
-            fabric.shards[i % 2].schedule(i * 1e-6, lambda i=i: hits.append(i))
-        assert fabric.run(max_events=4) == 4
-        assert hits == [0, 1, 2, 3]
-        assert fabric.run(max_events=0) == 0  # parity with Simulator
-        assert hits == [0, 1, 2, 3]
+        """Budgeted slices end in the same state as one run."""
+
+        def build():
+            fabric = ShardedSimulator(shards=2)
+            hits = []
+            for i in range(6):
+                fabric.shards[i % 2].schedule(i * 1e-6, lambda i=i: hits.append(i))
+            return fabric, hits
+
+        sliced, sliced_hits = build()
+        assert sliced.run(max_events=4) == 4
+        assert len(sliced_hits) == 4
+        assert sliced.run(max_events=0) == 0  # parity with Simulator
+        assert len(sliced_hits) == 4
+        assert sliced.run() == 2
+        whole, whole_hits = build()
+        assert whole.run() == 6
+        assert sorted(sliced_hits) == sorted(whole_hits) == list(range(6))
+        assert sliced.now_ns == whole.now_ns == 5_000
+        assert sliced.pending_events == whole.pending_events == 0
 
     def test_past_scheduling_rejected_like_single_engine(self):
         single = Simulator()
@@ -175,17 +301,17 @@ class TestShardedSimulatorFacade:
             fabric.shards[1].schedule_at(0.5, lambda: None)
         assert str(single_err.value) == str(fabric_err.value)
 
-    @pytest.mark.parametrize("engine", ["single", "strict", "relaxed"])
+    @pytest.mark.parametrize("engine", ["single", "fabric", "fabric-lookahead"])
     @pytest.mark.parametrize(
         "entry", ["schedule", "schedule_fire_after", "schedule_fire_ns"]
     )
     def test_facade_rejects_past_times_in_every_mode(self, engine, entry):
         if engine == "single":
             sim = Simulator()
-        elif engine == "strict":
+        elif engine == "fabric":
             sim = ShardedSimulator(shards=2)
         else:
-            sim = ShardedSimulator(shards=2, sync="relaxed", lookahead_ns=1_000)
+            sim = ShardedSimulator(shards=2, lookahead_ns=1_000)
         sim.run_until(1.0)
         fired = []
         schedule = getattr(sim, entry)
@@ -246,13 +372,15 @@ class TestFabricTrace:
             shard.schedule(0.0, make_tick(shard, index))
         return fabric
 
-    def test_merged_stream_is_in_emission_order(self):
+    def test_merged_stream_is_in_canonical_order(self):
         fabric = self._emitting_fabric()
         fabric.run_until(3e-6)
         records = list(fabric.trace)
         assert [record.source for record in records] == ["s0", "s1"] * 4
-        sequences = [record.seq for record in records]
-        assert sequences == sorted(sequences)
+        assert [record.shard for record in records] == [0, 1] * 4
+        times = [record.time for record in records]
+        assert times == sorted(times)
+        assert records == fabric.trace.canonical_records()
 
     def test_counters_and_queries(self):
         fabric = self._emitting_fabric()
@@ -280,36 +408,6 @@ class TestFabricTrace:
         fabric.run_until(4e-6)
         assert len(fabric.trace) > 0
 
-    def test_shared_ring_sink_sees_merged_stream(self):
-        ring = RingBufferSink(capacity=4)
-        fabric = ShardedSimulator(shards=2, trace_sinks=[ring])
-        for index, shard in enumerate(fabric.shards):
-            shard.trace.emit(f"s{index}", "boot")
-        assert [record.source for record in ring] == ["s0", "s1"]
-        assert list(fabric.trace)[0].source == "s0"
-
-    @pytest.mark.parametrize(
-        "make_store",
-        [ListSink, lambda: RingBufferSink(10**6)],
-        ids=["ListSink", "RingBufferSink"],
-    )
-    def test_shared_store_merges_like_per_shard_buffers(self, make_store):
-        # One store shared by every shard recorder holds each record once;
-        # its rows carry the emitting shard, so the canonical merge returns
-        # each record once, in the order per-shard buffers give.
-        def keyed(records):
-            return [(r.time, r.source, r.category, r.seq, r.shard, r.detail) for r in records]
-
-        per_shard = run_scenario("pair/active-bridge", shards=2)
-        shared = run_scenario("pair/active-bridge", shards=2, trace_sinks=[make_store()])
-        for run in (per_shard, shared):
-            run.warm_up()
-        trace = shared.sim.trace
-        records = trace.canonical_records()
-        assert len(records) == len(trace) == len(list(trace)) == len(trace.filter()) > 0
-        assert keyed(records) == keyed(per_shard.sim.trace.canonical_records())
-        assert keyed(trace.merged_records()) == keyed(per_shard.sim.trace.merged_records())
-
     def test_clear_resets_everything(self):
         fabric = self._emitting_fabric()
         fabric.run_until(2e-6)
@@ -336,8 +434,7 @@ class TestInterShardChannel:
             for name in run.partition.cut_segments
         )
         assert crossed > 0
-        stats = run.network.sim.shard_stats()
-        assert sum(entry["cross_pushes"] for entry in stats) > 0
+        assert run.sim.relaxed_stats["mail_flushed"] > 0
 
     def test_facade_homed_nic_receives_on_a_sharded_segment(self):
         # A monitoring NIC built against the facade (run.sim) must work on a
@@ -389,7 +486,7 @@ class TestInterShardChannel:
 
 
 # ---------------------------------------------------------------------------
-# The headline: catalog-wide bit-identical determinism
+# Catalog-wide determinism, the partition report and the benchmark topology
 # ---------------------------------------------------------------------------
 
 
@@ -406,35 +503,35 @@ def _drive(name, shards):
     return run
 
 
-def _observables(run):
+def _fabric_state(run):
     counters = dict(run.sim.trace.counters.by_category_source)
-    host_stats = {host.name: host.statistics() for host in run.hosts}
     segment_stats = {
-        name: (segment.frames_carried, segment.bytes_carried)
+        name: (segment.frames_carried, segment.bytes_carried, segment.cross_shard_frames)
         for name, segment in run.network.segments.items()
     }
-    return counters, host_stats, segment_stats, run.sim.now
+    shard_stats = run.sim.shard_stats() if run.n_shards > 1 else None
+    return (
+        run.sim.trace.canonical_records(), counters, segment_stats, shard_stats,
+        run.sim.now,
+    )
 
 
-@pytest.mark.parametrize(
-    "name", sorted(entry.name for entry in list_scenarios())
-)
-def test_catalog_scenarios_are_bit_identical_when_sharded(name):
-    """Traces and counters of shards=1,2,4 equal the unsharded engine's."""
-    reference = _drive(name, 1)
-    assert reference.partition is None
-    reference_records = list(reference.sim.trace)
-    reference_observables = _observables(reference)
+@pytest.mark.parametrize("name", sorted(entry.name for entry in list_scenarios()))
+def test_catalog_scenarios_are_deterministic_when_sharded(name):
+    """Every catalog scenario, tie-prone ones included, runs the same twice
+    at shards=2 and 4, and its shard statistics account for every event and
+    record.  (Equality with the single engine, for every entry not flagged
+    ``tie_prone``, is ``test_relaxed_fabric.py``'s headline.)"""
     for shards in (2, 4):
-        sharded = _drive(name, shards)
-        records = list(sharded.sim.trace)
-        assert len(records) == len(reference_records), (name, shards)
-        assert records == reference_records, (name, shards)
-        assert _observables(sharded) == reference_observables, (name, shards)
-        if sharded.n_shards > 1:
-            # Merge keys are stamped and strictly increasing.
-            sequences = [record.seq for record in records]
-            assert sequences == sorted(sequences)
+        first = _drive(name, shards)
+        assert _fabric_state(first) == _fabric_state(_drive(name, shards)), shards
+        fabric = first.sim
+        if first.n_shards > 1:
+            stats = fabric.shard_stats()
+            assert sum(entry["records"] for entry in stats) == len(fabric.trace)
+            assert sum(entry["events_dispatched"] for entry in stats) == (
+                fabric.events_dispatched - fabric._control_dispatched
+            )
 
 
 def test_sharded_run_reports_partition():
@@ -453,7 +550,7 @@ def test_ring_with_hosts_is_deterministic_when_sharded():
         "ring", params={"n_bridges": 7, "hosts_per_segment": 1}, shards=4
     )
     sharded.warm_up()
-    assert list(single.sim.trace) == list(sharded.sim.trace)
+    assert single.sim.trace.canonical_records() == sharded.sim.trace.canonical_records()
     assert dict(single.sim.trace.counters.by_category_source) == dict(
         sharded.sim.trace.counters.by_category_source
     )

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costs.cpu import CpuQueue
@@ -113,25 +112,24 @@ class TestEventQueue:
         assert description["label"] == "x"
         assert description["time_ns"] == 10
 
-    def test_queues_sharing_a_counter_interleave_in_global_order(self):
-        # A fabric's shard queues and control ring share one counter, so
-        # (time, sequence) orders entries across all of them.
-        counter = itertools.count()
-        queues = [EventQueue(counter), EventQueue(counter)]
-        keys = []
+    def test_each_queue_counts_its_own_sequence(self):
+        # A fabric's shard queues and control ring each number their own
+        # entries; (time, sequence) orders the entries of one queue.
+        queues = [EventQueue(), EventQueue()]
+        keys = [[], []]
         for index, when in enumerate([5, 5, 3, 5, 3, 7]):
             queue = queues[index % 2]
             if index % 3:
                 sequence = queue.push_fire(when, lambda: None)
             else:
                 sequence = queue.push(when, lambda: None).sequence
-            keys.append((when, sequence))
-        assert [key[1] for key in keys] == list(range(6))
-        merged = []
-        while any(queues):
-            queue = min((q for q in queues if q), key=EventQueue.top_key)
-            merged.append(queue.pop_entry()[:2])
-        assert merged == sorted(keys)
+            keys[index % 2].append((when, sequence))
+        assert [[key[1] for key in own] for own in keys] == [[0, 1, 2], [0, 1, 2]]
+        for queue, own in zip(queues, keys):
+            popped = []
+            while queue:
+                popped.append(queue.pop_entry()[:2])
+            assert popped == sorted(own)
 
     def test_clear_detaches_events(self):
         queue = EventQueue()
@@ -218,17 +216,13 @@ class TestSimulator:
         assert dispatched == 4
         assert sim.pending_events == 6
 
-    @pytest.mark.parametrize(
-        "engine", ["single", "single-telemetry", "strict", "relaxed"]
-    )
+    @pytest.mark.parametrize("engine", ["single", "single-telemetry", "relaxed"])
     def test_budgeted_run_until_does_not_jump_past_pending_events(self, engine):
         # Each entry point: cancellable, and both handle-free ones (all
         # scheduled from t=0, so a delay equals an absolute time).
         for entry in ("schedule_at", "schedule_fire_ns", "schedule_fire_after"):
-            if engine == "strict":
+            if engine == "relaxed":
                 simulator = ShardedSimulator(seed=1, shards=2)
-            elif engine == "relaxed":
-                simulator = ShardedSimulator(seed=1, shards=2, sync="relaxed")
             else:
                 simulator = Simulator(seed=1)
                 if engine == "single-telemetry":
@@ -338,33 +332,10 @@ class TestHandleFreeEntries:
         ops=_ENTRY_OPS,
         how=st.sampled_from(["run", "run_until", "budgeted", "step"]),
         telemetry=st.booleans(),
-        engine=st.sampled_from(["single", "strict"]),
-    )
-    # Entry 0's follow-up lands on shard 1 at t=0, mid-batch on shard 0 and
-    # before shard 0's entry 3 at 1 us: the batch must stop for it.
-    @example(
-        ops=[
-            ("schedule", 0, False, True),
-            ("schedule", 2, False, False),
-            ("schedule", 2, False, False),
-            ("schedule", 1, False, False),
-        ],
-        how="run",
-        telemetry=False,
-        engine="strict",
     )
     @settings(max_examples=150, deadline=None)
-    def test_dispatch_order_and_counters_match_a_reference(
-        self, ops, how, telemetry, engine
-    ):
-        # The strict fabric schedules entry i on shard i % 3 and its
-        # follow-up on the next shard, so follow-ups are cross-shard pushes.
-        if engine == "single":
-            sim = Simulator()
-            targets = [sim]
-        else:
-            sim = ShardedSimulator(shards=3)
-            targets = sim.shards
+    def test_dispatch_order_and_counters_match_a_reference(self, ops, how, telemetry):
+        sim = Simulator()
         if telemetry:
             sim.enable_telemetry()
         fired = []
@@ -385,8 +356,7 @@ class TestHandleFreeEntries:
             nonlocal sequence
             when_ns = now_ns + (0 if kind == "call_soon" else delay_us * 1000)
             callback = make(label, kind, delay_us, follow, index)
-            target = targets[index % len(targets)]
-            handle = _schedule_via(target, kind, delay_us, callback)
+            handle = _schedule_via(sim, kind, delay_us, callback)
             entry = (when_ns, sequence, label, kind, delay_us, follow)
             heapq.heappush(reference, entry)
             sequence += 1

@@ -4,9 +4,9 @@ The two contracts under test:
 
 * **Determinism** — enabling telemetry changes no simulation outcome.
   Catalog-wide, every non-tie-prone scenario runs telemetry-on versus
-  telemetry-off in every engine mode (single, strict, relaxed, process)
-  and the traces must match: bit-identical for single/strict, canonical-
-  merge-identical for relaxed/process.  Metric snapshots themselves are
+  telemetry-off in every engine mode (single, relaxed, process) and the
+  traces must match: bit-identical emission order on the single engine,
+  identical canonical records everywhere.  Metric snapshots themselves are
   also deterministic: two identical runs produce identical registries.
 * **Overhead** — the default-off path is the pre-telemetry code path.
   The proof is structural, not statistical: executors read the wall clock
@@ -65,17 +65,17 @@ CATALOG = sorted(
 #: Engine configurations the determinism contract covers.
 MODES = {
     "single": {"shards": 1},
-    "strict": {"shards": 2, "sync": "strict"},
-    "relaxed": {"shards": 2, "sync": "relaxed"},
-    "process": {"shards": 2, "sync": "relaxed", "backend": "process"},
+    "relaxed": {"shards": 2},
+    "relaxed-4": {"shards": 4},
+    "process": {"shards": 2, "backend": "process"},
 }
 
 
-def _drive(name, shards=1, sync="strict", backend="thread", telemetry=False):
+def _drive(name, shards=1, backend="thread", telemetry=False):
     """The fixed workload (mirrors test_procpool): warm up, ping, settle."""
     params = {"n_bridges": 2} if name in ("ring", "chain") else None
     run = run_scenario(
-        name, params=params, shards=shards, sync=sync, backend=backend,
+        name, params=params, shards=shards, backend=backend,
         telemetry=telemetry,
     )
     run.warm_up()
@@ -90,13 +90,6 @@ def _drive(name, shards=1, sync="strict", backend="thread", telemetry=False):
         runner.start(start)
         run.sim.run_until(start + count * interval + 2.0)
     return run
-
-
-def _canonical(run):
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
 
 
 def _observables(run):
@@ -117,17 +110,19 @@ def test_catalog_telemetry_on_is_identical_to_off(name, mode):
     off = _drive(name, **kwargs)
     on = _drive(name, telemetry=True, **kwargs)
     assert on.sim._telemetry is not None
-    if mode in ("single", "strict"):
-        # Strict modes promise bit-identical emission order, so the raw
-        # stream must match, not just the canonical merge.
+    if mode == "single":
+        # The single engine promises bit-identical emission order, so the
+        # raw stream must match, not just the canonical order.
         assert list(on.sim.trace) == list(off.sim.trace), (name, mode)
-    assert _canonical(on) == _canonical(off), (name, mode)
+    assert (
+        on.sim.trace.canonical_records() == off.sim.trace.canonical_records()
+    ), (name, mode)
     assert _observables(on) == _observables(off), (name, mode)
 
 
 def test_metric_snapshots_are_run_deterministic():
-    first = _drive("chain", shards=2, sync="relaxed", telemetry=True)
-    second = _drive("chain", shards=2, sync="relaxed", telemetry=True)
+    first = _drive("chain", shards=2, telemetry=True)
+    second = _drive("chain", shards=2, telemetry=True)
     snapshot = first.sim._telemetry.registry.snapshot()
     assert snapshot == second.sim._telemetry.registry.snapshot()
     assert snapshot["counters"]["fabric_windows_total"] > 0
@@ -138,10 +133,7 @@ def test_metric_snapshots_are_run_deterministic():
 def test_process_metric_snapshots_are_run_deterministic():
     runs = []
     for _ in range(2):
-        run = _drive(
-            "chain", shards=2, sync="relaxed", backend="process",
-            telemetry=True,
-        )
+        run = _drive("chain", shards=2, backend="process", telemetry=True)
         run.sim._proc_fetch()  # absorb worker blobs into the registry
         runs.append(run.sim._telemetry.registry.snapshot())
     assert runs[0] == runs[1]
@@ -182,7 +174,7 @@ def test_metrics_off_path_never_reads_the_wall_clock(mode, monkeypatch):
     assert run.sim.events_dispatched > 0
 
 
-@pytest.mark.parametrize("mode", ["single", "strict", "relaxed"])
+@pytest.mark.parametrize("mode", ["single", "relaxed", "relaxed-4"])
 def test_dispatch_counts_collections_and_removes_its_hook(mode):
     """A telemetry-on dispatch charges a collection to ``gc_s``, then unhooks."""
     hooks_before = list(gc.callbacks)
@@ -324,7 +316,7 @@ class TestPhaseTimer:
 
 
 def test_live_relaxed_breakdown_sums_to_dispatch_total():
-    run = _drive("ring", shards=4, sync="relaxed", telemetry=True)
+    run = _drive("ring", shards=4, telemetry=True)
     breakdown = run.sim._telemetry.profiler.breakdown()
     assert breakdown["windows"] > 0
     assert breakdown["attributed_s"] == pytest.approx(
@@ -360,9 +352,7 @@ class TestFlightRecorder:
 
 @NEEDS_FORK
 def test_worker_kill_postmortem_carries_the_flight_tail():
-    fabric = ShardedSimulator(
-        shards=2, sync="relaxed", backend="process", lookahead_ns=1000
-    )
+    fabric = ShardedSimulator(shards=2, backend="process", lookahead_ns=1000)
 
     def boom():
         if procpool.worker_index() == 1:
@@ -390,9 +380,7 @@ def test_worker_kill_postmortem_carries_the_flight_tail():
 
 @NEEDS_FORK
 def test_process_workers_ship_shard_labelled_metrics():
-    run = _drive(
-        "chain", shards=2, sync="relaxed", backend="process", telemetry=True
-    )
+    run = _drive("chain", shards=2, backend="process", telemetry=True)
     report = run.report()
     counters = report.metrics["counters"]
     assert counters['engine_events_dispatched{shard="0"}'] > 0
@@ -455,8 +443,7 @@ class TestAnalysis:
 
 def _report_run():
     run = run_scenario(
-        "chain", params={"n_bridges": 2}, shards=2, sync="relaxed",
-        telemetry=True,
+        "chain", params={"n_bridges": 2}, shards=2, telemetry=True,
     )
     run.warm_up()
     hosts = run.hosts
@@ -476,10 +463,7 @@ class TestRunReport:
         run, report = _report_run()
         assert report.scenario == run.spec.name
         assert report.telemetry_enabled
-        assert report.engine == {
-            "mode": "relaxed", "shards": 2, "sync": "relaxed",
-            "backend": "thread",
-        }
+        assert report.engine == {"mode": "relaxed", "shards": 2, "backend": "thread"}
         assert report.events["dispatched"] == run.sim.events_dispatched
         assert report.events["queue_high_water"] >= 1
         assert report.metrics["counters"]["fabric_windows_total"] > 0

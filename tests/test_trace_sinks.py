@@ -165,13 +165,11 @@ def _trace_of(kind):
     """A trace hub of one emit implementation, by name."""
     if kind == "plain":
         return Simulator().trace
-    if kind == "shard-fast":
-        # No caller sinks: each shard recorder writes its own store.
-        return ShardedSimulator(shards=2).trace
-    return ShardedSimulator(shards=2, trace_sinks=[ListSink()]).trace
+    # Each shard recorder writes its own store.
+    return ShardedSimulator(shards=2).trace
 
 
-EMITTERS = ("plain", "shard-fast", "shard-sinks")
+EMITTERS = ("plain", "shard-fast")
 
 
 class _Payload:
@@ -528,19 +526,17 @@ class TestRingMatchesReference:
     The store is a ``ListSink`` or a ring of capacity 1-8, written on every
     path: the hub's emit store path (the store is the only sink),
     ``accept()`` from a hub with several sinks, ``accept()`` of a record
-    built because a listener is registered, a sharded fabric's per-shard
-    streams, and one store shared by a fabric's shard recorders (which
-    stamp ``seq`` and ``shard``).  Counter reads land at random points,
-    either side of a ring lap and after clears.
+    built because a listener is registered, and a sharded fabric's per-shard
+    streams (which stamp ``shard``).  Counter reads land at random points,
+    either side of a ring lap and after clears.  Every hub also reads its
+    records back in the canonical order.
     """
 
     @staticmethod
     def _hub(path, store):
         """The trace under test, its clock and the recorders that emit."""
-        if path in ("shard", "shared"):
-            fabric = ShardedSimulator(
-                shards=2, trace_sinks=[store] if path == "shared" else None
-            )
+        if path == "shard":
+            fabric = ShardedSimulator(shards=2)
             return fabric.trace, fabric.clock, [shard.trace for shard in fabric.shards]
         sim = Simulator(trace_sinks=[store] if path != "sinks" else [store, NullSink()])
         if path == "listener":
@@ -549,7 +545,7 @@ class TestRingMatchesReference:
 
     @given(
         capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-        path=st.sampled_from(["store", "sinks", "listener", "shard", "shared"]),
+        path=st.sampled_from(["store", "sinks", "listener", "shard"]),
         emits=_EMITS,
         interrupts=_INTERRUPTS,
     )
@@ -560,7 +556,7 @@ class TestRingMatchesReference:
         store = ListSink() if capacity is None else RingBufferSink(capacity)
         reference = _ReferenceStore(capacity)
         trace, clock, recorders = self._hub(path, store)
-        fabric = path in ("shard", "shared")
+        fabric = path == "shard"
         windows = []
         emitted = 0
 
@@ -575,9 +571,8 @@ class TestRingMatchesReference:
             recorder = recorders[shard or 0]
             returned = recorder.emit(source, category, detail, *args)
             assert (returned is None) == (path not in ("sinks", "listener"))
-            seq = emitted if fabric else None
             reference.accept(
-                TraceRecord(clock.now, source, category, detail, seq, args, shard)
+                TraceRecord(clock.now, source, category, detail, None, args, shard)
             )
             emitted += 1
 
@@ -628,7 +623,14 @@ class TestRingMatchesReference:
                 (r.time, r.source, r.category, r.seq, r.shard, r.detail) for r in records
             ]
 
-        assert keyed(trace) == keyed(reference.records)
+        # The canonical order: (time, source, category), ties in stream
+        # order — shard first on a fabric, then emission order (a stable sort).
+        canonical = sorted(
+            reference.records,
+            key=lambda r: (r.time, r.source, r.category, r.shard or 0),
+        )
+        assert keyed(trace.canonical_records()) == keyed(canonical)
+        assert keyed(trace) == keyed(canonical if fabric else reference.records)
         if path == "shard":
             stores = [(recorder.store, index) for index, recorder in enumerate(recorders)]
         else:

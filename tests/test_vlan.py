@@ -495,4 +495,4 @@ class TestNativeVlanTrunk:
             "vlan/trunk", seed=25, params={"native_vlan": 10}, shards=3
         )
         sharded.warm_up()
-        assert list(single.sim.trace) == list(sharded.sim.trace)
+        assert single.sim.trace.canonical_records() == sharded.sim.trace.canonical_records()

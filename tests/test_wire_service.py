@@ -168,7 +168,7 @@ def test_isolated_frames_on_a_fractional_wire_match(prop_ns, start_ns, payloads)
 DELIVERIES = 60
 
 
-def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False,
+def _lane_run(shards, declaration, fault=None, target=None, noop=False,
               fault_at=120e-6, rehandle_at=None):
     """The lane harness: echo stations on every LAN of a 3-bridge ring.
 
@@ -185,7 +185,7 @@ def _lane_run(shards, sync, declaration, fault=None, target=None, noop=False,
     """
     run = run_scenario(
         "ring", params={"n_bridges": 3, "hosts_per_segment": 2},
-        shards=shards, sync=sync,
+        shards=shards,
     )
     if fault is not None:
         kind, arguments = fault
@@ -246,11 +246,10 @@ def test_inline_lane_waits_for_every_same_instant_send(noop):
     to later deliveries queued first.  The facade no-op in the middle of the
     exchange forces that barrier.
     """
-    single = _lane_run(1, "strict", "inline_safe", noop=noop)
+    single = _lane_run(1, "inline_safe", noop=noop)
     assert single["seg0h1.eth0"][1] == 31_000_061_120
-    assert _lane_run(2, "strict", "inline_safe", noop=noop) == single
     for shards in (2, 4):
-        assert _lane_run(shards, "relaxed", "inline_safe", noop=noop) == single, shards
+        assert _lane_run(shards, "inline_safe", noop=noop) == single, shards
 
 
 FAULTS = {
@@ -263,7 +262,8 @@ FAULTS = {
 @pytest.mark.parametrize("target", ["seg0", "seg2"])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_faults_reach_frames_the_batched_lane_served_ahead(fault, target):
-    """Degrade and loss-model changes re-serve frames still queued in strict.
+    """Degrade and loss-model changes re-serve frames the single engine still
+    holds queued.
 
     ``seg0`` is shard-local at shards=2 (the deferred express lane) and
     ``seg2`` is a cut segment at shards 2 and 4 (the barrier drain).  Both
@@ -271,9 +271,9 @@ def test_faults_reach_frames_the_batched_lane_served_ahead(fault, target):
     whose service was still ahead at the fault must take the new bandwidth,
     delay or loss draw, exactly as on the single engine.
     """
-    single = _lane_run(1, "strict", "segment_local", FAULTS[fault], target)
+    single = _lane_run(1, "segment_local", FAULTS[fault], target)
     for shards in (2, 4):
-        relaxed = _lane_run(shards, "relaxed", "segment_local", FAULTS[fault], target)
+        relaxed = _lane_run(shards, "segment_local", FAULTS[fault], target)
         assert relaxed == single, shards
 
 
@@ -294,12 +294,10 @@ def test_event_lane_queues_behind_batched_frames(rehandle_at, fault_at, fault):
     then takes it back with them: a link-down drops it, a degrade serves it
     again on the slower wire.
     """
-    single = _lane_run(1, "strict", "segment_local", fault, "seg0",
+    single = _lane_run(1, "segment_local", fault, "seg0",
                        fault_at=fault_at, rehandle_at=rehandle_at)
-    assert _lane_run(2, "strict", "segment_local", fault, "seg0",
-                     fault_at=fault_at, rehandle_at=rehandle_at) == single
     for shards in (2, 4):
-        relaxed = _lane_run(shards, "relaxed", "segment_local", fault, "seg0",
+        relaxed = _lane_run(shards, "segment_local", fault, "seg0",
                             fault_at=fault_at, rehandle_at=rehandle_at)
         assert relaxed == single, shards
 

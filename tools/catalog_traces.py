@@ -3,11 +3,12 @@
 Each catalog run is warmed up, one host sends one ping to another at the
 ready time, and the run goes on to ``ready_time + 10 s``.  So every pin
 covers a unicast data exchange as well as the control plane (spanning
-tree, switchlet loads).  Each run goes in three engine modes: the single
-engine, strict shards=2 and relaxed shards=4 (in canonical merged order).
-For every run and mode the pin holds the record count per category plus
-one sha256 over every record as ``(time_ns, source, category, detail as
-sorted-key JSON)``.
+tree, switchlet loads).  Each run goes in two engine modes: the single
+engine and the sharded fabric at shards=4, both read in the canonical order
+(``canonical_records()``), so the two modes of a run must pin the same
+records.  For every run and mode the pin holds the record count per
+category plus one sha256 over every record as ``(time_ns, source,
+category, detail as sorted-key JSON)``.
 
 A change that moves a trace shows up here record for record, so it can say
 which runs it moved and by how much.  ``tests/test_catalog_traces.py`` runs
@@ -54,30 +55,23 @@ RUNS = {
     "vlan/trunk": ("vlan/trunk", {}, "h1v10n1", "h2v10n1"),
 }
 
-#: Mode name -> (shards, sync).
-MODES = {
-    "single": (1, "strict"),
-    "strict-2": (2, "strict"),
-    "relaxed-4": (4, "relaxed"),
-}
+#: Mode name -> shard count.
+MODES = {"single": 1, "relaxed-4": 4}
 
 #: How far past its ready time each run goes.
 RUN_PAST_READY_S = 10.0
 
 
 def trace_records(scenario: str, params: dict, pinger: str, pinged: str,
-                  shards: int, sync: str) -> list:
-    """Warm one run up, ping once, run to ``ready_time + 10 s``; return its records."""
-    run = run_scenario(scenario, params=params, shards=shards, sync=sync)
+                  shards: int) -> list:
+    """Warm one run up, ping once, run to ``ready_time + 10 s``; return its
+    records in the canonical order."""
+    run = run_scenario(scenario, params=params, shards=shards)
     run.warm_up()
     PingRunner(run.sim, run.host(pinger), run.host(pinged).ip,
                payload_size=56, count=1).start(run.ready_time)
     run.sim.run_until(run.ready_time + RUN_PAST_READY_S)
-    trace = run.sim.trace
-    # A network too small to shard runs on the single engine in every mode.
-    if sync == "relaxed" and hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
+    return run.sim.trace.canonical_records()
 
 
 def summarize(records: Sequence[object]) -> dict:
@@ -103,8 +97,8 @@ def collect() -> dict:
     """Summaries of every (run, mode) pair, keyed run -> mode."""
     return {
         name: {
-            mode: summarize(trace_records(*run, shards, sync))
-            for mode, (shards, sync) in MODES.items()
+            mode: summarize(trace_records(*run, shards))
+            for mode, shards in MODES.items()
         }
         for name, run in RUNS.items()
     }

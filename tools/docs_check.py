@@ -5,8 +5,9 @@ Three coverage contracts, all cheap and exact:
 * every scenario registered in :mod:`repro.scenario.registry` must be named
   in ``docs/scenario-catalog.md``;
 * every BENCH metric *family* tracked anywhere in ``BENCH_trace.json`` (a
-  metric name as collected by ``benchmarks/perf_gate.py``, with its
-  ``@size`` suffix stripped) must be named in ``docs/benchmarks.md``;
+  metric name or an exactly-gated event count as collected by
+  ``benchmarks/perf_gate.py``, with its ``@size`` suffix stripped) must be
+  named in ``docs/benchmarks.md``;
 * every fault kind in :data:`repro.faults.FAULT_KINDS` must be named in
   ``docs/architecture.md`` — adding a dynamics event without documenting
   its semantics fails CI exactly like an undocumented scenario;
@@ -43,7 +44,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from perf_gate import collect_metrics  # noqa: E402
+from perf_gate import collect_counts, collect_metrics  # noqa: E402
 
 from repro.faults import FAULT_KINDS  # noqa: E402
 from repro.population import STATION_ROLES, TRAFFIC_KINDS  # noqa: E402
@@ -69,7 +70,7 @@ def metric_families(history: list) -> set:
     """
     families = set()
     for entry in history:
-        for name in collect_metrics(entry):
+        for name in (*collect_metrics(entry), *collect_counts(entry)):
             if "@" in name:
                 head, _, tail = name.partition("@")
                 suffix = tail.partition(" ")[2]

@@ -8,13 +8,12 @@ then asserts the engine-mode invariance oracle:
 * **interchange** — the spec survives a YAML (or JSON) round-trip exactly,
   and the reference run is driven *from the round-tripped spec*, so every
   case is also a serialization bit-identity proof;
-* **strict** — strict sharded execution is bit-identical (``list(trace)``)
-  to the single engine, on every case, no exceptions;
-* **relaxed** — relaxed execution is canonical-merge bit-identical to
-  strict, *except* when the reference trace contains a same-instant
-  multi-sender wire tie: the canonical-merge contract deliberately refuses
-  to order same-instant cross-source effects ("commuting effects only"), so
-  a divergence at or after the first tie instant is recorded as
+* **relaxed** — the sharded fabric's canonical records
+  (``canonical_records()``) are bit-identical to the single engine's, the
+  one reference, *except* when the reference trace contains a same-instant
+  multi-sender wire tie: the canonical contract deliberately refuses to
+  order same-instant cross-source effects ("commuting effects only"), so a
+  divergence at or after the first tie instant is recorded as
   ``tie-excused`` rather than a failure.  Divergence *before* any tie is a
   real bug.  Tie instants are a deterministic function of the case, so runs
   are reproducible — never flaky;
@@ -68,7 +67,7 @@ from repro.scenario import interchange  # noqa: E402
 FMT = "yaml" if interchange.yaml is not None else "json"
 
 #: Record streams a mutation hook can intercept, in oracle order.
-MODES = ("reference", "strict", "strict-canonical", "relaxed", "process")
+MODES = ("reference", "relaxed", "process")
 
 #: A mutation hook: ``(mode, records) -> records``.  The oracle passes every
 #: record stream through it before comparing; tests inject determinism bugs
@@ -201,10 +200,9 @@ def draw_case(master_seed: int, case_id: int) -> FuzzCase:
 # ---------------------------------------------------------------------------
 
 
-def _drive(spec: ScenarioSpec, shards: int = 1, sync: str = "strict",
-           backend: str = "thread"):
+def _drive(spec: ScenarioSpec, shards: int = 1, backend: str = "thread"):
     """The fixed fuzz workload: warm up, ping end-to-end, run out the faults."""
-    run = run_scenario(spec, shards=shards, sync=sync, backend=backend)
+    run = run_scenario(spec, shards=shards, backend=backend)
     run.warm_up()
     hosts = run.hosts
     if len(hosts) >= 2:
@@ -214,13 +212,6 @@ def _drive(spec: ScenarioSpec, shards: int = 1, sync: str = "strict",
     if run.sim.now < horizon:
         run.sim.run_until(horizon)
     return run
-
-
-def _canonical(run) -> List[object]:
-    trace = run.sim.trace
-    if hasattr(trace, "canonical_records"):
-        return trace.canonical_records()
-    return list(trace)
 
 
 def _record_key(record) -> tuple:
@@ -273,39 +264,29 @@ def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
                           detail=f"{FMT} round trip is not lossless")
 
     reference = _drive(loaded, 1)
-    ref_records = mutate("reference", list(reference.sim.trace))
+    ref_records = mutate("reference", reference.sim.trace.canonical_records())
     ties = find_tie_times(ref_records)
     horizon = ties[0] if ties else None
 
-    strict = _drive(loaded, case.shards)
-    strict_records = mutate("strict", list(strict.sim.trace))
-    if strict_records != ref_records:
-        return CaseResult(
-            case, "failed", failing_mode="strict",
-            detail="strict shards diverged from the single engine",
-            divergence_time=first_divergence_time(ref_records, strict_records),
-            tie_horizon=horizon, records=len(ref_records),
-        )
-
-    strict_canonical = mutate("strict-canonical", _canonical(strict))
-    relaxed = _drive(loaded, case.shards, sync="relaxed")
-    relaxed_canonical = mutate("relaxed", _canonical(relaxed))
+    relaxed = _drive(loaded, case.shards)
+    relaxed_canonical = mutate("relaxed", relaxed.sim.trace.canonical_records())
     status = "exact"
     divergence = None
-    if relaxed_canonical != strict_canonical:
-        divergence = first_divergence_time(strict_canonical, relaxed_canonical)
+    if relaxed_canonical != ref_records:
+        divergence = first_divergence_time(ref_records, relaxed_canonical)
         if horizon is None or divergence is None or divergence < horizon:
             return CaseResult(
                 case, "failed", failing_mode="relaxed",
-                detail="relaxed diverged before any wire tie",
+                detail="the fabric diverged from the single engine before "
+                       "any wire tie",
                 divergence_time=divergence, tie_horizon=horizon,
                 records=len(ref_records),
             )
         status = "tie-excused"
 
     if case.check_process:
-        process = _drive(loaded, case.shards, sync="relaxed", backend="process")
-        process_canonical = mutate("process", _canonical(process))
+        process = _drive(loaded, case.shards, backend="process")
+        process_canonical = mutate("process", process.sim.trace.canonical_records())
         if process_canonical != relaxed_canonical:
             return CaseResult(
                 case, "failed", failing_mode="process",
@@ -436,11 +417,8 @@ def shrink_case(
 
 
 def _failing_partition(case: FuzzCase, failing_mode: str) -> PartitionSpec:
-    if failing_mode in ("strict", "interchange"):
-        return PartitionSpec(shards=case.shards, sync="strict")
     return PartitionSpec(
         shards=case.shards,
-        sync="relaxed",
         backend="process" if failing_mode == "process" else "thread",
     )
 
@@ -519,8 +497,7 @@ def write_report(path: Path, master_seed: int) -> None:
     tests prove changes nothing).
     """
     case = draw_case(master_seed, 0)
-    run = run_scenario(case.spec, shards=case.shards, sync="relaxed",
-                       telemetry=True)
+    run = run_scenario(case.spec, shards=case.shards, telemetry=True)
     run.warm_up()
     hosts = run.hosts
     rtts = []

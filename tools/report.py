@@ -21,7 +21,7 @@ Two output modes:
 Usage::
 
     PYTHONPATH=src python tools/report.py population_smoke_report.json
-    PYTHONPATH=src python tools/report.py --scenario ring --shards 4 --sync relaxed
+    PYTHONPATH=src python tools/report.py --scenario ring --shards 4
     PYTHONPATH=src python tools/report.py run.json --prometheus --out metrics.prom
 """
 
@@ -57,7 +57,6 @@ def run_scenario_report(args: argparse.Namespace) -> RunReport:
         params=params,
         seed=args.seed,
         shards=args.shards,
-        sync=args.sync,
         backend=args.backend,
         telemetry=True,
     )
@@ -95,7 +94,6 @@ def render_console(report: RunReport) -> str:
             [
                 ("engine", engine.get("mode", "?")),
                 ("shards", engine.get("shards", 1)),
-                ("sync", engine.get("sync", "")),
                 ("backend", engine.get("backend", "")),
                 ("sim time", f"{report.sim_time_s:.6f} s"),
                 ("telemetry", "on" if report.telemetry_enabled else "off"),
@@ -199,7 +197,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--params", help="scenario params as a JSON object")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--sync", default="relaxed", choices=("strict", "relaxed"))
     parser.add_argument("--backend", default="thread", choices=("thread", "process"))
     parser.add_argument(
         "--run-for", type=float, default=2.0, help="simulated seconds to run (live mode)"
