@@ -77,7 +77,7 @@ def bench_emit() -> dict:
         for label, make_sinks in _sink_configurations().items()
     }
     # The fabric's trace: emits route to shard 0's recorder, which stamps
-    # the shared seq and its shard index into that shard's own store.
+    # its shard index into that shard's own store.
     results["shard"] = _emit_rate(ShardedSimulator(shards=2).trace)
     # The gated floor: producers skip even the closure via wants().
     sim = Simulator(trace_sinks=[ListSink()])

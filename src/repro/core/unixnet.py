@@ -61,23 +61,13 @@ def frame_to_packet_bytes(frame: EthernetFrame) -> bytes:
 
 
 #: Version byte of the frame-envelope format (see :func:`frame_to_envelope_bytes`).
-_ENVELOPE_VERSION = 1
+_ENVELOPE_VERSION = 2
 
-#: Envelope flag bits.
+#: Envelope flag bit: the frame carries an 802.1Q tag.
 _ENV_HAS_VLAN = 0x01
-_ENV_HAS_VERDICT = 0x02
-_ENV_HAS_SEQ = 0x04
-
-#: Fault-model verdict codes carried by the envelope.
-ENVELOPE_VERDICTS = (None, "deliver", "loss", "corrupt")
 
 
-def frame_to_envelope_bytes(
-    frame: EthernetFrame,
-    when_ns: int = 0,
-    verdict: Optional[str] = None,
-    seq: Optional[int] = None,
-) -> bytes:
+def frame_to_envelope_bytes(frame: EthernetFrame) -> bytes:
     """Flatten a frame into a *lossless* transport envelope.
 
     The wire format of :func:`frame_to_packet_bytes` is what switchlets see
@@ -87,72 +77,44 @@ def frame_to_envelope_bytes(
     envelope is the fabric's own transport encoding (cross-process shard
     mailboxes), so it must round-trip *every* field exactly; it therefore
     carries an explicit VLAN-presence flag instead of the in-line TPID
-    trick, plus the metadata a serialized mailbox entry needs: the
-    simulated emission time, an optional fault-model verdict, and an
-    optional emission sequence number.
+    trick.  It is a frame codec only: a mailbox entry carries its own
+    simulated time.
 
     Layout (big-endian throughout)::
 
-        version(1) flags(1) when_ns(8) dst(6) src(6) ethertype(2)
-        [tci(2) if flags&HAS_VLAN] [verdict(1) if flags&HAS_VERDICT]
-        [seq(8) if flags&HAS_SEQ] payload_len(4) payload
+        version(1) flags(1) dst(6) src(6) ethertype(2)
+        [tci(2) if flags&HAS_VLAN] payload_len(4) payload
     """
     flags = 0
-    extra = b""
+    tag = b""
     if frame.vlan is not None:
-        flags |= _ENV_HAS_VLAN
-        extra += frame.vlan.tci.to_bytes(2, "big")
-    if verdict is not None:
-        if verdict not in ENVELOPE_VERDICTS:
-            raise FrameError(f"unknown envelope verdict {verdict!r}")
-        flags |= _ENV_HAS_VERDICT
-        extra += bytes([ENVELOPE_VERDICTS.index(verdict)])
-    if seq is not None:
-        flags |= _ENV_HAS_SEQ
-        extra += seq.to_bytes(8, "big")
+        flags = _ENV_HAS_VLAN
+        tag = frame.vlan.tci.to_bytes(2, "big")
     return (
         bytes([_ENVELOPE_VERSION, flags])
-        + when_ns.to_bytes(8, "big")
         + frame.destination.octets
         + frame.source.octets
         + int(frame.ethertype).to_bytes(2, "big")
-        + extra
+        + tag
         + len(frame.payload).to_bytes(4, "big")
         + frame.payload
     )
 
 
-def envelope_bytes_to_frame(data: bytes):
-    """Rebuild ``(frame, meta)`` from :func:`frame_to_envelope_bytes` output.
-
-    ``meta`` is a dict with keys ``when_ns``, ``verdict`` (``None`` or one
-    of :data:`ENVELOPE_VERDICTS`), and ``seq`` (``None`` if absent).
-    """
-    if len(data) < 28:
+def envelope_bytes_to_frame(data: bytes) -> EthernetFrame:
+    """Rebuild the frame from :func:`frame_to_envelope_bytes` output."""
+    if len(data) < 20:
         raise FrameError(f"envelope too short: {len(data)} bytes")
     if data[0] != _ENVELOPE_VERSION:
         raise FrameError(f"unknown envelope version {data[0]}")
-    flags = data[1]
-    when_ns = int.from_bytes(bytes(data[2:10]), "big")
-    destination = MacAddress(bytes(data[10:16]))
-    source = MacAddress(bytes(data[16:22]))
-    ethertype = int.from_bytes(bytes(data[22:24]), "big")
-    offset = 24
+    destination = MacAddress(bytes(data[2:8]))
+    source = MacAddress(bytes(data[8:14]))
+    ethertype = int.from_bytes(bytes(data[14:16]), "big")
+    offset = 16
     vlan = None
-    if flags & _ENV_HAS_VLAN:
+    if data[1] & _ENV_HAS_VLAN:
         vlan = VlanTag.from_tci(int.from_bytes(bytes(data[offset : offset + 2]), "big"))
         offset += 2
-    verdict = None
-    if flags & _ENV_HAS_VERDICT:
-        code = data[offset]
-        offset += 1
-        if code >= len(ENVELOPE_VERDICTS):
-            raise FrameError(f"unknown envelope verdict code {code}")
-        verdict = ENVELOPE_VERDICTS[code]
-    seq = None
-    if flags & _ENV_HAS_SEQ:
-        seq = int.from_bytes(bytes(data[offset : offset + 8]), "big")
-        offset += 8
     payload_len = int.from_bytes(bytes(data[offset : offset + 4]), "big")
     offset += 4
     payload = bytes(data[offset : offset + payload_len])
@@ -160,14 +122,13 @@ def envelope_bytes_to_frame(data: bytes):
         raise FrameError(
             f"envelope payload truncated: expected {payload_len}, got {len(payload)}"
         )
-    frame = EthernetFrame(
+    return EthernetFrame(
         destination=destination,
         source=source,
         ethertype=ethertype,
         payload=payload,
         vlan=vlan,
     )
-    return frame, {"when_ns": when_ns, "verdict": verdict, "seq": seq}
 
 
 def packet_bytes_to_frame(data: bytes) -> EthernetFrame:

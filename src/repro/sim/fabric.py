@@ -312,6 +312,9 @@ class ShardedSimulator:
         self._control = EventQueue()
         self._control_dispatched = 0
         self._relaxed = RelaxedExecutor(self)
+        # The executor that ran the last dispatch: ``_relaxed``, or the
+        # ProcessExecutor of a process-backed one.
+        self._executor = self._relaxed
         # Segment registry: name -> Segment, filled by Segment.__init__ so
         # the process backend can rebind serialized mail symbolically.
         self._segments: Dict[str, object] = {}
@@ -379,8 +382,8 @@ class ShardedSimulator:
     def relaxed_stats(self) -> dict:
         """Window/mailbox counters from the last relaxed dispatch."""
         return {
-            "windows": self._relaxed.windows,
-            "mail_flushed": self._relaxed.mail_flushed,
+            "windows": self._executor.windows,
+            "mail_flushed": self._executor.mail_flushed,
         }
 
     def enable_telemetry(self):
@@ -578,8 +581,10 @@ class ShardedSimulator:
         if self._backend == "process":
             from repro.sim.procpool import ProcessExecutor
 
-            return ProcessExecutor(self).dispatch(until_ns, max_events)
-        return self._relaxed.dispatch(until_ns, max_events)
+            self._executor = ProcessExecutor(self)
+        else:
+            self._executor = self._relaxed
+        return self._executor.dispatch(until_ns, max_events)
 
     def step(self) -> bool:
         """Dispatch the single globally earliest event, if any."""

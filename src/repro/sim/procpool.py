@@ -2,9 +2,9 @@
 
 The in-process relaxed executor (:mod:`repro.sim.relaxed`) runs each round
 of CMB lookahead windows one window after another on the calling thread.
-This module runs the same window plan across worker *processes* — true
-multi-core execution, so windows run in parallel in wall time — while
-keeping the canonical-merge correctness contract bit-for-bit.
+:class:`ProcessExecutor` runs the same plan across worker *processes* — true
+multi-core execution, so a round's windows run in parallel in wall time —
+while keeping the canonical-merge correctness contract bit-for-bit.
 
 **Execution model (fork-at-dispatch SPMD replicas).**  At the relaxed
 dispatch the parent forks one worker per shard (``fork`` start method: each
@@ -18,31 +18,34 @@ state, fault-model RNG draws and control outcomes stay in lockstep, and a
 ring push made by replicated work is simply live in the ring's owner
 process and inert everywhere else.
 
-**Transport.**  One duplex :func:`multiprocessing.Pipe` per worker.  Window
-rounds are one round-trip to the *planned* workers only (the command carries
+**The parent runs** :meth:`RelaxedExecutor.dispatch
+<repro.sim.relaxed.RelaxedExecutor.dispatch>`, the one window planner, and
+supplies only its steps: the fork, the shard tops, the pipe round-trips of
+a control barrier and of a round of planned windows, and the
+end-of-dispatch sync.  A shard's top is the lower of two sources: the top
+its worker reported at last contact (every contact — window, control and
+mail alike — reports one), and the parent's own replica ring, cleared at
+every report from its owner.  The replica ring is a conservative backstop
+only: once a worker has fired cut-segment service completions the parent
+merely cleared, the parent's copy of that segment's service state lags and
+its ring goes quiet, so the worker's own post-apply mail reports are the
+authoritative signal that mailed transmits created home-shard work.  A
+cancellation can only make the lower of the two conservative, which costs
+an empty window, never correctness.
+
+**Transport.**  One duplex :func:`multiprocessing.Pipe` per worker.  A window
+round is one round-trip to the *planned* workers only (the command carries
 the window bound, the pump bound and the sole-leader extension cap; the
 reply carries the shard's serialized outbox, its new ring top and the event
-count).  Control rounds are one broadcast round-trip.  Mailbox entries are
+count).  A control barrier is one broadcast round-trip.  Mailbox entries are
 serialized symbolically — segment name, interface indices, and the frame as
-a lossless envelope (:func:`repro.core.unixnet.frame_to_envelope_bytes`) —
-merged by the parent in the canonical ``(time, sender shard, position)``
-order, then re-broadcast so every replica applies the identical batch; each
-worker acknowledges with its post-apply ring top, since applying mail is the
-one barrier action that creates worker-ring work outside a reported
-round-trip.
-
-**Parent-side planning.**  The parent runs the same per-shard-bound window
-plan as :class:`~repro.sim.relaxed.RelaxedExecutor.dispatch`.  Its shard
-tops come from two sources merged per round: the top each worker reported
-at last contact (every contact — window, control and mail alike — reports
-one), and the parent's own replica ring, cleared at every report from its
-owner.  The replica ring is a conservative backstop only: once a worker
-has fired cut-segment service completions the parent merely cleared, the
-parent's copy of that segment's service state lags and its ring goes quiet,
-so the worker's own post-apply mail reports are the authoritative signal
-that mailed transmits created home-shard work.  ``min`` of the two is the
-worker's true top (a cancellation can only make it conservative, which
-costs an empty window, never correctness).
+a lossless envelope (:func:`repro.core.unixnet.frame_to_envelope_bytes`).
+The parent broadcasts a round's serialized outboxes, and every replica
+decodes them into the senders' outboxes and applies them with
+:meth:`~repro.sim.relaxed.RelaxedExecutor._flush_mail`, the one canonical
+merge; each worker acknowledges with its post-apply ring top, since
+applying mail is the one barrier action that creates worker-ring work
+outside a reported round-trip.
 
 **Trace shipping.**  Worker ``k`` is the sole authority for recorder ``k``'s
 stream: window emissions happen only there, and replicated barrier work
@@ -80,8 +83,11 @@ from typing import List, Optional
 
 from repro.core.unixnet import envelope_bytes_to_frame, frame_to_envelope_bytes
 from repro.exceptions import FabricBackendError
-from repro.sim.clock import NANOSECONDS_PER_SECOND
+from repro.sim.relaxed import RelaxedExecutor
 from repro.telemetry.flight import FlightRecorder
+
+#: How a worker that closed its pipe end failed.
+_DIED = "process died (pipe EOF) while executing"
 
 #: Set in worker processes to the shard index they own; ``None`` in the
 #: parent.  Exposed for diagnostics and fault-injection tests.
@@ -118,7 +124,7 @@ def _encode_outbox(shard) -> list:
                     when_ns,
                     segment.name,
                     segment._interfaces.index(sender),
-                    frame_to_envelope_bytes(frame, when_ns=when_ns),
+                    frame_to_envelope_bytes(frame),
                 )
             )
         elif kind == "drop":
@@ -141,11 +147,11 @@ def _encode_outbox(shard) -> list:
             interfaces = segment._interfaces
             encoded.append(
                 (
-                    "run",
+                    "push",
                     when_ns,
                     segment.name,
                     interfaces.index(sender),
-                    frame_to_envelope_bytes(frame, when_ns=when_ns),
+                    frame_to_envelope_bytes(frame),
                     getattr(target, "index", -1),
                     tuple(interfaces.index(nic) for nic in run),
                 )
@@ -158,37 +164,36 @@ def _encode_outbox(shard) -> list:
     return encoded
 
 
-def _apply_mail(fabric, blob) -> None:
-    """Apply a canonically ordered serialized mail batch to this replica.
+def _decode_mail(fabric, mail) -> None:
+    """Decode a round's serialized outboxes back into the senders' outboxes.
 
-    Runs in *every* process (parent and all workers) with the identical
-    batch: pushes land on replica rings — live only in the ring's owner —
-    while cut-segment service state advances in lockstep everywhere.
+    ``mail`` holds ``(sender shard index, encoded entries)`` pairs.  Runs in
+    *every* process (parent and all workers) with the identical batch, which
+    :meth:`RelaxedExecutor._flush_mail` then merges and applies: pushes land
+    on replica rings — live only in the ring's owner — while cut-segment
+    service state advances in lockstep everywhere.
     """
     segments = fabric._segments
     shards = fabric._shards
-    for entry in blob:
-        kind = entry[0]
-        if kind == "tx":
-            _, when_ns, name, sender_index, envelope = entry
-            segment = segments[name]
-            frame, _meta = envelope_bytes_to_frame(envelope)
-            segment._apply_relaxed_transmit(
-                when_ns, segment._interfaces[sender_index], frame
-            )
-        elif kind == "drop":
-            segments[entry[2]].frames_lost += 1
-        else:  # "run"
-            _, when_ns, name, sender_index, envelope, target_index, run_indices = entry
-            segment = segments[name]
+    for sender_index, entries in mail:
+        outbox = shards[sender_index].outbox
+        for entry in entries:
+            kind = entry[0]
+            segment = segments[entry[2]]
+            if kind == "drop":
+                outbox.append(("drop", entry[1], segment))
+                continue
             interfaces = segment._interfaces
-            frame, _meta = envelope_bytes_to_frame(envelope)
-            run = [interfaces[i] for i in run_indices]
-            callback = partial(
-                segment._deliver, interfaces[sender_index], frame, run, False
-            )
-            target = fabric if target_index < 0 else shards[target_index]
-            target._relaxed_push_fire(when_ns, callback)
+            sender = interfaces[entry[3]]
+            frame = envelope_bytes_to_frame(entry[4])
+            if kind == "tx":
+                outbox.append(("tx", entry[1], segment, sender, frame))
+            else:  # "push": a Segment._deliver run
+                target_index, run_indices = entry[5], entry[6]
+                run = [interfaces[i] for i in run_indices]
+                callback = partial(segment._deliver, sender, frame, run, False)
+                target = fabric if target_index < 0 else shards[target_index]
+                outbox.append(("push", entry[1], target, callback))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +215,8 @@ def _worker_main(fabric, index, pairs) -> None:
     store = shard.trace.store
     base = len(store)
     control = fabric._control
+    # Barrier work runs through the fabric's in-process executor, exactly
+    # as an in-process dispatch runs it.
     executor = fabric._relaxed
     # Telemetry rides the fork: the worker sees the parent's enabled state
     # and accumulates into a *fresh* registry (the inherited aggregate may
@@ -271,7 +278,8 @@ def _worker_main(fabric, index, pairs) -> None:
                 # pipe wait from window compute.
                 conn.send(("ok", mail, heap[0][0] if heap else None, n, comp_s))
             elif kind == "mail":
-                _apply_mail(fabric, message[1])
+                _decode_mail(fabric, message[1])
+                executor._flush_mail(shards)
                 # Reply with the post-apply ring top: applying mail can
                 # create home-shard work (a mailed cut-segment transmit
                 # serves inline, pushing delivery events onto this shard's
@@ -286,11 +294,7 @@ def _worker_main(fabric, index, pairs) -> None:
                 heap = shard._queue._heap
                 conn.send(("ok", None, heap[0][0] if heap else None, 0))
             elif kind == "ctrl":
-                n = executor._run_control(message[1], None)
-                for other in shards:
-                    if other.outbox:
-                        executor._flush_mail(shards)
-                        break
+                n = executor._run_barrier(message[1], None)
                 heap = shard._queue._heap
                 conn.send(("ok", None, heap[0][0] if heap else None, n))
             elif kind == "sync":
@@ -300,6 +304,7 @@ def _worker_main(fabric, index, pairs) -> None:
                         shard.cursor_ns,
                         shard._dispatched,
                         shard._queue.cancelled_discarded,
+                        len(shard._queue),
                     )
                 )
             elif kind == "fin":
@@ -343,27 +348,28 @@ def _worker_main(fabric, index, pairs) -> None:
 # ---------------------------------------------------------------------------
 
 
-class ProcessExecutor:
+class ProcessExecutor(RelaxedExecutor):
     """Drives one process-backed relaxed dispatch of a ``ShardedSimulator``.
 
-    One instance serves exactly one dispatch: it forks the workers, runs the
-    window-planning loop, syncs cursors and stats eagerly at the end, and
-    then lingers (workers alive, pipes open) as ``fabric._proc_pending``
-    until the first trace query pulls the per-shard record suffixes over —
-    or ``reset()``/``trace.clear()`` discards them.
+    One instance serves exactly one dispatch: the inherited planner runs
+    this class's steps, which fork the workers, exchange pipe round-trips
+    and sync cursors and stats eagerly at the end.  The executor then
+    lingers (workers alive, pipes open) as ``fabric._proc_pending`` until
+    the first trace query pulls the per-shard record suffixes over — or
+    ``reset()``/``trace.clear()`` discards them.
     """
 
     def __init__(self, fabric) -> None:
-        self.fabric = fabric
-        #: Window rounds executed (mirrors RelaxedExecutor.windows).
-        self.windows = 0
-        #: Canonical mailbox entries applied (counted once, at the parent).
-        self.mail_flushed = 0
+        super().__init__(fabric)
         self._procs: list = []
         self._conns: list = []
         self._bases: List[int] = []
         self._last_window: list = []
         self._fetched = True
+        # The worker's ring top at its last contact; between contacts the
+        # parent's replica ring (cleared on every report) accumulates exactly
+        # the barrier pushes the report does not yet reflect.
+        self._reported: List[Optional[int]] = []
         #: Always-on crash-context recorder: the last few pipe round-trip
         #: spans per shard, dumped into FabricBackendError post-mortems.
         #: Cost per round-trip is two wall-clock reads and a deque append —
@@ -385,13 +391,13 @@ class ProcessExecutor:
         try:
             self._conns[index].send(message)
         except (BrokenPipeError, EOFError, OSError) as exc:
-            self._worker_failed(index, exc)
+            self._worker_failed(index, _DIED, exc=exc)
 
     def _recv(self, index: int):
         try:
             reply = self._conns[index].recv()
         except (EOFError, OSError) as exc:
-            self._worker_failed(index, exc)
+            self._worker_failed(index, _DIED, exc=exc)
         self.flight.record(
             index,
             self._send_kind[index],
@@ -399,39 +405,27 @@ class ProcessExecutor:
             perf_counter() - self._send_stamp[index],
         )
         if reply[0] == "err":
-            failed, remote = reply[1], reply[2]
-            window = self._last_window[failed]
-            tail = self.flight.tail(failed)
-            self._teardown(mark_stale=True)
-            raise FabricBackendError(
-                f"shard {failed} worker raised during window "
-                f"[{window[0]}, {window[1]}] ns:\n{remote}\n"
-                f"recent shard {failed} spans (oldest first):\n"
-                f"{FlightRecorder.format_tail(tail)}",
-                shard_index=failed,
-                window=window,
-                flight=tail,
-            )
+            self._worker_failed(reply[1], "raised during", f":\n{reply[2]}")
         return reply
 
-    def _worker_failed(self, index: int, exc) -> None:
+    def _worker_failed(self, index: int, what: str, detail: str = "", exc=None) -> None:
+        """Tear the workers down and raise the shard's typed post-mortem."""
         window = self._last_window[index]
         tail = self.flight.tail(index)
         self._teardown(mark_stale=True)
         raise FabricBackendError(
-            f"shard {index} worker process died (pipe EOF) while executing "
-            f"window [{window[0]}, {window[1]}] ns\n"
-            f"recent shard {index} spans (oldest first):\n"
+            f"shard {index} worker {what} window [{window[0]}, {window[1]}] "
+            f"ns{detail}\nrecent shard {index} spans (oldest first):\n"
             f"{FlightRecorder.format_tail(tail)}",
             shard_index=index,
             window=window,
             flight=tail,
         ) from exc
 
-    # -- dispatch -----------------------------------------------------------
+    # -- the planner's steps --------------------------------------------------
 
-    def dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
-        """Run every pending event with ``time_ns <= until_ns`` across workers."""
+    def _enter(self, until_ns: int, max_events: Optional[int]) -> bool:
+        """Step: fork one worker per shard; ``False`` when nothing is due."""
         fabric = self.fabric
         if max_events is not None:
             raise FabricBackendError(
@@ -439,20 +433,13 @@ class ProcessExecutor:
                 "use the in-process relaxed backend for budgeted stepping"
             )
         shards = fabric._shards
-        control = fabric._control
-        control_heap = control._heap
         # Empty fast path: nothing due inside the horizon — no fork, and the
         # fabric stays fresh (run_until on a drained fabric is common driver
         # glue and must not consume the single measured dispatch).
-        due = bool(control_heap) and control_heap[0][0] <= until_ns
-        if not due:
-            for shard in shards:
-                heap = shard._queue._heap
-                if heap and heap[0][0] <= until_ns:
-                    due = True
-                    break
-        if not due:
-            return 0
+        heaps = [shard._queue._heap for shard in shards]
+        heaps.append(fabric._control._heap)
+        if not any(heap and heap[0][0] <= until_ns for heap in heaps):
+            return False
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError as exc:
@@ -460,19 +447,17 @@ class ProcessExecutor:
                 "the process backend requires the 'fork' start method, which "
                 "this platform does not provide"
             ) from exc
-        lookahead = fabric.lookahead_ns
-        shared_clock = fabric.clock
         n_shards = len(shards)
-        shard_range = range(n_shards)
         self._bases = [len(shard.trace.store) for shard in shards]
         self._last_window = [(0, 0)] * n_shards
+        self._reported = [None] * n_shards
         # Enter relaxed before forking so every worker inherits the private
         # per-shard clocks already swapped in.
         for shard in shards:
-            shard._enter_relaxed(shared_clock, until_ns)
-        pairs = [ctx.Pipe(duplex=True) for _ in shard_range]
+            shard._enter_relaxed(fabric.clock, until_ns)
+        pairs = [ctx.Pipe(duplex=True) for _ in shards]
         try:
-            for index in shard_range:
+            for index in range(n_shards):
                 proc = ctx.Process(
                     target=_worker_main, args=(fabric, index, pairs), daemon=True
                 )
@@ -485,249 +470,156 @@ class ProcessExecutor:
             child_end.close()
         self._conns = [parent_end for parent_end, _child_end in pairs]
         self._fetched = False
-        self.windows = 0
-        self.mail_flushed = 0
-        dispatched = 0
-        # The worker's ring top at its last contact; between contacts the
-        # parent's replica ring (cleared on every report) accumulates exactly
-        # the barrier pushes the report does not yet reflect.
-        reported: List[Optional[int]] = [None] * n_shards
-        effective: List[Optional[int]] = [None] * n_shards
-        # Telemetry (default off) is guarded once per planner round.  The
-        # worker half of each "ok" reply carries that round's window-drain
-        # wall seconds; the slowest worker's share is re-attributed from
-        # "pipe" to "compute", which decomposes each round-trip exactly:
-        # the round cannot return before its slowest window finishes.
-        telemetry = fabric._telemetry
-        timer = None
-        gc_watch = None
-        if telemetry is not None:
-            from repro.telemetry.spans import GcWatch, PhaseTimer
+        # Telemetry (default off) opens after the fork, so no worker
+        # inherits the parent's GC hook.
+        registry = self._open_telemetry()
+        if registry is not None:
+            self._planner_rounds = registry.counter("proc_planner_rounds_total")
+        return True
 
-            registry = telemetry.registry
-            timer = PhaseTimer()
-            gc_watch = GcWatch(telemetry.profiler)
-            planner_counter = registry.counter("proc_planner_rounds_total")
-        try:
-            while True:
-                if timer is not None:
-                    planner_counter.inc()
-                t_min = None
-                t_second = None
-                leader_index = -1
-                tied = False
-                for index in shard_range:
-                    top = reported[index]
-                    heap = shards[index]._queue._heap
-                    if heap and (top is None or heap[0][0] < top):
-                        top = heap[0][0]
-                    effective[index] = top
-                    if top is None:
-                        continue
-                    if t_min is None or top < t_min:
-                        t_second = t_min
-                        t_min = top
-                        leader_index = index
-                        tied = False
-                    elif top == t_min:
-                        tied = True
-                        t_second = top
-                    elif t_second is None or top < t_second:
-                        t_second = top
-                control_t = control_heap[0][0] if control_heap else None
-                if control_t is not None and control_t <= until_ns and (
-                    t_min is None or control_t <= t_min
-                ):
-                    # Control barrier, replicated: broadcast, run locally,
-                    # then fold every worker's post-barrier top.
-                    if timer is not None:
-                        timer.lap("plan")
-                    window = (control_t, control_t)
-                    for index in shard_range:
-                        self._send(index, ("ctrl", control_t), window)
-                    dispatched += fabric._relaxed._run_control(control_t, None)
-                    for shard in shards:
-                        if shard.outbox:
-                            fabric._relaxed._flush_mail(shards)
-                            break
-                    for index in shard_range:
-                        reply = self._recv(index)
-                        reported[index] = reply[2]
-                        shards[index]._queue.clear()
-                    if timer is not None:
-                        timer.lap("barrier")
-                    continue
-                if t_min is None or t_min > until_ns:
-                    break
-                pump_bound = until_ns
-                if control_t is not None and control_t - 1 < pump_bound:
-                    pump_bound = control_t - 1
-                self.windows += 1
-                round_mail = []
-                if lookahead is not None:
-                    base_bound = t_min + lookahead - 1
-                    if base_bound > pump_bound:
-                        base_bound = pump_bound
-                    if not tied and (t_second is None or t_second > base_bound):
-                        # Sole-leader fast path: one round-trip; the worker
-                        # extends its own window in place against its local
-                        # control-ring replica (in lockstep by construction).
-                        other = t_min + lookahead
-                        if t_second is not None and t_second < other:
-                            other = t_second
-                        lead_bound = other + lookahead - 1
-                        if lead_bound > pump_bound:
-                            lead_bound = pump_bound
-                        if timer is not None:
-                            timer.lap("plan")
-                        self._send(
-                            leader_index,
-                            ("win", lead_bound, pump_bound, (t_second, lookahead)),
-                            (t_min, lead_bound),
-                        )
-                        reply = self._recv(leader_index)
-                        reported[leader_index] = reply[2]
-                        shards[leader_index]._queue.clear()
-                        dispatched += reply[3]
-                        if timer is not None:
-                            timer.lap("pipe")
-                            timer.shift("pipe", "compute", reply[4])
-                            registry.counter(
-                                "fabric_sole_leader_extensions_total"
-                            ).inc()
-                        if reply[1]:
-                            round_mail.append((leader_index, reply[1]))
-                            self._broadcast_mail(round_mail, reported)
-                            if timer is not None:
-                                timer.lap("barrier")
-                        continue
-                    if tied:
-                        lead_bound = base_bound
-                    else:
-                        other = t_min + lookahead
-                        if t_second is not None and t_second < other:
-                            other = t_second
-                        lead_bound = other + lookahead - 1
-                        if lead_bound > pump_bound:
-                            lead_bound = pump_bound
-                    plan = []
-                    for index in shard_range:
-                        top = effective[index]
-                        if top is None:
-                            continue
-                        bound = lead_bound if index == leader_index else base_bound
-                        if top > bound:
-                            continue
-                        plan.append((index, bound))
-                else:
-                    plan = [
-                        (index, pump_bound)
-                        for index in shard_range
-                        if effective[index] is not None
-                    ]
-                # Fan out, then collect: the windows run concurrently in the
-                # workers.  All replies are folded (and the parent replica
-                # rings cleared) before the round's mail is applied, so no
-                # barrier push can slip between a report and its clear.
-                if timer is not None:
-                    timer.lap("plan")
-                    round_compute = 0.0
-                for index, bound in plan:
-                    self._send(index, ("win", bound, pump_bound, None), (t_min, bound))
-                for index, _bound in plan:
-                    reply = self._recv(index)
-                    reported[index] = reply[2]
-                    shards[index]._queue.clear()
-                    dispatched += reply[3]
-                    if timer is not None and reply[4] > round_compute:
-                        round_compute = reply[4]
-                    if reply[1]:
-                        round_mail.append((index, reply[1]))
-                if timer is not None:
-                    timer.lap("pipe")
-                    timer.shift("pipe", "compute", round_compute)
-                if round_mail:
-                    self._broadcast_mail(round_mail, reported)
-                    if timer is not None:
-                        timer.lap("barrier")
-        except FabricBackendError:
-            raise
-        except BaseException:
-            self._teardown(mark_stale=True)
-            raise
-        finally:
-            if gc_watch is not None:
-                gc_watch.close()
-        # Eager end-of-dispatch sync: cursors, dispatch counts and queue
-        # stats are cheap and must be right the moment run() returns.
-        top_ns = shared_clock._now_ns
-        for index in shard_range:
-            self._send(index, ("sync",))
-        for index in shard_range:
+    def _read_tops(self) -> None:
+        """Step: each top is the lower of the worker's report and the replica ring."""
+        tops = self._tops
+        reported = self._reported
+        for index, shard in enumerate(self.fabric._shards):
+            top = reported[index]
+            heap = shard._queue._heap
+            if heap and (top is None or heap[0][0] < top):
+                top = heap[0][0]
+            tops[index] = top
+
+    def _run_barrier(self, time_ns: int, budget: Optional[int]) -> int:
+        """Step: broadcast the barrier, replicate it here, fold every worker's top."""
+        window = (time_ns, time_ns)
+        for index in range(len(self._conns)):
+            self._send(index, ("ctrl", time_ns), window)
+        n = super()._run_barrier(time_ns, None)
+        shards = self.fabric._shards
+        for index in range(len(self._conns)):
+            self._reported[index] = self._recv(index)[2]
+            shards[index]._queue.clear()
+        return n
+
+    def _run_round(
+        self,
+        plan: list,
+        t_min: int,
+        pump_bound: int,
+        extend: Optional[tuple],
+        budget: Optional[int],
+    ) -> int:
+        """Step: fan the planned windows out to their workers, then collect.
+
+        The windows run concurrently in the workers.  All replies are folded
+        (and the parent replica rings cleared) before the round's mail is
+        applied, so no barrier push can slip between a report and its clear.
+        The worker extends a sole leader's window against its own
+        control-ring replica, in lockstep by construction.
+        """
+        cap = None if extend is None else extend[:2]
+        for index, bound in plan:
+            self._send(index, ("win", bound, pump_bound, cap), (t_min, bound))
+        shards = self.fabric._shards
+        tops = self._tops
+        reported = self._reported
+        ran = 0
+        compute = 0.0
+        mail = []
+        for index, _bound in plan:
             reply = self._recv(index)
-            shard = shards[index]
-            shard.cursor_ns = reply[1]
-            shard._dispatched = reply[2]
-            shard._queue.cancelled_discarded = reply[3]
-            if reply[1] > top_ns:
-                top_ns = reply[1]
-        for shard in shards:
-            shard._exit_relaxed(shared_clock)
-        if top_ns > shared_clock._now_ns:
-            shared_clock._now_ns = top_ns
-            shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
-        fabric._relaxed.windows = self.windows
-        fabric._relaxed.mail_flushed = self.mail_flushed
+            tops[index] = reported[index] = reply[2]
+            shards[index]._queue.clear()
+            ran += reply[3]
+            if reply[4] > compute:
+                compute = reply[4]
+            if reply[1]:
+                mail.append((index, reply[1]))
+        # Each reply carries its window's drain wall seconds; the slowest
+        # worker's share is re-attributed from "pipe" to "compute", which
+        # decomposes the round-trip exactly: the round cannot return before
+        # its slowest window finishes.
+        timer = self._timer
         if timer is not None:
             timer.lap("pipe")
-            timer.finish(telemetry.profiler)
-            telemetry.profiler.windows += self.windows
-            registry.counter("fabric_windows_total").inc(self.windows)
-            registry.counter("proc_pipe_messages_total").inc(self._pipe_messages)
-        fabric._proc_stale = True
-        fabric._proc_pending = self
-        return dispatched
+            timer.shift("pipe", "compute", compute)
+        if mail:
+            self._exchange_mail(mail)
+            self._read_tops()
+            if timer is not None:
+                timer.lap("barrier")
+        return ran
 
-    def _broadcast_mail(self, round_mail, reported) -> None:
-        """Merge the round's outboxes canonically, apply locally, broadcast.
+    def _leave(self, dispatched: int, done: bool) -> None:
+        """Step: sync cursors, dispatch counts and queue stats; latch the fabric.
 
-        Collects every worker's post-apply ring top into ``reported``:
-        mail application is the one place work appears on a worker's ring
-        outside a window/control round-trip, and the parent replica ring
-        stops mirroring it once the worker's cut-segment service state has
+        They are cheap and must be right the moment ``run()`` returns; the
+        trace rows wait for the first query.  After an error the workers
+        are torn down instead.
+        """
+        try:
+            if not done:
+                self._teardown(mark_stale=True)
+                return
+            for index in range(len(self._conns)):
+                self._send(index, ("sync",))
+            for index, shard in enumerate(self.fabric._shards):
+                reply = self._recv(index)
+                shard.cursor_ns = reply[1]
+                shard._dispatched = reply[2]
+                queue = shard._queue
+                queue.cancelled_discarded = reply[3]
+                # The replica ring is stale by construction; its length
+                # reports the worker's.
+                queue._live = reply[4]
+        finally:
+            timer = self._timer
+            if timer is not None:
+                timer.lap("pipe")
+                self._tele.registry.counter("proc_pipe_messages_total").inc(
+                    self._pipe_messages
+                )
+                self._close_telemetry()
+        super()._leave(dispatched, done)
+        self.fabric._proc_stale = True
+        self.fabric._proc_pending = self
+
+    def _observe_round(self) -> None:
+        """Count one planner round (the workers sample their own queues)."""
+        self._planner_rounds.inc()
+
+    # -- mail -----------------------------------------------------------------
+
+    def _exchange_mail(self, mail) -> None:
+        """Apply a round's mail in every replica, this parent included.
+
+        ``mail`` holds ``(sender shard, serialized outbox)`` pairs.  Every
+        worker acknowledges with its post-apply ring top: mail application
+        is the one place work appears on a worker's ring outside a
+        window/control round-trip, and the parent replica ring stops
+        mirroring it once the worker's cut-segment service state has
         advanced past the parent's (the worker runs service-completion
         events the parent only ever clears).  Stale tops here starved the
         home shard of windows, silently stranding every subsequent mailed
         frame — and its drop/deliver records — in the segment's queue.
         """
-        merged = []
-        for sender_index, entries in round_mail:
-            merged.extend(
-                (entry[1], sender_index, position, entry)
-                for position, entry in enumerate(entries)
-            )
-        merged.sort(key=lambda item: item[:3])
-        blob = [item[3] for item in merged]
-        _apply_mail(self.fabric, blob)
-        for index in range(len(self._conns)):
-            self._send(index, ("mail", blob))
-        for index in range(len(self._conns)):
+        n_shards = len(self._conns)
+        for index in range(n_shards):
+            self._send(index, ("mail", mail))
+        fabric = self.fabric
+        _decode_mail(fabric, mail)
+        self._flush_mail(fabric._shards)
+        reported = self._reported
+        for index in range(n_shards):
             reported[index] = self._recv(index)[2]
-        self.mail_flushed += len(blob)
-        telemetry = self.fabric._telemetry
-        if telemetry is not None:
-            registry = telemetry.registry
-            envelope_bytes = 0
-            for entry in blob:
-                if entry[0] == "tx":
-                    registry.counter(
-                        "fabric_mail_frames_total", segment=entry[2]
-                    ).inc()
-                    envelope_bytes += len(entry[4])
-                elif entry[0] == "run":
-                    envelope_bytes += len(entry[4])
-            registry.counter("fabric_mail_entries_total").inc(len(blob))
-            registry.counter("proc_envelope_bytes_total").inc(envelope_bytes)
+        if self._tele is not None:
+            self._tele.registry.counter("proc_envelope_bytes_total").inc(
+                sum(
+                    len(entry[4])
+                    for _sender, entries in mail
+                    for entry in entries
+                    if entry[0] != "drop"
+                )
+            )
 
     # -- deferred trace shipping -------------------------------------------
 

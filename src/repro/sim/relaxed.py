@@ -19,20 +19,27 @@ is ``min`` over the other shards of their earliest possible activity plus
 ``L``; for a shard that is not the sole earliest this collapses to the
 classic ``T + L - 1``, while the sole earliest shard may run to
 ``min(T2, T + L) + L - 1`` (``T2`` the earliest top among the *other*
-shards) — the feedback chain through any other shard needs at least one
-lookahead hop to wake it and a second to reach back.  The ``min`` with
-``T + L`` is what keeps the bound conservative across barriers: an idle
-shard can be woken by this window's mail at ``T + L`` and respond one hop
-later, so the leader must never outrun ``T + 2L - 1``.  Shards whose next
-event lies beyond their bound are skipped outright — control-heavy
-topologies (e.g. ``ring/failover``) concentrate events on one shard at a
-time, and skipping turns each barrier round from ``n`` queue drains into one.
-The eligible shards drain their queues one after another on the calling
-thread; then the executor flushes the cross-shard *mailboxes* at the
-barrier.  When the shards share no cut segment (``lookahead_ns is None``)
-the window is the whole run horizon and every shard free-runs.  Windows
-that run in parallel, in wall time, are the process backend's job
-(:mod:`repro.sim.procpool`).
+shards, see :func:`sole_leader_bound`) — the feedback chain through any
+other shard needs at least one lookahead hop to wake it and a second to
+reach back.  The ``min`` with ``T + L`` is what keeps the bound
+conservative across barriers: an idle shard can be woken by this window's
+mail at ``T + L`` and respond one hop later, so the leader must never
+outrun ``T + 2L - 1``.  Shards whose next event lies beyond their bound are
+skipped outright — control-heavy topologies (e.g. ``ring/failover``)
+concentrate events on one shard at a time, and skipping turns each barrier
+round from ``n`` queue drains into one.  Then the executor flushes the
+cross-shard *mailboxes* at the barrier.  When the shards share no cut
+segment (``lookahead_ns is None``) the window is the whole run horizon and
+every shard free-runs.
+
+**One planner, five steps.**  :meth:`RelaxedExecutor.dispatch` is the only
+window planner.  It asks its executor for five steps: enter the dispatch,
+read the shard tops, run a control barrier, run a round of planned windows,
+and leave the dispatch.  :class:`RelaxedExecutor` runs them in-process,
+draining a round's windows one after another on the calling thread; the
+process backend (:class:`~repro.sim.procpool.ProcessExecutor`) overrides
+them with its worker processes, which run a round's windows in parallel in
+wall time.  Both backends therefore run the same plan.
 
 **Mailboxes.**  During a window a shard never touches another shard's state.
 Cross-shard interactions — a station transmitting on a cut segment homed
@@ -42,8 +49,8 @@ coordinator merges all outboxes in the canonical ``(time_ns, sender_shard,
 position)`` order and applies them: transmits replay through the segment at
 their recorded times, event pushes land on the target queues.  The order in
 which a round's shards ran therefore cannot influence any simulation state,
-and the process backend, whose workers run a round's windows at once, gets
-the same results from the same merge.
+and the process backend, whose replicas decode the round's serialized mail
+into the same outboxes, applies it with the same merge.
 
 **Correctness contract (canonical equivalence).**  A relaxed run does not
 preserve the global emission order of trace records.  Both engines put
@@ -59,7 +66,7 @@ proves this at ``shards=1,2,4`` for every catalog entry not flagged
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.sim.clock import NANOSECONDS_PER_SECOND
 
@@ -84,8 +91,31 @@ def active_shard():
     return _ACTIVE
 
 
+def sole_leader_bound(
+    t_min: int, t_second: Optional[int], lookahead_ns: int, pump_bound_ns: int
+) -> int:
+    """The sole leader's window end: ``min(t_second, t_min + L) + L - 1``.
+
+    No other shard can act before ``min(its own top, t_min + L)`` — an idle
+    shard must first be woken by the leader's mail — and its reaction needs
+    one more lookahead hop to reach back.  ``t_second`` is the earliest top
+    among the other shards (``None`` when they are all idle).  The bound is
+    clipped to the pump bound.
+    """
+    other = t_min + lookahead_ns
+    if t_second is not None and t_second < other:
+        other = t_second
+    bound = other + lookahead_ns - 1
+    return pump_bound_ns if bound > pump_bound_ns else bound
+
+
 class RelaxedExecutor:
-    """Drives a :class:`ShardedSimulator`'s shards through relaxed windows.
+    """Plans a :class:`ShardedSimulator`'s relaxed windows and runs them in-process.
+
+    :meth:`dispatch` is the window planner; the five steps it calls
+    (:meth:`_enter`, :meth:`_read_tops`, :meth:`_run_barrier`,
+    :meth:`_run_round` and :meth:`_leave`) run on the calling thread here,
+    and :class:`~repro.sim.procpool.ProcessExecutor` overrides them.
 
     Args:
         fabric: the owning :class:`~repro.sim.fabric.ShardedSimulator`.
@@ -97,12 +127,17 @@ class RelaxedExecutor:
         self.windows = 0
         #: Mailbox entries flushed by the last dispatch.
         self.mail_flushed = 0
-        #: Telemetry state while a telemetry-on dispatch is in flight
-        #: (consulted by :meth:`_flush_mail`); ``None`` otherwise.
+        #: The planner's cached shard tops (``None`` for an idle shard),
+        #: written by the tops and round steps.
+        self._tops: List[Optional[int]] = []
+        #: Telemetry state and phase timer while a telemetry-on dispatch is
+        #: in flight (:meth:`_flush_mail` consults the former); ``None``
+        #: otherwise.
         self._tele = None
+        self._timer = None
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # The planner
     # ------------------------------------------------------------------
 
     def dispatch(self, until_ns: int, max_events: Optional[int] = None) -> int:
@@ -114,49 +149,42 @@ class RelaxedExecutor:
         earliest event; the sole-leader fast path is off.  Budgeted
         stepping is a debugging affordance, not the hot path.
         """
+        if not self._enter(until_ns, max_events):
+            return 0
         fabric = self.fabric
         shards = fabric._shards
         lookahead = fabric.lookahead_ns
-        shared_clock = fabric.clock
-        for shard in shards:
-            shard._enter_relaxed(shared_clock, until_ns)
-        self.windows = 0
-        self.mail_flushed = 0
         control = fabric._control
         control_heap = control._heap
-        dispatched = 0
-        last_pump = None
+        # Bound once per dispatch: an office-scale run plans tens of
+        # thousands of rounds.
+        read_tops = self._read_tops
+        run_barrier = self._run_barrier
+        run_round = self._run_round
+        n_shards = len(shards)
+        shard_range = range(n_shards)
         # Cached shard tops.  During a window only three queues can change:
         # the running shard's own queue (direct scheduling), the control ring
         # (facade scheduling), and the outboxes (cut-segment mail, applied at
-        # the barrier flush) — so after a flush-free round only the drained
-        # shards' cached tops need refreshing; everything else is refreshed
-        # wholesale after a mail flush or control barrier.  The peek reads
-        # the raw heap top instead of ``top_key``: a cancelled head can only
-        # make a top look *earlier* than it really is, and an earlier top
-        # merely tightens the window bounds — still sound — while the granted
-        # drain physically discards the dead entries, so progress is
-        # guaranteed.
-        n_shards = len(shards)
-        shard_range = range(n_shards)
-        tops = [None] * n_shards
+        # the barrier flush) — so the round step refreshes the tops of the
+        # shards it ran, and every top after a mail flush; a control barrier
+        # refreshes them all.  A top is the raw heap top, not ``top_key``: a
+        # cancelled head can only make a top look *earlier* than it really
+        # is, and an earlier top merely tightens the window bounds — still
+        # sound — while the granted drain physically discards the dead
+        # entries, so progress is guaranteed.
+        tops = self._tops = [None] * n_shards
         refresh_all = True
         # Telemetry is guarded per window *round*, never per event: with it
-        # off, this dispatch performs no perf_counter calls at all; with it
-        # on, each round pays a handful of checks plus one queue-depth scan.
-        telemetry = fabric._telemetry
-        timer = None
-        if telemetry is not None:
-            from repro.telemetry.spans import GcWatch, PhaseTimer
-
-            registry = telemetry.registry
-            timer = PhaseTimer()
-            gc_watch = GcWatch(telemetry.profiler)
-            win_hist = registry.histogram("window_events")
+        # off, this dispatch performs no perf_counter calls at all.
+        timer = self._timer
+        if timer is not None:
+            registry = self._tele.registry
             sole_counter = registry.counter("fabric_sole_leader_extensions_total")
             barrier_counter = registry.counter("fabric_control_barriers_total")
-            queue_high = 0
-            self._tele = telemetry
+        dispatched = 0
+        last_pump = until_ns
+        done = False
         try:
             while True:
                 if max_events is not None:
@@ -166,9 +194,7 @@ class RelaxedExecutor:
                         shard._queue._compact_top()
                     refresh_all = True
                 if refresh_all:
-                    for index in shard_range:
-                        heap = shards[index]._queue._heap
-                        tops[index] = heap[0][0] if heap else None
+                    read_tops()
                     refresh_all = False
                 # One pass over the cached tops yields everything the window
                 # bounds need: the global minimum ``t_min``, the runner-up
@@ -193,38 +219,24 @@ class RelaxedExecutor:
                     elif t_second is None or top < t_second:
                         t_second = top
                 # Raw control peek: a stale (all-cancelled) head triggers a
-                # no-op barrier whose ``_run_control`` discards the dead
-                # entries — one wasted round, never a wrong one.
+                # no-op barrier, which discards the dead entries — one wasted
+                # round, never a wrong one.
                 control_t = control_heap[0][0] if control_heap else None
-                if max_events is not None and dispatched >= max_events:
-                    break
+                budget = None
+                if max_events is not None:
+                    budget = max_events - dispatched
+                    if budget <= 0:
+                        break
                 if timer is not None:
-                    pending = 0
-                    for shard in shards:
-                        pending += len(shard._queue)
-                    if pending > queue_high:
-                        queue_high = pending
+                    self._observe_round()
                 if control_t is not None and control_t <= until_ns and (
                     t_min is None or control_t <= t_min
                 ):
                     # No shard event strictly before the next control event:
-                    # run the control barrier.  Every shard clock is set to
-                    # the control time first, because driver callbacks may
-                    # synchronously touch components on any shard.
+                    # run the control barrier.
                     if timer is not None:
                         timer.lap("plan")
-                    dispatched += self._run_control(
-                        control_t,
-                        None if max_events is None else max_events - dispatched,
-                    )
-                    # Barrier callbacks use the direct (non-outbox) paths, so
-                    # mail is rare here; skip the flush when every box is
-                    # empty.  The full top refresh stays: control callbacks
-                    # schedule straight onto their components' home rings.
-                    for shard in shards:
-                        if shard.outbox:
-                            self._flush_mail(shards)
-                            break
+                    dispatched += run_barrier(control_t, budget)
                     if timer is not None:
                         barrier_counter.inc()
                         timer.lap("barrier")
@@ -244,150 +256,103 @@ class RelaxedExecutor:
                     for shard in shards:
                         shard._until_ns = pump_bound
                 self.windows += 1
+                extend = None
+                plan = []
                 if lookahead is None:
                     # Whole-horizon round: the shards share no cut segment,
                     # so every shard with work drains to the pump bound —
                     # also one whose cached top lies past it, whose drain
-                    # then discards its cancelled heads.  ``pump_bound``
-                    # stands in for each such shard's top.
+                    # then discards its cancelled heads.
                     lead_bound = base_bound = pump_bound
-                    scan = [
-                        pump_bound if shard._queue._heap else None
-                        for shard in shards
-                    ]
                 else:
-                    scan = tops
                     base_bound = t_min + lookahead - 1
                     if base_bound > pump_bound:
                         base_bound = pump_bound
-                    if tied:
-                        # Two shards share the earliest top: nobody outruns
-                        # the classic global window.
-                        lead_bound = base_bound
-                    else:
-                        # The sole leader's feedback-protected bound: no
-                        # other shard can act before ``min(its own top,
-                        # t_min + L)`` — an idle shard must first be woken
-                        # by the leader's mail — and its reaction needs one
-                        # more lookahead hop to reach back.
-                        other = t_min + lookahead
-                        if t_second is not None and t_second < other:
-                            other = t_second
-                        lead_bound = other + lookahead - 1
-                        if lead_bound > pump_bound:
-                            lead_bound = pump_bound
-                        if max_events is None and (
-                            t_second is None or t_second > base_bound
-                        ):
-                            # Fast path: the leader is the sole eligible
-                            # shard — every other top (the earliest is
-                            # ``t_second``) lies beyond the classic window
-                            # (control-heavy topologies live here).  While
-                            # the leader generates no mail the other shards'
-                            # tops are provably static, so the drain extends
-                            # its own window in place (see ``extend`` in
-                            # :meth:`EngineShard._run_window`) — no rescan
-                            # and no flush per window.
-                            leader = shards[leader_index]
-                            if timer is not None:
-                                timer.lap("plan")
-                                round_base = dispatched
-                            dispatched += leader._run_window(
-                                lead_bound,
-                                None,
-                                (t_second, lookahead, control, pump_bound),
-                            )
-                            if timer is not None:
-                                wall = timer.lap("compute")
-                                sole_counter.inc()
-                                win_hist.observe(dispatched - round_base)
-                                telemetry.flight.record(
-                                    leader_index, "win", (t_min, lead_bound), wall
-                                )
-                            if leader.outbox:
-                                self._flush_mail(shards)
-                                refresh_all = True
-                                if timer is not None:
-                                    timer.lap("barrier")
-                            else:
-                                heap = leader._queue._heap
-                                tops[leader_index] = heap[0][0] if heap else None
+                    # Two shards sharing the earliest top outrun nobody.
+                    lead_bound = base_bound if tied else sole_leader_bound(
+                        t_min, t_second, lookahead, pump_bound
+                    )
+                    if not tied and budget is None and (
+                        t_second is None or t_second > base_bound
+                    ):
+                        # Fast path: the leader is the sole eligible shard —
+                        # every other top (the earliest is ``t_second``) lies
+                        # beyond the classic window (control-heavy topologies
+                        # live here).  While the leader generates no mail the
+                        # other shards' tops are provably static, so its
+                        # drain extends its own window in place (see
+                        # :meth:`EngineShard._extend_window`) — no rescan and
+                        # no flush per window.
+                        extend = (t_second, lookahead, control, pump_bound)
+                        plan.append((leader_index, lead_bound))
+                        if timer is not None:
+                            sole_counter.inc()
+                if extend is None:
+                    # The round: every eligible shard in index order (a
+                    # budgeted round takes the leader first).
+                    order = shard_range
+                    if budget is not None and leader_index > 0:
+                        order = [leader_index, *range(leader_index)]
+                        order.extend(range(leader_index + 1, n_shards))
+                    for index in order:
+                        top = tops[index]
+                        if top is None:
                             continue
-                # The round: drain each eligible shard in index order (a
-                # budgeted round takes the leader first) and refresh its
-                # cached top in the same breath.
+                        bound = lead_bound if index == leader_index else base_bound
+                        # Nothing inside this shard's bound: skip the drain
+                        # (and its clock churn) entirely.
+                        if lookahead is None or top <= bound:
+                            plan.append((index, bound))
                 if timer is not None:
                     timer.lap("plan")
-                    round_base = dispatched
-                order = shard_range
-                if max_events is not None and leader_index > 0:
-                    order = [leader_index, *range(leader_index)]
-                    order.extend(range(leader_index + 1, n_shards))
-                for index in order:
-                    top = scan[index]
-                    if top is None:
-                        continue
-                    bound = lead_bound if index == leader_index else base_bound
-                    if top > bound:
-                        # Nothing inside this shard's bound; skip the drain
-                        # (and its clock churn) entirely.
-                        continue
-                    shard = shards[index]
-                    if max_events is None:
-                        dispatched += shard._run_window(bound)
-                    else:
-                        remaining = max_events - dispatched
-                        if remaining <= 0:
-                            break
-                        dispatched += shard._run_window(bound, remaining)
-                    heap = shard._queue._heap
-                    tops[index] = heap[0][0] if heap else None
-                if timer is not None:
-                    wall = timer.lap("compute")
-                    win_hist.observe(dispatched - round_base)
-                    telemetry.flight.record(
-                        leader_index, "win", (t_min, lead_bound), wall
-                    )
-                # A mail-free round skips the flush and the full rescan it
-                # forces: only the drained shards' queues changed.
-                for shard in shards:
-                    if shard.outbox:
-                        self._flush_mail(shards)
-                        refresh_all = True
-                        break
-                if timer is not None:
-                    timer.lap("barrier")
+                dispatched += run_round(plan, t_min, pump_bound, extend, budget)
+            done = True
         finally:
-            top_ns = shared_clock._now_ns
-            for shard in shards:
-                if shard.cursor_ns > top_ns:
-                    top_ns = shard.cursor_ns
-                shard._exit_relaxed(shared_clock)
-            if top_ns > shared_clock._now_ns:
-                shared_clock._now_ns = top_ns
-                shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
-            if timer is not None:
-                self._tele = None
-                gc_watch.close()
-                timer.finish(telemetry.profiler)
-                telemetry.profiler.windows += self.windows
-                registry.counter("fabric_windows_total").inc(self.windows)
-                registry.counter("engine_events_dispatched").inc(dispatched)
-                registry.gauge("engine_queue_high_water").set_max(queue_high)
+            self._leave(dispatched, done)
         return dispatched
 
-    def _run_control(self, time_ns: int, budget: Optional[int]) -> int:
-        """Run every control-ring event at ``time_ns`` (a global barrier).
+    # ------------------------------------------------------------------
+    # The in-process steps
+    # ------------------------------------------------------------------
+
+    def _enter(self, until_ns: int, max_events: Optional[int]) -> bool:
+        """Step: swap every shard's private clock in for the dispatch.
+
+        Returns whether the dispatch runs; in-process it always does.
+        """
+        fabric = self.fabric
+        for shard in fabric._shards:
+            shard._enter_relaxed(fabric.clock, until_ns)
+        self.windows = 0
+        self.mail_flushed = 0
+        registry = self._open_telemetry()
+        if registry is not None:
+            self._queue_high = 0
+            self._win_hist = registry.histogram("window_events")
+        return True
+
+    def _read_tops(self) -> None:
+        """Step: read every shard's raw heap top into the planner's cache."""
+        tops = self._tops
+        for index, shard in enumerate(self.fabric._shards):
+            heap = shard._queue._heap
+            tops[index] = heap[0][0] if heap else None
+
+    def _run_barrier(self, time_ns: int, budget: Optional[int]) -> int:
+        """Step: run every control-ring event at ``time_ns`` (a global barrier).
 
         All shard clocks (and the shared clock) are synchronized to the
-        control time so a driver callback sees a globally consistent present
-        no matter which shard's components it drives — exactly the view the
-        single engine would give it.
+        control time first, because a driver callback may synchronously
+        touch components on any shard: it sees a globally consistent
+        present, exactly the view the single engine would give it.
+        Barrier callbacks use the direct (non-outbox) paths, so mail is
+        rare here; the flush is skipped when every box is empty.
         """
         fabric = self.fabric
         control = fabric._control
+        shards = fabric._shards
         seconds = time_ns / NANOSECONDS_PER_SECOND
-        for shard in fabric._shards:
+        for shard in shards:
             clock = shard.clock
             clock._now_ns = time_ns
             clock._now_s = seconds
@@ -404,16 +369,120 @@ class RelaxedExecutor:
             control.pop_entry()[2]()
             n += 1
         fabric._control_dispatched += n
+        for shard in shards:
+            if shard.outbox:
+                self._flush_mail(shards)
+                break
         return n
+
+    def _run_round(
+        self,
+        plan: list,
+        t_min: int,
+        pump_bound: int,
+        extend: Optional[tuple],
+        budget: Optional[int],
+    ) -> int:
+        """Step: drain each planned ``(shard index, bound)`` window in turn.
+
+        ``extend`` is the sole leader's window extension (see
+        :meth:`EngineShard._run_window`), ``budget`` the events a budgeted
+        round may still run.  Refreshes the drained shards' tops, then
+        flushes any mail the round produced.
+        """
+        shards = self.fabric._shards
+        tops = self._tops
+        ran = 0
+        mailed = False
+        for index, bound in plan:
+            shard = shards[index]
+            if budget is None:
+                ran += shard._run_window(bound, None, extend)
+            elif ran < budget:
+                ran += shard._run_window(bound, budget - ran)
+            else:
+                break
+            heap = shard._queue._heap
+            tops[index] = heap[0][0] if heap else None
+            if shard.outbox:
+                mailed = True
+        timer = self._timer
+        if timer is not None:
+            wall = timer.lap("compute")
+            self._win_hist.observe(ran)
+            flight = self._tele.flight
+            for index, bound in plan:
+                flight.record(index, "win", (t_min, bound), wall)
+        # A mail-free round skips the flush and the full rescan it forces:
+        # only the drained shards' queues changed.
+        if mailed:
+            self._flush_mail(shards)
+            self._read_tops()
+            if timer is not None:
+                timer.lap("barrier")
+        return ran
+
+    def _leave(self, dispatched: int, done: bool) -> None:
+        """Step: hand every shard the shared clock, left at the furthest cursor.
+
+        ``done`` is false when the dispatch ended in an error.
+        """
+        shared_clock = self.fabric.clock
+        top_ns = shared_clock._now_ns
+        for shard in self.fabric._shards:
+            if shard.cursor_ns > top_ns:
+                top_ns = shard.cursor_ns
+            shard._exit_relaxed(shared_clock)
+        if top_ns > shared_clock._now_ns:
+            shared_clock._now_ns = top_ns
+            shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
+        if self._timer is not None:
+            registry = self._tele.registry
+            registry.counter("engine_events_dispatched").inc(dispatched)
+            registry.gauge("engine_queue_high_water").set_max(self._queue_high)
+            self._close_telemetry()
+
+    # ------------------------------------------------------------------
+    # Telemetry (a telemetry-on dispatch only)
+    # ------------------------------------------------------------------
+
+    def _open_telemetry(self):
+        """Open the dispatch's wall span; the registry, or ``None`` when off."""
+        telemetry = self.fabric._telemetry
+        if telemetry is None:
+            return None
+        from repro.telemetry.spans import GcWatch, PhaseTimer
+
+        self._tele = telemetry
+        self._timer = PhaseTimer()
+        self._gc_watch = GcWatch(telemetry.profiler)
+        return telemetry.registry
+
+    def _observe_round(self) -> None:
+        """Sample the summed shard queue depth once per planner round."""
+        pending = sum(len(shard._queue) for shard in self.fabric._shards)
+        if pending > self._queue_high:
+            self._queue_high = pending
+
+    def _close_telemetry(self) -> None:
+        """Close the wall span and count the dispatch's windows."""
+        telemetry = self._tele
+        timer = self._timer
+        self._tele = self._timer = None
+        self._gc_watch.close()
+        timer.finish(telemetry.profiler)
+        telemetry.profiler.windows += self.windows
+        telemetry.registry.counter("fabric_windows_total").inc(self.windows)
 
     # ------------------------------------------------------------------
     # Barrier: canonical mailbox flush
     # ------------------------------------------------------------------
 
-    def _flush_mail(self, shards) -> int:
+    def _flush_mail(self, shards) -> None:
         """Apply every outbox entry in ``(time, sender shard, position)`` order.
 
-        Entry shapes (appended by the segment layer during windows):
+        Entry shapes (appended by the segment layer during windows, or
+        decoded from a process-backend worker's serialized outbox):
 
         * ``("push", when_ns, target_shard, callback)`` — schedule a
           fire-and-forget event on another shard's ring (cut-segment
@@ -430,47 +499,16 @@ class RelaxedExecutor:
         round's shards ran; every process-backend replica applies the same
         merged batch.
         """
-        entries = None
-        single = None
-        single_index = -1
+        entries = []
         for shard in shards:
             outbox = shard.outbox
-            if not outbox:
-                continue
-            if entries is None and single is None and len(outbox) == 1:
-                # The overwhelmingly common flush carries exactly one entry
-                # (one frame crossed one cut): no decoration, no sort.
-                single = outbox[0]
-                single_index = shard.index
+            if outbox:
+                index = shard.index
+                entries.extend(
+                    (entry[1], index, position, entry)
+                    for position, entry in enumerate(outbox)
+                )
                 outbox.clear()
-                continue
-            if entries is None:
-                entries = []
-                if single is not None:
-                    # A second box turned up; fall back to the sorted merge.
-                    entries.append((single[1], single_index, 0, single))
-                    single = None
-            index = shard.index
-            entries.extend(
-                (entry[1], index, position, entry)
-                for position, entry in enumerate(outbox)
-            )
-            outbox.clear()
-        if single is not None:
-            kind = single[0]
-            when_ns = single[1]
-            if kind == "push":
-                single[2]._relaxed_push_fire(when_ns, single[3])
-            elif kind == "drop":
-                single[2].frames_lost += 1
-            else:
-                single[2]._apply_relaxed_transmit(when_ns, single[3], single[4])
-            self.mail_flushed += 1
-            if self._tele is not None:
-                self._count_mail((single,))
-            return 1
-        if not entries:
-            return 0
         # No sort key: ``(when, shard index, position)`` is unique, so the
         # trailing entry payload is never compared.
         entries.sort()
@@ -488,7 +526,6 @@ class RelaxedExecutor:
         self.mail_flushed += len(entries)
         if self._tele is not None:
             self._count_mail(item[3] for item in entries)
-        return len(entries)
 
     def _count_mail(self, raw_entries) -> None:
         """Fold flushed mailbox entries into the telemetry registry.
@@ -510,4 +547,3 @@ class RelaxedExecutor:
                     "fabric_mail_bytes_total", segment=segment.name
                 ).inc(entry[4].wire_length)
         registry.counter("fabric_mail_entries_total").inc(n)
-

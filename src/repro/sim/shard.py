@@ -40,6 +40,7 @@ from repro.sim.clock import Clock
 from repro.sim.engine import NO_BUDGET, EngineCore
 from repro.sim.events import EventQueue
 from repro.sim.random_source import RandomSource
+from repro.sim.relaxed import sole_leader_bound
 from repro.sim.trace import TraceRecorder
 
 
@@ -176,26 +177,21 @@ class EngineShard(EngineCore):
         """The sole leader's next window end once its drain reaches ``time_ns``.
 
         While this shard has produced no mail the other shards' tops are
-        provably static, so the bound is re-derived exactly as the executor
-        would — ``min(other_cap, t + L) + L - 1``, clipped to the pump bound.
-        Returns ``None`` (stop) the moment mail appears, the runner-up shard
-        becomes reachable or control work is due: the executor's loop takes
-        over with its full rescan.
+        provably static, so the bound is re-derived exactly as the planner
+        would (:func:`~repro.sim.relaxed.sole_leader_bound`).  Returns
+        ``None`` (stop) the moment mail appears, the runner-up shard
+        becomes reachable or control work is due: the planner takes over
+        with its full rescan.
         """
         if self.outbox or (other_cap is not None and time_ns >= other_cap):
             return None
         # Raw peek: a cancelled control head only makes the time look
-        # earlier, which stops the extension early — the executor's rescan
+        # earlier, which stops the extension early — the planner's rescan
         # then handles it; never unsound.
         heap = control._heap
         if heap and heap[0][0] <= time_ns:
             return None
-        bound = time_ns + lookahead_ns
-        if other_cap is not None and other_cap < bound:
-            bound = other_cap
-        bound += lookahead_ns - 1
-        if bound > pump_bound_ns:
-            bound = pump_bound_ns
+        bound = sole_leader_bound(time_ns, other_cap, lookahead_ns, pump_bound_ns)
         return bound if time_ns <= bound else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -70,18 +70,15 @@ class TraceRecord:
             ``detail(*args)``, and the result is cached on the record and
             the record's own reference to the arguments released, so
             untouched hot-path records never pay for rendering.
-        seq: an emission sequence number for callers that build records
-            themselves; the store keeps it in the row, and the recorders
-            leave it ``None``.
         shard: index of the fabric shard that emitted the record; ``None``
             on a plain recorder.
 
-    ``seq`` and ``shard`` are deliberately ignored by equality: a sharded
-    and an unsharded run compare record-for-record even though only one of
-    them carries a shard.
+    ``shard`` is deliberately ignored by equality: a sharded and an
+    unsharded run compare record-for-record even though only one of them
+    carries a shard.
     """
 
-    __slots__ = ("time", "source", "category", "_detail", "seq", "_args", "shard")
+    __slots__ = ("time", "source", "category", "_detail", "_args", "shard")
 
     def __init__(
         self,
@@ -89,7 +86,6 @@ class TraceRecord:
         source: str,
         category: str,
         detail: DetailSource = None,
-        seq: Optional[int] = None,
         args: tuple = (),
         shard: Optional[int] = None,
     ) -> None:
@@ -97,7 +93,6 @@ class TraceRecord:
         self.source = source
         self.category = category
         self._detail = detail
-        self.seq = seq
         self._args = args
         self.shard = shard
 
@@ -250,21 +245,21 @@ class CounterWindow:
 #: flattened: the first two sit in ``first`` and ``second`` and ``count``
 #: says how many there were; a longer argument tuple is kept whole in
 #: ``first``.
-FIELDS = ("time", "source", "category", "detail", "seq", "shard", "first", "second", "count")
-_TIME, _SOURCE, _CATEGORY, _DETAIL, _SEQ, _SHARD, _FIRST, _SECOND, _COUNT = range(len(FIELDS))
+FIELDS = ("time", "source", "category", "detail", "shard", "first", "second", "count")
+_TIME, _SOURCE, _CATEGORY, _DETAIL, _SHARD, _FIRST, _SECOND, _COUNT = range(len(FIELDS))
 _WIDTH = len(FIELDS)
 
 
-def _row(time, source, category, detail, seq, shard, args: tuple) -> tuple:
+def _row(time, source, category, detail, shard, args: tuple) -> tuple:
     """One store row from a record's fields (see :data:`FIELDS`)."""
     count = len(args)
     if count == 1:
-        return (time, source, category, detail, seq, shard, args[0], None, 1)
+        return (time, source, category, detail, shard, args[0], None, 1)
     if count == 2:
-        return (time, source, category, detail, seq, shard, args[0], args[1], 2)
+        return (time, source, category, detail, shard, args[0], args[1], 2)
     if count == 0:
-        return (time, source, category, detail, seq, shard, None, None, 0)
-    return (time, source, category, detail, seq, shard, args, None, count)
+        return (time, source, category, detail, shard, None, None, 0)
+    return (time, source, category, detail, shard, args, None, count)
 
 
 class ListSink(TraceSink):
@@ -342,7 +337,6 @@ class ListSink(TraceSink):
                 record.source,
                 record.category,
                 record._detail,
-                record.seq,
                 record.shard,
                 record._args,
             )
@@ -509,7 +503,7 @@ class ListSink(TraceSink):
     def view(self, number: int) -> TraceRecord:
         """A :class:`TraceRecord` for the retained row ``number``."""
         cell = (number % self._modulus) * _WIDTH
-        time, source, category, detail, seq, shard, first, second, count = (
+        time, source, category, detail, shard, first, second, count = (
             self._rows[cell:cell + _WIDTH]
         )
         if count == 1:
@@ -520,7 +514,7 @@ class ListSink(TraceSink):
             args = ()
         else:
             args = first
-        return TraceRecord(time, source, category, detail, seq, args, shard)
+        return TraceRecord(time, source, category, detail, args, shard)
 
     def __len__(self) -> int:
         return len(self._rows) // _WIDTH
@@ -563,7 +557,7 @@ class ListSink(TraceSink):
     # ------------------------------------------------------------------
 
     def rows_from(self, first: int) -> List[tuple]:
-        """Rows ``first`` onwards as ``(time, source, category, detail, seq, ())``.
+        """Rows ``first`` onwards as ``(time, source, category, detail)``.
 
         Lazy details are rendered and the arguments dropped, so the rows
         pickle without the frames a renderer's arguments reference.
@@ -572,10 +566,10 @@ class ListSink(TraceSink):
         out = []
         for number in range(first, self._end()):
             cell = (number % self._modulus) * _WIDTH
-            time, source, category, detail, seq = rows[cell:cell + _SHARD]
+            time, source, category, detail = rows[cell:cell + _SHARD]
             if callable(detail):
                 detail = self.view(number).detail
-            out.append((time, source, category, detail, seq, ()))
+            out.append((time, source, category, detail))
         return out
 
     def truncate(self, length: int) -> None:
@@ -586,8 +580,8 @@ class ListSink(TraceSink):
 
     def extend(self, entries: Iterable[tuple], shard: Optional[int]) -> None:
         """Append rows in the :meth:`rows_from` form, emitted by ``shard``."""
-        for time, source, category, detail, seq, args in entries:
-            self._write(_row(time, source, category, detail, seq, shard, args))
+        for time, source, category, detail in entries:
+            self._write((time, source, category, detail, shard, None, None, 0))
 
     def clear(self) -> None:
         """Drop every row; rows not yet counted are folded in first."""
@@ -822,7 +816,7 @@ class TraceRecorder:
                 pairs = self._pairs
                 pairs[pair] = pairs.get(pair, 0) + 1
             entry = TraceRecord(
-                self._clock._now_s, source, category, detail, None, args, self._shard
+                self._clock._now_s, source, category, detail, args, self._shard
             )
             for sink in self._sinks:
                 sink.accept(entry)
@@ -844,7 +838,7 @@ class TraceRecorder:
             second = None
         write(
             (
-                self._clock._now_s, source, category, detail, None, self._shard,
+                self._clock._now_s, source, category, detail, self._shard,
                 first, second, count,
             )
         )

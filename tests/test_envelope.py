@@ -8,8 +8,7 @@ Two encodings, two contracts:
   EtherType is 0x8100 (it re-parses as tagged, as on real hardware).
 * :func:`frame_to_envelope_bytes` / :func:`envelope_bytes_to_frame` is the
   process backend's mailbox transport and must round-trip **every** frame
-  field exactly — VLAN tag presence included — plus the mailbox metadata
-  (emission time, fault-model verdict, emission seq).
+  field exactly — VLAN tag presence included.
 
 Both are property-tested over randomized frames when Hypothesis is
 available; hand-picked corner frames keep the file meaningful without it.
@@ -20,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.unixnet import (
-    ENVELOPE_VERDICTS,
     envelope_bytes_to_frame,
     frame_to_envelope_bytes,
     frame_to_packet_bytes,
@@ -87,24 +85,8 @@ class TestRandomizedRoundTrips:
     @settings(max_examples=200, deadline=None)
     @given(frame=frames)
     def test_envelope_round_trips_every_frame(self, frame):
-        rebuilt, meta = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
+        rebuilt = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
         _assert_frames_equal(rebuilt, frame)
-        assert meta == {"when_ns": 0, "verdict": None, "seq": None}
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        frame=frames,
-        when_ns=st.integers(min_value=0, max_value=2**63 - 1),
-        verdict=st.sampled_from(ENVELOPE_VERDICTS),
-        seq=st.one_of(st.none(), st.integers(min_value=0, max_value=2**63 - 1)),
-    )
-    def test_envelope_round_trips_metadata(self, frame, when_ns, verdict, seq):
-        data = frame_to_envelope_bytes(frame, when_ns=when_ns, verdict=verdict, seq=seq)
-        rebuilt, meta = envelope_bytes_to_frame(data)
-        _assert_frames_equal(rebuilt, frame)
-        assert meta["when_ns"] == when_ns
-        assert meta["verdict"] == verdict
-        assert meta["seq"] == seq
 
     @settings(max_examples=200, deadline=None)
     @given(frame=wire_safe_frames)
@@ -155,7 +137,7 @@ def _corner_frames():
 class TestCornerFrames:
     @pytest.mark.parametrize("frame", _corner_frames())
     def test_envelope_round_trip(self, frame):
-        rebuilt, _meta = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
+        rebuilt = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
         _assert_frames_equal(rebuilt, frame)
 
     @pytest.mark.parametrize("frame", _corner_frames())
@@ -173,7 +155,7 @@ class TestCornerFrames:
         assert wire_rebuilt.vlan is not None
         assert wire_rebuilt != frame
         # The envelope's explicit presence flag keeps the frame intact.
-        env_rebuilt, _ = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
+        env_rebuilt = envelope_bytes_to_frame(frame_to_envelope_bytes(frame))
         _assert_frames_equal(env_rebuilt, frame)
 
 
@@ -200,15 +182,3 @@ class TestEnvelopeValidation:
         data = frame_to_envelope_bytes(frame)
         with pytest.raises(FrameError):
             envelope_bytes_to_frame(data[:-3])
-
-    def test_rejects_unknown_verdict_on_encode(self):
-        frame = _corner_frames()[0]
-        with pytest.raises(FrameError):
-            frame_to_envelope_bytes(frame, verdict="vaporized")
-
-    def test_rejects_unknown_verdict_code_on_decode(self):
-        frame = _corner_frames()[0]
-        data = bytearray(frame_to_envelope_bytes(frame, verdict="loss"))
-        data[24] = 0xEE  # the verdict byte (no vlan in this frame)
-        with pytest.raises(FrameError):
-            envelope_bytes_to_frame(bytes(data))

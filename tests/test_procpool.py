@@ -110,11 +110,16 @@ def test_catalog_process_backend_is_canonical_merge_identical(name, shards):
     _assert_identical(reference, candidate, (name, shards))
 
 
-@pytest.mark.parametrize("name", ["ring", "vlan/trunk"])
+@pytest.mark.parametrize(
+    "name", sorted(entry.name for entry in list_scenarios())
+)
 def test_process_equals_threaded_relaxed(name):
+    """The two backends run one plan: same records and the same windows."""
     threaded = _drive(name, 4)
     process = _drive(name, 4, backend="process")
     _assert_identical(threaded, process, name)
+    if threaded.n_shards > 1:
+        assert process.sim.relaxed_stats == threaded.sim.relaxed_stats, name
 
 
 def test_process_repeated_runs_are_deterministic():
@@ -140,15 +145,19 @@ def test_shipped_trace_suffixes_hold_plain_dicts(monkeypatch):
     run.sim.trace.canonical_records()  # the first query fetches the suffixes
     entries = [entry for suffix in shipped for entry in suffix]
     assert any(entry[2] == "nic.tx" for entry in entries)
-    for _time, _source, _category, detail, _seq, args in entries:
+    for _time, _source, _category, detail in entries:
         assert detail is None or type(detail) is dict
-        assert args == ()
+    # A shipped row is (time, source, category, detail): no emit arguments.
+    assert all(len(entry) == 4 for entry in entries)
     assert b"EthernetFrame" not in pickle.dumps(shipped)
 
 
-def test_process_shard_stats_match_threaded():
-    threaded = _drive("ring", 4)
-    process = _drive("ring", 4, backend="process")
+@pytest.mark.parametrize("name", ["ring", "ring/failover", "pair/active-bridge"])
+def test_process_shard_stats_match_threaded(name):
+    """Regression: the sync reply carries each worker's queue length, so
+    ``pending_events`` survives a process dispatch."""
+    threaded = _drive(name, 4)
+    process = _drive(name, 4, backend="process")
     assert process.sim.shard_stats() == threaded.sim.shard_stats()
     assert process.sim.events_dispatched == threaded.sim.events_dispatched
 
@@ -296,6 +305,17 @@ class TestDispatchLatch:
         assert fabric.run_until(0.01) == 0  # nothing due: no fork, no latch
         fabric.shards[0].schedule(0.02, lambda: None)
         assert fabric.run_until(0.05) == 1
+
+    def test_empty_dispatch_reports_no_windows(self):
+        """An empty process dispatch reads like an empty in-process one."""
+        fabric = _fabric()
+        fabric.set_backend("thread")
+        fabric.shards[0].schedule(0.001, lambda: None)
+        fabric.run_until(0.002)
+        assert fabric.relaxed_stats["windows"] == 1
+        fabric.set_backend("process")
+        assert fabric.run_until(0.003) == 0
+        assert fabric.relaxed_stats == {"windows": 0, "mail_flushed": 0}
 
     def test_budgeted_stepping_unsupported(self):
         fabric = _fabric()

@@ -497,6 +497,19 @@ class TestRelaxedFacade:
         assert fabric.relaxed_stats["windows"] == 1
         assert [s["cancelled_discarded"] for s in fabric.shard_stats()] == [0, 1]
 
+    @pytest.mark.parametrize("other", [None, 0.002], ids=["idle", "past-horizon"])
+    def test_sole_leader_extends_its_window_in_place(self, other):
+        """A sole leader's drain extends its own window: 50 events 10 µs
+        apart under a 1 µs lookahead run in one window, whether the other
+        shard is idle or holds one event past the horizon."""
+        fabric = self._fabric(shards=2, lookahead_ns=1_000)
+        for k in range(50):
+            fabric.shards[0].schedule_fire_ns((k + 1) * 10_000, lambda: None)
+        if other is not None:
+            fabric.shards[1].schedule(other, lambda: None)
+        assert fabric.run_until(0.001) == 50
+        assert fabric.relaxed_stats["windows"] == 1
+
     @pytest.mark.parametrize("budget", range(1, 9))
     def test_budgeted_run_returns_after_its_budget(self, budget):
         """``run(max_events=n)`` fires the n earliest events, then returns.

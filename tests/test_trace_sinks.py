@@ -572,7 +572,7 @@ class TestRingMatchesReference:
             returned = recorder.emit(source, category, detail, *args)
             assert (returned is None) == (path not in ("sinks", "listener"))
             reference.accept(
-                TraceRecord(clock.now, source, category, detail, None, args, shard)
+                TraceRecord(clock.now, source, category, detail, args, shard)
             )
             emitted += 1
 
@@ -620,7 +620,7 @@ class TestRingMatchesReference:
 
         def keyed(records):
             return [
-                (r.time, r.source, r.category, r.seq, r.shard, r.detail) for r in records
+                (r.time, r.source, r.category, r.shard, r.detail) for r in records
             ]
 
         # The canonical order: (time, source, category), ties in stream

@@ -18,7 +18,9 @@ then asserts the engine-mode invariance oracle:
   real bug.  Tie instants are a deterministic function of the case, so runs
   are reproducible — never flaky;
 * **process** — the process backend must be bit-identical to in-process
-  relaxed execution (the documented determinism contract), ties or no ties.
+  relaxed execution (the documented determinism contract), ties or no ties,
+  and must run the same plan: its ``relaxed_stats`` (windows, mail) and
+  ``shard_stats()`` equal the in-process run's.
 
 A failing case is shrunk greedily — faults, hosts, devices, then whole
 segments (with cascade) are dropped while the failure reproduces — and the
@@ -249,6 +251,11 @@ def _identity(_mode: str, records: List[object]) -> List[object]:
     return records
 
 
+def _plan_stats(run) -> tuple:
+    """What a run's window plan left behind: window/mail and shard counters."""
+    return run.sim.relaxed_stats, run.sim.shard_stats()
+
+
 def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
     """Run every engine mode of ``case`` and compare under the oracle."""
     mutate = mutate or _identity
@@ -294,6 +301,13 @@ def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
                 divergence_time=first_divergence_time(
                     relaxed_canonical, process_canonical
                 ),
+                tie_horizon=horizon, records=len(ref_records),
+            )
+        if _plan_stats(process) != _plan_stats(relaxed):
+            return CaseResult(
+                case, "failed", failing_mode="process",
+                detail="process backend ran a different plan from in-process "
+                       f"relaxed: {_plan_stats(process)} != {_plan_stats(relaxed)}",
                 tie_horizon=horizon, records=len(ref_records),
             )
 
