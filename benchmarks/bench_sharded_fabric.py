@@ -290,14 +290,6 @@ def measure_in_subprocess(segments: int, shards: int, frames: int) -> dict:
     return json.loads(process.stdout)
 
 
-def _record_count(sim) -> int:
-    """Retained record count, fetching pending process-backend traces first."""
-    fetch = getattr(sim, "_proc_fetch", None)
-    if fetch is not None:
-        fetch()
-    return len(sim.trace)
-
-
 def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool) -> dict:
     """One wall-clock-timed blast pass (single dispatch, trace fetch outside).
 
@@ -311,7 +303,7 @@ def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool
     """
     sim = run.sim
     pairs, states = _arm_blast(run, frames_per_pair, inline_safe)
-    records_before = _record_count(sim)
+    records_before = len(sim.trace)
     horizon = sim.now + frames_per_pair * BLAST_FRAME_BUDGET
     gc.collect()
     gc.disable()
@@ -321,7 +313,7 @@ def _wall_blast(run, frames_per_pair: int, inline_safe: bool, check_states: bool
     sim.run_until(horizon)
     wall_elapsed = time.perf_counter() - wall_start
     gc.enable()
-    records = _record_count(sim) - records_before
+    records = len(sim.trace) - records_before
     if check_states:
         if not all(state[0] <= 0 for state in states):
             raise RuntimeError("wall blast did not complete inside its window")
@@ -393,7 +385,11 @@ def bench_wall_configuration(
         "counters": dict(run.sim.trace.counters.by_category_source),
     }
     if breakdown:
-        phases = run.sim._telemetry.profiler.breakdown()
+        report = run.report()
+        phases = dict(
+            report.wall,
+            windows=sum(value for _, value in report.family("fabric_windows_total")),
+        )
         gap = abs(phases["attributed_s"] - phases["total_s"])
         if phases["total_s"] > 0 and gap > 0.05 * phases["total_s"]:
             raise RuntimeError(

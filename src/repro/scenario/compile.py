@@ -345,10 +345,11 @@ class ScenarioRun:
     def report(self, latency_ns=None):
         """Build the structured :class:`~repro.telemetry.report.RunReport`.
 
-        Available with or without telemetry enabled (native counters and
-        segment statistics are always reported; the metrics snapshot and
-        wall breakdown appear when the run was compiled with
-        ``telemetry=True`` or ``sim.enable_telemetry()`` was called).
+        Available with or without telemetry enabled: the metrics snapshot
+        always carries ``engine_events_dispatched`` and the segment
+        families, read from the live counters; the telemetry registry's
+        families and the wall breakdown join them when the run was compiled
+        with ``telemetry=True`` or ``sim.enable_telemetry()`` was called.
         ``latency_ns`` optionally carries the caller's round-trip samples
         (nanoseconds) for the p50/p95/p99 latency section.
         """

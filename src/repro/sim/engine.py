@@ -373,9 +373,9 @@ class Simulator(EngineCore):
     def _drain_with_telemetry(self, until_ns: int, budget: int) -> int:
         """Run the drain in slices under this engine's telemetry.
 
-        It adds one wall span per call, a garbage-collection watch over that
-        span and the dispatch count, and samples the queue depth before the
-        first slice and after every slice of :data:`TELEMETRY_SLICE` events.
+        It adds one wall span per call and a garbage-collection watch over
+        that span, and samples the queue depth before the first slice and
+        after every slice of :data:`TELEMETRY_SLICE` events.
         Slicing a drain by budget never changes which events run, or in what
         order.  The wall clock is read through :mod:`repro.telemetry.spans`,
         so the overhead test can prove the off path never reaches it.
@@ -400,9 +400,7 @@ class Simulator(EngineCore):
         finally:
             gc_watch.close()
             elapsed = spans.perf_counter() - start
-            registry = telemetry.registry
-            registry.counter("engine_events_dispatched").inc(dispatched)
-            registry.gauge("engine_queue_high_water").set_max(high_water)
+            telemetry.registry.gauge("engine_queue_high_water").set_max(high_water)
             telemetry.profiler.add("compute", elapsed)
             telemetry.profiler.add_total(elapsed)
         return dispatched
@@ -417,7 +415,7 @@ class Simulator(EngineCore):
         if self._telemetry is None:
             from repro.telemetry import Telemetry
 
-            self._telemetry = Telemetry(shards=1)
+            self._telemetry = Telemetry()
         return self._telemetry
 
     def reset(self) -> None:

@@ -391,15 +391,15 @@ class ShardedSimulator:
 
         One :class:`repro.telemetry.Telemetry` aggregate covers every shard.
         Process-backend workers inherit the enabled state through the
-        dispatch fork and ship their own registries home with the trace
-        suffixes.  Metrics are deterministic functions of the event stream
-        and wall spans are out-of-band, so enabling this never changes a
-        simulation outcome.
+        dispatch fork and send their own registries home in the
+        end-of-dispatch sync.  Metrics are deterministic functions of the
+        event stream and wall spans are out-of-band, so enabling this never
+        changes a simulation outcome.
         """
         if self._telemetry is None:
             from repro.telemetry import Telemetry
 
-            self._telemetry = Telemetry(shards=len(self._shards))
+            self._telemetry = Telemetry()
         return self._telemetry
 
     # ------------------------------------------------------------------

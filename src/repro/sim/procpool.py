@@ -47,18 +47,23 @@ merge; each worker acknowledges with its post-apply ring top, since
 applying mail is the one barrier action that creates worker-ring work
 outside a reported round-trip.
 
-**Trace shipping.**  Worker ``k`` is the sole authority for recorder ``k``'s
-stream: window emissions happen only there, and replicated barrier work
-emits shard-``k``-homed records in every replica but only worker ``k``'s
-copy ships.  Shipping is deferred: ``run()`` returns after a lightweight
-cursor/stats sync, and the per-shard store rows past the dispatch's base
-(lazy details rendered) transfer on the first trace query — mirroring the
-counters' fold on read, and keeping serialization out of the measured
-window as the in-process backends keep record views out of it.
+**Sync and trace shipping.**  Worker ``k`` is the sole authority for
+shard ``k``: window emissions and in-window component work happen only
+there, and replicated barrier work emits shard-``k``-homed records in every
+replica but only worker ``k``'s copy ships.  ``run()`` returns after a
+lightweight sync that brings home each shard's cursor and queue counters,
+the statistics and wire state of the segments homed on it (so the parent's
+:class:`~repro.lan.segment.Segment` objects read as after an in-process
+dispatch) and, with telemetry on, the worker's registry.  Trace shipping is
+deferred: the per-shard store rows past the dispatch's base (lazy details
+rendered) transfer on the first trace query — mirroring the counters' fold
+on read, and keeping serialization out of the measured window as the
+in-process backends keep record views out of it.
 
 **Single measured dispatch.**  After a process dispatch the parent's
 component state and rings are stale by construction (the workers' in-window
-state cannot be shipped back — it is closures all the way down).  The
+state cannot be shipped back — it is closures all the way down — beyond
+the counters and segment statistics the sync carries).  The
 fabric is therefore marked *stale*: any further dispatch raises
 :class:`~repro.exceptions.FabricBackendError` until ``reset()``.  Drivers
 run warm-up and setup phases on the in-process relaxed engine (canonically
@@ -92,6 +97,20 @@ _DIED = "process died (pipe EOF) while executing"
 #: Set in worker processes to the shard index they own; ``None`` in the
 #: parent.  Exposed for diagnostics and fault-injection tests.
 _WORKER_INDEX: Optional[int] = None
+
+#: The statistics and wire state (busy-chain end, express lane) a worker
+#: syncs home for each segment homed on its shard: the parent's copy saw
+#: only the replicated barrier work.
+_SEGMENT_STATE = (
+    "frames_carried",
+    "bytes_carried",
+    "cross_shard_frames",
+    "frames_lost",
+    "frames_corrupted",
+    "frames_coalesced",
+    "_busy_ns",
+    "_express",
+)
 
 
 def worker_index() -> Optional[int]:
@@ -218,20 +237,21 @@ def _worker_main(fabric, index, pairs) -> None:
     # Barrier work runs through the fabric's in-process executor, exactly
     # as an in-process dispatch runs it.
     executor = fabric._relaxed
+    homed = [
+        segment
+        for segment in fabric._segments.values()
+        if getattr(segment.sim, "index", None) == index
+    ]
     # Telemetry rides the fork: the worker sees the parent's enabled state
     # and accumulates into a *fresh* registry (the inherited aggregate may
-    # hold pre-fork counts), shipped home with the trace suffixes at "fin".
+    # hold pre-fork counts), sent home in the "sync" reply.
     telemetry = fabric._telemetry
     if telemetry is not None:
-        from time import perf_counter
-
         from repro.telemetry.metrics import MetricsRegistry
 
         wreg = MetricsRegistry()
-        events_counter = wreg.counter("engine_events_dispatched", shard=index)
         queue_gauge = wreg.gauge("engine_queue_high_water", shard=index)
         win_hist = wreg.histogram("window_events", shard=index)
-        compute_total = 0.0
     while True:
         try:
             message = conn.recv()
@@ -256,8 +276,6 @@ def _worker_main(fabric, index, pairs) -> None:
                 n = shard._run_window(bound, None, extend)
                 if telemetry is not None:
                     comp_s = perf_counter() - win_start
-                    compute_total += comp_s
-                    events_counter.inc(n)
                     win_hist.observe(n)
                     queue_gauge.set_max(len(shard._queue))
                 if (
@@ -298,6 +316,10 @@ def _worker_main(fabric, index, pairs) -> None:
                 heap = shard._queue._heap
                 conn.send(("ok", None, heap[0][0] if heap else None, n))
             elif kind == "sync":
+                segments = [
+                    (segment.name, [getattr(segment, f) for f in _SEGMENT_STATE])
+                    for segment in homed
+                ]
                 conn.send(
                     (
                         "sync",
@@ -305,32 +327,15 @@ def _worker_main(fabric, index, pairs) -> None:
                         shard._dispatched,
                         shard._queue.cancelled_discarded,
                         len(shard._queue),
+                        segments,
+                        None if telemetry is None else wreg.snapshot(),
                     )
                 )
             elif kind == "fin":
                 # Lazy details render here, before pickling: the shipped
                 # rows hold plain dicts, never the frames a renderer's
                 # arguments reference.
-                suffix = store.rows_from(base)
-                blob = None
-                if telemetry is not None:
-                    from repro.telemetry.report import snapshot_segment
-
-                    # Ship this shard's registry plus the statistics of the
-                    # segments homed here: after a process dispatch the
-                    # parent's own Segment copies only saw replicated
-                    # barrier work, so the worker's are authoritative (cut
-                    # segments advance in lockstep; the home copy counts).
-                    blob = {
-                        "compute_s": compute_total,
-                        "metrics": wreg.snapshot(),
-                        "segments": {
-                            name: snapshot_segment(segment)
-                            for name, segment in fabric._segments.items()
-                            if getattr(segment.sim, "index", None) == index
-                        },
-                    }
-                conn.send(("fin", suffix, blob))
+                conn.send(("fin", store.rows_from(base)))
                 conn.close()
                 os._exit(0)
             else:  # pragma: no cover - protocol extension guard
@@ -472,9 +477,7 @@ class ProcessExecutor(RelaxedExecutor):
         self._fetched = False
         # Telemetry (default off) opens after the fork, so no worker
         # inherits the parent's GC hook.
-        registry = self._open_telemetry()
-        if registry is not None:
-            self._planner_rounds = registry.counter("proc_planner_rounds_total")
+        self._open_telemetry()
         return True
 
     def _read_tops(self) -> None:
@@ -549,8 +552,8 @@ class ProcessExecutor(RelaxedExecutor):
                 timer.lap("barrier")
         return ran
 
-    def _leave(self, dispatched: int, done: bool) -> None:
-        """Step: sync cursors, dispatch counts and queue stats; latch the fabric.
+    def _leave(self, done: bool) -> None:
+        """Step: sync each shard's counters, homed segments and registry.
 
         They are cheap and must be right the moment ``run()`` returns; the
         trace rows wait for the first query.  After an error the workers
@@ -562,6 +565,7 @@ class ProcessExecutor(RelaxedExecutor):
                 return
             for index in range(len(self._conns)):
                 self._send(index, ("sync",))
+            segments = self.fabric._segments
             for index, shard in enumerate(self.fabric._shards):
                 reply = self._recv(index)
                 shard.cursor_ns = reply[1]
@@ -571,6 +575,12 @@ class ProcessExecutor(RelaxedExecutor):
                 # The replica ring is stale by construction; its length
                 # reports the worker's.
                 queue._live = reply[4]
+                for name, values in reply[5]:
+                    segment = segments[name]
+                    for field, value in zip(_SEGMENT_STATE, values):
+                        setattr(segment, field, value)
+                if reply[6] is not None:
+                    self._tele.registry.merge_snapshot(reply[6])
         finally:
             timer = self._timer
             if timer is not None:
@@ -579,13 +589,12 @@ class ProcessExecutor(RelaxedExecutor):
                     self._pipe_messages
                 )
                 self._close_telemetry()
-        super()._leave(dispatched, done)
+        super()._leave(done)
         self.fabric._proc_stale = True
         self.fabric._proc_pending = self
 
     def _observe_round(self) -> None:
-        """Count one planner round (the workers sample their own queues)."""
-        self._planner_rounds.inc()
+        """Sample nothing: each worker samples its own shard's queue."""
 
     # -- mail -----------------------------------------------------------------
 
@@ -636,13 +645,7 @@ class ProcessExecutor(RelaxedExecutor):
         fabric = self.fabric
         for index in range(len(self._conns)):
             self._send(index, ("fin",))
-        suffixes = []
-        telemetry = fabric._telemetry
-        for index in range(len(self._conns)):
-            reply = self._recv(index)
-            suffixes.append(reply[1])
-            if telemetry is not None:
-                telemetry.absorb_worker(index, reply[2])
+        suffixes = [self._recv(index)[1] for index in range(len(self._conns))]
         for shard, base, suffix in zip(fabric._shards, self._bases, suffixes):
             store = shard.trace.store
             store.truncate(base)

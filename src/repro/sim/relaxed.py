@@ -308,7 +308,7 @@ class RelaxedExecutor:
                 dispatched += run_round(plan, t_min, pump_bound, extend, budget)
             done = True
         finally:
-            self._leave(dispatched, done)
+            self._leave(done)
         return dispatched
 
     # ------------------------------------------------------------------
@@ -385,10 +385,11 @@ class RelaxedExecutor:
     ) -> int:
         """Step: drain each planned ``(shard index, bound)`` window in turn.
 
-        ``extend`` is the sole leader's window extension (see
-        :meth:`EngineShard._run_window`), ``budget`` the events a budgeted
-        round may still run.  Refreshes the drained shards' tops, then
-        flushes any mail the round produced.
+        ``t_min`` is the round's earliest top (the process backend records
+        it in its post-mortem windows), ``extend`` the sole leader's window
+        extension (see :meth:`EngineShard._run_window`), ``budget`` the
+        events a budgeted round may still run.  Refreshes the drained
+        shards' tops, then flushes any mail the round produced.
         """
         shards = self.fabric._shards
         tops = self._tops
@@ -408,11 +409,8 @@ class RelaxedExecutor:
                 mailed = True
         timer = self._timer
         if timer is not None:
-            wall = timer.lap("compute")
+            timer.lap("compute")
             self._win_hist.observe(ran)
-            flight = self._tele.flight
-            for index, bound in plan:
-                flight.record(index, "win", (t_min, bound), wall)
         # A mail-free round skips the flush and the full rescan it forces:
         # only the drained shards' queues changed.
         if mailed:
@@ -422,7 +420,7 @@ class RelaxedExecutor:
                 timer.lap("barrier")
         return ran
 
-    def _leave(self, dispatched: int, done: bool) -> None:
+    def _leave(self, done: bool) -> None:
         """Step: hand every shard the shared clock, left at the furthest cursor.
 
         ``done`` is false when the dispatch ended in an error.
@@ -437,9 +435,9 @@ class RelaxedExecutor:
             shared_clock._now_ns = top_ns
             shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
         if self._timer is not None:
-            registry = self._tele.registry
-            registry.counter("engine_events_dispatched").inc(dispatched)
-            registry.gauge("engine_queue_high_water").set_max(self._queue_high)
+            self._tele.registry.gauge("engine_queue_high_water").set_max(
+                self._queue_high
+            )
             self._close_telemetry()
 
     # ------------------------------------------------------------------
@@ -465,14 +463,15 @@ class RelaxedExecutor:
             self._queue_high = pending
 
     def _close_telemetry(self) -> None:
-        """Close the wall span and count the dispatch's windows."""
+        """Close the wall span and count the dispatch's windows and mail."""
         telemetry = self._tele
         timer = self._timer
         self._tele = self._timer = None
         self._gc_watch.close()
         timer.finish(telemetry.profiler)
-        telemetry.profiler.windows += self.windows
-        telemetry.registry.counter("fabric_windows_total").inc(self.windows)
+        registry = telemetry.registry
+        registry.counter("fabric_windows_total").inc(self.windows)
+        registry.counter("fabric_mail_entries_total").inc(self.mail_flushed)
 
     # ------------------------------------------------------------------
     # Barrier: canonical mailbox flush
@@ -528,16 +527,15 @@ class RelaxedExecutor:
             self._count_mail(item[3] for item in entries)
 
     def _count_mail(self, raw_entries) -> None:
-        """Fold flushed mailbox entries into the telemetry registry.
+        """Count the frames and bytes of flushed ``tx`` entries per segment.
 
         Only ``tx`` entries carry an identifiable frame; ``push`` entries
-        (pre-bound delivery runs) and ``drop`` markers count toward the
-        entry total alone.
+        (pre-bound delivery runs) and ``drop`` markers count toward
+        ``fabric_mail_entries_total`` alone, which :meth:`_close_telemetry`
+        folds from :attr:`mail_flushed`.
         """
         registry = self._tele.registry
-        n = 0
         for entry in raw_entries:
-            n += 1
             if entry[0] == "tx":
                 segment = entry[2]
                 registry.counter(
@@ -546,4 +544,3 @@ class RelaxedExecutor:
                 registry.counter(
                     "fabric_mail_bytes_total", segment=segment.name
                 ).inc(entry[4].wire_length)
-        registry.counter("fabric_mail_entries_total").inc(n)

@@ -6,22 +6,23 @@ Two strictly separated signal families:
   fixed-bucket histograms derived purely from the simulated event stream.
   Identical across runs and engine modes by construction; never read by
   the simulation, so enabling them cannot change an outcome.
-* **Out-of-band wall-clock spans** (:mod:`.spans`, :mod:`.flight`) —
-  phase timers, span profiles and the bounded flight recorder.  Wall time
-  never touches simulated state; the overhead contract is that the
-  default-off hot path performs no ``perf_counter`` calls at all.
+* **Out-of-band wall-clock spans** (:mod:`.spans`) — phase timers and span
+  profiles.  Wall time never touches simulated state; the overhead
+  contract is that the default-off hot path performs no ``perf_counter``
+  calls at all.  The process backend's always-on flight recorder
+  (:mod:`.flight`) is a crash post-mortem aid, not telemetry.
 
 Telemetry is **off by default**.  ``Simulator.enable_telemetry()`` /
 ``ShardedSimulator.enable_telemetry()`` (or ``telemetry=True`` on
 ``run_scenario``/``compile_spec``) attach a :class:`Telemetry` state object
 to the engine; the executors check for it once per window round, not per
-event.  ``ScenarioRun.report()`` folds everything into a structured
-:class:`~repro.telemetry.report.RunReport`.
+event.  ``ScenarioRun.report()`` builds a
+:class:`~repro.telemetry.report.RunReport` whose one metrics snapshot holds
+this registry's families plus the quantities the engines and segments
+already count, read at report time with telemetry on or off.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 from .flight import FlightRecorder
 from .metrics import (
@@ -32,7 +33,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .report import RunReport, build_report, snapshot_segment
+from .report import RunReport, build_report
 from .spans import PHASES, PhaseTimer, SpanProfiler
 
 __all__ = [
@@ -49,39 +50,19 @@ __all__ = [
     "SpanProfiler",
     "Telemetry",
     "build_report",
-    "snapshot_segment",
 ]
 
 
 class Telemetry:
-    """Per-engine telemetry state: registry + profiler + shipped extras.
+    """Per-engine telemetry state: a metrics registry and a span profiler.
 
     One instance hangs off a :class:`Simulator` or :class:`ShardedSimulator`
     as ``_telemetry`` (``None`` when telemetry is off — the only thing the
     hot paths ever test).  For a sharded fabric this is the fabric-wide
-    aggregate; process-backend workers run their own instance and ship a
-    snapshot home with their trace suffixes, merged in via
-    :meth:`absorb_worker`.
+    aggregate; process-backend workers record into registries of their
+    own, which the end-of-dispatch sync merges in.
     """
 
-    def __init__(self, shards: int = 1, flight_limit: int = 16) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.profiler = SpanProfiler()
-        self.flight = FlightRecorder(shards, limit=flight_limit)
-        #: Segment statistics shipped from process-backend workers, keyed by
-        #: segment name — authoritative after a process dispatch, when the
-        #: parent's own Segment objects only saw replicated barrier work.
-        self.shipped_segments: Dict[str, dict] = {}
-
-    def absorb_worker(self, shard_index: int, blob: Optional[dict]) -> None:
-        """Merge one worker's shipped telemetry blob into the aggregate."""
-        if not blob:
-            return
-        snapshot = blob.get("metrics")
-        if snapshot:
-            self.registry.merge_snapshot(snapshot)
-        compute_s = blob.get("compute_s")
-        if compute_s:
-            self.profiler.add("worker_compute", compute_s)
-        for name, stats in (blob.get("segments") or {}).items():
-            self.shipped_segments[name] = stats

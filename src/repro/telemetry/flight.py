@@ -1,17 +1,15 @@
-"""Bounded flight recorder: the last N window spans per shard.
+"""Bounded flight recorder: the last N pipe round-trips per shard.
 
-A crash post-mortem aid, not a metrics store.  The recorder keeps a small
-ring of recent per-shard spans (window bounds, message kind, wall seconds)
-so that when a process-backend worker dies mid-window the resulting
+A crash post-mortem aid, not a metrics store.  The process backend keeps a
+small ring of recent per-shard spans (window bounds, message kind, wall
+seconds) so that when a worker dies mid-window the resulting
 ``FabricBackendError`` can say what the fabric was doing in the seconds
 before — which window each shard was in, which pipe rounds completed, and
 how long they took — instead of just naming the crash window.
 
 The process backend runs it *always on* (parent side only): the cost is a
 deque append per pipe round-trip, which is noise next to the pipe syscalls
-themselves.  The relaxed in-process executor records spans only when
-telemetry is enabled, keeping the default-off hot path free of
-``perf_counter`` calls.
+themselves.  Nothing else records into one.
 """
 
 from __future__ import annotations
@@ -42,24 +40,12 @@ class FlightRecorder:
     ) -> None:
         self._rings[shard].append((kind, window, wall_seconds))
 
-    def tail(self, shard: Optional[int] = None) -> list:
-        """Recent entries as plain data; one shard's ring, or all of them.
-
-        With ``shard=None`` returns ``[(shard_index, entries), ...]`` for
-        every shard that recorded anything.
-        """
-        if shard is not None:
-            return [self._entry(item) for item in self._rings[shard]]
+    def tail(self, shard: int) -> list:
+        """One shard's recent entries as plain data, oldest first."""
         return [
-            (index, [self._entry(item) for item in ring])
-            for index, ring in enumerate(self._rings)
-            if ring
+            {"kind": kind, "window": window, "wall_s": wall_seconds}
+            for kind, window, wall_seconds in self._rings[shard]
         ]
-
-    @staticmethod
-    def _entry(item: FlightEntry) -> dict:
-        kind, window, wall_seconds = item
-        return {"kind": kind, "window": window, "wall_s": wall_seconds}
 
     @staticmethod
     def format_tail(entries: list) -> str:

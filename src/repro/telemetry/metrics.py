@@ -34,11 +34,10 @@ METRIC_FAMILIES: Dict[str, str] = {
     "fabric_mail_entries_total": "cross-shard mailbox entries applied",
     "fabric_mail_frames_total": "frames carried by mailbox entries, per cut segment",
     "fabric_mail_bytes_total": "wire bytes carried by mailbox entries, per cut segment",
-    "proc_planner_rounds_total": "process-backend parent planner loop rounds",
     "proc_pipe_messages_total": "process-backend pipe messages sent by the parent",
     "proc_envelope_bytes_total": "serialized frame-envelope bytes broadcast to workers",
     "segment_frames_carried": "frames the segment carried (snapshot)",
-    "segment_bytes_carried": "payload bytes the segment carried (snapshot)",
+    "segment_bytes_carried": "wire bytes the segment carried (snapshot)",
     "segment_frames_lost": "frames dropped by faults/failures (snapshot)",
     "segment_frames_corrupted": "frames delivered corrupted (snapshot)",
     "segment_frames_coalesced": "frames served through coalesced batch drains",

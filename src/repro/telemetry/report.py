@@ -1,43 +1,33 @@
 """Structured run reports: one JSON-able document per scenario run.
 
-:func:`build_report` folds everything a run knows about itself — engine
-configuration, native event/fabric counters, segment statistics (shipped
-from workers when the process backend ran), the telemetry registry
-snapshot, and the wall-clock phase breakdown — into a :class:`RunReport`
-dataclass.  ``tools/report.py`` renders it as a console table or exports
-the metrics section in Prometheus text format.
+:func:`build_report` folds everything a run knows about itself into a
+:class:`RunReport`: the engine configuration, one metrics snapshot, the
+wall-clock phase breakdown and an optional latency summary.  The snapshot
+holds the telemetry registry's families when telemetry is on, and, with
+telemetry on or off, the quantities the engines and segments already
+count — ``engine_events_dispatched`` and the segment families — read from
+their live counters when the report is built.  Each quantity therefore has
+one source: nothing the report reads is also counted on the hot path.
+
+``tools/report.py`` renders a report as a console table, reading every
+section through :meth:`RunReport.family`, or exports the metrics in
+Prometheus text format.
 
 Everything here is read-only over the run: building a report never mutates
-simulation state (segment statistics are snapshotted, not reset).
+simulation state.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .metrics import METRIC_FAMILIES
+from .metrics import METRIC_FAMILIES, MetricsRegistry
 
-#: Segment statistic fields shipped from process-backend workers and
-#: snapshotted from live segments — one shape for both sources.
-SEGMENT_STAT_FIELDS = (
-    "frames_carried",
-    "bytes_carried",
-    "cross_shard_frames",
-    "frames_lost",
-    "frames_corrupted",
-    "frames_coalesced",
-)
-
-
-def snapshot_segment(segment) -> dict:
-    """A plain-data statistics snapshot of a live :class:`Segment`."""
-    stats = {name: getattr(segment, name) for name in SEGMENT_STAT_FIELDS}
-    stats["busy_seconds"] = segment.busy_until
-    stats["utilization"] = segment.utilization()
-    stats["express_mode"] = segment.express_mode
-    return stats
+#: One ``name="value"`` pair of a registry sample key.
+_LABEL = re.compile(r'(\w+)="([^"]*)"')
 
 
 @dataclass
@@ -48,15 +38,26 @@ class RunReport:
     seed: int
     engine: Dict[str, object]
     sim_time_s: float
-    events: Dict[str, int]
-    fabric: Dict[str, int]
-    segments: Dict[str, dict]
-    express: Dict[str, object]
-    drops: Dict[str, int]
     telemetry_enabled: bool
     wall: Optional[dict] = None
     latency_ns: Optional[Dict[str, float]] = None
     metrics: dict = field(default_factory=dict)
+
+    def family(self, name: str) -> List[Tuple[Dict[str, str], object]]:
+        """Every sample of one metric family as ``(labels, value)`` pairs.
+
+        ``labels`` is a plain dict (empty for an unlabelled sample) and
+        ``value`` a number, or the bucket dict of a histogram.  Samples come
+        in snapshot (sorted key) order; a family the report does not carry
+        yields an empty list.
+        """
+        samples = []
+        for kind in ("counters", "gauges", "histograms"):
+            for key, value in (self.metrics.get(kind) or {}).items():
+                family, _, labels = key.partition("{")
+                if family == name:
+                    samples.append((dict(_LABEL.findall(labels)), value))
+        return samples
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -108,28 +109,6 @@ class RunReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _express_summary(segments: Dict[str, dict]) -> dict:
-    """Express-lane hit rates aggregated over a segment-stats snapshot."""
-    frames_by_mode = {"off": 0, "inline": 0, "deferred": 0}
-    coalesced = 0
-    for stats in segments.values():
-        mode = stats.get("express_mode", "off")
-        frames_by_mode[mode] = frames_by_mode.get(mode, 0) + stats["frames_carried"]
-        coalesced += stats["frames_coalesced"]
-    total = sum(frames_by_mode.values())
-    summary: Dict[str, object] = {
-        "frames_by_mode": frames_by_mode,
-        "frames_coalesced": coalesced,
-        "frames_total": total,
-    }
-    if total:
-        summary["hit_rates"] = {
-            mode: count / total for mode, count in frames_by_mode.items()
-        }
-        summary["coalesced_rate"] = coalesced / total
-    return summary
-
-
 def build_report(run, latency_ns=None) -> RunReport:
     """Build the structured report for a compiled scenario run.
 
@@ -142,65 +121,53 @@ def build_report(run, latency_ns=None) -> RunReport:
     sim = run.sim
     telemetry = getattr(sim, "_telemetry", None)
     n_shards = run.n_shards
-
-    engine = {
-        "mode": "single" if n_shards == 1 else "relaxed",
-        "shards": n_shards,
-        "backend": run.backend,
-    }
-
-    events: Dict[str, int] = {"dispatched": sim.events_dispatched}
-    fabric: Dict[str, int] = {}
-    if n_shards > 1:
-        fabric.update(sim.relaxed_stats)
-
-    # Segment statistics: when a process dispatch ran, the parent's Segment
-    # objects only saw the replicated barrier work — the authoritative
-    # numbers are the ones the workers shipped home with their trace
-    # suffixes.  Force the lazy fetch so they are present.
-    segments: Dict[str, dict] = {}
-    shipped = None
-    if telemetry is not None and n_shards > 1:
-        proc_fetch = getattr(sim, "_proc_fetch", None)
-        if proc_fetch is not None:
-            proc_fetch()
-        shipped = telemetry.shipped_segments or None
-    if shipped:
-        segments = {name: dict(stats) for name, stats in sorted(shipped.items())}
-    else:
-        for name in sorted(run.network.segments):
-            segments[name] = snapshot_segment(run.network.segments[name])
-
-    drops = {
-        "frames_lost": sum(s["frames_lost"] for s in segments.values()),
-        "frames_corrupted": sum(s["frames_corrupted"] for s in segments.values()),
-    }
-
-    wall = None
-    metrics: dict = {}
+    registry = MetricsRegistry()
     if telemetry is not None:
-        wall = telemetry.profiler.breakdown()
-        metrics = telemetry.registry.snapshot()
-        high_waters = [
-            value
-            for key, value in (metrics.get("gauges") or {}).items()
-            if key.split("{", 1)[0] == "engine_queue_high_water"
-        ]
-        if high_waters:
-            events["queue_high_water"] = int(max(high_waters))
+        registry.merge_snapshot(telemetry.registry.snapshot())
+
+    # Events: one sample per event ring, summing to sim.events_dispatched.
+    if n_shards == 1:
+        registry.counter("engine_events_dispatched").inc(sim.events_dispatched)
+    else:
+        in_shards = 0
+        for shard in sim.shards:
+            registry.counter("engine_events_dispatched", shard=shard.index).inc(
+                shard.events_dispatched
+            )
+            in_shards += shard.events_dispatched
+        registry.counter("engine_events_dispatched", shard="control").inc(
+            sim.events_dispatched - in_shards
+        )
+
+    # Segments: the live counters, exact on every backend (a process
+    # dispatch syncs each worker's homed segments into the parent's).
+    for name, segment in run.network.segments.items():
+        for family, value in (
+            ("segment_frames_carried", segment.frames_carried),
+            ("segment_bytes_carried", segment.bytes_carried),
+            ("segment_frames_lost", segment.frames_lost),
+            ("segment_frames_corrupted", segment.frames_corrupted),
+            ("segment_frames_coalesced", segment.frames_coalesced),
+            ("segment_cross_shard_frames", segment.cross_shard_frames),
+            ("segment_busy_seconds", segment.busy_until),
+            ("segment_utilization", segment.utilization()),
+        ):
+            registry.gauge(family, segment=name).set(value)
+        registry.gauge(
+            "express_frames", segment=name, mode=segment.express_mode
+        ).set(segment.frames_carried)
 
     return RunReport(
         scenario=run.spec.name,
         seed=getattr(run, "seed", 0),
-        engine=engine,
+        engine={
+            "mode": "single" if n_shards == 1 else "relaxed",
+            "shards": n_shards,
+            "backend": run.backend,
+        },
         sim_time_s=sim.now,
-        events=events,
-        fabric=fabric,
-        segments=segments,
-        express=_express_summary(segments),
-        drops=drops,
         telemetry_enabled=telemetry is not None,
-        wall=wall,
+        wall=telemetry.profiler.breakdown() if telemetry is not None else None,
         latency_ns=latency_summary(latency_ns) if latency_ns is not None else None,
-        metrics=metrics,
+        metrics=registry.snapshot(),
     )

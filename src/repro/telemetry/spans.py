@@ -45,7 +45,6 @@ class SpanProfiler:
     def __init__(self) -> None:
         self.phase_seconds: Dict[str, float] = {}
         self.total_seconds = 0.0
-        self.windows = 0
         #: Wall seconds spent in cyclic garbage collections during dispatch.
         self.gc_seconds = 0.0
         #: Collections during dispatch, indexed by generation (0, 1, 2).
@@ -66,7 +65,6 @@ class SpanProfiler:
         """
         out = {f"{phase}_s": self.phase_seconds.get(phase, 0.0) for phase in PHASES}
         out["total_s"] = self.total_seconds
-        out["windows"] = self.windows
         attributed = sum(self.phase_seconds.get(phase, 0.0) for phase in PHASES)
         out["attributed_s"] = attributed
         out["gc_s"] = self.gc_seconds

@@ -17,8 +17,8 @@ The two contracts under test:
 
 Plus the supporting machinery: registry merge semantics, contiguous phase
 attribution, the bounded flight recorder and its ``FabricBackendError``
-post-mortem tail, worker metric shipping, and the RunReport document and
-its renderers.
+post-mortem tail, worker metric shipping, and the RunReport document (one
+metrics snapshot that agrees across engine modes) and its renderers.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def test_catalog_telemetry_on_is_identical_to_off(name, mode):
     kwargs = MODES[mode]
     off = _drive(name, **kwargs)
     on = _drive(name, telemetry=True, **kwargs)
-    assert on.sim._telemetry is not None
+    assert on.report().telemetry_enabled
     if mode == "single":
         # The single engine promises bit-identical emission order, so the
         # raw stream must match, not just the canonical order.
@@ -120,23 +120,73 @@ def test_catalog_telemetry_on_is_identical_to_off(name, mode):
     assert _observables(on) == _observables(off), (name, mode)
 
 
+def _total(report, family):
+    return sum(value for _, value in report.family(family))
+
+
 def test_metric_snapshots_are_run_deterministic():
-    first = _drive("chain", shards=2, telemetry=True)
-    second = _drive("chain", shards=2, telemetry=True)
-    snapshot = first.sim._telemetry.registry.snapshot()
-    assert snapshot == second.sim._telemetry.registry.snapshot()
-    assert snapshot["counters"]["fabric_windows_total"] > 0
-    assert snapshot["counters"]["engine_events_dispatched"] > 0
+    first = _drive("chain", shards=2, telemetry=True).report()
+    second = _drive("chain", shards=2, telemetry=True).report()
+    assert first.metrics == second.metrics
+    assert _total(first, "fabric_windows_total") > 0
+    assert _total(first, "engine_events_dispatched") > 0
 
 
 @NEEDS_FORK
 def test_process_metric_snapshots_are_run_deterministic():
-    runs = []
-    for _ in range(2):
-        run = _drive("chain", shards=2, backend="process", telemetry=True)
-        run.sim._proc_fetch()  # absorb worker blobs into the registry
-        runs.append(run.sim._telemetry.registry.snapshot())
-    assert runs[0] == runs[1]
+    runs = [
+        _drive("chain", shards=2, backend="process", telemetry=True).report()
+        for _ in range(2)
+    ]
+    assert runs[0].metrics == runs[1].metrics
+
+
+def test_reports_agree_across_engine_modes():
+    """Every mode's report counts each event once and every frame exactly.
+
+    ``engine_events_dispatched`` sums to the engine's own count, unlabelled
+    on the single engine and one sample per ring on a fabric, and each
+    segment's carried frames equal the single engine's, with telemetry on
+    and off.  The process backend's segment families equal the in-process
+    run's at the same shard count (its parent reads the workers' counters).
+    """
+    reference = relaxed = None
+    for mode, kwargs in MODES.items():
+        if mode == "process" and not hasattr(os, "fork"):
+            continue
+        for telemetry in (False, True):
+            run = _drive("chain", telemetry=telemetry, **kwargs)
+            report = run.report()
+            where = (mode, telemetry)
+            assert _total(report, "engine_events_dispatched") == (
+                run.sim.events_dispatched
+            ), where
+            rings = sorted(
+                labels.get("shard", "")
+                for labels, _ in report.family("engine_events_dispatched")
+            )
+            n_shards = run.n_shards
+            assert rings == (
+                [""] if n_shards == 1
+                else sorted([*map(str, range(n_shards)), "control"])
+            ), where
+            frames = {
+                labels["segment"]: value
+                for labels, value in report.family("segment_frames_carried")
+            }
+            assert sum(frames.values()) > 0, where
+            if reference is None:
+                reference = frames
+            assert frames == reference, where
+            gauges = report.metrics["gauges"]
+            segment_samples = {
+                key: value for key, value in gauges.items()
+                if key.startswith(("segment_", "express_frames"))
+            }
+            if mode == "relaxed":
+                relaxed = segment_samples
+            elif mode == "process":
+                assert segment_samples == relaxed, where
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +220,9 @@ def test_metrics_off_path_never_reads_the_wall_clock(mode, monkeypatch):
     monkeypatch.setattr(spans, "perf_counter", tripwire)
     monkeypatch.setattr(gc, "callbacks", NoHooks(gc.callbacks))
     run = _drive("ring", **MODES[mode])
-    assert run.sim._telemetry is None
-    assert run.sim.events_dispatched > 0
+    report = run.report()
+    assert not report.telemetry_enabled
+    assert _total(report, "engine_events_dispatched") > 0
 
 
 @pytest.mark.parametrize("mode", ["single", "relaxed", "relaxed-4"])
@@ -183,7 +234,7 @@ def test_dispatch_counts_collections_and_removes_its_hook(mode):
     )
     run.sim.schedule(0.001, gc.collect)
     run.sim.run_until(0.01)
-    breakdown = run.sim._telemetry.profiler.breakdown()
+    breakdown = run.report().wall
     assert breakdown["gc_collections"][2] >= 1
     assert breakdown["gc_s"] > 0.0
     assert breakdown["gc_s"] <= breakdown["total_s"]
@@ -293,7 +344,7 @@ class TestPhaseTimer:
     def test_breakdown_ignores_non_phase_buckets(self):
         profiler = SpanProfiler()
         profiler.add("compute", 1.0)
-        profiler.add("worker_compute", 5.0)  # informational, not a phase
+        profiler.add("unlisted", 5.0)  # not one of PHASES
         profiler.add_total(1.0)
         breakdown = profiler.breakdown()
         assert breakdown["attributed_s"] == 1.0
@@ -316,9 +367,9 @@ class TestPhaseTimer:
 
 
 def test_live_relaxed_breakdown_sums_to_dispatch_total():
-    run = _drive("ring", shards=4, telemetry=True)
-    breakdown = run.sim._telemetry.profiler.breakdown()
-    assert breakdown["windows"] > 0
+    report = _drive("ring", shards=4, telemetry=True).report()
+    breakdown = report.wall
+    assert _total(report, "fabric_windows_total") > 0
     assert breakdown["attributed_s"] == pytest.approx(
         breakdown["total_s"], rel=0.05
     )
@@ -338,7 +389,6 @@ class TestFlightRecorder:
         assert len(tail) == 3
         assert tail[-1]["window"] == (4, 14)
         assert recorder.tail(0) == []
-        assert recorder.tail() == [(1, tail)]
 
     def test_format_tail_renders_windows_and_walls(self):
         recorder = FlightRecorder(1, limit=4)
@@ -385,15 +435,19 @@ def test_process_workers_ship_shard_labelled_metrics():
     counters = report.metrics["counters"]
     assert counters['engine_events_dispatched{shard="0"}'] > 0
     assert counters['engine_events_dispatched{shard="1"}'] > 0
-    assert counters["proc_planner_rounds_total"] > 0
     assert counters["proc_pipe_messages_total"] > 0
     assert counters["proc_envelope_bytes_total"] > 0
+    # The workers' registries arrive with the end-of-dispatch sync.
+    windows = {
+        labels.get("shard"): data["count"]
+        for labels, data in report.family("window_events")
+    }
+    assert windows["0"] > 0 and windows["1"] > 0
     # Segment statistics come from the workers, not the parent's stale
     # replicas, and cover the whole topology.
-    assert report.segments
-    assert any(
-        stats["frames_carried"] > 0 for stats in report.segments.values()
-    )
+    frames = report.family("segment_frames_carried")
+    assert len(frames) == len(run.network.segments)
+    assert all(value > 0 for _, value in frames)
     assert report.engine["backend"] == "process"
 
 
@@ -464,9 +518,12 @@ class TestRunReport:
         assert report.scenario == run.spec.name
         assert report.telemetry_enabled
         assert report.engine == {"mode": "relaxed", "shards": 2, "backend": "thread"}
-        assert report.events["dispatched"] == run.sim.events_dispatched
-        assert report.events["queue_high_water"] >= 1
-        assert report.metrics["counters"]["fabric_windows_total"] > 0
+        assert _total(report, "engine_events_dispatched") == (
+            run.sim.events_dispatched
+        )
+        assert max(v for _, v in report.family("engine_queue_high_water")) >= 1
+        assert _total(report, "fabric_windows_total") > 0
+        assert report.family("no_such_family") == []
         assert set(report.latency_ns) == {
             "count", "min", "max", "mean", "p50", "p95", "p99",
         }
@@ -475,7 +532,7 @@ class TestRunReport:
         )
         decoded = json.loads(report.to_json())
         assert decoded["scenario"] == report.scenario
-        assert decoded["segments"] == report.segments
+        assert decoded["metrics"] == report.metrics
 
     def test_prometheus_exposition_format(self):
         _, report = _report_run()
@@ -493,6 +550,23 @@ class TestRunReport:
                     if base.endswith(suffix):
                         base = base[: -len(suffix)]
                 assert base in METRIC_FAMILIES, line
+        # Every documented family is emitted: the process-backend families
+        # by a process run, the rest by this in-process one.
+        reports = [report]
+        if hasattr(os, "fork"):
+            reports.append(
+                _drive("chain", shards=2, backend="process", telemetry=True)
+                .report()
+            )
+        emitted = {
+            key.split("{", 1)[0]
+            for each in reports
+            for samples in each.metrics.values()
+            for key in samples
+        }
+        if not hasattr(os, "fork"):
+            emitted.update(n for n in METRIC_FAMILIES if n.startswith("proc_"))
+        assert sorted(set(METRIC_FAMILIES) - emitted) == []
 
     def test_report_tool_renders_table_and_prometheus(self, tmp_path):
         _, report = _report_run()
@@ -504,13 +578,22 @@ class TestRunReport:
              str(path)],
             capture_output=True, text=True, env=env, check=True,
         ).stdout
-        assert "wall breakdown" in table
+        for section in ("events", "fabric", "wall breakdown", "segments",
+                        "express", "drops", "latency (rtt)"):
+            assert f"\n{section}\n" in f"\n{table}", section
         assert "gc collections  gen0 " in table
-        assert "segments" in table
-        assert "latency (rtt)" in table
+        header = next(
+            line for line in table.splitlines() if line.startswith("  segment ")
+        )
+        assert header.split() == [
+            "segment", "frames", "bytes", "lost", "corrupt", "coalesced",
+            "util", "express",
+        ]
         prom = subprocess.run(
             [sys.executable, str(REPO_ROOT / "tools" / "report.py"),
              str(path), "--prometheus"],
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert "# TYPE fabric_windows_total counter" in prom
+        assert "# TYPE segment_frames_carried gauge" in prom
+        assert 'express_frames{mode="' in prom

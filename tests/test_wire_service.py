@@ -332,4 +332,8 @@ def test_busy_seconds_is_the_last_frames_finish():
     last = run.sim.trace.filter(category="segment.deliver", source="lan1")[-1]
     finish_ns = round(last.time * 1e9) - round(segment.propagation_delay * 1e9)
     assert segment.busy_until == finish_ns / 1e9
-    assert run.report().segments["lan1"]["busy_seconds"] == segment.busy_until
+    busy = {
+        labels["segment"]: value
+        for labels, value in run.report().family("segment_busy_seconds")
+    }
+    assert busy["lan1"] == segment.busy_until

@@ -19,8 +19,10 @@ then asserts the engine-mode invariance oracle:
   are reproducible — never flaky;
 * **process** — the process backend must be bit-identical to in-process
   relaxed execution (the documented determinism contract), ties or no ties,
-  and must run the same plan: its ``relaxed_stats`` (windows, mail) and
-  ``shard_stats()`` equal the in-process run's.
+  must run the same plan — its ``relaxed_stats`` (windows, mail) and
+  ``shard_stats()`` equal the in-process run's — and must report the same:
+  its ``run.report().metrics`` (events per ring, every segment family)
+  equal the in-process run's.
 
 A failing case is shrunk greedily — faults, hosts, devices, then whole
 segments (with cascade) are dropped while the failure reproduces — and the
@@ -251,9 +253,14 @@ def _identity(_mode: str, records: List[object]) -> List[object]:
     return records
 
 
-def _plan_stats(run) -> tuple:
-    """What a run's window plan left behind: window/mail and shard counters."""
-    return run.sim.relaxed_stats, run.sim.shard_stats()
+def _plan_stats(run) -> dict:
+    """What a run's window plan left behind, and what its report reads."""
+    stats = {"relaxed_stats": run.sim.relaxed_stats}
+    for index, shard in enumerate(run.sim.shard_stats()):
+        stats.update({f"shard {index} {key}": value for key, value in shard.items()})
+    for samples in run.report().metrics.values():
+        stats.update(samples)
+    return stats
 
 
 def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
@@ -303,11 +310,17 @@ def run_case(case: FuzzCase, mutate: Optional[Mutator] = None) -> CaseResult:
                 ),
                 tie_horizon=horizon, records=len(ref_records),
             )
-        if _plan_stats(process) != _plan_stats(relaxed):
+        process_stats, relaxed_stats = _plan_stats(process), _plan_stats(relaxed)
+        if process_stats != relaxed_stats:
+            differing = {
+                key: (process_stats.get(key), relaxed_stats.get(key))
+                for key in sorted(set(process_stats) | set(relaxed_stats))
+                if process_stats.get(key) != relaxed_stats.get(key)
+            }
             return CaseResult(
                 case, "failed", failing_mode="process",
-                detail="process backend ran a different plan from in-process "
-                       f"relaxed: {_plan_stats(process)} != {_plan_stats(relaxed)}",
+                detail="process backend ran a different plan or report from "
+                       f"in-process relaxed (process, relaxed): {differing}",
                 tie_horizon=horizon, records=len(ref_records),
             )
 

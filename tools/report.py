@@ -9,10 +9,13 @@ Two input paths:
 
 Two output modes:
 
-* the default console table — engine configuration, event counters, the
-  wall-clock phase breakdown with the garbage collector's seconds and
-  per-generation collections beside it, per-segment statistics, express
-  hit rates and the latency percentile summary;
+* the default console table — engine configuration, events per ring,
+  the fabric counters (telemetry on), the wall-clock phase breakdown with
+  the garbage collector's seconds and per-generation collections beside
+  it, per-segment statistics with each segment's express lane, express hit
+  rates, drops and the latency percentile summary, every section read
+  from the report's one metrics snapshot through
+  :meth:`~repro.telemetry.report.RunReport.family`;
 * ``--prometheus`` — the metrics section in Prometheus text exposition
   format (``# HELP``/``# TYPE`` headers from
   :data:`repro.telemetry.METRIC_FAMILIES`), suitable for a textfile
@@ -37,6 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.telemetry.metrics import METRIC_FAMILIES  # noqa: E402
 from repro.telemetry.report import RunReport  # noqa: E402
 
 
@@ -84,8 +88,25 @@ def _fmt_seconds(value: float) -> str:
     return f"{value * 1e3:.3f} ms"
 
 
+def _total(report: RunReport, family: str):
+    """The sum of a family's samples (0 when the report lacks it)."""
+    return sum(value for _, value in report.family(family))
+
+
+#: The segments table's numeric columns and the family each one reads;
+#: float columns print with four decimals.
+SEGMENT_COLUMNS = (
+    ("frames", "segment_frames_carried"),
+    ("bytes", "segment_bytes_carried"),
+    ("lost", "segment_frames_lost"),
+    ("corrupt", "segment_frames_corrupted"),
+    ("coalesced", "segment_frames_coalesced"),
+    ("util", "segment_utilization"),
+)
+
+
 def render_console(report: RunReport) -> str:
-    """The console table for one report."""
+    """The console table for one report, every section read by family."""
     parts = []
     engine = report.engine or {}
     parts.append(
@@ -101,11 +122,28 @@ def render_console(report: RunReport) -> str:
         )
     )
 
-    event_rows = sorted((report.events or {}).items())
+    dispatched = report.family("engine_events_dispatched")
+    event_rows = [("dispatched", sum(value for _, value in dispatched))]
+    event_rows.extend(
+        (f"shard {labels['shard']}", value) for labels, value in dispatched if labels
+    )
+    high_water = report.family("engine_queue_high_water")
+    if high_water:
+        event_rows.append(("queue_high_water", int(max(v for _, v in high_water))))
     parts.append(_rows("events", event_rows))
 
-    if report.fabric:
-        parts.append(_rows("fabric", sorted(report.fabric.items())))
+    # Telemetry-on fabric runs only; per-segment mail is summed here and
+    # kept per segment in the Prometheus export.
+    parts.append(
+        _rows(
+            "fabric",
+            [
+                (name[len("fabric_"):], _total(report, name))
+                for name in METRIC_FAMILIES
+                if name.startswith("fabric_") and report.family(name)
+            ],
+        )
+    )
 
     if report.wall:
         wall = report.wall
@@ -115,7 +153,6 @@ def render_console(report: RunReport) -> str:
         ]
         rows.append(("total", _fmt_seconds(wall.get("total_s", 0.0))))
         rows.append(("attributed", _fmt_seconds(wall.get("attributed_s", 0.0))))
-        rows.append(("windows", wall.get("windows", 0)))
         # Collector time sits inside the phases above, so it is shown
         # beside them rather than summed with them.
         rows.append(("gc", _fmt_seconds(wall.get("gc_s", 0.0))))
@@ -124,29 +161,25 @@ def render_console(report: RunReport) -> str:
         rows.append(("gc collections", per_gen))
         parts.append(_rows("wall breakdown", rows))
 
-    if report.segments:
-        header = (
-            "segment",
-            "frames",
-            "bytes",
-            "lost",
-            "corrupt",
-            "coalesced",
-            "util",
-            "express",
-        )
+    segments: dict = {}
+    for column, family in SEGMENT_COLUMNS:
+        for labels, value in report.family(family):
+            segments.setdefault(labels["segment"], {})[column] = value
+    by_mode = {"off": 0, "inline": 0, "deferred": 0}
+    for labels, value in report.family("express_frames"):
+        segments.setdefault(labels["segment"], {})["express"] = labels["mode"]
+        by_mode[labels["mode"]] += value
+
+    if segments:
+        header = ("segment", *(column for column, _ in SEGMENT_COLUMNS), "express")
         table = [header]
-        for name, stats in report.segments.items():
+        for name, stats in sorted(segments.items()):
+            cells = [stats.get(column, 0) for column, _ in SEGMENT_COLUMNS]
             table.append(
                 (
                     name,
-                    stats.get("frames_carried", 0),
-                    stats.get("bytes_carried", 0),
-                    stats.get("frames_lost", 0),
-                    stats.get("frames_corrupted", 0),
-                    stats.get("frames_coalesced", 0),
-                    f"{stats.get('utilization', 0.0):.4f}",
-                    stats.get("express_mode", "off"),
+                    *(f"{c:.4f}" if isinstance(c, float) else c for c in cells),
+                    stats.get("express", "off"),
                 )
             )
         widths = [max(len(str(row[i])) for row in table) for i in range(len(header))]
@@ -156,18 +189,24 @@ def render_console(report: RunReport) -> str:
         ]
         parts.append("segments\n" + "\n".join(lines) + "\n")
 
-    express = report.express or {}
-    if express.get("frames_total"):
-        rows = [("frames total", express["frames_total"])]
-        for mode, count in sorted(express.get("frames_by_mode", {}).items()):
-            rate = express.get("hit_rates", {}).get(mode)
-            suffix = f"  ({rate:.1%})" if rate is not None else ""
-            rows.append((f"mode {mode}", f"{count}{suffix}"))
-        rows.append(("coalesced", express.get("frames_coalesced", 0)))
+    frames_total = sum(by_mode.values())
+    if frames_total:
+        rows = [("frames total", frames_total)]
+        for mode, count in sorted(by_mode.items()):
+            rows.append((f"mode {mode}", f"{count}  ({count / frames_total:.1%})"))
+        rows.append(("coalesced", _total(report, "segment_frames_coalesced")))
         parts.append(_rows("express", rows))
 
-    if report.drops:
-        parts.append(_rows("drops", sorted(report.drops.items())))
+    if segments:
+        parts.append(
+            _rows(
+                "drops",
+                [
+                    ("frames_corrupted", _total(report, "segment_frames_corrupted")),
+                    ("frames_lost", _total(report, "segment_frames_lost")),
+                ],
+            )
+        )
 
     if report.latency_ns:
         lat = report.latency_ns
