@@ -126,18 +126,19 @@ class ActiveNode:
         if mac is None:
             mac = MacAddress.locally_administered(self.sim.auto_station_id(_AUTO_MAC_BASE))
         nic = NetworkInterface(self.sim, f"{self.name}.{name}", mac)
-        nic.attach(segment)
         # segment_local: every reaction of the node — switchlet dispatch and
         # any frame a switchlet sends — rides the CPU queue (see _receive /
         # _transmit), never the wire synchronously.  That holds for any
         # loaded switchlet by construction (switchlets reach the wire only
         # through unixnet writes, which charge the CPU queue); a switchlet
         # declaring SEGMENT_LOCAL_SAFE = False revokes it (see
-        # scenario.compile._instantiate_device).
+        # scenario.compile._instantiate_device).  The handler goes in
+        # before the attach, which folds it into the segment's lane.
         nic.set_handler(
             lambda _nic, frame, port=name: self._receive(port, frame),
             segment_local=True,
         )
+        nic.attach(segment)
         self.interfaces[name] = nic
         self.unixnet.add_interface(name, mac, nic.set_promiscuous)
         return nic

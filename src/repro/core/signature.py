@@ -13,11 +13,19 @@ that interface is an MD5 over a canonical rendering of those names.  A
 switchlet package records the digests of the interfaces it requires; the
 loader recomputes the digests of the modules it actually provides and refuses
 to load on any mismatch.
+
+Both digests are memoized on their input, the source text or the sorted
+names, as the loader already memoizes compilation: every bridge of a ring
+loads the same five switchlets, and each distinct source and interface is
+hashed once per process.  Every load compares the package's recorded digests
+against the digests of its own source and of the node's modules, so a package
+whose source or recorded digests were altered fails to load.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping
 
 
@@ -37,8 +45,12 @@ def interface_of(module: object) -> tuple:
 
 def digest_interface(names: Iterable[str]) -> str:
     """MD5 digest of an interface (a collection of exported names)."""
-    canonical = "\n".join(sorted(names)).encode("utf-8")
-    return hashlib.md5(canonical).hexdigest()
+    return _digest_sorted_names(tuple(sorted(names)))
+
+
+@lru_cache(maxsize=1024)
+def _digest_sorted_names(names: tuple) -> str:
+    return hashlib.md5("\n".join(names).encode("utf-8")).hexdigest()
 
 
 def digest_module(module: object) -> str:
@@ -46,6 +58,7 @@ def digest_module(module: object) -> str:
     return digest_interface(interface_of(module))
 
 
+@lru_cache(maxsize=256)
 def digest_source(source: str) -> str:
     """MD5 digest of a switchlet's source text (the exported-interface analogue).
 

@@ -182,14 +182,16 @@ class NetworkInterface:
     def set_promiscuous(self, enabled: bool) -> None:
         """Enable or disable promiscuous mode.
 
-        Refreshes the segment's fan-out plans: a promiscuous NIC must see
-        every frame, so it joins every plan (see
+        Drops the segment's fan-out plans: a promiscuous NIC must see every
+        frame, so it joins every plan (see
         :meth:`Segment._deliver <repro.lan.segment.Segment._deliver>`).
+        Promiscuity is no input to express-lane eligibility, so the lane
+        stays as it is.
         """
         self.promiscuous = enabled
         segment = self.segment
         if segment is not None:
-            segment._refresh_express()
+            segment._plans = {}
 
     def set_group_filter(self, groups: Optional[Collection[MacAddress]]) -> None:
         """Program the multicast group filter.

@@ -173,8 +173,9 @@ class Segment:
         # on this segment's own engine (the common, unsharded case); else a
         # list of (engine, [interfaces]) runs in attach order.
         self._delivery_runs: Optional[List[tuple]] = None
-        # Express-lane eligibility, see _refresh_express.
-        self._express = EXPRESS_OFF
+        # Express-lane eligibility, see _refresh_express: with no NIC,
+        # nothing vetoes the inline lane.
+        self._express = EXPRESS_INLINE
         # Multi-source drain coalescing on the deferred lane: the first
         # transmit of an instant drains directly, and any further
         # same-instant transmits arm ONE batched drain event that collects
@@ -210,14 +211,33 @@ class Segment:
         return tuple(self._interfaces)
 
     def attach(self, interface: "NetworkInterface") -> None:
-        """Attach a NIC.  A NIC may be attached to at most one segment."""
+        """Attach a NIC.  A NIC may be attached to at most one segment.
+
+        A NIC homed on this segment's engine, joining a segment that is not
+        cut, is folded into the express lane in O(1): its contribution is
+        the one :meth:`_refresh_express` would read, so a new NIC can only
+        keep or narrow the lane, and the fan-out plans are dropped.  Any
+        other attach rescans the segment.
+        """
         if interface in self._interfaces:
             raise TopologyError(
                 f"interface {interface.name} is already attached to {self.name}"
             )
         self._interfaces.append(interface)
         self._receivers = tuple(self._interfaces)
-        self._refresh_delivery_runs()
+        if self._delivery_runs is not None or interface.home_sim is not self.sim:
+            self._refresh_delivery_runs()
+            return
+        self._plans = {}
+        if (
+            self._express
+            and interface.up
+            and interface._handler is not None
+            and not interface._inline_safe
+        ):
+            self._express = (
+                EXPRESS_DEFERRED if interface._segment_local else EXPRESS_OFF
+            )
 
     def detach(self, interface: "NetworkInterface") -> None:
         """Detach a NIC (frames already queued from it still complete)."""
@@ -250,10 +270,13 @@ class Segment:
     def _refresh_express(self) -> None:
         """Recompute express-lane eligibility and drop the fan-out plans.
 
-        The one refresh hook: attach/detach, every NIC ``set_up``,
-        ``set_handler`` and ``set_promiscuous``, and every fault hook call
-        it.  Down interfaces never run handlers or send, so they never veto;
-        an up interface homed on another shard vetoes both lanes.
+        The full rescan: detach, every NIC ``set_up`` and ``set_handler``,
+        every fault hook, and an attach that cuts the segment or joins a
+        cut one call it.  Other attaches fold their NIC in O(1) (see
+        :meth:`attach`), and ``set_promiscuous`` only drops the plans,
+        since promiscuity is no input here.  Down interfaces never run
+        handlers or send, so they never veto; an up interface homed on
+        another shard vetoes both lanes.
 
         * **inline** (:data:`EXPRESS_INLINE`): every up interface has no
           handler (a pure counter/trace endpoint) or one its owner declared

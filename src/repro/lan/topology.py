@@ -226,22 +226,24 @@ class NetworkBuilder:
     # ------------------------------------------------------------------
 
     def populate_static_arp(self, host_names: Optional[Iterable[str]] = None) -> None:
-        """Install static ARP entries between the named hosts (all hosts by default).
+        """Make the named hosts (all hosts by default) know each other's MACs.
 
         Latency measurements want the first ping to be representative, so the
         benchmark setups pre-populate ARP exactly as a long-running testbed
-        would have it warm.
+        would have it warm.  The scope gets one ``{ip: mac}`` directory,
+        which every host's stack holds by reference behind its own table
+        (:meth:`HostStack.add_arp_directory
+        <repro.netstack.stack.HostStack.add_arp_directory>`): the cost is one
+        entry per host, not one per pair.  A host never resolves itself
+        through it, and an entry the host learns or is given later wins.
         """
         names: List[str] = (
             list(host_names) if host_names is not None else list(self._network.hosts)
         )
-        for name in names:
-            host = self._network.host(name)
-            for other_name in names:
-                if other_name == name:
-                    continue
-                other = self._network.host(other_name)
-                host.stack.add_static_arp(other.ip, other.mac)
+        hosts = [self._network.host(name) for name in names]
+        directory = {host.ip: host.mac for host in hosts}
+        for host in hosts:
+            host.stack.add_arp_directory(directory)
 
     def build(self) -> Network:
         """Return the assembled :class:`Network`."""

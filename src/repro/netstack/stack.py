@@ -161,6 +161,9 @@ class HostStack:
         self.demux.register_ethertype(EtherType.IPV4, self._handle_ip_frame)
         self.demux.register_ethertype(EtherType.ARP, self._handle_arp_frame)
         self._arp_table: Dict[IPv4Address, MacAddress] = {}
+        # Static ARP directories shared by every stack of a scope (see
+        # add_arp_directory), newest first, consulted behind _arp_table.
+        self._arp_directories: Tuple[Dict[IPv4Address, MacAddress], ...] = ()
         self._arp_pending: Dict[IPv4Address, List[IPv4Packet]] = defaultdict(list)
         self._udp_bindings: Dict[int, UdpHandler] = {}
         self._icmp_handlers: List[IcmpHandler] = []
@@ -251,7 +254,7 @@ class HostStack:
                 f"packet of {packet.total_length} bytes does not fit in one frame "
                 "and the minimal IP layer does not fragment"
             )
-        mac = self._arp_table.get(destination)
+        mac = self.arp_lookup(destination)
         if mac is None:
             self._arp_pending[destination].append(packet)
             self._send_arp_request(destination)
@@ -320,17 +323,55 @@ class HostStack:
     # ------------------------------------------------------------------
 
     def add_static_arp(self, ip: IPv4Address, mac: MacAddress) -> None:
-        """Install a static ARP entry (the topology builder pre-populates these)."""
+        """Install one static ARP entry in this stack's own table.
+
+        The own table sits in front of every shared directory (see
+        :meth:`add_arp_directory`), so this entry wins, as a learned one
+        does.
+        """
         self._learn_arp(ip, mac)
 
+    def add_arp_directory(self, directory: Dict[IPv4Address, MacAddress]) -> None:
+        """Resolve through ``directory``, a scope's shared ``{ip: mac}`` map.
+
+        :meth:`NetworkBuilder.populate_static_arp
+        <repro.lan.topology.NetworkBuilder.populate_static_arp>` hands one
+        directory to every stack of a scope, held by reference and never
+        written.  It acts as if each entry but the host's own had been
+        added with :meth:`add_static_arp` now: it replaces what the own
+        table learned for those addresses, and packets waiting on one go
+        out in directory order.  A newer directory wins over an older one.
+        """
+        table = self._arp_table
+        for ip in [ip for ip in table if ip in directory and ip != self.ip]:
+            del table[ip]
+        self._arp_directories = (directory, *self._arp_directories)
+        if self._arp_pending:
+            for ip, mac in directory.items():
+                if ip in self._arp_pending and ip != self.ip:
+                    self._flush_pending(ip, mac)
+
     def arp_lookup(self, ip: IPv4Address) -> Optional[MacAddress]:
-        """Return the cached MAC for ``ip``, if known."""
-        return self._arp_table.get(ip)
+        """Return the MAC for ``ip``, if known.
+
+        The own table (learned and :meth:`add_static_arp` entries) answers
+        first, then the shared directories, newest first.  A directory
+        never resolves the host's own address.
+        """
+        mac = self._arp_table.get(ip)
+        if mac is None and ip != self.ip:
+            for directory in self._arp_directories:
+                mac = directory.get(ip)
+                if mac is not None:
+                    break
+        return mac
 
     def _learn_arp(self, ip: IPv4Address, mac: MacAddress) -> None:
         self._arp_table[ip] = mac
-        pending = self._arp_pending.pop(ip, [])
-        for packet in pending:
+        self._flush_pending(ip, mac)
+
+    def _flush_pending(self, ip: IPv4Address, mac: MacAddress) -> None:
+        for packet in self._arp_pending.pop(ip, []):
             self.ip_packets_sent += 1
             self._transmit(mac, EtherType.IPV4, packet.encode())
 

@@ -8,11 +8,9 @@ and offered loads exactly like bandwidths.  The traffic parameters are
 recorded into ``spec.params`` where
 :func:`~repro.population.traffic.install_traffic` picks them up.
 
-``static_arp=False`` is deliberate: the compiler's all-pairs ARP
-pre-population is O(n²) and a 50k-station fleet would spend minutes
-building fifty-thousand-squared entries nobody uses.  The traffic
-installer instead installs pair-scoped static ARP for exactly the
-client/server pairs the matrix exercises.
+``static_arp=False`` is deliberate: the traffic installer's pair-scoped
+static ARP entries already cover every flow it wires, so the compiler's
+all-pairs ARP, one shared directory per scope, would add nothing.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ def _population_spec(
         segments=plan.segments,
         hosts=plan.hosts,
         devices=plan.devices,
-        # All-pairs ARP is O(n²); the traffic installer adds pair-scoped
-        # entries for exactly the flows the matrix exercises.
+        # The traffic installer's pair-scoped entries cover every flow it
+        # wires, so the scope-wide ARP directory would add nothing.
         static_arp=False,
         ready_time=BASIC_WARMUP,
         params=params,

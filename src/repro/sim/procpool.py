@@ -593,9 +593,6 @@ class ProcessExecutor(RelaxedExecutor):
         self.fabric._proc_stale = True
         self.fabric._proc_pending = self
 
-    def _observe_round(self) -> None:
-        """Sample nothing: each worker samples its own shard's queue."""
-
     # -- mail -----------------------------------------------------------------
 
     def _exchange_mail(self, mail) -> None:

@@ -227,8 +227,6 @@ class RelaxedExecutor:
                     budget = max_events - dispatched
                     if budget <= 0:
                         break
-                if timer is not None:
-                    self._observe_round()
                 if control_t is not None and control_t <= until_ns and (
                     t_min is None or control_t <= t_min
                 ):
@@ -325,10 +323,7 @@ class RelaxedExecutor:
             shard._enter_relaxed(fabric.clock, until_ns)
         self.windows = 0
         self.mail_flushed = 0
-        registry = self._open_telemetry()
-        if registry is not None:
-            self._queue_high = 0
-            self._win_hist = registry.histogram("window_events")
+        self._open_telemetry()
         return True
 
     def _read_tops(self) -> None:
@@ -389,28 +384,37 @@ class RelaxedExecutor:
         it in its post-mortem windows), ``extend`` the sole leader's window
         extension (see :meth:`EngineShard._run_window`), ``budget`` the
         events a budgeted round may still run.  Refreshes the drained
-        shards' tops, then flushes any mail the round produced.
+        shards' tops, then flushes any mail the round produced.  With
+        telemetry on, each window is observed as a process-backend worker
+        observes it: its events into ``window_events{shard}`` and the
+        shard's queue length after it into ``engine_queue_high_water{shard}``.
         """
         shards = self.fabric._shards
         tops = self._tops
+        timer = self._timer
         ran = 0
         mailed = False
         for index, bound in plan:
             shard = shards[index]
             if budget is None:
-                ran += shard._run_window(bound, None, extend)
+                n = shard._run_window(bound, None, extend)
             elif ran < budget:
-                ran += shard._run_window(bound, budget - ran)
+                n = shard._run_window(bound, budget - ran)
             else:
                 break
+            ran += n
+            if timer is not None:
+                registry = self._tele.registry
+                registry.histogram("window_events", shard=index).observe(n)
+                registry.gauge("engine_queue_high_water", shard=index).set_max(
+                    len(shard._queue)
+                )
             heap = shard._queue._heap
             tops[index] = heap[0][0] if heap else None
             if shard.outbox:
                 mailed = True
-        timer = self._timer
         if timer is not None:
             timer.lap("compute")
-            self._win_hist.observe(ran)
         # A mail-free round skips the flush and the full rescan it forces:
         # only the drained shards' queues changed.
         if mailed:
@@ -435,32 +439,22 @@ class RelaxedExecutor:
             shared_clock._now_ns = top_ns
             shared_clock._now_s = top_ns / NANOSECONDS_PER_SECOND
         if self._timer is not None:
-            self._tele.registry.gauge("engine_queue_high_water").set_max(
-                self._queue_high
-            )
             self._close_telemetry()
 
     # ------------------------------------------------------------------
     # Telemetry (a telemetry-on dispatch only)
     # ------------------------------------------------------------------
 
-    def _open_telemetry(self):
-        """Open the dispatch's wall span; the registry, or ``None`` when off."""
+    def _open_telemetry(self) -> None:
+        """Open the dispatch's wall span when telemetry is on."""
         telemetry = self.fabric._telemetry
         if telemetry is None:
-            return None
+            return
         from repro.telemetry.spans import GcWatch, PhaseTimer
 
         self._tele = telemetry
         self._timer = PhaseTimer()
         self._gc_watch = GcWatch(telemetry.profiler)
-        return telemetry.registry
-
-    def _observe_round(self) -> None:
-        """Sample the summed shard queue depth once per planner round."""
-        pending = sum(len(shard._queue) for shard in self.fabric._shards)
-        if pending > self._queue_high:
-            self._queue_high = pending
 
     def _close_telemetry(self) -> None:
         """Close the wall span and count the dispatch's windows and mail."""

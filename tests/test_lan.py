@@ -20,7 +20,9 @@ from repro.lan.host import Host
 from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.lan.topology import NetworkBuilder
+from repro.netstack.arp import ArpPacket
 from repro.netstack.ip import IPv4Address
+from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.fabric import ShardedSimulator
 
@@ -524,6 +526,117 @@ class TestNetworkBuilder:
 
 
 # ---------------------------------------------------------------------------
+# Static ARP directories
+# ---------------------------------------------------------------------------
+
+
+def _arp_builder(count=4):
+    builder = NetworkBuilder(seed=1)
+    builder.add_segment("lan1")
+    hosts = [builder.add_host(f"h{index}", "lan1") for index in range(count)]
+    return builder, hosts
+
+
+def _pairwise_static_arp(hosts):
+    """Static ARP as one add_static_arp call per ordered pair of hosts."""
+    for host in hosts:
+        for other in hosts:
+            if other is not host:
+                host.stack.add_static_arp(other.ip, other.mac)
+
+
+class TestStaticArpDirectory:
+    def test_a_scope_shares_one_directory(self):
+        builder, hosts = _arp_builder()
+        builder.populate_static_arp()
+        (directory,) = hosts[0].stack._arp_directories
+        for host in hosts:
+            (held,) = host.stack._arp_directories
+            assert held is directory
+        assert all(not host.stack._arp_table for host in hosts)
+        assert len(directory) == len(hosts)
+
+    def test_each_host_resolves_the_others_and_not_itself(self):
+        builder, hosts = _arp_builder()
+        builder.populate_static_arp()
+        for host in hosts:
+            for other in hosts:
+                expected = None if other is host else other.mac
+                assert host.stack.arp_lookup(other.ip) == expected
+
+    def test_later_entries_win_over_the_directory(self):
+        builder, hosts = _arp_builder()
+        builder.populate_static_arp()
+        a, b, c = hosts[:3]
+        forged = MacAddress.locally_administered(0x777)
+        a.stack.add_static_arp(b.ip, forged)
+        assert a.stack.arp_lookup(b.ip) == forged
+        # A learned entry: c announces a new MAC for itself to a.
+        moved = MacAddress.locally_administered(0x778)
+        a.stack._handle_arp_frame(
+            EthernetFrame(
+                BROADCAST, moved, int(EtherType.ARP),
+                ArpPacket.request(moved, c.ip, a.ip).encode(),
+            )
+        )
+        assert a.stack.arp_lookup(c.ip) == moved
+        # The other stacks still read the shared directory.
+        assert hosts[3].stack.arp_lookup(b.ip) == b.mac
+        assert hosts[3].stack.arp_lookup(c.ip) == c.mac
+
+    def test_a_directory_replaces_what_was_learned_before(self):
+        builder, hosts = _arp_builder()
+        a, b = hosts[:2]
+        a.stack.add_static_arp(b.ip, MacAddress.locally_administered(0x777))
+        builder.populate_static_arp()
+        assert a.stack.arp_lookup(b.ip) == b.mac
+
+    def test_a_second_scope_keeps_the_first_scopes_entries(self):
+        builder, hosts = _arp_builder(5)
+        names = [host.name for host in hosts]
+        builder.populate_static_arp(names[:3])
+        builder.populate_static_arp(names[2:])
+        shared = hosts[2]
+        for other in hosts:
+            expected = None if other is shared else other.mac
+            assert shared.stack.arp_lookup(other.ip) == expected
+        assert hosts[0].stack.arp_lookup(hosts[4].ip) is None
+        assert hosts[4].stack.arp_lookup(hosts[0].ip) is None
+
+    def test_pending_packets_go_out_as_pairwise_entries_send_them(self):
+        """A directory installed mid-run flushes waiting packets in scope order."""
+
+        def drive(install):
+            builder, hosts = _arp_builder()
+            sim = builder.sim
+            a, b, c, d = hosts
+
+            def send():
+                # Waiting on ARP: c's packet is sent first, b's second.
+                a.send_udp(c.ip, 9, 1, b"to c")
+                a.send_udp(b.ip, 9, 1, b"to b")
+                d.send_udp(b.ip, 9, 2, b"d to b")
+
+            sim.schedule_at(0.01, send)
+            sim.schedule_at(0.01, lambda: install(builder, hosts))
+            sim.run()
+            records = [(r.time, r.source, r.category, r.detail) for r in sim.trace]
+            return records, [str(host.mac) for host in hosts]
+
+        shared, macs = drive(lambda builder, hosts: builder.populate_static_arp())
+        pairwise, _ = drive(lambda builder, hosts: _pairwise_static_arp(hosts))
+        assert shared == pairwise
+        # h0's packets leave in scope order, b before c.
+        sent = [
+            detail["frame"].split(" -> ")[1].split()[0]
+            for _, source, category, detail in shared
+            if source == "h0.eth0" and category == "nic.tx"
+            and "type=IPV4" in detail["frame"]
+        ]
+        assert sent == [macs[1], macs[2]]
+
+
+# ---------------------------------------------------------------------------
 # Fan-out plans
 # ---------------------------------------------------------------------------
 
@@ -755,3 +868,162 @@ class TestFanOutPlans:
         assert len(segment._plans) <= len({nic.mac for nic in nics}) + 1
         assert nics[5].frames_received == 10_100
         assert [nic.frames_received for nic in nics[1:5]] == [100] * 4
+
+
+# ---------------------------------------------------------------------------
+# Express-lane fold on attach
+# ---------------------------------------------------------------------------
+
+
+class _LossModel:
+    """A duck-typed fault model that judges nothing (only ``active`` matters)."""
+
+    def __init__(self, active):
+        self.active = active
+
+    def judge(self, frame):
+        return None
+
+
+#: Each NIC's state before its first attach: (up, handler kind, promiscuous).
+#: Handler kinds: 0 none, 1 undeclared, 2 inline_safe, 3 segment_local.
+_lane_nics = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=3), st.booleans()),
+    min_size=5,
+    max_size=5,
+)
+
+#: (operation, NIC index, variant)
+_lane_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["attach", "detach", "up", "handler", "promiscuous", "link", "fault"]
+        ),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=30,
+)
+
+
+class _LaneWorld:
+    """A segment and five NICs; on a fabric the fourth lives on another shard."""
+
+    def __init__(self, fabric, nic_states, rescan):
+        if fabric:
+            engine = ShardedSimulator(seed=1, shards=2)
+            home, other = engine.shards
+        else:
+            home = other = Simulator(seed=1)
+        self.rescan = rescan
+        self.segment = Segment(home, "lan")
+        self.calls = []
+        self.nics = [
+            _nic(other if index == 3 else home, f"n{index}", index + 1)
+            for index in range(5)
+        ]
+        self.outsider = _nic(home, "outsider", 99)
+        for nic, (up, handler, promiscuous) in zip(self.nics, nic_states):
+            nic.set_up(up)
+            self.set_handler(nic, handler)
+            nic.set_promiscuous(promiscuous)
+        if rescan:
+            self.segment._refresh_delivery_runs()
+
+    def record(self, nic, frame):
+        self.calls.append((nic.name, frame.destination))
+
+    def set_handler(self, nic, kind):
+        nic.set_handler(
+            None if kind == 0 else self.record,
+            inline_safe=kind == 2,
+            segment_local=kind == 3,
+        )
+
+    def apply(self, op, index, variant):
+        nic = self.nics[index]
+        segment = self.segment
+        if op == "attach" and nic.segment is None:
+            nic.attach(segment)
+        elif op == "detach" and nic.segment is segment:
+            nic.detach()
+        elif op == "up":
+            nic.set_up(variant % 2 == 0)
+        elif op == "handler":
+            self.set_handler(nic, variant)
+        elif op == "promiscuous":
+            nic.set_promiscuous(variant % 2 == 1)
+        elif op == "link":
+            segment.set_link(variant % 2 == 0)
+        elif op == "fault":
+            segment.set_fault_model(None if variant == 0 else _LossModel(variant == 1))
+        if self.rescan:
+            segment._refresh_delivery_runs()
+
+    def state(self):
+        """The lane, the delivery runs and what unicast fan-outs reach."""
+        segment = self.segment
+        runs = segment._delivery_runs
+        if runs is not None:
+            runs = [
+                (engine is segment.sim, [nic.name for nic in run])
+                for engine, run in runs
+            ]
+        del self.calls[:]
+        foreign = MacAddress.locally_administered(0x100)
+        for destination in [*(nic.mac for nic in self.nics), foreign]:
+            frame = _frame(src=str(self.outsider.mac), dst=str(destination))
+            segment._deliver(self.outsider, frame)
+        counters = [(nic.frames_received, nic.frames_dropped) for nic in self.nics]
+        return segment.express_mode, runs, list(self.calls), counters
+
+
+_PLAIN = (True, 0, False)
+
+
+class TestExpressLaneFold:
+    @given(st.booleans(), _lane_nics, _lane_ops)
+    @settings(max_examples=200, deadline=None)
+    # A segment with no NIC.
+    @example(False, [_PLAIN] * 5, [])
+    # Down and inline-safe NICs with handlers do not narrow the lane.
+    @example(False, [(False, 1, False), (True, 2, False)] + [_PLAIN] * 3,
+             [("attach", 0, 0), ("attach", 1, 0)])
+    # A new NIC joins the fan-out plans of a planning segment...
+    @example(False, [_PLAIN] * 5,
+             [("attach", index, 0) for index in range(3)]
+             + [("up", 0, 0), ("attach", 4, 0)])
+    # ...and so does a NIC that turns promiscuous.
+    @example(False, [_PLAIN] * 5,
+             [("attach", index, 0) for index in range(4)]
+             + [("up", 0, 0), ("promiscuous", 2, 1)])
+    # A NIC on another shard cuts the segment.
+    @example(True, [(True, 3, False)] * 5,
+             [("attach", 0, 0), ("attach", 3, 0), ("attach", 1, 0)])
+    def test_attach_fold_equals_a_full_rescan(self, fabric, nic_states, ops):
+        folded = _LaneWorld(fabric, nic_states, rescan=False)
+        rescanned = _LaneWorld(fabric, nic_states, rescan=True)
+        assert folded.state() == rescanned.state()
+        for step, (op, index, variant) in enumerate(ops):
+            folded.apply(op, index, variant)
+            rescanned.apply(op, index, variant)
+            assert folded.state() == rescanned.state(), (step, op, index, variant)
+
+    def test_compile_rescans_do_not_grow_with_the_floor(self, monkeypatch):
+        calls = []
+        refresh = Segment._refresh_express
+
+        def counting(segment):
+            calls.append(segment.name)
+            refresh(segment)
+
+        monkeypatch.setattr(Segment, "_refresh_express", counting)
+        counts = []
+        for hosts_per_floor in (25, 100):
+            del calls[:]
+            run_scenario(
+                "population/office",
+                params={"floors": 4, "hosts_per_floor": hosts_per_floor},
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.environment import ENVIRONMENT_MODULE_NAMES
 from repro.core.loader import SwitchletLoader
 from repro.core.node import ActiveNode
+from repro.core.signature import digest_interface
 from repro.core.switchlet import SwitchletPackage
 from repro.exceptions import LoadError, SignatureMismatch
 from repro.lan.segment import Segment
@@ -161,6 +162,42 @@ class TestSignatureChecks:
         )
         with pytest.raises(SignatureMismatch):
             node.loader.load(package)
+
+    def test_digest_memo_keeps_every_check(self, node):
+        """Tampering fails even when each digest involved is already memoized."""
+        modules = node.environment.modules
+        honest_a = SwitchletPackage.build("a", "Func.register('a', 1)", modules)
+        honest_b = SwitchletPackage.build("b", "Func.register('b', 2)", modules)
+        node.loader.load(honest_a)
+        node.loader.load(honest_b)
+        for package in (
+            honest_a.with_tampered_source(honest_b.source),
+            SwitchletPackage(
+                name="forged-digest",
+                source=honest_a.source,
+                requires=dict(honest_a.requires),
+                source_digest=honest_b.source_digest,
+            ),
+            SwitchletPackage(
+                name="forged-interface",
+                source=honest_a.source,
+                requires={**honest_a.requires, "Func": honest_a.requires["Unixnet"]},
+            ),
+        ):
+            with pytest.raises(SignatureMismatch):
+                node.loader.load(package)
+        assert node.loader.loads_rejected == 3
+        assert node.loader.loaded_names() == ["a", "b"]
+
+    def test_digest_interface_accepts_any_iterable(self):
+        names = ["send", "recv", "bind"]
+        digest = digest_interface(names)
+        assert digest_interface(names) == digest
+        assert digest_interface(tuple(names)) == digest
+        assert digest_interface(iter(names)) == digest
+        assert digest_interface(set(names)) == digest
+        assert digest_interface(dict.fromkeys(names)) == digest
+        assert digest_interface(names[:2]) != digest
 
     def test_package_built_on_one_node_loads_on_another(self, sim):
         node_a = _node(sim)

@@ -451,6 +451,30 @@ def test_process_workers_ship_shard_labelled_metrics():
     assert report.engine["backend"] == "process"
 
 
+@NEEDS_FORK
+def test_window_families_mean_the_same_on_both_backends():
+    """Each backend observes every planned window once, per shard.
+
+    ``window_events{shard}`` holds the window's event count and
+    ``engine_queue_high_water{shard}`` the shard's queue length after it,
+    whether the window ran in-process or in a worker.
+    """
+    reports = {
+        backend: _drive("chain", shards=2, backend=backend, telemetry=True).report()
+        for backend in ("thread", "process")
+    }
+    for family in ("window_events", "engine_queue_high_water"):
+        relaxed, process = (
+            sorted(
+                (labels.get("shard", ""), data)
+                for labels, data in reports[backend].family(family)
+            )
+            for backend in ("thread", "process")
+        )
+        assert relaxed == process, family
+        assert [shard for shard, _ in relaxed] == ["0", "1"], family
+
+
 # ---------------------------------------------------------------------------
 # Analysis helpers
 # ---------------------------------------------------------------------------
@@ -539,8 +563,8 @@ class TestRunReport:
         text = report.to_prometheus()
         assert "# TYPE fabric_windows_total counter" in text
         assert "# HELP fabric_windows_total" in text
-        assert 'window_events_bucket{le="+Inf"}' in text
-        assert "window_events_sum" in text
+        assert 'window_events_bucket{shard="0",le="+Inf"}' in text
+        assert 'window_events_sum{shard="0"}' in text
         # Every emitted family is a documented one.
         for line in text.splitlines():
             if line.startswith("#"):
