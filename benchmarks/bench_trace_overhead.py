@@ -1,16 +1,19 @@
 """Trace-overhead micro-benchmark.
 
-Measures what instrumentation costs the simulator hot path now that the
-trace is a dispatch hub with pluggable sinks and lazy detail rendering:
+Measures what instrumentation costs the simulator hot path: the trace hub
+writes every record as one row of its one store (a ``ListSink`` or a
+``RingBufferSink``) and renders details lazily:
 
-* **emit micro-benchmark** — records/second through the hub with each sink
-  configuration (list, ring buffer, counting-only, null, and a gated-off
-  category, which is the true floor), plus a sharded fabric's trace
-  (``shard``), whose recorders stamp the merge keys into their own stores;
+* **emit micro-benchmark** — records/second through the hub into each store
+  (``list``, ``ring-10k``), into a sharded fabric's trace (``shard``), whose
+  recorders stamp the merge keys into their own stores, and with the
+  category gated off (``gated-off``, the true floor);
 * **frame blast** — an end-to-end simulated frame storm (NIC -> segment ->
-  NIC, every hop tracing) per sink configuration, reporting frames/second
-  and, for the bounded-memory configuration, that a million-frame run
-  retains only ``capacity`` records.
+  NIC, every hop tracing) per store, reporting frames/second and, for the
+  bounded-memory configuration, that a million-frame run retains only
+  ``capacity`` records;
+* **telemetry overhead** — the list-store blast with the metrics registry
+  off and on.
 
 Results are appended to ``BENCH_trace.json`` next to the repository root so
 the performance trajectory is tracked from PR to PR.  Run directly::
@@ -33,7 +36,7 @@ from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
 from repro.sim.fabric import ShardedSimulator
-from repro.sim.trace import CountingSink, ListSink, NullSink, RingBufferSink
+from repro.sim.trace import ListSink, RingBufferSink
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_trace.json"
@@ -55,8 +58,6 @@ def _sink_configurations():
     return {
         "list": lambda: [ListSink()],
         "ring-10k": lambda: [RingBufferSink(capacity=10_000)],
-        "counting": lambda: [CountingSink()],
-        "null": lambda: [NullSink()],
     }
 
 
@@ -71,7 +72,7 @@ def _emit_rate(trace) -> int:
 
 
 def bench_emit() -> dict:
-    """Records/second through the hub, per sink configuration."""
+    """Records/second through the hub, per store configuration."""
     results = {
         label: _emit_rate(Simulator(trace_sinks=make_sinks()).trace)
         for label, make_sinks in _sink_configurations().items()
@@ -132,7 +133,7 @@ def run_frame_blast(n_frames: int, sinks, telemetry: bool = False) -> dict:
 
 
 def bench_frame_blast(n_frames: int) -> dict:
-    """frames/second with full tracing, per sink configuration."""
+    """frames/second with full tracing, per store configuration."""
     return {
         label: run_frame_blast(n_frames, make_sinks())
         for label, make_sinks in _sink_configurations().items()
@@ -208,12 +209,6 @@ def main() -> None:
     RESULTS_PATH.write_text(json.dumps(history, indent=2) + "\n")
 
     print(json.dumps(entry, indent=2))
-    blast = entry["frame_blast"]
-    ratio = blast["null"]["frames_per_second"] / blast["list"]["frames_per_second"]
-    print(
-        f"\nnull vs list sink: {ratio:.2f}x frames/sec "
-        f"({blast['list']['frames_per_second']} -> {blast['null']['frames_per_second']})"
-    )
     print(f"results appended to {RESULTS_PATH}")
 
 

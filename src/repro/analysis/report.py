@@ -84,8 +84,8 @@ def trace_summary(trace, title: str = "Trace activity") -> str:
         title: table title.
 
     The summary costs O(categories), not O(records): it reads the hub's
-    always-on :class:`~repro.sim.trace.CountingSink`, so it works unchanged
-    with a bounded :class:`~repro.sim.trace.RingBufferSink` or even a
-    :class:`~repro.sim.trace.NullSink` installed.
+    live :class:`~repro.sim.trace.CountingSink`, so it works unchanged
+    with a bounded :class:`~repro.sim.trace.RingBufferSink` that has
+    evicted most of the records.
     """
     return render_counters(trace.counters.snapshot(), title=title)

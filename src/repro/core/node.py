@@ -129,11 +129,10 @@ class ActiveNode:
         # segment_local: every reaction of the node — switchlet dispatch and
         # any frame a switchlet sends — rides the CPU queue (see _receive /
         # _transmit), never the wire synchronously.  That holds for any
-        # loaded switchlet by construction (switchlets reach the wire only
-        # through unixnet writes, which charge the CPU queue); a switchlet
-        # declaring SEGMENT_LOCAL_SAFE = False revokes it (see
-        # scenario.compile._instantiate_device).  The handler goes in
-        # before the attach, which folds it into the segment's lane.
+        # loaded switchlet by construction: a switchlet reaches the wire
+        # only through Unixnet.send_pkt_out, which calls _transmit, which
+        # submits to the CPU queue.  The handler goes in before the attach,
+        # which folds it into the segment's lane.
         nic.set_handler(
             lambda _nic, frame, port=name: self._receive(port, frame),
             segment_local=True,

@@ -172,13 +172,6 @@ class NetworkInterface:
         if segment is not None:
             segment._refresh_express()
 
-    def declare_segment_local(self, segment_local: bool) -> None:
-        """Flip the ``segment_local`` declaration without touching the handler."""
-        self._segment_local = bool(segment_local) and self._handler is not None
-        segment = self.segment
-        if segment is not None:
-            segment._refresh_express()
-
     def set_promiscuous(self, enabled: bool) -> None:
         """Enable or disable promiscuous mode.
 

@@ -95,10 +95,12 @@ class NetworkBuilder:
             multi-hundred-LAN topologies (the 256-LAN sharded-fabric
             sweeps) and 65k+-station populations get unique addresses
             without any configuration.
-        trace_sinks: optional trace sinks for the simulator (e.g. a bounded
+        trace_sinks: the simulator's trace store: ``None`` for the default
+            :class:`~repro.sim.trace.ListSink`, or a one-element list holding
+            the store to write instead (e.g. a bounded
             :class:`~repro.sim.trace.RingBufferSink` for very long runs);
-            ``None`` keeps the default :class:`~repro.sim.trace.ListSink`.
-            Ignored when ``engine`` is given (the engine owns its sinks).
+            anything else raises :class:`TypeError`.  Ignored when
+            ``engine`` is given (the engine owns its stores).
         engine: an already-constructed engine to build on instead of a fresh
             :class:`Simulator` — in particular a
             :class:`~repro.sim.fabric.ShardedSimulator`, whose ``sim_for``

@@ -19,6 +19,10 @@ configuration here is a registered :class:`~repro.scenario.spec.ScenarioSpec`
 ``pair/static-bridge``, ``ring``) compiled through
 :func:`~repro.scenario.runner.run_scenario`; these functions remain as the
 stable, ergonomic entry points the benchmarks and tests have always used.
+Each takes ``trace_sinks``: ``None`` for the default trace store, or a
+one-element list holding the :class:`~repro.sim.trace.ListSink` or
+:class:`~repro.sim.trace.RingBufferSink` to write instead (see
+:class:`~repro.sim.engine.Simulator`).
 """
 
 from __future__ import annotations

@@ -329,19 +329,6 @@ class ScenarioRun:
         """Convenience passthrough to :meth:`Simulator.run_until`."""
         return self.network.run_until(until_seconds)
 
-    def express_report(self) -> Dict[str, str]:
-        """Express-lane eligibility per segment (``off``/``inline``/``deferred``).
-
-        A snapshot of :attr:`Segment.express_mode` at call time, in segment
-        declaration order.  Eligibility is topology- and declaration-driven
-        (not load-driven), so for a given scenario and shard count the report
-        is stable — the catalog test pins it.
-        """
-        return {
-            name: segment.express_mode
-            for name, segment in self.network.segments.items()
-        }
-
     def report(self, latency_ns=None):
         """Build the structured :class:`~repro.telemetry.report.RunReport`.
 
@@ -465,14 +452,7 @@ def _instantiate_device(network: Network, device: DeviceSpec) -> object:
         node.add_interface(port.name, network.segment(port.segment))
     environment = node.environment.modules
     for switchlet in device.switchlets:
-        app = _build_switchlet(environment, switchlet)
-        node.load_switchlet(app)
-        if not getattr(app, "SEGMENT_LOCAL_SAFE", True):
-            # The switchlet disclaims the segment-local contract (it reaches
-            # the wire synchronously from delivery context): revoke the
-            # express-lane declaration on every port of this node.
-            for nic in node.interfaces.values():
-                nic.declare_segment_local(False)
+        node.load_switchlet(_build_switchlet(environment, switchlet))
     if any(switchlet.name == "vlan-bridge" for switchlet in device.switchlets):
         node.func.call("bridge.vlan.configure", _vlan_port_config(device))
     return node
@@ -517,10 +497,11 @@ def compile_spec(
     contract).  ``backend="process"`` (directly or via
     :attr:`PartitionSpec.backend`; the explicit argument wins) runs those
     windows on one worker process per shard for wall-clock multi-core
-    speedup.  A sharded run keeps each shard's records in its own store, so
-    ``trace_sinks`` raises :class:`~repro.exceptions.SimulationError` there;
-    a spec too small to shard compiles onto the single engine, sinks and
-    all.
+    speedup.  ``trace_sinks`` names the single engine's store (see
+    :class:`~repro.sim.engine.Simulator`).  A sharded run keeps each shard's
+    records in its own store, so ``trace_sinks`` raises
+    :class:`~repro.exceptions.SimulationError` there; a spec too small to
+    shard compiles onto the single engine, store and all.
 
     ``faults`` extends the spec's own fault timeline with additional
     :class:`~repro.faults.spec.FaultSpec` events; the combined timeline is

@@ -39,8 +39,11 @@ def run_scenario(
         seed: simulator seed (deterministic experiments).
         cost_model: software cost constants shared by all components;
             ``None`` selects the calibrated defaults.
-        trace_sinks: optional trace sinks for the simulator (e.g. a bounded
-            ring buffer for very long runs).
+        trace_sinks: the simulator's trace store: ``None`` for the default
+            :class:`~repro.sim.trace.ListSink`, or a one-element list holding
+            the store to write instead (e.g. a bounded
+            :class:`~repro.sim.trace.RingBufferSink` for very long runs);
+            anything else raises :class:`TypeError`.
         params: factory parameters when ``scenario`` is a name (matrix-axis
             values such as ``{"n_bridges": 5}``).
         shards: shard the compiled network across this many cooperating

@@ -21,11 +21,9 @@ from repro.sim.random_source import RandomSource
 from repro.sim.trace import (
     CountingSink,
     ListSink,
-    NullSink,
     RingBufferSink,
     TraceRecord,
     TraceRecorder,
-    TraceSink,
 )
 
 __all__ = [
@@ -42,9 +40,7 @@ __all__ = [
     "RandomSource",
     "TraceRecorder",
     "TraceRecord",
-    "TraceSink",
     "ListSink",
     "RingBufferSink",
     "CountingSink",
-    "NullSink",
 ]

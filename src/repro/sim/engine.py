@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.exceptions import SimulationError
 from repro.sim import relaxed as _relaxed
 from repro.sim.clock import Clock, NANOSECONDS_PER_SECOND, seconds_to_ns
 from repro.sim.events import Event, EventQueue, validate_schedule_time
 from repro.sim.random_source import RandomSource
-from repro.sim.trace import TraceRecorder, TraceSink
+from repro.sim.trace import ListSink, TraceRecorder
 
 #: "No horizon" for a drain (far beyond any event time).
 NO_BOUND_NS = sys.maxsize
@@ -270,9 +270,11 @@ class Simulator(EngineCore):
         seed: seed for the simulator-owned :class:`RandomSource`.  Two
             simulators constructed with the same seed and driven by the same
             code produce identical event sequences and traces.
-        trace_sinks: optional trace sinks to install instead of the default
-            :class:`~repro.sim.trace.ListSink` (e.g. a bounded
+        trace_sinks: ``None`` for the default trace store (a fresh
+            :class:`~repro.sim.trace.ListSink`), or a one-element list
+            holding the store to write instead (e.g. a bounded
             :class:`~repro.sim.trace.RingBufferSink` for very long runs).
+            Anything else raises :class:`TypeError`.
     """
 
     #: Telemetry state (:class:`repro.telemetry.Telemetry`), or ``None`` when
@@ -281,11 +283,11 @@ class Simulator(EngineCore):
     _telemetry = None
 
     def __init__(
-        self, seed: int = 0, trace_sinks: Optional[Iterable[TraceSink]] = None
+        self, seed: int = 0, trace_sinks: Optional[Sequence[ListSink]] = None
     ) -> None:
         self.clock = Clock()
         self.random = RandomSource(seed)
-        self.trace = TraceRecorder(self.clock, sinks=trace_sinks)
+        self.trace = TraceRecorder(self.clock, trace_sinks)
         self._queue = EventQueue()
         self._running = False
         self._dispatched = 0

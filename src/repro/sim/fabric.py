@@ -71,11 +71,11 @@ class FabricTrace:
         self._pending_fetch: Optional[Callable[[], None]] = None
         self._pending_discard: Optional[Callable[[], None]] = None
         for recorder in recorders:
-            recorder._fold_all = self.fold
+            recorder._fold = self.fold
 
     def _stores(self) -> List[ListSink]:
         """The stores the shard recorders write, in shard order."""
-        return [r.store for r in self._recorders if r.store is not None]
+        return [recorder.store for recorder in self._recorders]
 
     @property
     def counters(self) -> CountingSink:
@@ -145,26 +145,16 @@ class FabricTrace:
         return self._enabled and category not in self._disabled_categories
 
     # ------------------------------------------------------------------
-    # Recording and listeners
+    # Recording
     # ------------------------------------------------------------------
 
-    def emit(self, source, category, detail=None, *args) -> Optional[TraceRecord]:
+    def emit(self, source, category, detail=None, *args) -> None:
         """Emit a record into the fabric (routed via shard 0's recorder)."""
-        return self._recorders[0].emit(source, category, detail, *args)
+        self._recorders[0].emit(source, category, detail, *args)
 
-    def record(self, source, category, **detail) -> Optional[TraceRecord]:
+    def record(self, source, category, **detail) -> None:
         """Back-compat eager form of :meth:`emit`."""
-        return self.emit(source, category, detail if detail else None)
-
-    def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked for every new record, fabric-wide."""
-        for recorder in self._recorders:
-            recorder.add_listener(listener)
-
-    def remove_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Unregister a listener."""
-        for recorder in self._recorders:
-            recorder.remove_listener(listener)
+        self.emit(source, category, detail if detail else None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -179,11 +169,9 @@ class FabricTrace:
         if self._pending_fetch is not None:
             self._pending_fetch()
         keys: list = []
-        for index, recorder in enumerate(self._recorders):
-            store = recorder.store
-            if store is not None:
-                rows = store.select(category, source, since, until)
-                keys.extend(store.canonical_keys(rows, repeat(index)))
+        for index, store in enumerate(self._stores()):
+            rows = store.select(category, source, since, until)
+            keys.extend(store.canonical_keys(rows, repeat(index)))
         keys.sort()
         return keys
 
@@ -415,11 +403,6 @@ class ShardedSimulator:
     def n_shards(self) -> int:
         """Number of shards in the fabric."""
         return len(self._shards)
-
-    @property
-    def counters(self) -> CountingSink:
-        """The live fabric-wide trace counters (synced on read)."""
-        return self.trace.counters
 
     def sim_for(self, name: str) -> EngineShard:
         """The shard engine the named component is placed on.

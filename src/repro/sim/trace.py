@@ -1,4 +1,4 @@
-"""Event tracing: a dispatch hub over one column store.
+"""Event tracing: a hub over one column store.
 
 Every component in the reproduction can emit structured records into the
 simulator's :class:`TraceRecorder`.  The measurement tools (ping, ttcp, the
@@ -7,28 +7,24 @@ top of this trace, which keeps measurement completely decoupled from the
 components being measured — the same property the paper gets from
 instrumenting its bridge externally with ``ping``/``ttcp``.
 
-The recorder itself is only a *hub*: it stamps records with simulated time,
-applies global and per-category gating, and dispatches to composable sinks:
+The recorder is a *hub* over exactly one store: it applies global and
+per-category gating, stamps each record with simulated time and writes it
+as one row of its store:
 
 * :class:`ListSink` — the trace store, and the only place a retained record
   lives on any engine.  A record is one row of a flat list of cells; queries
   select rows on those cells and build :class:`TraceRecord` views only for
-  the rows they return.  One is installed by default (one per shard on the
-  sharded fabric).
+  the rows they return.  Every recorder gets one by default (each shard of
+  a sharded fabric its own).
 * :class:`RingBufferSink` — the same store with a capacity: it keeps only
   the newest ``capacity`` records, for long (million-frame) runs that must
   not grow without bound.
-* :class:`CountingSink` — O(1)-memory per-category / per-source counters.
-  The hub always maintains one (:attr:`TraceRecorder.counters`), which is
-  what lets measurement tools subscribe to live counters instead of
-  re-scanning the trace.
-* :class:`NullSink` — discards everything.
 
-When a store is the hub's only sink and nothing listens, :meth:`emit` writes
-one row straight into it and counts nothing: the counters fold the stored
-rows in when someone reads them.  When nothing listens and every sink is a
-:class:`NullSink` or a :class:`CountingSink`, :meth:`emit` only counts: no
-record is built.
+Nothing is counted per record.  The hub's live counters
+(:attr:`TraceRecorder.counters`, a :class:`CountingSink` of
+``(category, source)`` pairs) fold the store's rows in when someone reads
+them, which is what lets measurement tools subscribe to live counters
+(:class:`CounterWindow`) instead of re-scanning the trace.
 
 Record *details* are rendered lazily: producers on the frame hot path pass a
 shared module-level renderer plus its arguments instead of an eager dict, and
@@ -45,6 +41,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from itertools import count as count_from
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -132,26 +129,8 @@ class TraceRecord:
 
 
 # ---------------------------------------------------------------------------
-# Sinks
+# Counters
 # ---------------------------------------------------------------------------
-
-
-class TraceSink:
-    """Base class for trace sinks.  Subclasses implement :meth:`accept`."""
-
-    def accept(self, record: TraceRecord) -> None:
-        """Receive one record (called synchronously by the hub)."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop any retained state (records, counters)."""
-
-
-class NullSink(TraceSink):
-    """Discards every record; a hub whose sinks keep nothing only counts."""
-
-    def accept(self, record: TraceRecord) -> None:
-        pass
 
 
 def _count_pairs(
@@ -169,23 +148,18 @@ def _count_pairs(
     return sum(n for (_c, s), n in pairs.items() if s == source)
 
 
-class CountingSink(TraceSink):
+class CountingSink:
     """Live counters in O(distinct (category, source) pairs) memory.
 
-    The accept path maintains a single pair table (one dict update per
-    record), in first-seen order; the aggregate views (:attr:`total`,
+    The type of :attr:`TraceRecorder.counters`.  It holds a single pair
+    table, in first-seen order, which the hub's store folds its rows into
+    when the counters are read; the aggregate views (:attr:`total`,
     :attr:`by_category`, :attr:`by_source`) are derived on read, which costs
-    O(pairs) — pairs number in the dozens, so queries are effectively O(1)
-    while the hot path pays the bare minimum.
+    O(pairs) — pairs number in the dozens, so queries are effectively O(1).
     """
 
     def __init__(self) -> None:
         self.by_category_source: Dict[Tuple[str, str], int] = {}
-
-    def accept(self, record: TraceRecord) -> None:
-        pair = (record.category, record.source)
-        by_pair = self.by_category_source
-        by_pair[pair] = by_pair.get(pair, 0) + 1
 
     @property
     def total(self) -> int:
@@ -225,8 +199,8 @@ class CounterWindow:
 
     Measurement tools open a window when a trial starts and read counter
     deltas when it ends — no re-scan of the record list, and it works even
-    when only a :class:`NullSink` or :class:`RingBufferSink` is installed
-    (the hub's counters are always live).
+    when a :class:`RingBufferSink` has evicted the records (the hub's
+    counters are always live).
     """
 
     def __init__(self, recorder: "TraceRecorder") -> None:
@@ -250,19 +224,7 @@ _TIME, _SOURCE, _CATEGORY, _DETAIL, _SHARD, _FIRST, _SECOND, _COUNT = range(len(
 _WIDTH = len(FIELDS)
 
 
-def _row(time, source, category, detail, shard, args: tuple) -> tuple:
-    """One store row from a record's fields (see :data:`FIELDS`)."""
-    count = len(args)
-    if count == 1:
-        return (time, source, category, detail, shard, args[0], None, 1)
-    if count == 2:
-        return (time, source, category, detail, shard, args[0], args[1], 2)
-    if count == 0:
-        return (time, source, category, detail, shard, None, None, 0)
-    return (time, source, category, detail, shard, args, None, count)
-
-
-class ListSink(TraceSink):
+class ListSink:
     """The trace store: every retained record is one row of a flat list.
 
     A row is :data:`FIELDS`, ``len(FIELDS)`` consecutive cells: floats,
@@ -280,11 +242,11 @@ class ListSink(TraceSink):
     until the row is evicted or cleared, so a view built by a later query
     renders afresh.
 
-    **Counters fold on read.**  The hub that installs a store binds it to
-    its ``(category, source)`` pair table and counts nothing per record;
+    **Counters fold on read.**  The hub that holds a store binds it to its
+    ``(category, source)`` pair table and counts nothing per record;
     :meth:`fold` adds the rows written since the last fold, at C speed, when
     someone reads the counters.  A store folds into the table of the hub (or
-    fabric) it was last installed in.
+    fabric) it was last given to.
     """
 
     #: Rows kept before the oldest is overwritten; ``None`` keeps every row.
@@ -312,7 +274,7 @@ class ListSink(TraceSink):
     # ------------------------------------------------------------------
 
     def _writer(self) -> Callable[[tuple], None]:
-        """The one-call row writer behind the hub's emit store path."""
+        """The one-call row writer behind the hub's :meth:`~TraceRecorder.emit`."""
         return self._rows.extend if self._cells is None else self._write
 
     def _write(self, row: tuple) -> None:
@@ -322,25 +284,13 @@ class ListSink(TraceSink):
             rows.extend(row)
             return
         head = self._head
-        if not head and self._pairs is not None:
+        if not head:
             # The lap fold: count every row before this lap overwrites it.
             self.fold()
         rows[head:head + _WIDTH] = row
         head += _WIDTH
         self._head = 0 if head == cells else head
         self.evicted += 1
-
-    def accept(self, record: TraceRecord) -> None:
-        self._write(
-            _row(
-                record.time,
-                record.source,
-                record.category,
-                record._detail,
-                record.shard,
-                record._args,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Row numbers and cells
@@ -370,18 +320,10 @@ class ListSink(TraceSink):
     # ------------------------------------------------------------------
 
     def _bind(self, pairs: Dict[Tuple[str, str], int]) -> None:
-        """Fold into ``pairs`` from the next row on."""
-        if self._pairs is pairs:
-            return
+        """Fold into ``pairs`` from the next row on, settling the old table first."""
         self.fold()
         self._pairs = pairs
         self._folded = self._end()
-
-    def _unbind(self, pairs: Dict[Tuple[str, str], int]) -> None:
-        """Stop folding into ``pairs`` once every row owed to it is in."""
-        if self._pairs is pairs:
-            self.fold()
-            self._pairs = None
 
     def fold(self) -> None:
         """Count the rows written since the last fold into the bound table.
@@ -620,119 +562,61 @@ class RingBufferSink(ListSink):
 
 
 class TraceRecorder:
-    """The trace hub: stamps, gates and dispatches records to sinks.
+    """The trace hub: gates, stamps and stores records.
 
     Args:
         clock: the simulated clock used to timestamp records.
-        sinks: initial sinks; defaults to a single :class:`ListSink`, which
-            preserves the historical "append-only, filterable list" API
-            (iteration, :meth:`filter`, :meth:`last`).
+        trace_sinks: ``None`` for a fresh :class:`ListSink`, or a one-element
+            sequence holding the :class:`ListSink` or :class:`RingBufferSink`
+            to write instead.  Anything else raises :class:`TypeError`.
         counters: a sharded fabric's shared counters; by default the hub
             keeps its own.
         shard: the index of the fabric shard this recorder belongs to.
 
-    Queries (:meth:`filter`, :meth:`last`, iteration, and
-    :meth:`canonical_records`) are served by the first store installed
-    (:attr:`store`).  :meth:`count` and
-    :meth:`__len__` are served by the live :attr:`counters` and are
-    independent of which sinks are installed.
-
-    **The store path.**  When a store is the only sink and no listener is
-    registered, :meth:`emit` writes one row into it and returns ``None``;
-    this covers every default configuration.  **The count path.**  When no
-    listener is registered and every sink is a :class:`NullSink` or a
-    :class:`CountingSink`, :meth:`emit` counts the ``(category, source)``
-    pair into the hub's table and each counting sink's table and returns
-    ``None``.  Otherwise (several sinks, a listener, a custom sink)
-    :meth:`emit` builds a :class:`TraceRecord`, hands it to each sink and
-    listener and returns it.  The counters fold the store's rows in when
-    read; a hub with no store counts each record as it is emitted.
+    The hub holds exactly one store (:attr:`store`), and :meth:`emit`
+    writes one row into it.  Queries (:meth:`filter`, :meth:`last`,
+    iteration, and :meth:`canonical_records`) read the store's retained
+    rows.  :meth:`count`, :meth:`__len__` and :attr:`counters` read the
+    live counters, which fold the store's rows in when read, so they also
+    count what a ring has evicted.
     """
 
     def __init__(
         self,
         clock: Clock,
-        sinks: Optional[Iterable[TraceSink]] = None,
+        trace_sinks: Optional[Sequence[ListSink]] = None,
         counters: Optional[CountingSink] = None,
         shard: Optional[int] = None,
     ) -> None:
+        if trace_sinks is None:
+            store = ListSink()
+        elif (
+            isinstance(trace_sinks, Sequence)
+            and len(trace_sinks) == 1
+            and isinstance(trace_sinks[0], ListSink)
+        ):
+            store = trace_sinks[0]
+        else:
+            raise TypeError(
+                "trace_sinks: expected None or a one-element sequence holding "
+                f"a ListSink or a RingBufferSink, got {trace_sinks!r}"
+            )
         self._clock = clock
         self._enabled = True
-        self._listeners: List[Callable[[TraceRecord], None]] = []
         self._disabled_categories: set = set()
         self._counters = counters if counters is not None else CountingSink()
-        self._pairs = self._counters.by_category_source
         self._shard = shard
-        # Set by a sharded fabric: folds every shard's store, since the
-        # counters are fabric-wide.
-        self._fold_all: Optional[Callable[[], None]] = None
-        self._sinks: List[TraceSink] = list(sinks) if sinks is not None else [ListSink()]
-        self._store: Optional[ListSink] = None
-        self._write: Optional[Callable[[tuple], None]] = None
-        self._tally: Optional[List[Dict[Tuple[str, str], int]]] = None
-        self._refresh_dispatch()
-
-    # ------------------------------------------------------------------
-    # Sink management
-    # ------------------------------------------------------------------
-
-    def _refresh_dispatch(self) -> None:
-        """Re-derive the query store and the emit path.
-
-        A store that stops being this hub's folds what it owes first.
-        """
-        sinks = self._sinks
-        store = next((sink for sink in sinks if isinstance(sink, ListSink)), None)
-        old = self._store
-        if store is not old:
-            if old is not None:
-                old._unbind(self._pairs)
-            if store is not None:
-                store._bind(self._pairs)
-            self._store = store
-        if store is not None and len(sinks) == 1 and not self._listeners:
-            self._write = store._writer()
-        else:
-            self._write = None
-        # The count path: no listener and every sink a NullSink or a
-        # CountingSink, so nothing would keep or see a record.
-        if store is None and not self._listeners and all(
-            type(sink) is NullSink or type(sink) is CountingSink for sink in sinks
-        ):
-            tables = {id(self._pairs): self._pairs}
-            for sink in sinks:
-                if type(sink) is CountingSink:
-                    tables[id(sink.by_category_source)] = sink.by_category_source
-            self._tally = list(tables.values())
-        else:
-            self._tally = None
+        self._store = store
+        store._bind(self._counters.by_category_source)
+        self._write = store._writer()
+        # Brings the counters up to date: this store's fold, or on a sharded
+        # fabric every shard store's (the counters are fabric-wide).
+        self._fold: Callable[[], None] = store.fold
 
     @property
-    def sinks(self) -> Tuple[TraceSink, ...]:
-        """The installed sinks, in dispatch order."""
-        return tuple(self._sinks)
-
-    @property
-    def store(self) -> Optional[ListSink]:
-        """The store queries read (the first one installed), if any."""
+    def store(self) -> ListSink:
+        """The store every record is written to and every query reads."""
         return self._store
-
-    def add_sink(self, sink: TraceSink) -> TraceSink:
-        """Install an additional sink and return it."""
-        self._sinks.append(sink)
-        self._refresh_dispatch()
-        return sink
-
-    def remove_sink(self, sink: TraceSink) -> None:
-        """Uninstall a sink (no-op if it is not installed)."""
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-            self._refresh_dispatch()
-
-    def set_sinks(self, sinks: Iterable[TraceSink]) -> None:
-        """Replace the installed sinks wholesale."""
-        self._sinks = list(sinks)
-        self._refresh_dispatch()
 
     # ------------------------------------------------------------------
     # Gating
@@ -744,7 +628,7 @@ class TraceRecorder:
         return self._enabled
 
     def disable(self) -> None:
-        """Stop capturing records (sinks and listeners stop firing)."""
+        """Stop capturing records."""
         self._enabled = False
 
     def enable(self) -> None:
@@ -752,7 +636,7 @@ class TraceRecorder:
         self._enabled = True
 
     def disable_category(self, category: str) -> None:
-        """Suppress one category: neither sinks nor listeners see it."""
+        """Suppress one category: its records are not written."""
         self._disabled_categories.add(category)
 
     def enable_category(self, category: str) -> None:
@@ -776,55 +660,21 @@ class TraceRecorder:
     # Recording
     # ------------------------------------------------------------------
 
-    def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a callback invoked synchronously for every new record."""
-        self._listeners.append(listener)
-        self._refresh_dispatch()
-
-    def remove_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Unregister a listener (no-op if absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-            self._refresh_dispatch()
-
     def emit(
         self, source: str, category: str, detail: DetailSource = None, *args: Any
-    ) -> Optional[TraceRecord]:
-        """Dispatch a record stamped with the current simulated time.
+    ) -> None:
+        """Write a record stamped with the current simulated time.
 
         ``detail`` may be an eager dict or a callable rendered as
         ``detail(*args)`` only when some consumer reads
         :attr:`TraceRecord.detail`.  Frame-path producers pass a shared
         module-level renderer and its arguments, never a per-record closure.
-        Returns the record on the record path, ``None`` when it was gated
-        off or went down the store or count path (see the class docstring).
+        A record that passes the gate becomes one store row, its arguments
+        flattened as :data:`FIELDS` describes; read it back with
+        :meth:`last` or :meth:`filter`.
         """
         if not self._enabled or category in self._disabled_categories:
-            return None
-        write = self._write
-        if write is None:
-            tally = self._tally
-            if tally is not None:
-                pair = (category, source)
-                for pairs in tally:
-                    pairs[pair] = pairs.get(pair, 0) + 1
-                return None
-            # The record path: one record for every sink and listener.  A
-            # hub with a store counts its rows on read; one without counts here.
-            if self._store is None:
-                pair = (category, source)
-                pairs = self._pairs
-                pairs[pair] = pairs.get(pair, 0) + 1
-            entry = TraceRecord(
-                self._clock._now_s, source, category, detail, args, self._shard
-            )
-            for sink in self._sinks:
-                sink.accept(entry)
-            for listener in self._listeners:
-                listener(entry)
-            return entry
-        # The store path: one row, flattened as _row() does it (inlined, as
-        # this runs for every record on the frame hot path).
+            return
         count = len(args)
         if count == 1:
             first = args[0]
@@ -836,17 +686,16 @@ class TraceRecorder:
         else:
             first = args
             second = None
-        write(
+        self._write(
             (
                 self._clock._now_s, source, category, detail, self._shard,
                 first, second, count,
             )
         )
-        return None
 
-    def record(self, source: str, category: str, **detail: Any) -> Optional[TraceRecord]:
+    def record(self, source: str, category: str, **detail: Any) -> None:
         """Back-compat eager form of :meth:`emit` (keyword arguments as detail)."""
-        return self.emit(source, category, detail if detail else None)
+        self.emit(source, category, detail if detail else None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -855,10 +704,7 @@ class TraceRecorder:
     @property
     def counters(self) -> CountingSink:
         """The live ``(category, source)`` counters, folded up to date."""
-        if self._fold_all is not None:
-            self._fold_all()
-        elif self._store is not None:
-            self._store.fold()
+        self._fold()
         return self._counters
 
     def __len__(self) -> int:
@@ -867,8 +713,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         """Iterate the records retained by the store."""
-        if self._store is None:
-            return iter(())
         return iter(self._store)
 
     def filter(
@@ -879,8 +723,6 @@ class TraceRecorder:
         until: Optional[float] = None,
     ) -> List[TraceRecord]:
         """Records retained by the store matching every criterion."""
-        if self._store is None:
-            return []
         return self._store.filter(category, source, since, until)
 
     def count(self, category: Optional[str] = None, source: Optional[str] = None) -> int:
@@ -891,8 +733,6 @@ class TraceRecorder:
         self, category: Optional[str] = None, source: Optional[str] = None
     ) -> Optional[TraceRecord]:
         """The most recent retained record matching the criteria, if any."""
-        if self._store is None:
-            return None
         return self._store.last(category, source)
 
     def canonical_records(
@@ -908,13 +748,10 @@ class TraceRecorder:
         the sort.
         """
         store = self._store
-        if store is None:
-            return []
         keys = sorted(store.canonical_keys(store.select(category, source)))
         return [store.view(key[-1]) for key in keys]
 
     def clear(self) -> None:
         """Drop all captured records and reset the live counters."""
-        for sink in self._sinks:
-            sink.clear()
+        self._store.clear()
         self._counters.clear()

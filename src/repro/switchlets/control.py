@@ -46,13 +46,6 @@ class ControlApp:
         validation_delay: when the correctness tests run (60 s).
     """
 
-    #: Express-lane safety declaration consumed by the scenario compiler
-    #: (see repro.scenario.compile): the protocol-control app reaches the wire only
-    #: through unixnet writes, which ride the node's CPU queue — its
-    #: reactions never escape a segment synchronously, so the node's ports
-    #: keep their ``segment_local`` declaration with this switchlet loaded.
-    SEGMENT_LOCAL_SAFE = True
-
     OLD_KEY = "stp.dec"
     NEW_KEY = "stp.ieee"
 

@@ -39,13 +39,6 @@ class DumbBridgeApp:
         log: the thinned ``Log`` module.
     """
 
-    #: Express-lane safety declaration consumed by the scenario compiler
-    #: (see repro.scenario.compile): the dumb bridge reaches the wire only
-    #: through unixnet writes, which ride the node's CPU queue — its
-    #: reactions never escape a segment synchronously, so the node's ports
-    #: keep their ``segment_local`` declaration with this switchlet loaded.
-    SEGMENT_LOCAL_SAFE = True
-
     SWITCH_KEY = "bridge.switch"
     SEND_OUT_KEY = "bridge.send_out"
     PORTS_KEY = "bridge.ports"

@@ -95,13 +95,6 @@ class LearningBridgeApp:
         aging_time: seconds after which a learned entry is no longer current.
     """
 
-    #: Express-lane safety declaration consumed by the scenario compiler
-    #: (see repro.scenario.compile): the learning bridge reaches the wire only
-    #: through unixnet writes, which ride the node's CPU queue — its
-    #: reactions never escape a segment synchronously, so the node's ports
-    #: keep their ``segment_local`` declaration with this switchlet loaded.
-    SEGMENT_LOCAL_SAFE = True
-
     SWITCH_KEY = "bridge.switch"
     SEND_OUT_KEY = "bridge.send_out"
     PORTS_KEY = "bridge.ports"

@@ -40,6 +40,13 @@ def _class_source(component: type) -> str:
     return textwrap.dedent(inspect.getsource(component))
 
 
+@lru_cache(maxsize=None)
+def _package_source(components: tuple, registration_source: str) -> str:
+    """The shipped source of one package (cached: every bridge built from the
+    same classes and registration forms ships one shared string)."""
+    return component_source(components) + "\n\n" + textwrap.dedent(registration_source)
+
+
 def component_source(components: Iterable[type]) -> str:
     """Concatenate the (deduplicated) source of the given classes."""
     seen = set()
@@ -75,7 +82,7 @@ def build_package(
         required_modules: which environment modules to record digests for.
         metadata: extra descriptive fields.
     """
-    source = component_source(components) + "\n\n" + textwrap.dedent(registration_source)
+    source = _package_source(tuple(components), registration_source)
     if environment is None:
         return SwitchletPackage(name=name, source=source, metadata=dict(metadata or {}))
     return SwitchletPackage.build(

@@ -41,13 +41,6 @@ class SpanningTreeApp:
         hello_time / max_age / forward_delay: the standard 802.1D timers.
     """
 
-    #: Express-lane safety declaration consumed by the scenario compiler
-    #: (see repro.scenario.compile): the spanning-tree bridge reaches the wire only
-    #: through unixnet writes, which ride the node's CPU queue — its
-    #: reactions never escape a segment synchronously, so the node's ports
-    #: keep their ``segment_local`` declaration with this switchlet loaded.
-    SEGMENT_LOCAL_SAFE = True
-
     PROTOCOL_NAME = "ieee"
     REGISTRY_KEY = "stp.ieee"
     MULTICAST_ADDR = "01:80:c2:00:00:00"

@@ -12,6 +12,7 @@ from repro.core.switchlet import SwitchletPackage
 from repro.exceptions import LoadError, SignatureMismatch
 from repro.lan.segment import Segment
 from repro.sim.engine import Simulator
+from repro.switchlets import learning_bridge_package
 
 
 def _node(sim):
@@ -76,6 +77,15 @@ class TestSwitchletPackage:
     def test_describe(self):
         package = SwitchletPackage(name="p", source="x = 1")
         assert "p" in package.describe()
+
+    def test_one_source_string_per_distinct_package(self, node):
+        environment = node.environment.modules
+        first = learning_bridge_package(environment)
+        assert learning_bridge_package(environment).source is first.source
+        aged = learning_bridge_package(environment, aging_time=5.0)
+        assert aged.source != first.source
+        assert "aging_time=5.0" in aged.source
+        assert learning_bridge_package(environment, aging_time=5.0).source is aged.source
 
 
 # ---------------------------------------------------------------------------

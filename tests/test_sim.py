@@ -636,12 +636,6 @@ class TestTrace:
         sim.trace.record("a", "x")
         assert sim.trace.count(category="x") == 1
 
-    def test_listener(self, sim):
-        seen = []
-        sim.trace.add_listener(lambda record: seen.append(record.category))
-        sim.trace.record("a", "hello")
-        assert seen == ["hello"]
-
     def test_last(self, sim):
         sim.trace.record("a", "x", value=1)
         sim.trace.record("a", "x", value=2)

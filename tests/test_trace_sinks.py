@@ -1,13 +1,13 @@
-"""Tests for the pluggable trace-sink architecture and the O(1) event queue.
+"""Tests for the trace hub, its one store, and the O(1) event queue.
 
-Covers the refactored instrumentation hot path: per-category gating, lazy
-detail rendering (a shared renderer plus arguments, with a garbage-collector
-budget per retained record), the sink implementations (list, ring buffer,
-counting, null; every store, and the counters folded from it, is checked
-against a reference deque of records on every write path), live-counter
-windows, the event queue's live counter and
-lazy compaction, and the determinism guarantee (same seed, same trace) with
-sinks swapped.
+Covers the instrumentation hot path: per-category gating, lazy detail
+rendering (a shared renderer plus arguments, with a garbage-collector
+budget per retained record), the ``trace_sinks`` argument (``None`` or one
+store), the two stores (list and ring buffer; each, and the counters folded
+from it, is checked against a reference deque of records on the single
+engine and on fabric shards), live-counter windows, the event queue's live
+counter and lazy compaction, and the determinism guarantee (same seed, same
+trace) with the store swapped.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.measurement.ping import PingRunner
 from repro.measurement.setups import build_bridged_pair
+from repro.scenario import run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 from repro.sim.fabric import ShardedSimulator
@@ -37,7 +38,6 @@ from repro.sim.trace import (
     CounterWindow,
     CountingSink,
     ListSink,
-    NullSink,
     RingBufferSink,
     TraceRecord,
     TraceRecorder,
@@ -68,12 +68,10 @@ def run_short_ping(trace_sinks=None, seed=11):
 
 class TestCategoryGating:
     def test_disabled_category_suppresses_sinks_and_listeners(self, sim):
-        seen = []
-        sim.trace.add_listener(lambda record: seen.append(record.category))
         sim.trace.disable_category("noise")
         sim.trace.record("a", "noise")
         sim.trace.record("a", "signal")
-        assert seen == ["signal"]
+        assert [record.category for record in sim.trace.store] == ["signal"]
         assert sim.trace.count(category="noise") == 0
         assert sim.trace.count(category="signal") == 1
         assert len(sim.trace.filter(category="noise")) == 0
@@ -369,8 +367,25 @@ class TestRetainedRecordGcBudget:
 
 
 # ---------------------------------------------------------------------------
-# Sinks
+# Stores
 # ---------------------------------------------------------------------------
+
+
+class TestTraceSinksArgument:
+    """``trace_sinks`` is ``None`` or a one-element sequence holding a store."""
+
+    @pytest.mark.parametrize(
+        "make_sinks",
+        [lambda: [ListSink(), ListSink()], lambda: [], lambda: [object()]],
+        ids=["two-stores", "empty", "not-a-store"],
+    )
+    def test_anything_but_one_store_is_refused(self, make_sinks):
+        with pytest.raises(TypeError, match="trace_sinks"):
+            Simulator(trace_sinks=make_sinks())
+
+    def test_run_scenario_refuses_a_non_store(self):
+        with pytest.raises(TypeError, match="trace_sinks"):
+            run_scenario("pair/direct", trace_sinks=[object()])
 
 
 class TestListSink:
@@ -408,7 +423,7 @@ class TestRingBufferSink:
             sim.trace.record("a", "tick", value=index)
         retained = [record.detail["value"] for record in sim.trace]
         assert retained == [7, 8, 9]
-        (sink,) = sim.trace.sinks
+        sink = sim.trace.store
         assert sink.evicted == 7
         assert len(sink) == 3
         # Live counters still see everything ever recorded.
@@ -523,13 +538,11 @@ _INTERRUPTS = st.dictionaries(
 class TestRingMatchesReference:
     """Every store retains what a deque of records did; counters fold exactly.
 
-    The store is a ``ListSink`` or a ring of capacity 1-8, written on every
-    path: the hub's emit store path (the store is the only sink),
-    ``accept()`` from a hub with several sinks, ``accept()`` of a record
-    built because a listener is registered, and a sharded fabric's per-shard
-    streams (which stamp ``shard``).  Counter reads land at random points,
-    either side of a ring lap and after clears.  Every hub also reads its
-    records back in the canonical order.
+    The store is a ``ListSink`` or a ring of capacity 1-8, written by a
+    single-engine hub's emit (``store``), or a sharded fabric's per-shard
+    streams (``shard``, which stamp ``shard``).  Counter reads land at
+    random points, either side of a ring lap and after clears.  Every hub
+    also reads its records back in the canonical order.
     """
 
     @staticmethod
@@ -538,14 +551,12 @@ class TestRingMatchesReference:
         if path == "shard":
             fabric = ShardedSimulator(shards=2)
             return fabric.trace, fabric.clock, [shard.trace for shard in fabric.shards]
-        sim = Simulator(trace_sinks=[store] if path != "sinks" else [store, NullSink()])
-        if path == "listener":
-            sim.trace.add_listener(lambda record: None)
+        sim = Simulator(trace_sinks=[store])
         return sim.trace, sim.clock, [sim.trace]
 
     @given(
         capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-        path=st.sampled_from(["store", "sinks", "listener", "shard"]),
+        path=st.sampled_from(["store", "shard"]),
         emits=_EMITS,
         interrupts=_INTERRUPTS,
     )
@@ -569,8 +580,7 @@ class TestRingMatchesReference:
             }[kind]
             shard = shard if fabric else None
             recorder = recorders[shard or 0]
-            returned = recorder.emit(source, category, detail, *args)
-            assert (returned is None) == (path not in ("sinks", "listener"))
+            assert recorder.emit(source, category, detail, *args) is None
             reference.accept(
                 TraceRecord(clock.now, source, category, detail, args, shard)
             )
@@ -679,23 +689,8 @@ class TestRingMatchesReference:
         assert calls == [5, 5]
 
 
-class TestNullSink:
-    def test_discards_records_but_counters_stay_live(self):
-        sim = Simulator(trace_sinks=[NullSink()])
-        sim.trace.record("a", "x")
-        sim.trace.record("a", "y")
-        assert list(sim.trace) == []
-        assert sim.trace.filter(category="x") == []
-        assert sim.trace.last(category="x") is None
-        assert sim.trace.count(category="x") == 1
-        assert len(sim.trace) == 2
-
-
-    @pytest.mark.parametrize("kind", ["null", "counting", "null+counting"])
-    def test_a_hub_whose_sinks_keep_nothing_builds_no_record(self, kind, monkeypatch):
-        # Build the reference counts first, on the default store.
-        _setup, reference = run_short_ping(trace_sinks=[ListSink()])
-        reference_pairs = dict(_setup.network.sim.trace.counters.by_category_source)
+class TestDefaultStore:
+    def test_a_ping_run_on_the_default_store_builds_no_record(self, monkeypatch):
         built = []
         construct = TraceRecord.__init__
 
@@ -704,39 +699,18 @@ class TestNullSink:
             construct(self, *args, **kwargs)
 
         monkeypatch.setattr(TraceRecord, "__init__", counting_init)
-        counting = CountingSink()
-        sinks = {
-            "null": [NullSink()],
-            "counting": [counting],
-            "null+counting": [NullSink(), counting],
-        }[kind]
-        setup, result = run_short_ping(trace_sinks=sinks)
-        assert built == []
-        assert result.rtts == reference.rtts
+        setup, result = run_short_ping()
         trace = setup.network.sim.trace
-        assert trace.counters.by_category_source == reference_pairs
-        if kind != "null":
-            assert counting.by_category_source == reference_pairs
-        # A listener needs records: the hub goes back to building them.
-        trace.add_listener(lambda record: None)
-        trace.record("probe", "x")
-        assert built == ["x"]
+        assert result.received == result.sent > 0
+        assert trace.count(category="node.forward") == 2 * result.received
+        # Neither the run nor the counters built a record; a query builds
+        # one view per row it returns.
+        assert built == []
+        forwards = trace.filter(category="node.forward")
+        assert built == ["node.forward"] * len(forwards)
 
 
 class TestSinkManagement:
-    def test_add_remove_and_replace(self, sim):
-        counting = CountingSink()
-        sim.trace.add_sink(counting)
-        sim.trace.record("a", "x")
-        assert counting.count(category="x") == 1
-        sim.trace.remove_sink(counting)
-        sim.trace.record("a", "x")
-        assert counting.count(category="x") == 1
-        assert sim.trace.count(category="x") == 2
-        sim.trace.set_sinks([NullSink()])
-        sim.trace.record("a", "x")
-        assert list(sim.trace) == []
-
     def test_clear_resets_sinks_and_counters(self, sim):
         sim.trace.record("a", "x")
         sim.trace.clear()
@@ -752,17 +726,18 @@ class TestSinkManagement:
 
 class TestLiveCounters:
     def test_counting_sink_matches_list_sink_on_ping_run(self):
-        counting = CountingSink()
+        # The counters fold the store's rows; the store answers from its own
+        # row indexes.  The two ways of counting agree on a real run.
         list_sink = ListSink()
-        setup, result = run_short_ping(trace_sinks=[list_sink, counting])
+        setup, result = run_short_ping(trace_sinks=[list_sink])
         assert result.received == result.sent > 0
+        counting = setup.network.sim.trace.counters
+        assert isinstance(counting, CountingSink)
         assert counting.total == len(list_sink) > 0
         for category in ("nic.tx", "nic.rx", "segment.deliver", "node.forward"):
             assert counting.count(category=category) == list_sink.count(category=category)
-        trace = setup.network.sim.trace
-        assert trace.count(category="node.forward") == counting.count(
-            category="node.forward"
-        )
+        for (category, source), n in counting.by_category_source.items():
+            assert list_sink.count(category=category, source=source) == n
 
     def test_ping_result_reads_bridge_forwards_from_live_counters(self):
         _setup, result = run_short_ping()
@@ -782,14 +757,14 @@ class TestLiveCounters:
 
 
 # ---------------------------------------------------------------------------
-# Determinism with sinks swapped
+# Determinism with the store swapped
 # ---------------------------------------------------------------------------
 
 
 class TestDeterminismAcrossSinks:
     def test_same_seed_same_trace_regardless_of_sinks(self):
         outcomes = []
-        for sinks in (None, [RingBufferSink(capacity=50)], [NullSink()]):
+        for sinks in (None, (RingBufferSink(capacity=50),)):
             setup, result = run_short_ping(trace_sinks=sinks, seed=23)
             sim = setup.network.sim
             outcomes.append(
@@ -801,7 +776,7 @@ class TestDeterminismAcrossSinks:
                     sim.trace.count(category="nic.tx"),
                 )
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
