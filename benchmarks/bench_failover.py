@@ -32,7 +32,7 @@ figures plus each configuration's trace-records-per-CPU-second execution
 rate, its ``events_dispatched`` and the ``relaxed_over_single`` ratio
 (median of per-round relaxed/single pairings); ``perf_gate.py`` tracks the
 ``failover/*`` records/s metrics and the ratio against their previous
-occurrences and holds the relaxed configuration's event count exactly (the
+occurrences and holds each configuration's event count exactly (the
 convergence times are *results*, pinned by tests, not throughput — they are
 recorded but not gated).
 

@@ -14,12 +14,12 @@ relaxed-over-single ratio — regresses by more than the threshold (default
 20 %).
 
 On top of the regression pairing, the gate holds **event counts exactly**:
-each relaxed configuration's ``events_dispatched`` in the sharded-fabric
-sweeps (64 and 256 LANs) and the failover episode is deterministic, and the
-express lanes are what keep it low, so a count that rises over its previous
-occurrence fails at any threshold (see :func:`compare_counts`).  A change
-that raises a count on purpose commits a fresh benchmark entry, which
-re-baselines it, and says why.
+the single engine's and each relaxed configuration's ``events_dispatched``
+in the sharded-fabric sweeps (64 and 256 LANs) and the failover episode are
+deterministic, and the wire lanes are what keep them low, so a count that
+rises over its previous occurrence fails at any threshold (see
+:func:`compare_counts`).  A change that raises a count on purpose commits a
+fresh benchmark entry, which re-baselines it, and says why.
 
 **Wall-clock and CPU-time metrics are distinct families and are never paired
 against each other.**  The CPU-time families above (``records/s`` rates from
@@ -229,9 +229,10 @@ def _failover_size(failover: dict) -> str:
 def collect_counts(entry: dict) -> dict:
     """Flatten one entry's exactly-gated event counts into {name: count}.
 
-    One count per relaxed configuration (a config key ending in
-    ``/relaxed``): the sharded-fabric sweeps' and the failover episode's
-    ``events_dispatched``, sized like the rate metrics.
+    One count per engine configuration, the single engine (``shards=1``)
+    and each relaxed one (a config key ending in ``/relaxed``): the
+    sharded-fabric sweeps' and the failover episode's ``events_dispatched``,
+    sized like the rate metrics.
     """
     blocks = []
     for key, fabric in entry.items():
@@ -245,7 +246,8 @@ def collect_counts(entry: dict) -> dict:
     for family, size, block in blocks:
         for config, result in (block.get("configs") or {}).items():
             events = result.get("events_dispatched")
-            if config.endswith("/relaxed") and events is not None:
+            gated = config == "shards=1" or config.endswith("/relaxed")
+            if gated and events is not None:
                 counts[f"{family}/{config}@{size} events"] = int(events)
     return counts
 
@@ -319,6 +321,11 @@ def compare_counts(history: list) -> list:
     ]
 
 
+def _show(value: float) -> str:
+    """A rate with thousands separators, a ratio (below 100) with two decimals."""
+    return f"{value:,.0f}" if value >= 100 else f"{value:.2f}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -365,7 +372,10 @@ def main(argv=None) -> int:
         )
         for name, base, new, ratio, ok in rows:
             marker = "ok  " if ok else "FAIL"
-            print(f"  {marker} {name:<{width}}  {base:>12,.0f} -> {new:>12,.0f}  ({ratio:6.2%})")
+            print(
+                f"  {marker} {name:<{width}}  {_show(base):>12} -> {_show(new):>12}"
+                f"  ({ratio:6.2%})"
+            )
             if not ok:
                 failed.append(name)
     if count_rows:

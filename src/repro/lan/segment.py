@@ -19,10 +19,12 @@ in float seconds by under 0.5 ns per frame.
 **Three lanes over that core.**  A lane decides only *when* service runs and
 *where* each delivery goes:
 
-* **event** (every engine mode, :meth:`Segment._service_next`) — one service
-  event per frame; the delivery is a ring event, or on a *cut segment*
-  (stations on several shard engines) one event per contiguous same-shard
-  run of receivers, at the nanosecond the single engine uses;
+* **event** (every engine mode, :meth:`Segment._service_next`) — one frame
+  per service, which runs directly for a frame sent to an idle wire and as
+  an event only for a frame that has to wait; the delivery is a ring event,
+  or on a *cut segment* (stations on several shard engines) one event per
+  contiguous same-shard run of receivers, at the nanosecond the single
+  engine uses;
 * **batched** (relaxed sync, :meth:`Segment._drain`) — the whole transmit
   queue is served at once: at transmit time on a shard-local segment whose
   handlers are ``segment_local`` (the *deferred* express lane), and at the
@@ -33,6 +35,14 @@ in float seconds by under 0.5 ns per frame.
   loop at exact timestamps, started by a same-instant ring event and bounded
   by the run horizon and the earliest delivery still in flight.
 
+**One continuation rule.**  Every lane leaves the same state behind: the
+busy chain (the last served frame's finish), plus a pending service only
+while a frame waits in the transmit queue.  A frame the event lane receives
+while the wire is busy with no service pending, on any engine, stays queued
+and arms its service at the end of the busy chain (:meth:`Segment._arm`):
+the nanosecond a service event at the last frame's finish would have served
+it, so a fault before then still takes it back.
+
 **The in-flight queue** holds every frame that was served ahead of its
 classic service event or parked past the pump's bound, as
 ``[pop_ns, deliver_ns, sender, frame, state]``.  ``pop_ns`` is when the
@@ -40,9 +50,7 @@ event lane would have taken the frame off the transmit queue.  A fault at
 or before that instant (faults precede same-instant traffic in every mode)
 finds the frame still queued: :meth:`set_link` drops it, and
 :meth:`set_degrade` and :meth:`set_fault_model` put it back in the transmit
-queue, so it is served again under the new wire or loss model.  A frame the
-event lane receives while batched frames still hold the wire stays queued
-behind them until the end of their busy chain (:meth:`Segment._arm`).
+queue, so it is served again under the new wire or loss model.
 
 **Relaxed mode.**  Under the fabric's relaxed sync (:mod:`repro.sim.relaxed`)
 a cut segment is a *mailbox channel*: transmits are deferred to the window
@@ -590,21 +598,24 @@ class Segment:
     def _service_next(self) -> None:
         """The service event: serve the transmit queue by the segment's lane.
 
-        Also runs directly when a frame is queued on an idle wire.  Under
-        relaxed sync a shard window picks an express lane by eligibility:
-        the inline pump (first armed as a same-instant ring event, so every
-        frame a handler sends at this instant is queued before the chain
-        runs), or the batched drain (directly for the first transmit of an
-        instant, through one armed coalesced drain for the rest).  A barrier
-        serves a cut segment batched unless a loss model is active.
+        Also runs directly when a frame is queued with no service pending.
+        Under relaxed sync a shard window picks an express lane by
+        eligibility: the inline pump (first armed as a same-instant ring
+        event, so every frame a handler sends at this instant is queued
+        before the chain runs), or the batched drain (directly for the first
+        transmit of an instant, through one armed coalesced drain for the
+        rest).  A barrier serves a cut segment batched unless a loss model is
+        active.
 
         Everything else takes the event lane, here: one frame now, with its
-        delivery and the next service as events.  While the wire is busy
-        past now, which only a batched lane leaves behind with no service
-        event pending, the frame stays queued: the event lane arms its
-        service at the end of the busy chain, so a fault before then still
-        takes it back.  An active loss model judges the frame first: a lost
-        or corrupted frame occupies the wire exactly as a delivered one but
+        delivery as an event, and the next service as an event at the
+        frame's finish only when another frame is already queued.  With
+        none, the wire keeps just its busy chain, and a frame sent before
+        that finish finds the wire busy with no service pending (as the
+        batched lanes leave it too): it stays queued and arms its service at
+        the end of the busy chain, so a fault before then still takes it
+        back.  An active loss model judges the frame first: a lost or
+        corrupted frame occupies the wire exactly as a delivered one but
         reaches no receiver.
         """
         pending = self._pending
@@ -648,26 +659,26 @@ class Segment:
         if self._busy_ns > now_ns:
             self._arm()
             return
-        self._in_service = True
         sender, frame = pending.popleft()
         pop_ns, finish_ns, deliver_ns = self._serve(now_ns, frame)
         model = self._fault_model
-        if model is not None and model.active:
-            verdict = model.judge(frame)
-            if verdict is not None:
-                if verdict == "corrupt":
-                    self.frames_corrupted += 1
-                    self._emit_drop(self._trace, sender, frame, "corrupt")
-                else:
-                    self._count_drop(sender, frame, "loss")
-                self._schedule_service(finish_ns)
-                return
-        if self._delivery_runs is None:
-            self._schedule(deliver_ns, partial(self._deliver, sender, frame))
-            self._schedule(finish_ns, self._service_next)
-            return
-        self._schedule_runs(sender, frame, pop_ns, deliver_ns)
-        self._schedule_service(finish_ns)
+        verdict = None if model is None or not model.active else model.judge(frame)
+        if verdict is None:
+            if self._delivery_runs is None:
+                self._schedule(deliver_ns, partial(self._deliver, sender, frame))
+            else:
+                self._schedule_runs(sender, frame, pop_ns, deliver_ns)
+        elif verdict == "corrupt":
+            self.frames_corrupted += 1
+            self._emit_drop(self._trace, sender, frame, "corrupt")
+        else:
+            self._count_drop(sender, frame, "loss")
+        # The next service is an event only while a frame waits for it; an
+        # idle wire keeps just its busy chain, and a frame sent before
+        # finish_ns arms its service there.
+        self._in_service = bool(pending)
+        if pending:
+            self._schedule_service(finish_ns)
 
     def _schedule_service(self, when_ns: int, service=None) -> None:
         """Schedule the next service event at ``when_ns``.

@@ -98,8 +98,9 @@ class NetworkBuilder:
         trace_sinks: the simulator's trace store: ``None`` for the default
             :class:`~repro.sim.trace.ListSink`, or a one-element list holding
             the store to write instead (e.g. a bounded
-            :class:`~repro.sim.trace.RingBufferSink` for very long runs);
-            anything else raises :class:`TypeError`.  Ignored when
+            :class:`~repro.sim.trace.RingBufferSink` for very long runs)
+            that no other simulator holds; anything else raises
+            :class:`TypeError`.  Ignored when
             ``engine`` is given (the engine owns its stores).
         engine: an already-constructed engine to build on instead of a fresh
             :class:`Simulator` — in particular a

@@ -42,8 +42,9 @@ def run_scenario(
         trace_sinks: the simulator's trace store: ``None`` for the default
             :class:`~repro.sim.trace.ListSink`, or a one-element list holding
             the store to write instead (e.g. a bounded
-            :class:`~repro.sim.trace.RingBufferSink` for very long runs);
-            anything else raises :class:`TypeError`.
+            :class:`~repro.sim.trace.RingBufferSink` for very long runs)
+            that no other simulator holds; anything else raises
+            :class:`TypeError`.
         params: factory parameters when ``scenario`` is a name (matrix-axis
             values such as ``{"n_bridges": 5}``).
         shards: shard the compiled network across this many cooperating
@@ -127,7 +128,9 @@ def run_matrix(
     lazily, so a large sweep only holds one live network at a time.  The
     ``shards`` and ``backend`` knobs apply to every
     point (the partitioner clamps the shard count for points with fewer
-    segments).
+    segments).  A store passed as ``trace_sinks`` belongs to the first
+    point's simulator, so a later point raises :class:`TypeError`; a sweep
+    of more than one point keeps the default store per point.
     """
     for spec in expand_matrix(name, axes, base_params=base_params):
         yield compile_spec(

@@ -273,8 +273,9 @@ class Simulator(EngineCore):
         trace_sinks: ``None`` for the default trace store (a fresh
             :class:`~repro.sim.trace.ListSink`), or a one-element list
             holding the store to write instead (e.g. a bounded
-            :class:`~repro.sim.trace.RingBufferSink` for very long runs).
-            Anything else raises :class:`TypeError`.
+            :class:`~repro.sim.trace.RingBufferSink` for very long runs),
+            which no other simulator holds.  Anything else raises
+            :class:`TypeError`.
     """
 
     #: Telemetry state (:class:`repro.telemetry.Telemetry`), or ``None`` when

@@ -245,8 +245,9 @@ class ListSink:
     **Counters fold on read.**  The hub that holds a store binds it to its
     ``(category, source)`` pair table and counts nothing per record;
     :meth:`fold` adds the rows written since the last fold, at C speed, when
-    someone reads the counters.  A store folds into the table of the hub (or
-    fabric) it was last given to.
+    someone reads the counters.  A store belongs to the one hub it was
+    given to: a second hub refuses it, so its queries and its counters
+    always describe the same records.
     """
 
     #: Rows kept before the oldest is overwritten; ``None`` keeps every row.
@@ -320,8 +321,7 @@ class ListSink:
     # ------------------------------------------------------------------
 
     def _bind(self, pairs: Dict[Tuple[str, str], int]) -> None:
-        """Fold into ``pairs`` from the next row on, settling the old table first."""
-        self.fold()
+        """Fold into ``pairs`` from the next row on (once, by the owning hub)."""
         self._pairs = pairs
         self._folded = self._end()
 
@@ -568,7 +568,8 @@ class TraceRecorder:
         clock: the simulated clock used to timestamp records.
         trace_sinks: ``None`` for a fresh :class:`ListSink`, or a one-element
             sequence holding the :class:`ListSink` or :class:`RingBufferSink`
-            to write instead.  Anything else raises :class:`TypeError`.
+            to write instead, which no other recorder holds.  Anything else
+            raises :class:`TypeError`.
         counters: a sharded fabric's shared counters; by default the hub
             keeps its own.
         shard: the index of the fabric shard this recorder belongs to.
@@ -600,6 +601,11 @@ class TraceRecorder:
             raise TypeError(
                 "trace_sinks: expected None or a one-element sequence holding "
                 f"a ListSink or a RingBufferSink, got {trace_sinks!r}"
+            )
+        if store._pairs is not None:
+            raise TypeError(
+                f"trace_sinks: the {type(store).__name__} already belongs to "
+                "another trace recorder; give each simulator a store of its own"
             )
         self._clock = clock
         self._enabled = True

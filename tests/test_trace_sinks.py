@@ -29,7 +29,7 @@ from repro.lan.nic import NetworkInterface
 from repro.lan.segment import Segment
 from repro.measurement.ping import PingRunner
 from repro.measurement.setups import build_bridged_pair
-from repro.scenario import run_scenario
+from repro.scenario import run_matrix, run_scenario
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 from repro.sim.fabric import ShardedSimulator
@@ -372,12 +372,18 @@ class TestRetainedRecordGcBudget:
 
 
 class TestTraceSinksArgument:
-    """``trace_sinks`` is ``None`` or a one-element sequence holding a store."""
+    """``trace_sinks`` is ``None`` or a one-element sequence holding a store
+    that no other recorder holds."""
 
     @pytest.mark.parametrize(
         "make_sinks",
-        [lambda: [ListSink(), ListSink()], lambda: [], lambda: [object()]],
-        ids=["two-stores", "empty", "not-a-store"],
+        [
+            lambda: [ListSink(), ListSink()],
+            lambda: [],
+            lambda: [object()],
+            lambda: [Simulator().trace.store],
+        ],
+        ids=["two-stores", "empty", "not-a-store", "held-store"],
     )
     def test_anything_but_one_store_is_refused(self, make_sinks):
         with pytest.raises(TypeError, match="trace_sinks"):
@@ -386,6 +392,20 @@ class TestTraceSinksArgument:
     def test_run_scenario_refuses_a_non_store(self):
         with pytest.raises(TypeError, match="trace_sinks"):
             run_scenario("pair/direct", trace_sinks=[object()])
+
+    def test_run_matrix_refuses_one_store_for_two_points(self):
+        """A second matrix point would rebind the first point's store.
+
+        Its queries would then return both points' records while its
+        counters counted only its own: 20 records iterated against a
+        length of 12 on this matrix.
+        """
+        runs = run_matrix("chain", {"n_bridges": [2, 3]}, trace_sinks=[ListSink()])
+        first = next(runs)
+        first.warm_up()
+        assert len(first.sim.trace) == sum(1 for _ in first.sim.trace) > 0
+        with pytest.raises(TypeError, match="trace_sinks"):
+            next(runs)
 
 
 class TestListSink:

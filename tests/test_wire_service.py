@@ -1,10 +1,13 @@
 """The segment wire service: integer-ns arithmetic and lane equivalence.
 
-Three layers are covered:
+Four layers are covered:
 
 * the **arithmetic** — one single-engine segment against a reference kept
   here: the float-seconds busy chain the segment used before its wire
   service moved to integer nanoseconds;
+* the **continuation** — on the single engine a frame on an idle wire costs
+  one event, and a frame sent while the wire is busy arms its service at
+  the end of the busy chain, where a fault at that instant still reaches it;
 * the **lanes** — the relaxed inline and batched lanes give every NIC the
   receive instants of the single engine, also when a fault lands while
   batched frames are still in flight;
@@ -72,11 +75,11 @@ def _float_chain(sends, bandwidth_bps, prop_ns):
     return delivered
 
 
-def _segment_run(sends, bandwidth_bps, prop_ns):
-    """Run ``sends`` on one single-engine segment.
+def _wire(bandwidth_bps=100_000_000, prop_ns=2_000):
+    """One single-engine segment with a sender and a receiver.
 
-    Returns the ``segment.deliver`` record times and the receiver's receive
-    instants, both in ns.
+    Returns ``(sim, segment, sender, received)``, where ``received`` fills
+    with the receiver's receive instants in ns.
     """
     sim = Simulator(seed=1)
     segment = Segment(sim, "lan", bandwidth_bps=bandwidth_bps,
@@ -87,6 +90,16 @@ def _segment_run(sends, bandwidth_bps, prop_ns):
     receiver.attach(segment)
     received = []
     receiver.set_handler(lambda nic, frame: received.append(sim.now_ns))
+    return sim, segment, sender, received
+
+
+def _segment_run(sends, bandwidth_bps, prop_ns):
+    """Run ``sends`` on one single-engine segment.
+
+    Returns the ``segment.deliver`` record times and the receiver's receive
+    instants, both in ns.
+    """
+    sim, _segment, sender, received = _wire(bandwidth_bps, prop_ns)
     for time_ns, frame in sends:
         sim.schedule_at_ns(time_ns, lambda frame=frame: sender.send(frame))
     sim.run()
@@ -158,6 +171,75 @@ def test_isolated_frames_on_a_fractional_wire_match(prop_ns, start_ns, payloads)
     records, received = _segment_run(schedule, 67_000_000, prop_ns)
     assert records == expected
     assert received == expected
+
+
+# ---------------------------------------------------------------------------
+# The event lane's continuation on the single engine
+# ---------------------------------------------------------------------------
+
+
+def _wire_ns(frame, bandwidth_bps=100_000_000):
+    return round(frame.wire_length * 8e9 / bandwidth_bps)
+
+
+def test_a_lone_frame_costs_one_event():
+    """A frame on an idle wire is served at once; its delivery is the one event.
+
+    Nothing is queued behind it, so no service event follows its finish:
+    the wire keeps only its busy chain.
+    """
+    sim, _segment, sender, received = _wire()
+    (frame,) = _frames([100])
+    sender.send(frame)
+    sim.run()
+    assert received == [_wire_ns(frame) + 2_000]
+    assert sim.events_dispatched == 1
+
+
+def _overlap(fault=None):
+    """Frame A at 0, then B at half of A's wire time, with nothing queued.
+
+    ``fault(segment)``, when given, runs at A's finish.  It is scheduled
+    before the traffic, as a fault timeline is, so it fires before the
+    service armed there for B.  Returns ``(sim, segment, frames, received)``.
+    """
+    sim, segment, sender, received = _wire()
+    frames = _frames([200, 100])
+    finish_ns = _wire_ns(frames[0])
+    if fault is not None:
+        sim.schedule_at_ns(finish_ns, lambda: fault(segment))
+    for time_ns, frame in zip((0, finish_ns // 2), frames):
+        sim.schedule_at_ns(time_ns, lambda frame=frame: sender.send(frame))
+    sim.run()
+    return sim, segment, frames, received
+
+
+def test_a_frame_sent_behind_a_busy_wire_is_served_at_its_finish():
+    """B finds the wire busy and no service pending: it arms one at A's finish."""
+    sim, _segment, (first, second), received = _overlap()
+    finish_ns = _wire_ns(first)
+    assert received == [finish_ns + 2_000, finish_ns + _wire_ns(second) + 2_000]
+    # Two sends, two deliveries and the one service armed for B.
+    assert sim.events_dispatched == 5
+
+
+def test_a_link_down_at_the_finish_drops_the_armed_frame():
+    _sim, segment, (first, _second), received = _overlap(
+        lambda segment: segment.set_link(False)
+    )
+    assert segment.frames_lost == 1
+    assert received == [_wire_ns(first) + 2_000]
+
+
+def test_a_degrade_at_the_finish_serves_the_armed_frame_on_the_slower_wire():
+    _sim, _segment, (first, second), received = _overlap(
+        lambda segment: segment.set_degrade(bandwidth_scale=0.5)
+    )
+    finish_ns = _wire_ns(first)
+    assert received == [
+        finish_ns + 2_000,
+        finish_ns + _wire_ns(second, 50_000_000) + 2_000,
+    ]
 
 
 # ---------------------------------------------------------------------------
